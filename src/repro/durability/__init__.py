@@ -46,7 +46,7 @@ from .recovery import (
     recover_broker,
     scan_disk,
 )
-from .tail import JournalTailer
+from .tail import JournalTailer, TailedRecord
 
 __all__ = [
     "SimulatedDisk",
@@ -67,6 +67,7 @@ __all__ = [
     "LiveEntry",
     "IncrementalFold",
     "JournalTailer",
+    "TailedRecord",
     "scan_disk",
     "fold_records",
     "collect_live_entries",

@@ -137,8 +137,11 @@ class SimulatedDisk:
         self._synced[name] = len(self._file(name))
         self.syncs += 1
 
-    def read(self, name: str) -> bytes:
-        return bytes(self._file(name))
+    def read(self, name: str, start: int = 0) -> bytes:
+        """The file's bytes from ``start`` on; only those are copied."""
+        if start < 0:
+            raise DiskError(f"cannot read {name!r} from offset {start}")
+        return bytes(memoryview(self._file(name))[start:])
 
     def length(self, name: str) -> int:
         return len(self._file(name))

@@ -39,7 +39,7 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..broker.message import DeliveryMode, Message
 from .disk import DiskWriteError, SimulatedDisk
@@ -73,6 +73,10 @@ RECORD_HEADER_SIZE = _RECORD_HEADER.size
 
 #: Guard against absurd lengths produced by corrupted headers.
 MAX_RECORD_BYTES = 16 * 1024 * 1024
+
+#: The one canonical payload encoding (sorted keys, no whitespace): a
+#: parsed record re-encodes to the bytes it was parsed from.
+_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def durable_key(subscriber_id: str, topic: str) -> str:
@@ -188,8 +192,8 @@ def decode_message(fields: Dict[str, Any]) -> Message:
 
 def encode_record(record: JournalRecord) -> bytes:
     """Record wire format: ``u32 length | u32 crc | u8 kind | json``."""
-    body = bytes([record.kind.value]) + json.dumps(
-        record.payload, sort_keys=True, separators=(",", ":")
+    body = bytes([record.kind.value]) + _PAYLOAD_ENCODER.encode(
+        record.payload
     ).encode("utf-8")
     return _RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body
 
@@ -312,6 +316,11 @@ class Journal:
         #: crash points at record boundaries.
         self.record_locations: List[RecordLocation] = []
         self._segment_index = 0
+        self._current = ""
+        #: Segments that may hold bytes beyond their fsync watermark.  The
+        #: invariant is one-way — *unsynced bytes imply membership* — so
+        #: :meth:`sync` never has to list the disk to find its work.
+        self._dirty: Set[str] = set()
         self._unsynced_records = 0
         self._last_sync_at = 0.0
         #: Set after a failed append: the segment tail may hold a partial
@@ -337,7 +346,7 @@ class Journal:
 
     @property
     def current_segment(self) -> str:
-        return self._segment_name(self._segment_index)
+        return self._current
 
     @property
     def size_bytes(self) -> int:
@@ -355,9 +364,17 @@ class Journal:
         if not existing:
             self._create_segment(0)
             return
+        # A predecessor under ``never`` (or one that died before its group
+        # commit) may have left unsynced bytes behind: they are this
+        # journal's to flush now.
+        disk = self.disk
+        self._dirty.update(
+            s for s in existing if disk.length(s) > disk.synced_length(s)
+        )
         last = existing[-1]
         self._segment_index = int(last[len(self.name) + 1 : -4])
-        data = self.disk.read(last)
+        self._current = last
+        data = disk.read(last)
         if len(data) >= SEGMENT_HEADER_SIZE and data[: len(SEGMENT_MAGIC)] == SEGMENT_MAGIC:
             return  # valid header: resume appending at the tail
         # The tail segment has a torn or missing header (a crash can cut
@@ -380,10 +397,12 @@ class Journal:
     def _create_segment(self, index: int) -> None:
         name = self._segment_name(index)
         self.disk.create(name)
+        self._dirty.add(name)  # before the write: a torn header is dirt too
         self.disk.append(
             name, _SEGMENT_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, index)
         )
         self._segment_index = index
+        self._current = name
         self._tail_dirty = False
 
     def _rotate(self) -> None:
@@ -404,19 +423,29 @@ class Journal:
         mid-record; the tail is marked dirty and the next append rotates
         to a fresh segment so later records stay recoverable.
         """
-        if self._tail_dirty or (
-            self.disk.length(self.current_segment) >= self.segment_bytes
-        ):
+        return self.append_encoded(encode_record(record), now=now)
+
+    def append_encoded(self, encoded: bytes, now: float = 0.0) -> int:
+        """Append one record already in wire format.
+
+        ``encoded`` is :func:`encode_record` output or the bytes a reader
+        has CRC-verified and parsed (the standby appends what was shipped
+        instead of re-serialising its parse).  Same contract as
+        :meth:`append`.
+        """
+        segment = self._current
+        if self._tail_dirty or self.disk.length(segment) >= self.segment_bytes:
             self._rotate()
-        encoded = encode_record(record)
-        segment = self.current_segment
+            segment = self._current
+        self._dirty.add(segment)  # before the write: a partial one is dirt too
         try:
             offset = self.disk.append(segment, encoded)
         except DiskWriteError as exc:
             self.write_failures += 1
             self._tail_dirty = True
+            kind = RecordKind(encoded[RECORD_HEADER_SIZE]).name
             raise JournalWriteError(
-                f"journal append of {record.kind.name} to {segment} failed: {exc}"
+                f"journal append of {kind} to {segment} failed: {exc}"
             ) from exc
         lsn = self.records_appended
         self.records_appended += 1
@@ -428,30 +457,41 @@ class Journal:
         return lsn
 
     def _maybe_sync(self, now: float) -> None:
+        """Apply the sync policy right after a successful append."""
         policy = self.sync_policy
         if policy.mode == "never":
             return
-        if policy.mode == "always":
-            self.sync()
-            self._last_sync_at = now
-            return
-        due = self._unsynced_records >= policy.batch
+        due = policy.mode == "always" or self._unsynced_records >= policy.batch
         if policy.interval is not None and now - self._last_sync_at >= policy.interval:
             due = due or self._unsynced_records > 0
         if due:
-            self.sync()
+            # The record just appended makes the current segment dirty by
+            # construction; only the other remembered ones need testing.
+            self._sync_dirty(known_dirty=self._current)
             self._last_sync_at = now
 
     def _sync_current(self) -> None:
-        self.disk.sync(self.current_segment)
+        self.disk.sync(self._current)
+        self._dirty.discard(self._current)
         self.syncs += 1
         self._unsynced_records = 0
 
     def sync(self) -> None:
-        """fsync every segment with unsynced bytes (newest carries them)."""
-        for segment in self.segments:
-            if self.disk.length(segment) > self.disk.synced_length(segment):
-                self.disk.sync(segment)
+        """fsync every segment with unsynced bytes, oldest first."""
+        self._sync_dirty()
+
+    def _sync_dirty(self, known_dirty: Optional[str] = None) -> None:
+        # Membership only says "may be dirty" (a ``tear_tail`` or a
+        # recovery ``truncate`` can have cut a segment back to its
+        # watermark), so each remembered segment is still tested: a clean
+        # file is never fsynced.
+        disk = self.disk
+        for segment in sorted(self._dirty):
+            if segment == known_dirty or (
+                disk.length(segment) > disk.synced_length(segment)
+            ):
+                disk.sync(segment)
+        self._dirty.clear()
         self.syncs += 1
         self._unsynced_records = 0
 
@@ -551,6 +591,7 @@ class Journal:
         for segment in self.segments:
             if segment != keep:
                 self.disk.delete(segment)
+                self._dirty.discard(segment)
                 deleted += 1
         self.record_locations = [
             loc for loc in self.record_locations if loc.segment == keep

@@ -35,6 +35,8 @@ to strictly newer segments across them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .disk import SimulatedDisk
@@ -45,7 +47,19 @@ from .journal import (
 )
 from .recovery import _probe, _try_parse
 
-__all__ = ["JournalTailer"]
+__all__ = ["JournalTailer", "TailedRecord"]
+
+
+@dataclass(frozen=True)
+class TailedRecord(JournalRecord):
+    """A record read off a log, with the wire bytes it was parsed from.
+
+    ``encoded`` is the CRC-verified on-disk record
+    (``u32 length | u32 crc | body``), so a shipper forwards it as is
+    instead of re-serialising the parse.
+    """
+
+    encoded: bytes
 
 
 class JournalTailer:
@@ -83,10 +97,18 @@ class JournalTailer:
 
     # ------------------------------------------------------------------
     def _segments(self) -> List[str]:
+        """The journal's segment files, oldest first (one disk listing)."""
         prefix = f"{self.name}."
         return [
             f for f in self.disk.list() if f.startswith(prefix) and f.endswith(".seg")
         ]
+
+    def _holds(self, segments: List[str]) -> bool:
+        """Whether the held segment is still among ``segments`` (sorted)."""
+        if self._segment is None:
+            return False
+        index = bisect_left(segments, self._segment)
+        return index < len(segments) and segments[index] == self._segment
 
     @property
     def position(self) -> Tuple[Optional[str], int]:
@@ -97,54 +119,61 @@ class JournalTailer:
     def lag_bytes(self) -> int:
         """Bytes on disk beyond the current position (yet to be read)."""
         segments = self._segments()
-        if not segments:
-            return 0
-        if self._segment is None or self._segment not in segments:
+        if not self._holds(segments):
             return sum(self.disk.length(s) for s in segments)
+        assert self._segment is not None
         lag = self.disk.length(self._segment) - self._offset
-        for segment in segments:
-            if segment > self._segment:
-                lag += self.disk.length(segment)
+        for segment in segments[bisect_right(segments, self._segment) :]:
+            lag += self.disk.length(segment)
         return max(lag, 0)
 
     # ------------------------------------------------------------------
-    def poll(self, max_records: Optional[int] = None) -> List[JournalRecord]:
+    def poll(self, max_records: Optional[int] = None) -> List[TailedRecord]:
         """Read every newly complete record (up to ``max_records``).
 
         Returns records in append order; a later ``poll`` resumes exactly
         where this one stopped.  An incomplete record at the tail of the
         newest segment is left for a later poll — the tailer never
         returns a record that could still change.
+
+        Nothing writes the disk during a poll, so the directory is listed
+        once and each segment is read once, from the position on.
         """
         if max_records is not None and max_records < 0:
             raise ValueError(f"max_records must be >= 0, got {max_records}")
-        out: List[JournalRecord] = []
-        while max_records is None or len(out) < max_records:
-            segments = self._segments()
-            if not segments:
-                return out
-            if self._segment is None:
-                self._segment, self._offset = segments[0], 0
-            elif self._segment not in segments:
+        out: List[TailedRecord] = []
+        segments = self._segments()
+        if not segments:
+            return out
+        if not self._holds(segments):
+            if self._segment is not None:
                 # Compaction deleted the held segment.  Everything we had
                 # not read is subsumed by the CHECKPOINT at the head of
                 # the oldest survivor — reposition there.
                 self.repositions += 1
-                self._segment, self._offset = segments[0], 0
-            newest = self._segment == segments[-1]
-            data = self.disk.read(self._segment)
-            if not self._consume_header(data, newest):
+            self._segment, self._offset = segments[0], 0
+        held: Optional[str] = None
+        data, base = b"", 0  # ``data`` is segment ``held`` from ``base`` on
+        while max_records is None or len(out) < max_records:
+            segment = self._segment
+            assert segment is not None
+            if segment != held:
+                held, base = segment, self._offset
+                data = self.disk.read(segment, base)
+            newest = segment == segments[-1]
+            if not self._consume_header(data, newest, segments):
                 if newest:
                     return out  # header still being written: wait
                 continue  # skipped a sealed headerless segment
-            parsed = _try_parse(data, self._offset)
+            start = self._offset - base
+            parsed = _try_parse(data, start)
             if parsed is not None:
                 record, end = parsed
-                self._offset = end
+                self._offset = base + end
                 self.records_read += 1
-                out.append(record)
+                out.append(TailedRecord(record.kind, record.payload, data[start:end]))
                 continue
-            if self._offset >= len(data) and not newest:
+            if start >= len(data) and not newest:
                 self._cross_to_next(segments)
                 continue
             if newest:
@@ -152,18 +181,22 @@ class JournalTailer:
             # Sealed segment with unparsable bytes at the position: probe
             # past the garbage (mid-log corruption) or give the remainder
             # up (dirty tail before a rotation) and cross over.
-            resume = _probe(data, self._offset)
+            resume = _probe(data, start)
             if resume is not None:
-                self.bytes_skipped += resume - self._offset
-                self._offset = resume
+                self.bytes_skipped += resume - start
+                self._offset = base + resume
                 continue
-            self.bytes_skipped += len(data) - self._offset
+            self.bytes_skipped += len(data) - start
             self._cross_to_next(segments)
         return out
 
     # ------------------------------------------------------------------
-    def _consume_header(self, data: bytes, newest: bool) -> bool:
-        """Position past the segment header; False = cannot enter yet."""
+    def _consume_header(self, data: bytes, newest: bool, segments: List[str]) -> bool:
+        """Position past the segment header; False = cannot enter yet.
+
+        A position before the header is always offset 0, so ``data`` is
+        then the whole segment.
+        """
         if self._offset >= SEGMENT_HEADER_SIZE:
             return True
         if len(data) >= SEGMENT_HEADER_SIZE and data[:4] == SEGMENT_MAGIC:
@@ -173,15 +206,15 @@ class JournalTailer:
             return False  # torn/absent header on the tail: wait
         # A sealed segment without a valid header holds nothing readable
         # (the recovery scan quarantines it wholesale); skip it.
-        self.bytes_skipped += max(len(data) - self._offset, 0)
-        self._cross_to_next(self._segments())
+        self.bytes_skipped += len(data)
+        self._cross_to_next(segments)
         return False
 
     def _cross_to_next(self, segments: List[str]) -> None:
         assert self._segment is not None
-        later = [s for s in segments if s > self._segment]
-        if later:
-            self._segment, self._offset = later[0], 0
+        index = bisect_right(segments, self._segment)
+        if index < len(segments):
+            self._segment, self._offset = segments[index], 0
             self.segments_crossed += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

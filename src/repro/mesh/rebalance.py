@@ -44,7 +44,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from ..durability.journal import encode_record
 from ..durability.recovery import decode_message
 from ..durability.tail import JournalTailer
 from ..replication.link import ShipFrame, SimulatedLink, encode_frame
@@ -205,7 +204,7 @@ class HandoffSession:
         batch = self.tailer.poll(self.batch_records)
         label = "deliver"
         if batch:
-            records = tuple(encode_record(record) for record in batch)
+            records = tuple(record.encoded for record in batch)
             sequence = self._next_sequence
             self._next_sequence += 1
             self._sent[sequence] = records

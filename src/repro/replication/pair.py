@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..broker.server import Broker
 from ..durability.disk import SimulatedDisk
-from ..durability.journal import Journal, SyncPolicy, encode_record
+from ..durability.journal import Journal, SyncPolicy
 from ..durability.recovery import collect_live_entries
 from ..durability.tail import JournalTailer
 from ..simulation.rng import RandomStreams
@@ -223,8 +223,8 @@ class ReplicatedPair:
     def _ship(self, now: float) -> None:
         if not self.primary_up or self.primary_paused or self.primary_fenced:
             return
-        for record in self.tailer.poll():
-            self._pending.append(encode_record(record))
+        # Forward the bytes the tailer CRC-verified; nothing re-encodes them.
+        self._pending.extend(record.encoded for record in self.tailer.poll())
         batch = self.config.batch_size
         while len(self._pending) >= batch:
             self._send_frame(self._pending[:batch], now)

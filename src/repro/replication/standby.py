@@ -174,10 +174,11 @@ class StandbyReplica:
             if parsed is None or parsed[1] != len(raw):
                 self.malformed_records += 1
                 continue
-            record = parsed[0]
-            self.fold.push(record)
+            self.fold.push(parsed[0])
             try:
-                self.journal.append(record, now=now)
+                # ``raw`` has just been CRC-checked and parsed: append it
+                # as is, so the replica is byte-identical to what shipped.
+                self.journal.append_encoded(raw, now=now)
             except JournalError:
                 self.journal_write_failures += 1
             self.records_applied += 1

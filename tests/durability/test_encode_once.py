@@ -1,0 +1,114 @@
+"""Encode once: the bytes on disk are the canonical encoding of their parse.
+
+Shippers forward the bytes the tailer CRC-verified and the standby appends
+the bytes it parsed, instead of each re-serialising a parse.  That is only
+sound if ``encode_record(decode(x)) == x`` for every record the journal can
+write (sorted keys, fixed separators, ASCII-escaped JSON) — pinned here as a
+property rather than assumed.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.broker.message import RESERVED_WORDS, DeliveryMode, Message
+from repro.durability import (
+    Journal,
+    JournalRecord,
+    JournalTailer,
+    RecordKind,
+    SimulatedDisk,
+    SyncPolicy,
+    TailedRecord,
+)
+from repro.durability.journal import (
+    SEGMENT_HEADER_SIZE,
+    durable_key,
+    encode_message,
+    encode_record,
+)
+from repro.durability.recovery import LiveEntry, _try_parse
+
+NAMES = st.from_regex(r"[a-z_$][a-z0-9_$]{0,8}", fullmatch=True).filter(
+    lambda name: name not in RESERVED_WORDS
+)
+VALUES = st.one_of(
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False),
+    st.text(max_size=20),  # full unicode, lone surrogates excluded by default
+)
+BODIES = st.one_of(
+    st.just(b""),
+    st.binary(max_size=64),
+    st.just(bytes(range(256)) * 64),  # 16 KiB
+)
+MESSAGES = st.builds(
+    Message,
+    topic=st.sampled_from(["orders", "prices/€", "q"]),
+    correlation_id=st.one_of(st.none(), st.text(max_size=12)),
+    properties=st.dictionaries(NAMES, VALUES, max_size=5),
+    body=BODIES,
+    priority=st.integers(0, 9),
+    delivery_mode=st.just(DeliveryMode.PERSISTENT),
+    timestamp=st.floats(0, 1e9),
+    expiration=st.one_of(st.none(), st.floats(0, 1e9)),
+)
+OWED = st.lists(
+    st.builds(durable_key, st.text(min_size=1, max_size=8), st.just("prices/€")),
+    max_size=3,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    message=MESSAGES,
+    owed=OWED,
+    consumer=st.one_of(st.integers(0, 2**40), st.text(max_size=8)),
+    reason=st.sampled_from(["acked", "dead-lettered", "dropped"]),
+)
+def test_tailed_bytes_are_the_canonical_encoding_of_their_parse(
+    message, owed, consumer, reason
+):
+    disk = SimulatedDisk()
+    journal = Journal(disk, sync=SyncPolicy.never())
+    tailer = JournalTailer(disk)
+    mid, dest = message.message_id, message.topic
+    journal.log_publish("topic", dest, message, owed=owed, now=0.5)
+    journal.log_deliver("queue", dest, mid, consumer, now=0.5)
+    journal.log_ack("queue", dest, mid, reason=reason, now=0.5)
+    journal.log_expire("queue", dest, mid, now=0.5)
+    history = disk.read(journal.current_segment, SEGMENT_HEADER_SIZE)
+    seen = tailer.poll()
+    assert b"".join(record.encoded for record in seen) == history
+
+    entry = LiveEntry(
+        domain="topic",
+        destination=dest,
+        message_fields=encode_message(message),
+        delivers=2,
+        owed=list(owed),
+    )
+    journal.checkpoint([entry.to_payload()], now=0.5)
+    snapshot = tailer.poll()  # repositioned onto the checkpoint segment
+    assert snapshot[0].encoded == disk.read(journal.current_segment, SEGMENT_HEADER_SIZE)
+    seen.extend(snapshot)
+    assert [record.kind for record in seen] == list(RecordKind)
+
+    for record in seen:
+        assert isinstance(record, TailedRecord)
+        plain = JournalRecord(record.kind, record.payload)
+        assert encode_record(plain) == record.encoded
+        assert _try_parse(record.encoded, 0) == (plain, len(record.encoded))
+
+
+def test_append_encoded_writes_the_bytes_it_is_given():
+    source, replica = SimulatedDisk(), SimulatedDisk()
+    journal = Journal(source)
+    for n in range(5):
+        journal.log_publish("queue", "q", Message(topic="q", properties={"n": n}))
+    copy = Journal(replica)
+    for record in JournalTailer(source).poll():
+        copy.append_encoded(record.encoded)
+    assert replica.snapshot() == source.snapshot()
+    assert copy.records_appended == journal.records_appended
+    assert copy.record_locations == journal.record_locations

@@ -1,0 +1,174 @@
+"""The write-ahead path costs the record, not the log (counts, not times).
+
+A ``SimulatedDisk`` that counts its metadata queries and reads pins the
+complexity of the per-record operations: an append under
+``SyncPolicy.always()`` makes the same few disk calls whether 2 or 200
+sealed segments sit beside the current one, and a tailer poll lists the
+directory once, reads each segment it touches once and copies only bytes
+it has not consumed.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.broker.message import Message
+from repro.durability import Journal, JournalTailer, SimulatedDisk, SyncPolicy
+from repro.simulation import RandomStreams
+
+QUEUE = "orders"
+
+
+class CountingDisk(SimulatedDisk):
+    def __init__(self, streams=None):
+        super().__init__(streams)
+        self.calls = Counter()
+        self.reads = []
+        self.bytes_read = 0
+
+    def reset(self):
+        self.calls.clear()
+        self.reads.clear()
+        self.bytes_read = 0
+
+    def list(self):
+        self.calls["list"] += 1
+        return super().list()
+
+    def length(self, name):
+        self.calls["length"] += 1
+        return super().length(name)
+
+    def synced_length(self, name):
+        self.calls["synced_length"] += 1
+        return super().synced_length(name)
+
+    def read(self, name, start=0):
+        self.calls["read"] += 1
+        data = super().read(name, start)
+        self.reads.append(name)
+        self.bytes_read += len(data)
+        return data
+
+
+def publish(journal, n, body=64):
+    message = Message(topic=QUEUE, properties={"n": n}, body=b"x" * body)
+    journal.log_publish("queue", QUEUE, message, now=n * 1e-3)
+
+
+def disk_with_sealed_segments(count):
+    """A disk holding ``count`` sealed segments plus a roomy current one."""
+    disk = CountingDisk(RandomStreams(0))
+    small = Journal(disk, sync=SyncPolicy.always(), segment_bytes=256)
+    n = 0
+    while len(small.segments) <= count:
+        publish(small, n)
+        n += 1
+    small.close()
+    journal = Journal(disk, sync=SyncPolicy.always())  # resumes at the tail
+    assert len(journal.segments) > count
+    return disk, journal
+
+
+def calls_of_one_append(sealed):
+    disk, journal = disk_with_sealed_segments(sealed)
+    publish(journal, 10_000)
+    disk.reset()
+    publish(journal, 10_001)
+    calls = Counter(disk.calls)
+    assert journal.unsynced_bytes == 0  # (itself walks the disk: after the count)
+    return calls
+
+
+class TestAppendIsConstantInLogLength:
+    def test_append_under_always_costs_the_same_with_2_or_200_segments(self):
+        few, many = calls_of_one_append(2), calls_of_one_append(200)
+        assert few == many
+        assert sum(many.values()) <= 8
+        assert many["list"] == 0
+
+    def test_explicit_sync_tests_only_the_remembered_segments(self):
+        disk, journal = disk_with_sealed_segments(200)
+        relaxed = Journal(disk, sync=SyncPolicy.never())
+        publish(relaxed, 1)
+        disk.reset()
+        relaxed.sync()
+        assert disk.calls["list"] == 0
+        assert disk.calls["length"] == disk.calls["synced_length"] == 1
+        assert relaxed.unsynced_bytes == 0
+
+
+class TestPollReadsOnlyWhatIsNew:
+    def unread(self, disk, tailer, journal):
+        held, offset = tailer.position
+        segments = journal.segments
+        if held is None:
+            return sum(SimulatedDisk.length(disk, s) for s in segments)
+        later = [s for s in segments if s >= held]
+        return sum(SimulatedDisk.length(disk, s) for s in later) - offset
+
+    def test_first_poll_reads_each_segment_once(self):
+        disk = CountingDisk(RandomStreams(0))
+        journal = Journal(disk, sync=SyncPolicy.always(), segment_bytes=512)
+        for n in range(40):
+            publish(journal, n)
+        assert len(journal.segments) > 5
+        tailer = JournalTailer(disk)
+        unread = self.unread(disk, tailer, journal)
+        disk.reset()
+        records = tailer.poll()
+        assert len(records) == 40
+        assert disk.calls["list"] == 1
+        assert sorted(disk.reads) == journal.segments  # each exactly once
+        assert disk.bytes_read <= unread
+
+    def test_later_poll_copies_only_the_new_records(self):
+        disk = CountingDisk(RandomStreams(0))
+        journal = Journal(disk, sync=SyncPolicy.always())
+        for n in range(50):
+            publish(journal, n)
+        tailer = JournalTailer(disk)
+        tailer.poll()
+        before = SimulatedDisk.length(disk, journal.current_segment)
+        for n in range(50, 53):
+            publish(journal, n)
+        appended = SimulatedDisk.length(disk, journal.current_segment) - before
+        disk.reset()
+        records = tailer.poll()
+        assert len(records) == 3
+        assert disk.calls["list"] == 1 and disk.calls["read"] == 1
+        assert disk.bytes_read == appended
+        assert b"".join(record.encoded for record in records) == SimulatedDisk.read(
+            disk, journal.current_segment, before
+        )
+
+    @pytest.mark.parametrize("page", [1, 2, 7])
+    def test_paginated_poll_lists_once_and_reads_each_touched_segment_once(self, page):
+        disk = CountingDisk(RandomStreams(0))
+        journal = Journal(disk, sync=SyncPolicy.always(), segment_bytes=512)
+        for n in range(30):
+            publish(journal, n)
+        tailer = JournalTailer(disk)
+        seen = 0
+        while True:
+            unread = self.unread(disk, tailer, journal)
+            disk.reset()
+            chunk = tailer.poll(max_records=page)
+            assert disk.calls["list"] == 1
+            assert len(disk.reads) == len(set(disk.reads))
+            assert disk.bytes_read <= unread
+            if not chunk:
+                break
+            seen += len(chunk)
+        assert seen == 30
+
+    def test_lag_bytes_lists_once_and_measures_only_from_the_position_on(self):
+        disk = CountingDisk(RandomStreams(0))
+        journal = Journal(disk, sync=SyncPolicy.always(), segment_bytes=512)
+        for n in range(40):
+            publish(journal, n)
+        tailer = JournalTailer(disk)
+        tailer.poll()
+        disk.reset()
+        assert tailer.lag_bytes == 0
+        assert disk.calls["list"] == 1 and disk.calls["length"] == 1

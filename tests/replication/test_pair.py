@@ -65,6 +65,17 @@ class TestShipping:
         assert pair.standby.records_applied == 0
         assert pair.unshipped_acked_records == 5
 
+    def test_standby_journal_is_byte_identical_to_the_primary_after_a_clean_run(self):
+        # Shipping forwards the tailer's verified bytes and the standby
+        # appends them as received: with equal segment sizes the replica's
+        # disk is the primary's, byte for byte, rotations included.
+        pair = make_pair("sync")
+        settle(pair, publish(pair, 40))
+        assert pair.journal.rotations > 2
+        assert pair.standby.records_applied == pair.journal.records_appended
+        assert pair.standby.malformed_records == 0
+        assert pair.standby.disk.snapshot() == pair.primary_disk.snapshot()
+
     def test_full_batch_ships_immediately(self):
         pair = make_pair("sync", batch_size=3, ship_interval=100 * DT)
         now = settle(pair, publish(pair, 3), ticks=3)

@@ -10,6 +10,7 @@ import pytest
 
 from repro.broker.message import Message
 from repro.durability.journal import (
+    SEGMENT_HEADER_SIZE,
     JournalRecord,
     RecordKind,
     encode_message,
@@ -95,3 +96,30 @@ class TestReorderWindow:
     def test_window_must_be_positive(self):
         with pytest.raises(ValueError):
             StandbyReplica(reorder_window=0)
+
+
+class TestAppliesTheShippedBytes:
+    """The standby appends the record bytes it verified, never a re-encoding."""
+
+    def test_record_corrupted_in_flight_is_counted_and_never_reaches_the_disk(self):
+        # The frame CRC is computed over the damaged bytes (damage between
+        # the tailer and the framer), so only the record's own CRC can
+        # catch it.
+        good = [publish_record(n) for n in range(3)]
+        damaged = bytearray(good[1])
+        damaged[-5] ^= 0x40
+        frame = ShipFrame(sequence=0, epoch=1, records=(good[0], bytes(damaged), good[2]))
+        replica = StandbyReplica()
+        assert replica.receive(encode_frame(frame)) == 1
+        assert replica.malformed_records == 1
+        assert replica.records_applied == 2
+        assert replica.journal.records_appended == 2
+        segment = replica.journal.current_segment
+        assert replica.disk.read(segment, SEGMENT_HEADER_SIZE) == good[0] + good[2]
+
+    def test_trailing_bytes_after_a_valid_record_are_malformed(self):
+        frame = ShipFrame(sequence=0, epoch=1, records=(publish_record(0) + b"\x00",))
+        replica = StandbyReplica()
+        replica.receive(encode_frame(frame))
+        assert replica.malformed_records == 1
+        assert replica.journal.records_appended == 0
