@@ -54,8 +54,12 @@ __all__ = [
 
 #: Compiled selector evaluation must beat the interpreter by this factor.
 COMPILED_SPEEDUP_MIN = 3.0
-#: Warm memoized dispatch must beat cold planning by this factor.
-MEMO_SPEEDUP_MIN = 5.0
+#: Warm memoized dispatch must beat cold planning by this factor.  The
+#: ratio is *warm over cold*, so it falls whenever cold planning gets
+#: cheaper: the fused topic scan took it from 61x to 17x (full mode) and
+#: 5.3x (``--fast``, 64 filters) while both absolute rates rose.  The
+#: floor sits under the fast-mode figure, not under what the memo saves.
+MEMO_SPEEDUP_MIN = 2.5
 
 #: Representative selectors: one per operator family the compiler lowers,
 #: plus combinations that exercise 3VL short-circuiting and a volatile

@@ -9,7 +9,7 @@ scan per message, matching the measured (un-optimized) FioranoMQ
 behaviour.
 """
 
-from .dispatch import DispatchPlan, plan_dispatch, plan_dispatch_batch
+from .dispatch import DispatchPlan, LinearScan, plan_dispatch
 from .dispatch_cache import DispatchMemo, message_fingerprint
 from .filter_index import FilterIndex
 from .hierarchy import TopicPattern, TopicTrie, split_topic
@@ -76,6 +76,7 @@ __all__ = [
     "InvalidDestinationError",
     "InvalidSelectorError",
     "JMSError",
+    "LinearScan",
     "MatchAllFilter",
     "Message",
     "MessageFilter",
@@ -97,6 +98,5 @@ __all__ = [
     "audit_selectors",
     "message_fingerprint",
     "plan_dispatch",
-    "plan_dispatch_batch",
     "render_audit",
 ]

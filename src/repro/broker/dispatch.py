@@ -12,12 +12,13 @@ model) and how many copies will be sent (each costs ``t_tx``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from .message import Message
+from .selector import compile_scan
 from .subscriptions import Subscription
 
-__all__ = ["DispatchPlan", "plan_dispatch", "plan_dispatch_batch"]
+__all__ = ["DispatchPlan", "LinearScan", "plan_dispatch"]
 
 
 @dataclass(frozen=True)
@@ -46,58 +47,32 @@ class DispatchPlan:
         return len(self.matches)
 
 
-def plan_dispatch(message: Message, subscriptions: Sequence[Subscription]) -> DispatchPlan:
-    """Linearly evaluate every subscription's filter against ``message``.
+class LinearScan:
+    """The FioranoMQ-style planner over one fixed subscription list.
 
     Match-all subscriptions (no filter installed) receive the message
     without a filter evaluation; all other filters are evaluated
-    unconditionally, matching the measured FioranoMQ behaviour.
+    unconditionally, matching the measured FioranoMQ behaviour.  The
+    evaluating itself is the topic's scan kernel
+    (:func:`~repro.broker.selector.compile_scan`), built here once and
+    reused for every message until the subscription list changes.
     """
-    matches: List[Subscription] = []
-    filters_evaluated = 0
-    for subscription in subscriptions:
-        if subscription.filter.is_trivial:
-            matches.append(subscription)
-            continue
-        filters_evaluated += 1
-        if subscription.matches(message):
-            matches.append(subscription)
-    return DispatchPlan(
-        message=message,
-        matches=tuple(matches),
-        filters_evaluated=filters_evaluated,
-    )
 
+    __slots__ = ("subscriptions", "kernel")
 
-def plan_dispatch_batch(
-    messages: Sequence[Message], subscriptions: Sequence[Subscription]
-) -> List[DispatchPlan]:
-    """Plan a batch of messages with the subscription loop inverted.
+    def __init__(self, subscriptions: Sequence[Subscription]):
+        self.subscriptions = tuple(subscriptions)
+        self.kernel = compile_scan([s.filter for s in self.subscriptions])
 
-    Subscription-outer / message-inner: each subscription's filter check
-    (the bound ``matches`` of its filter, usually a compiled selector
-    closure) is resolved once and run over the whole batch, instead of
-    re-resolving it per message.  The verdicts — and the per-message
-    ``filters_evaluated`` bill — are exactly those of calling
-    :func:`plan_dispatch` on each message.
-    """
-    per_message: List[List[Subscription]] = [[] for _ in messages]
-    filters_evaluated = 0
-    for subscription in subscriptions:
-        if subscription.filter.is_trivial:
-            for matches in per_message:
-                matches.append(subscription)
-            continue
-        filters_evaluated += 1
-        accepts = subscription.filter.matches
-        for index, message in enumerate(messages):
-            if accepts(message):
-                per_message[index].append(subscription)
-    return [
-        DispatchPlan(
+    def plan(self, message: Message) -> DispatchPlan:
+        subscriptions = self.subscriptions
+        return DispatchPlan(
             message=message,
-            matches=tuple(matches),
-            filters_evaluated=filters_evaluated,
+            matches=tuple([subscriptions[i] for i in self.kernel(message)]),
+            filters_evaluated=self.kernel.evaluated,
         )
-        for message, matches in zip(messages, per_message)
-    ]
+
+
+def plan_dispatch(message: Message, subscriptions: Sequence[Subscription]) -> DispatchPlan:
+    """Linearly evaluate every subscription's filter against ``message``."""
+    return LinearScan(subscriptions).plan(message)

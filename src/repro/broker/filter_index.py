@@ -23,11 +23,9 @@ Three optimizations:
    (never match) are dropped from the hot path entirely and tautological
    selectors join the no-evaluation match-all bucket.
 
-Each shared group additionally hoists its filter's :meth:`~
-repro.broker.filters.MessageFilter.matcher` — for property filters the
-selector closure compiled by :mod:`repro.broker.selector.compile` — so
-the per-message loop is one call per distinct filter with no attribute
-or dispatch overhead.
+The distinct filters are evaluated by the same scan kernel as the linear
+scan (:func:`repro.broker.selector.compile_scan`), one unit per shared
+group, rebuilt lazily after the groups change.
 
 The returned plan reports ``filters_evaluated`` as the number of
 evaluations *actually performed*, so the virtual CPU charges the reduced
@@ -38,11 +36,12 @@ are identical with and without it — only the bill shrinks.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dispatch import DispatchPlan
 from .filters import CorrelationIdFilter, MessageFilter, PropertyFilter
 from .message import Message
+from .selector import ScanKernel, compile_scan
 from .selector.analysis import always_matches, never_matches
 from .subscriptions import Subscription
 
@@ -56,11 +55,10 @@ def _is_exact_correlation(filter_: MessageFilter) -> bool:
 class _SharedGroup:
     """One distinct filter and the subscriptions sharing its verdict."""
 
-    __slots__ = ("filter", "matcher", "subscriptions")
+    __slots__ = ("filter", "subscriptions")
 
     def __init__(self, filter_: MessageFilter):
         self.filter = filter_
-        self.matcher: Callable[[Message], bool] = filter_.matcher()
         self.subscriptions: List[Subscription] = []
 
 
@@ -86,6 +84,9 @@ class FilterIndex:
         self._exact_cid: Dict[str, List[Subscription]] = {}
         #: share key -> shared group (evaluated filter + its subscriptions).
         self._shared: "OrderedDict[object, _SharedGroup]" = OrderedDict()
+        #: scan over the shared groups' filters and the groups by scan
+        #: position; ``None`` until the first plan after a change.
+        self._scan: Optional[Tuple[ScanKernel, List[_SharedGroup]]] = None
         self._order: Dict[int, int] = {}
         self._next_position = 0
         #: subscriptions whose selector can never match (canonical mode).
@@ -98,6 +99,7 @@ class FilterIndex:
         registration order, matching a fresh rebuild)."""
         self._order[subscription.subscription_id] = self._next_position
         self._next_position += 1
+        self._scan = None
         filter_ = subscription.filter
         if filter_.is_trivial:
             self._trivial.append(subscription)
@@ -131,6 +133,7 @@ class FilterIndex:
         """
         sub_id = subscription.subscription_id
         del self._order[sub_id]  # KeyError: not indexed
+        self._scan = None
 
         def _drop(bucket: List[Subscription]) -> bool:
             for i, candidate in enumerate(bucket):
@@ -174,10 +177,13 @@ class FilterIndex:
             cid = message.correlation_id
             if cid is not None:
                 matches.extend(self._exact_cid.get(cid, ()))
-        for group in self._shared.values():
-            evaluations += 1
-            if group.matcher(message):
-                matches.extend(group.subscriptions)
+        if self._scan is None:
+            groups = list(self._shared.values())
+            self._scan = compile_scan([group.filter for group in groups]), groups
+        kernel, groups = self._scan
+        evaluations += kernel.evaluated
+        for position in kernel(message):
+            matches.extend(groups[position].subscriptions)
         order = self._order
         matches.sort(key=lambda s: order[s.subscription_id])
         return DispatchPlan(
@@ -185,42 +191,3 @@ class FilterIndex:
             matches=tuple(matches),
             filters_evaluated=evaluations,
         )
-
-    def plan_batch(self, messages: Sequence[Message]) -> List[DispatchPlan]:
-        """Match a batch with the shared-group loop inverted.
-
-        Group-outer / message-inner: each shared filter's hoisted matcher
-        runs over the whole batch before the next group is touched, so
-        per-group state (the matcher closure, the fan-out list) stays hot
-        instead of being re-fetched per message.  Verdicts and the
-        per-message evaluation bill are identical to calling
-        :meth:`plan` on each message.
-        """
-        per_message: List[List[Subscription]] = [list(self._trivial) for _ in messages]
-        evaluations = 0
-        if self._exact_cid:
-            evaluations += 1
-            exact = self._exact_cid
-            for index, message in enumerate(messages):
-                cid = message.correlation_id
-                if cid is not None:
-                    per_message[index].extend(exact.get(cid, ()))
-        for group in self._shared.values():
-            evaluations += 1
-            matcher = group.matcher
-            fan_out = group.subscriptions
-            for index, message in enumerate(messages):
-                if matcher(message):
-                    per_message[index].extend(fan_out)
-        order = self._order
-        plans: List[DispatchPlan] = []
-        for message, matches in zip(messages, per_message):
-            matches.sort(key=lambda s: order[s.subscription_id])
-            plans.append(
-                DispatchPlan(
-                    message=message,
-                    matches=tuple(matches),
-                    filters_evaluated=evaluations,
-                )
-            )
-        return plans

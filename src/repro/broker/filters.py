@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from ..core.params import FilterType
 from .errors import InvalidSelectorError
 from .message import Message
-from .selector import Selector
+from .selector import Expr, Selector, compilation_enabled
 
 __all__ = [
     "MessageFilter",
@@ -57,6 +57,12 @@ class MessageFilter(ABC):
         the default is simply the bound :meth:`matches`.
         """
         return self.matches
+
+    def inline_ast(self) -> Optional[Expr]:
+        """A selector AST whose TRUE verdict *is* this filter's, for the
+        scan kernel (:func:`~repro.broker.selector.compile_scan`) to
+        inline; ``None`` (the default) makes it call :meth:`matcher`."""
+        return None
 
 
 class MatchAllFilter(MessageFilter):
@@ -207,6 +213,9 @@ class PropertyFilter(MessageFilter):
 
     def matcher(self) -> Callable[[Message], bool]:
         return self.selector.matcher()
+
+    def inline_ast(self) -> Optional[Expr]:
+        return self.selector.canonical if compilation_enabled() else None
 
     @property
     def filter_type(self) -> Optional[FilterType]:

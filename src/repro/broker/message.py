@@ -20,6 +20,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Dict, Mapping, Optional
 
 from .errors import MessageFormatError
@@ -51,8 +52,14 @@ class DeliveryMode(enum.Enum):
     NON_PERSISTENT = "non_persistent"
 
 
+@lru_cache(maxsize=4096)
 def validate_property_name(name: str) -> str:
-    """Check a property name against the JMS identifier rules."""
+    """Check a property name against the JMS identifier rules.
+
+    Memoised: a deployment uses a handful of names on every message, and
+    the check is pure.  A raise is not cached, so an invalid name fails
+    every time.
+    """
     if not name:
         raise MessageFormatError("property name must be non-empty")
     if not (name[0].isalpha() or name[0] in "_$"):

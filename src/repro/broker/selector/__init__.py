@@ -35,9 +35,12 @@ from .analysis import (
     type_check,
 )
 from .compile import (
+    SCAN_BLOCK,
     CompiledSelector,
+    ScanKernel,
     compilation_enabled,
     compile_ast,
+    compile_scan,
     compiled_for_ast,
     set_compilation,
 )
@@ -78,8 +81,11 @@ __all__ = [
     "TokenType",
     "iter_identifiers",
     # compilation (hot path)
+    "SCAN_BLOCK",
     "CompiledSelector",
+    "ScanKernel",
     "compile_ast",
+    "compile_scan",
     "compiled_for_ast",
     "compilation_enabled",
     "set_compilation",

@@ -16,7 +16,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-from .dispatch import DispatchPlan, plan_dispatch, plan_dispatch_batch
+from .dispatch import DispatchPlan, LinearScan
 from .dispatch_cache import VOLATILE_HEADERS, DispatchMemo, message_fingerprint
 from .errors import SubscriptionError
 from .filters import MatchAllFilter, MessageFilter, PropertyFilter
@@ -185,6 +185,9 @@ class Broker:
         #: Per-topic dispatch planners; ``None`` means the FioranoMQ-style
         #: linear scan.  Installed by :meth:`install_filter_index`.
         self._indices: Dict[str, object] = {}
+        #: Per-topic linear scans, built by the first cold plan after the
+        #: topic's subscription set changed (stale exactly when a memo is).
+        self._scans: Dict[str, LinearScan] = {}
         self._index_canonicalize = False
         self._had_filter_index = False
         #: Per-topic dispatch-plan memos (lazily built); ``None`` maxsize
@@ -285,9 +288,10 @@ class Broker:
         self, topic_name: str, subscription: Subscription, *, added: bool
     ) -> None:
         """Keep the derived dispatch structures consistent with the
-        subscription set: memoized plans for the topic are stale, and an
-        installed filter index is updated incrementally."""
+        subscription set: the topic's memoized plans and its scan are
+        stale, and an installed filter index is updated incrementally."""
         self._memos.pop(topic_name, None)
+        self._scans.pop(topic_name, None)
         if not self._indices:
             return
         index = self._indices.get(topic_name)
@@ -409,6 +413,7 @@ class Broker:
         self._had_filter_index = self.uses_filter_index
         self._indices = {}
         self._memos = {}
+        self._scans = {}
         return BrokerCrashReport(
             subscriptions_dropped=dropped,
             subscribers_disconnected=disconnected,
@@ -513,19 +518,16 @@ class Broker:
 
         1. the batch is grouped by ``(topic, property-shape)``
            fingerprint; every group is *planned once* (one memo probe,
-           or one filter evaluation pass over the group representative)
-           and the plan fans out to all its messages, so a cold group of
-           ``n`` messages bills ``filters_evaluated`` once, not ``n``
-           times, and a warm one bills a single probe
-           (``stats.batch_hits`` / ``stats.batch_messages``);
-        2. cold groups are evaluated through the *batched* planners
-           (:meth:`FilterIndex.plan_batch` / :func:`plan_dispatch_batch`)
-           with the subscription loop inverted over the group
-           representatives;
-        3. write-ahead journal appends for retained persistent copies
+           or one cold plan of the group representative — the same
+           planner :meth:`publish` uses) and the plan fans out to all
+           its messages, so a cold group of ``n`` messages bills
+           ``filters_evaluated`` once, not ``n`` times, and a warm one
+           bills a single probe (``stats.batch_hits`` /
+           ``stats.batch_messages``);
+        2. write-ahead journal appends for retained persistent copies
            happen back to back, riding the journal's group-commit sync
            policy;
-        4. delivery walks the batch in input order, coalescing contiguous
+        3. delivery walks the batch in input order, coalescing contiguous
            same-plan runs into slice appends
            (:meth:`Subscriber.deliver_many`) — contiguity, not grouping,
            so interleaved shapes never reorder any subscriber's inbox.
@@ -566,13 +568,13 @@ class Broker:
                 header_fields[topic_name] = fields
             groups.setdefault(message_fingerprint(message, fields), []).append(index)
 
-        # -- plan each group once (memo probe, then batched cold path) --
+        # -- plan each group once (memo probes first, then the cold plans)
         group_members = list(groups.values())
         matches_by: Dict[int, tuple] = {}
         bills: Dict[int, int] = {}
-        cold_by_topic: "OrderedDict[str, List[int]]" = OrderedDict()
+        cold: List[List[int]] = []
         warm_groups = 0
-        for position, members in enumerate(group_members):
+        for members in group_members:
             representative = messages[members[0]]
             if use_memo:
                 memo = self._memo_for(representative.topic)
@@ -589,21 +591,18 @@ class Broker:
                         matches_by[index] = shared
                         bills[index] = 0
                     continue
-            cold_by_topic.setdefault(representative.topic, []).append(position)
-        for topic_name, positions in cold_by_topic.items():
-            representatives = [messages[group_members[p][0]] for p in positions]
-            plans = self._plan_cold_batch(topic_name, representatives)
-            for position, plan in zip(positions, plans):
-                if use_memo:
-                    self._memo_for(topic_name).store(plan)
-                members = group_members[position]
-                shared = plan.matches
-                for index in members:
-                    matches_by[index] = shared
-                    bills[index] = 0
-                # The evaluation happened once, for the representative:
-                # the group's first message carries the whole bill.
-                bills[members[0]] = plan.filters_evaluated
+            cold.append(members)
+        for members in cold:
+            plan = self._plan_cold(messages[members[0]])
+            if use_memo:
+                self._memo_for(plan.message.topic).store(plan)
+            shared = plan.matches
+            for index in members:
+                matches_by[index] = shared
+                bills[index] = 0
+            # The evaluation happened once, for the representative:
+            # the group's first message carries the whole bill.
+            bills[members[0]] = plan.filters_evaluated
 
         # -- write-ahead journaling, back to back (group-commit ride) --
         if self.journal is not None:
@@ -700,22 +699,16 @@ class Broker:
         return memo
 
     def _plan_cold(self, message: Message) -> DispatchPlan:
-        index = self._indices.get(message.topic)
-        if index is not None:
-            return index.plan(message)  # type: ignore[attr-defined]
-        return plan_dispatch(message, self.subscriptions(message.topic))
-
-    def _plan_cold_batch(
-        self, topic_name: str, messages: Sequence[Message]
-    ) -> List[DispatchPlan]:
-        """Cold-plan a list of distinct-shape messages on one topic with
-        the batched (loop-inverted) planners."""
-        if len(messages) == 1:
-            return [self._plan_cold(messages[0])]
+        """Evaluate the topic's filters: through its index if one is
+        installed, else through its linear scan (built on first use)."""
+        topic_name = message.topic
         index = self._indices.get(topic_name)
         if index is not None:
-            return index.plan_batch(messages)  # type: ignore[attr-defined]
-        return plan_dispatch_batch(messages, self.subscriptions(topic_name))
+            return index.plan(message)  # type: ignore[attr-defined]
+        scan = self._scans.get(topic_name)
+        if scan is None:
+            scan = self._scans[topic_name] = LinearScan(self.subscriptions(topic_name))
+        return scan.plan(message)
 
     def _referenced_headers(self, topic_name: str) -> tuple:
         """Volatile headers the topic's selectors can observe — these must
@@ -753,11 +746,13 @@ class Broker:
             for topic in self.topics
         }
         self._memos = {}
+        self._scans = {}
 
     def remove_filter_index(self) -> None:
         """Return to the FioranoMQ-style linear scan."""
         self._indices = {}
         self._memos = {}
+        self._scans = {}
 
     @property
     def uses_filter_index(self) -> bool:

@@ -1,0 +1,190 @@
+"""The topic scan inside the broker: when it is rebuilt, and what it costs.
+
+``tests/broker/test_selector_compile.py`` proves that a scan kernel gives
+the interpreter's verdicts.  This file is about the broker around it: a
+kernel is generated code bound to one subscription list, so every event
+that changes the list (or the planner) must drop it, and the cost model
+of the change — blocks are shared by content, a cold plan is one call
+per block — is asserted by counting, never by timing.
+"""
+
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+
+from repro.broker import (
+    Broker,
+    CorrelationIdFilter,
+    MatchAllFilter,
+    Message,
+    PropertyFilter,
+)
+from repro.broker.selector import SCAN_BLOCK, evaluate
+
+TOPIC = "t"
+
+FILTERS = (
+    lambda: MatchAllFilter(),
+    lambda: CorrelationIdFilter("7"),
+    lambda: CorrelationIdFilter("[5;9]"),
+    lambda: CorrelationIdFilter("sensor-*"),
+    lambda: PropertyFilter("price > 100"),
+    lambda: PropertyFilter("100 < price"),  # same canonical form as above
+    lambda: PropertyFilter("region = 'EU' AND price BETWEEN 50 AND 150"),
+    lambda: PropertyFilter("note IS NULL OR JMSPriority >= 5"),
+    lambda: PropertyFilter("price > 1 AND price < 0"),  # statically dead
+    lambda: PropertyFilter("region IN ('EU', 'US')"),
+)
+
+MESSAGES = (
+    Message(topic=TOPIC, properties={"price": 120.0, "region": "EU"}, correlation_id="7"),
+    Message(topic=TOPIC, properties={"price": 60, "region": "US", "note": "n"}, priority=9),
+    Message(topic=TOPIC, correlation_id="sensor-4"),
+)
+
+
+def interpreter_scan(broker: Broker, message: Message):
+    """From scratch, no kernel, no closure: the installed subscriptions
+    in order, property selectors through the tree walker."""
+    matches = []
+    for subscription in broker.subscriptions(TOPIC):
+        filter_ = subscription.filter
+        if isinstance(filter_, PropertyFilter):
+            accepted = evaluate(filter_.selector.ast, message) is True
+        else:
+            accepted = filter_.is_trivial or filter_.matches(message)
+        if accepted:
+            matches.append(subscription)
+    return tuple(matches)
+
+
+class ScanInvalidationMachine(RuleBasedStateMachine):
+    """Interleave everything that can make a built scan stale with plans."""
+
+    def __init__(self):
+        super().__init__()
+        self.broker = Broker(topics=[TOPIC])
+        self.installed = []
+        self.names = 0
+
+    @rule(pick=st.integers(min_value=0, max_value=len(FILTERS) - 1), durable=st.booleans())
+    def subscribe(self, pick, durable):
+        self.names += 1
+        subscriber = self.broker.add_subscriber(f"s{self.names}")
+        self.installed.append(
+            self.broker.subscribe(subscriber, TOPIC, FILTERS[pick](), durable=durable)
+        )
+
+    @precondition(lambda self: self.installed)
+    @rule(data=st.data())
+    def unsubscribe(self, data):
+        victim = data.draw(st.sampled_from(self.installed))
+        self.installed.remove(victim)
+        self.broker.unsubscribe(victim)
+
+    @precondition(lambda self: self.installed)
+    @rule(data=st.data())
+    def disconnect(self, data):
+        self.broker.disconnect(data.draw(st.sampled_from(self.installed)).subscriber)
+
+    @rule()
+    def crash_and_recover(self):
+        self.broker.crash()
+        self.installed = [s for s in self.installed if s.durable]
+        self.broker.recover()
+
+    @rule(canonicalize=st.booleans())
+    def install_filter_index(self, canonicalize):
+        self.broker.install_filter_index(canonicalize=canonicalize)
+
+    @rule()
+    def remove_filter_index(self):
+        self.broker.remove_filter_index()
+
+    @rule(maxsize=st.integers(min_value=1, max_value=4))
+    def install_dispatch_memo(self, maxsize):
+        self.broker.install_dispatch_memo(maxsize=maxsize)
+
+    @rule(pick=st.integers(min_value=0, max_value=len(MESSAGES) - 1))
+    def dry_run(self, pick):
+        self.broker.dry_run(MESSAGES[pick])
+
+    @invariant()
+    def plans_are_a_fresh_interpreter_scan(self):
+        assert self.broker.subscriptions(TOPIC) == self.installed
+        # The plain broker bills every installed filter, an index one
+        # evaluation per distinct filter; a memo hit evaluates nothing.
+        if self.broker.uses_filter_index:
+            bill = self.broker._indices[TOPIC].distinct_filters
+        else:
+            bill = self.broker.filter_count(TOPIC)
+        billed = (0, bill) if self.broker.uses_dispatch_memo else (bill,)
+        for message in MESSAGES:
+            plan = self.broker.dry_run(message)
+            assert plan.matches == interpreter_scan(self.broker, message)
+            assert plan.filters_evaluated in billed
+
+
+ScanInvalidationMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=25, deadline=None
+)
+TestScanInvalidation = ScanInvalidationMachine.TestCase
+
+
+def build_topic(count: int) -> Broker:
+    """``count`` pairwise distinct selectors on one topic (no plan yet)."""
+    broker = Broker(topics=[TOPIC])
+    for i in range(count):
+        subscriber = broker.add_subscriber(f"s{i}")
+        broker.subscribe(
+            subscriber, TOPIC, PropertyFilter(f"scan_cost_lane = {i} AND price > {i % 7}")
+        )
+    return broker
+
+
+class TestScanCost:
+    """Counters, not clocks: what is generated, and how many calls a plan is."""
+
+    def test_blocks_are_shared_by_content_and_a_plan_is_one_call_per_block(self):
+        count = 200
+        blocks = -(-count // SCAN_BLOCK)
+        message = Message(topic=TOPIC, properties={"scan_cost_lane": 3, "price": 5})
+
+        first = build_topic(count)
+        assert TOPIC not in first._scans  # subscribing builds nothing
+        assert [s.subscriber.subscriber_id for s in first.dry_run(message).matches] == ["s3"]
+        kernel = first._scans[TOPIC].kernel
+        assert (kernel.evaluated, kernel.blocks_generated) == (count, blocks)
+
+        # The same topic on a second broker: cache hits only.
+        second = build_topic(count)
+        second.dry_run(message)
+        assert second._scans[TOPIC].kernel.blocks_generated == 0
+
+        # One more subscription changes the last block and no other.
+        subscriber = second.add_subscriber("late")
+        second.subscribe(subscriber, TOPIC, PropertyFilter("scan_cost_lane = 3"))
+        assert TOPIC not in second._scans
+        plan = second.dry_run(message)
+        assert [s.subscriber.subscriber_id for s in plan.matches] == ["s3", "late"]
+        assert plan.filters_evaluated == count + 1
+        assert second._scans[TOPIC].kernel.blocks_generated == 1
+
+        # A cold plan is ceil(n / SCAN_BLOCK) generated-function calls.
+        kernel = first._scans[TOPIC].kernel
+        before = kernel.block_calls
+        first.dry_run(message)
+        assert first._scans[TOPIC].kernel is kernel  # nothing changed: reused
+        assert kernel.block_calls - before == blocks
+
+    def test_filter_index_scans_one_unit_per_shared_group(self):
+        broker = Broker(topics=[TOPIC])
+        for i in range(3 * SCAN_BLOCK):
+            subscriber = broker.add_subscriber(f"s{i}")
+            # 40 distinct selectors, each shared by two or three subscriptions
+            broker.subscribe(subscriber, TOPIC, PropertyFilter(f"scan_group_lane = {i % 40}"))
+        broker.install_filter_index()
+        plan = broker.dry_run(Message(topic=TOPIC, properties={"scan_group_lane": 1}))
+        assert [s.subscriber.subscriber_id for s in plan.matches] == ["s1", "s41", "s81"]
+        assert plan.filters_evaluated == 40
+        kernel, groups = broker._indices[TOPIC]._scan
+        assert (kernel.evaluated, len(groups), kernel.block_calls) == (40, 40, 2)

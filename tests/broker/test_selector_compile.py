@@ -14,8 +14,15 @@ import string
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.broker import Message
+from repro.broker import (
+    CorrelationIdFilter,
+    MatchAllFilter,
+    Message,
+    MessageFilter,
+    PropertyFilter,
+)
 from repro.broker.selector import (
+    SCAN_BLOCK,
     Between,
     Binary,
     CompiledSelector,
@@ -29,6 +36,7 @@ from repro.broker.selector import (
     Unary,
     compilation_enabled,
     compile_ast,
+    compile_scan,
     compiled_for_ast,
     evaluate,
     parse,
@@ -36,6 +44,7 @@ from repro.broker.selector import (
 )
 from repro.broker.selector.analysis import simplify
 from repro.broker.selector.evaluator import UNKNOWN
+from repro.core.params import FilterType
 
 
 def verdicts(text: str, message: Message):
@@ -187,45 +196,48 @@ def _escape_valid(pattern: str, escape) -> bool:
     return True
 
 
-_arith = st.recursive(
-    st.one_of(_number.map(Literal), _ident.map(Identifier)),
-    lambda children: st.builds(
-        Binary, st.sampled_from(["+", "-", "*", "/"]), children, children
-    ),
-    max_leaves=4,
-)
+def _conditions(identifier):
+    """Random condition ASTs over the given identifier-node strategy."""
+    arith = st.recursive(
+        st.one_of(_number.map(Literal), identifier),
+        lambda children: st.builds(
+            Binary, st.sampled_from(["+", "-", "*", "/"]), children, children
+        ),
+        max_leaves=4,
+    )
+    predicate = st.one_of(
+        st.builds(
+            Binary, st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), arith, arith
+        ),
+        st.builds(Between, identifier, arith, arith, st.booleans()),
+        st.builds(
+            InList,
+            identifier,
+            st.lists(_string_lit, min_size=1, max_size=3).map(tuple),
+            st.booleans(),
+        ),
+        st.builds(
+            Like,
+            identifier,
+            _string_lit,
+            st.one_of(st.none(), st.just("!")),
+            st.booleans(),
+        ).filter(lambda e: _escape_valid(e.pattern, e.escape)),
+        st.builds(IsNull, identifier, st.booleans()),
+        st.booleans().map(Literal),
+        identifier,
+    )
+    return st.recursive(
+        predicate,
+        lambda children: st.one_of(
+            st.builds(Binary, st.sampled_from(["AND", "OR"]), children, children),
+            st.builds(Unary, st.just("NOT"), children),
+        ),
+        max_leaves=8,
+    )
 
-_predicate = st.one_of(
-    st.builds(
-        Binary, st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), _arith, _arith
-    ),
-    st.builds(Between, _ident.map(Identifier), _arith, _arith, st.booleans()),
-    st.builds(
-        InList,
-        _ident.map(Identifier),
-        st.lists(_string_lit, min_size=1, max_size=3).map(tuple),
-        st.booleans(),
-    ),
-    st.builds(
-        Like,
-        _ident.map(Identifier),
-        _string_lit,
-        st.one_of(st.none(), st.just("!")),
-        st.booleans(),
-    ).filter(lambda e: _escape_valid(e.pattern, e.escape)),
-    st.builds(IsNull, _ident.map(Identifier), st.booleans()),
-    st.booleans().map(Literal),
-    _ident.map(Identifier),
-)
 
-_condition = st.recursive(
-    _predicate,
-    lambda children: st.one_of(
-        st.builds(Binary, st.sampled_from(["AND", "OR"]), children, children),
-        st.builds(Unary, st.just("NOT"), children),
-    ),
-    max_leaves=8,
-)
+_condition = _conditions(_ident.map(Identifier))
 
 _prop_value = st.one_of(
     st.integers(min_value=-10, max_value=60),
@@ -238,6 +250,99 @@ _prop_value = st.one_of(
 _sparse_message = st.dictionaries(_ident, _prop_value, max_size=2).map(
     lambda props: Message(topic="t", properties=props)
 )
+
+
+# ----------------------------------------------------------------------
+# Scan kernel: a run of filters fused into generated blocks
+# ----------------------------------------------------------------------
+class _AstFilter(MessageFilter):
+    """A filter that *is* one raw AST: the kernel inlines it, the oracle
+    walks it with the interpreter."""
+
+    filter_type = FilterType.APP_PROPERTY
+
+    def __init__(self, ast: Expr):
+        self.ast = ast
+
+    def matches(self, message: Message) -> bool:
+        return evaluate(self.ast, message) is True
+
+    def inline_ast(self):
+        return self.ast if compilation_enabled() else None
+
+
+class _PriorityFilter(MessageFilter):
+    """A user filter the kernel knows nothing about (called, not inlined)."""
+
+    filter_type = FilterType.CORRELATION_ID
+
+    def __init__(self, floor: int):
+        self.floor = floor
+
+    def matches(self, message: Message) -> bool:
+        return message.priority >= self.floor
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RaisingFilter(_PriorityFilter):
+    def matches(self, message: Message) -> bool:
+        raise _Boom(self.floor)
+
+
+def _interpreted(filter_: MessageFilter, message: Message) -> bool:
+    """The oracle: never the per-selector closure, never the kernel."""
+    if isinstance(filter_, PropertyFilter):
+        return evaluate(filter_.selector.ast, message) is True
+    return filter_.is_trivial or filter_.matches(message)
+
+
+def _assert_scan_is_the_interpreter(filters, message: Message) -> None:
+    kernel = compile_scan(filters)
+    assert kernel.evaluated == sum(not f.is_trivial for f in filters)
+    if any(isinstance(f, _RaisingFilter) for f in filters):
+        with pytest.raises(_Boom):
+            kernel(message)
+        return
+    assert kernel(message) == [
+        i for i, f in enumerate(filters) if _interpreted(f, message)
+    ]
+    assert kernel.block_calls == -(-len(filters) // SCAN_BLOCK)
+
+
+_SCAN_NAMES = ("a", "b", "price", "region", "qty", "sym", "note", "flag")
+_scan_identifier = st.sampled_from(
+    _SCAN_NAMES[:2] + ("JMSPriority", "JMSCorrelationID")
+).map(Identifier)
+_scan_condition = _conditions(_scan_identifier)
+_scan_message = st.builds(
+    Message,
+    topic=st.just("t"),
+    properties=st.dictionaries(st.sampled_from(_SCAN_NAMES), _prop_value, max_size=4),
+    priority=st.integers(min_value=0, max_value=9),
+    correlation_id=st.one_of(st.none(), st.sampled_from(("7", "c-1", "sensor-4", "x"))),
+)
+_opaque_filter = st.one_of(
+    st.just(MatchAllFilter()),
+    st.sampled_from(("7", "[5;9]", "sensor-*", "c-1")).map(CorrelationIdFilter),
+    st.integers(min_value=0, max_value=9).map(_PriorityFilter),
+    st.sampled_from(SELECTORS).map(PropertyFilter),
+)
+
+
+@st.composite
+def _runs(draw, unit, max_distinct: int = 6):
+    """0-70 filters drawn (with repeats) from a few distinct ones, the
+    length biased onto the block boundaries."""
+    pool = draw(st.lists(unit, min_size=1, max_size=max_distinct))
+    edges = (0, 1, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 2 * SCAN_BLOCK, 2 * SCAN_BLOCK + 1)
+    size = draw(st.one_of(st.sampled_from(edges), st.integers(min_value=0, max_value=70)))
+    picks = draw(
+        st.lists(st.integers(min_value=0, max_value=len(pool) - 1), min_size=size, max_size=size)
+    )
+    return [pool[pick] for pick in picks]
 
 
 class TestCompiledEquivalence:
@@ -258,3 +363,39 @@ class TestCompiledEquivalence:
     @settings(max_examples=200, deadline=None)
     def test_match_verdict_identity(self, ast: Expr, message: Message):
         assert compile_ast(ast).matches(message) == (evaluate(ast, message) is True)
+
+    @given(filters=_runs(_scan_condition.map(_AstFilter)), message=_scan_message)
+    @settings(max_examples=150, deadline=None)
+    def test_scan_of_inlined_asts_is_the_interpreter(self, filters, message: Message):
+        _assert_scan_is_the_interpreter(filters, message)
+
+    @given(
+        filters=_runs(st.one_of(_scan_condition.map(_AstFilter), _opaque_filter), 10),
+        message=_scan_message,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_scan_of_mixed_kinds_is_the_interpreter(self, filters, message: Message):
+        _assert_scan_is_the_interpreter(filters, message)
+
+    @given(
+        filters=_runs(
+            st.one_of(_opaque_filter, st.integers(min_value=0, max_value=9).map(_RaisingFilter)),
+            10,
+        ),
+        message=_scan_message,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_scan_propagates_what_a_user_filter_raises(self, filters, message: Message):
+        _assert_scan_is_the_interpreter(filters, message)
+
+    @given(
+        filters=_runs(st.one_of(_scan_condition.map(_AstFilter), _opaque_filter), 10),
+        message=_scan_message,
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_scan_with_compilation_off_is_the_interpreter(self, filters, message: Message):
+        original = set_compilation(False)
+        try:
+            _assert_scan_is_the_interpreter(filters, message)
+        finally:
+            set_compilation(original)

@@ -7,14 +7,14 @@ Two suites:
   evaluation vs. the tree-walking interpreter, memoized dispatch
   planning vs. cold filter scans, and engine events/s with single-draw
   vs. batched RNG sampling.  Gates on the speedup ratios (>= 3x
-  compiled selectors, >= 5x warm dispatch) and the compiled/interpreted
+  compiled selectors, >= 2.5x warm dispatch) and the compiled/interpreted
   equivalence counters; absolute rates are machine-dependent context.
 * ``--suite mesh`` — BENCH_mesh.json via
   :mod:`tools.record_bench_mesh`: capacity vs shard count (DES-checked
   to 5%), clean rebalance cost, and the cross-shard chaos matrix (zero
   violations, >= 200 points in full mode).
 * ``--suite batch`` — BENCH_batch.json via :mod:`repro.bench.batch`:
-  one-call ``publish_batch`` vs. the sequential publish loop (>= 3x at
+  one-call ``publish_batch`` vs. the sequential publish loop (>= 1.5x at
   batch size 64, observably equivalent), the M^X/G/1 closed form vs.
   the DES on a batch-size x utilisation grid (every cell within 5%),
   and the b=1 degeneration to the paper's Eqs. 4-5 (1e-12).

@@ -82,13 +82,15 @@ CLI_SMOKE = (
 
 
 #: Hypothesis equivalence suites gating the compiled hot path: compiled
-#: selectors must agree with the tree-walking interpreter, and memoized
-#: dispatch with cold planning, on randomized inputs.  Run as part of the
-#: gate because a divergence here silently corrupts dispatch.
+#: selectors and fused topic scans must agree with the tree-walking
+#: interpreter (also across every event that makes a built scan stale),
+#: and memoized dispatch with cold planning, on randomized inputs.  Run
+#: as part of the gate because a divergence here silently corrupts dispatch.
 EQUIVALENCE_SUITES = (
     "tests/broker/test_selector_compile.py::TestCompiledEquivalence",
     "tests/broker/test_dispatch_memo.py::TestMemoizedEquivalence",
     "tests/broker/test_publish_batch.py::TestBatchPublishEquivalence",
+    "tests/broker/test_scan_kernel.py::TestScanInvalidation",
 )
 
 
