@@ -116,20 +116,6 @@ class DispatchMemo:
         self.hits += 1
         return DispatchPlan(message=message, matches=matches, filters_evaluated=0)
 
-    def lookup_batch(self, message: Message, count: int) -> Optional[DispatchPlan]:
-        """One warm probe serving ``count`` same-fingerprint messages.
-
-        The batched publish path groups its batch by fingerprint and
-        probes the memo once per *group*, so a warm group of ``count``
-        messages counts a single hit (and a cold one a single miss) —
-        the probe work happened once, and the accounting says so.  The
-        returned plan bills ``filters_evaluated=0`` once for the whole
-        group, not per message.
-        """
-        if count < 1:
-            raise ValueError(f"batch group count must be >= 1, got {count}")
-        return self.lookup(message)
-
     def store(self, plan: DispatchPlan) -> None:
         """Remember a cold plan's match-set under its message fingerprint."""
         cache = self._cache

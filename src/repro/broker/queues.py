@@ -25,10 +25,11 @@ Semantics implemented:
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Deque, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Type
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from ..durability.journal import Journal
@@ -71,6 +72,17 @@ class DropPolicy(enum.Enum):
     DEADLINE_SHED = "deadline-shed"
 
 _consumer_ids = itertools.count(1)
+
+
+@functools.lru_cache(maxsize=None)
+def _journal_api() -> Tuple[Type[Exception], Callable[[str, str], str]]:
+    """``(JournalWriteError, durable_key)``, imported on first use and
+    remembered.  :mod:`repro.durability` imports this package, so a
+    module-level import would be a cycle — and an ``import`` statement
+    per journalled queue, let alone per append, is measurable."""
+    from ..durability.journal import JournalWriteError, durable_key
+
+    return JournalWriteError, durable_key
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,6 +215,11 @@ class PointToPointQueue:
         self.drain_rate = drain_rate
         self.stats = stats
         self.journal = journal
+        #: What a failed journal append raises (nothing to catch without
+        #: a journal), bound here rather than looked up per append.
+        self._write_fault: Tuple[Type[Exception], ...] = (
+            (_journal_api()[0],) if journal is not None else ()
+        )
         #: Message ids whose PUBLISH reached the journal and that have not
         #: yet been journalled terminal (ack/expire/drop) — the set of
         #: messages later records must be written for.
@@ -295,95 +312,93 @@ class PointToPointQueue:
         return len(recovered)
 
     # ------------------------------------------------------------------
-    def _journal_safe(self, method: str, *args: Any, **kwargs: Any) -> bool:
-        """Invoke a journal append, absorbing (and counting) write faults."""
-        from ..durability.journal import JournalWriteError
-
-        try:
-            getattr(self.journal, method)(*args, **kwargs)
-        except JournalWriteError:
-            self.journal_write_failures += 1
-            return False
-        return True
-
     def _journal_terminal(self, message_id: int, reason: str, now: float = 0.0) -> None:
-        """Journal the terminal fate of a persistent message, if tracked."""
+        """Journal the terminal fate of a persistent message, if tracked
+        (a write fault is absorbed and counted)."""
         if self.journal is not None and message_id in self._journaled:
             self._journaled.discard(message_id)
-            if reason == "expired":
-                self._journal_safe("log_expire", "queue", self.name, message_id, now=now)
-            else:
-                self._journal_safe(
-                    "log_ack", "queue", self.name, message_id, reason=reason, now=now
-                )
+            try:
+                if reason == "expired":
+                    self.journal.log_expire("queue", self.name, message_id, now=now)
+                else:
+                    self.journal.log_ack(
+                        "queue", self.name, message_id, reason=reason, now=now
+                    )
+            except self._write_fault:
+                self.journal_write_failures += 1
 
-    def send(self, message: Message, now: float = 0.0) -> bool:
-        """Enqueue one message; returns True if it was delivered at once.
+    # ------------------------------------------------------------------
+    # Ingress stages: ``send`` and ``send_batch`` are thin drivers over
+    # ``_accept`` then ``_enqueue``; every ingress rule lives in one stage.
+    # ------------------------------------------------------------------
+    def _write_ahead(self, message: Message, now: float) -> bool:
+        """Journal a persistent message's PUBLISH *before* it becomes
+        visible; False when the append failed — the message was never
+        committed and queue state is untouched (the fail-fast
+        ``JMSException`` contract)."""
+        if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
+            try:
+                self.journal.log_publish("queue", self.name, message, now=now)
+            except self._write_fault:
+                self.journal_write_failures += 1
+                return False
+            self._journaled.add(message.message_id)
+        return True
 
-        On a bounded queue a send that would overflow the backlog invokes
-        the drop policy *after* the drain pass, so a message an attached
-        consumer can take immediately is never shed.
-
-        On a journalled queue, a persistent message is written ahead to
-        the journal *before* it becomes visible; if that append fails the
-        send is rejected (returns False) without touching queue state —
-        the message was never committed.
-        """
+    def _accept(self, message: Message, now: float) -> bool:
+        """Accept stage: send-time expiry, then the write-ahead."""
         if message.expired(now):
             self.expired += 1
             if self.stats is not None:
                 self.stats.expired += 1
             return False
-        if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
-            if not self._journal_safe("log_publish", "queue", self.name, message, now=now):
-                return False
-            self._journaled.add(message.message_id)
-        self.enqueued += 1
-        self._backlog.append((message, False))
-        before = self.delivered
-        self._drain(now)
+        return self._write_ahead(message, now)
+
+    def _enforce_capacity(self, now: float) -> None:
+        """Shed per :attr:`drop_policy` until the backlog fits."""
         while self.capacity is not None and len(self._backlog) > self.capacity:
             self._shed_overflow(now)
+
+    def _enqueue(self, message: Message, now: float) -> None:
+        """Enqueue stage: append, drain, then enforce capacity — the drop
+        policy runs *after* the drain pass, so a message an attached
+        consumer can take immediately is never shed."""
+        self.enqueued += 1
+        self._backlog.append((message, False))
+        self._drain(now)
+        self._enforce_capacity(now)
+
+    def send(self, message: Message, now: float = 0.0) -> bool:
+        """Enqueue one message; returns True if it was delivered at once.
+
+        :meth:`_accept` then :meth:`_enqueue`: an expired message, or a
+        persistent one whose write-ahead append failed, is rejected
+        (returns False) without touching queue state.
+        """
+        if not self._accept(message, now):
+            return False
+        before = self.delivered
+        self._enqueue(message, now)
         return self.delivered > before
 
     def send_batch(self, messages: Sequence[Message], now: float = 0.0) -> int:
-        """Enqueue a batch of messages in one ledger transaction.
+        """Enqueue a batch; returns how many reached a consumer inbox.
 
-        Returns the number of messages delivered to a consumer inbox
-        during the call.  Observable per-message fates (delivery order,
-        expiry, journal rejection, overflow shedding) are exactly those
-        of calling :meth:`send` once per message in order; what batching
-        changes is the journal write pattern: all write-ahead PUBLISH
-        appends happen back to back *before* any backlog mutation, so
-        under a group-commit sync policy the whole batch shares fsyncs
-        (the ``t_sync/b`` amortization) instead of paying one per send.
+        The same stages as :meth:`send`, so per-message fates are those
+        of a ``send`` loop; what differs is the order: *every* message is
+        accepted before *any* is enqueued, so the write-ahead PUBLISH
+        appends happen back to back and, under a group-commit sync
+        policy, the whole batch shares fsyncs (the ``t_sync/b``
+        amortization) instead of paying one per send.
 
-        The drain/shed pass still runs per message — draining once at
+        The enqueue stage still runs per message — draining once at
         the end would shed arrivals a sequential sender's consumers
         would have absorbed between sends on a bounded queue.
         """
-        delivered_before = self.delivered
-        admitted: List[Message] = []
-        for message in messages:
-            if message.expired(now):
-                self.expired += 1
-                if self.stats is not None:
-                    self.stats.expired += 1
-                continue
-            if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
-                if not self._journal_safe(
-                    "log_publish", "queue", self.name, message, now=now
-                ):
-                    continue  # never committed; queue state untouched
-                self._journaled.add(message.message_id)
-            admitted.append(message)
-        for message in admitted:
-            self.enqueued += 1
-            self._backlog.append((message, False))
-            self._drain(now)
-            while self.capacity is not None and len(self._backlog) > self.capacity:
-                self._shed_overflow(now)
-        return self.delivered - delivered_before
+        before = self.delivered
+        for message in [m for m in messages if self._accept(m, now)]:
+            self._enqueue(message, now)
+        return self.delivered - before
 
     def _shed_overflow(self, now: float) -> None:
         """Drop one backlog entry according to :attr:`drop_policy`."""
@@ -537,8 +552,7 @@ class PointToPointQueue:
             self._redeliveries[message.message_id] = delivers
             self.redelivered += 1
         self._backlog.append((message, message.redelivered))
-        while self.capacity is not None and len(self._backlog) > self.capacity:
-            self._shed_overflow(now)
+        self._enforce_capacity(now)
         return "requeued"
 
     # ------------------------------------------------------------------
@@ -598,10 +612,8 @@ class PointToPointQueue:
             raise ValueError(f"delivers must be >= 0, got {delivers}")
         if self.has_message(message.message_id):
             return "duplicate"
-        if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
-            if not self._journal_safe("log_publish", "queue", self.name, message, now=now):
-                return "rejected"
-            self._journaled.add(message.message_id)
+        if not self._write_ahead(message, now):
+            return "rejected"
         self.transferred_in += 1
         if message.expired(now):
             self.expired += 1
@@ -614,8 +626,7 @@ class PointToPointQueue:
             self._redeliveries[message.message_id] = delivers
             self.redelivered += 1
         self._backlog.append((message, message.redelivered))
-        while self.capacity is not None and len(self._backlog) > self.capacity:
-            self._shed_overflow(now)
+        self._enforce_capacity(now)
         self._drain(now)
         return "applied"
 
@@ -725,14 +736,12 @@ class PointToPointQueue:
             )
             self.delivered += 1
             if self.journal is not None and message.message_id in self._journaled:
-                self._journal_safe(
-                    "log_deliver",
-                    "queue",
-                    self.name,
-                    message.message_id,
-                    consumer.consumer_id,
-                    now=now,
-                )
+                try:
+                    self.journal.log_deliver(
+                        "queue", self.name, message.message_id, consumer.consumer_id, now=now
+                    )
+                except self._write_fault:
+                    self.journal_write_failures += 1
             progressed = True
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Type
 
 from .dispatch import DispatchPlan, LinearScan
 from .dispatch_cache import VOLATILE_HEADERS, DispatchMemo, message_fingerprint
 from .errors import SubscriptionError
 from .filters import MatchAllFilter, MessageFilter, PropertyFilter
 from .message import DeliveredMessage, DeliveryMode, Message
-from .queues import DropPolicy, QueueManager
+from .queues import DropPolicy, QueueManager, _journal_api
 from .stats import BrokerStats
 from .subscriptions import Subscriber, Subscription
 from .topics import TopicRegistry
@@ -173,6 +173,13 @@ class Broker:
         #: discards in-memory persistent state and :meth:`recover` replays
         #: it from the log instead of the pre-durability emulation.
         self.journal = journal
+        #: What a failed journal append raises and how an ``owed`` list
+        #: names a durable subscription, bound here rather than looked
+        #: up per message.
+        self._write_fault: Tuple[Type[Exception], ...] = ()
+        if journal is not None:
+            write_fault, self._durable_key = _journal_api()
+            self._write_fault = (write_fault,)
         #: Point-to-point queues owned by this broker; created queues
         #: share the broker's stats ledger and journal.
         self.queues = QueueManager(stats=self.stats, journal=journal)
@@ -349,22 +356,17 @@ class Broker:
                             self.journal is not None
                             and message.delivery_mode is DeliveryMode.PERSISTENT
                         ):
-                            from ..durability.journal import (
-                                JournalWriteError,
-                                durable_key,
-                            )
-
                             try:
                                 self.journal.log_deliver(
                                     "topic",
                                     subscription.topic.name,
                                     message.message_id,
-                                    durable_key(
+                                    self._durable_key(
                                         subscriber.subscriber_id,
                                         subscription.topic.name,
                                     ),
                                 )
-                            except JournalWriteError:
+                            except self._write_fault:
                                 self.journal_write_failures += 1
         return replayed
 
@@ -447,31 +449,36 @@ class Broker:
         return replayed
 
     # ------------------------------------------------------------------
-    # Publishing
+    # Publishing: the paper's receive → filter → transmit pipeline as
+    # stages (admit → plan → write-ahead → deliver run → account).
+    # ``publish`` and ``publish_batch`` are thin drivers over the same
+    # stage functions, so every ingress rule exists once.
     # ------------------------------------------------------------------
-    def publish(self, message: Message, now: float = 0.0) -> PublishResult:
-        """Route one message: filter matching plus delivery.
-
-        Raises :class:`~repro.broker.errors.InvalidDestinationError` when
-        the topic does not exist.  Expired messages are counted and not
-        dispatched (they still incur the receive work).
-        """
+    def _admit(self, message: Message, now: float) -> Optional[PublishResult]:
+        """Admit stage: the topic must exist
+        (:class:`~repro.broker.errors.InvalidDestinationError` otherwise)
+        and the receive work is counted.  An expired message is counted
+        and not dispatched — its finished result is returned; ``None``
+        means the message goes on to the plan stage."""
         self.topics.get(message.topic)
         self.stats.record_receive(message.topic)
         if message.expired(now):
             self.stats.expired += 1
             return PublishResult(message, 0, 0, 0, 0, expired=True)
-        plan = self._plan(message)
-        if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
-            # Write-ahead: a persistent message about to be *retained* for
-            # offline durable subscribers must hit the journal before any
-            # in-memory retention, or a crash in between loses it.  The
-            # ``owed`` list names the subscriptions a replay must repay.
-            from ..durability.journal import JournalWriteError, durable_key
+        return None
 
+    def _write_ahead(
+        self, message: Message, matches: Tuple[Subscription, ...], now: float
+    ) -> None:
+        """Write-ahead stage: a persistent message about to be *retained*
+        for offline durable subscribers must hit the journal before any
+        in-memory retention, or a crash in between loses it.  The
+        ``owed`` list names the subscriptions a replay must repay.  A
+        failed append is counted and retention proceeds un-journalled."""
+        if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
             owed = [
-                durable_key(s.subscriber.subscriber_id, message.topic)
-                for s in plan.matches
+                self._durable_key(s.subscriber.subscriber_id, message.topic)
+                for s in matches
                 if not s.active and s.durable
             ]
             if owed:
@@ -479,83 +486,76 @@ class Broker:
                     self.journal.log_publish(
                         "topic", message.topic, message, owed=owed, now=now
                     )
-                except JournalWriteError:
+                except self._write_fault:
                     self.journal_write_failures += 1
+
+    def _deliver_run(
+        self, run: Sequence[Message], matches: Tuple[Subscription, ...], now: float
+    ) -> Tuple[int, int, int]:
+        """Deliver stage: hand a run of messages sharing one match-set to
+        each matched subscription — an online subscriber's inbox takes
+        the whole run as one slice (:meth:`Subscriber.deliver_many`), an
+        offline durable subscription retains it, an offline non-durable
+        one drops it.  Returns the per-message ``(delivered, retained,
+        dropped)`` copy counts, uniform across the run."""
         delivered = retained = dropped = 0
-        for subscription in plan.matches:
+        for subscription in matches:
             if subscription.active:
-                evicted = subscription.subscriber.deliver(
-                    message.copy_for(subscription.subscriber.subscriber_id), now=now
-                )
+                subscriber = subscription.subscriber
+                if len(run) == 1:  # no slice to coalesce: skip the list and the loop
+                    evicted = subscriber.deliver(run[0].copy_for(subscriber.subscriber_id), now=now)
+                else:
+                    evicted = subscriber.deliver_many(
+                        [m.copy_for(subscriber.subscriber_id) for m in run], now=now
+                    )
                 self.stats.record_delivery_outcome(inbox_dropped=evicted)
                 delivered += 1
             elif subscription.durable:
-                subscription.retain(message)
+                for message in run:
+                    subscription.retain(message)
                 retained += 1
-                self.stats.record_delivery_outcome(retained=1)
+                self.stats.record_delivery_outcome(retained=len(run))
             else:
                 dropped += 1
-                self.stats.record_delivery_outcome(dropped_offline=1)
+                self.stats.record_delivery_outcome(dropped_offline=len(run))
+        return delivered, retained, dropped
+
+    def _account(
+        self, message: Message, bill: int, delivered: int, retained: int, dropped: int
+    ) -> PublishResult:
+        """Account stage: book one dispatched message and build its result."""
         self.stats.record_dispatch(
-            message.topic, copies=delivered + retained, filters_evaluated=plan.filters_evaluated
+            message.topic, copies=delivered + retained, filters_evaluated=bill
         )
-        return PublishResult(
-            message=message,
-            filters_evaluated=plan.filters_evaluated,
-            copies_delivered=delivered,
-            copies_retained=retained,
-            copies_dropped=dropped,
-        )
+        return PublishResult(message, bill, delivered, retained, dropped)
 
-    def publish_batch(
-        self, messages: Sequence[Message], now: float = 0.0
-    ) -> BatchPublishResult:
-        """Route a batch of messages through one amortized pipeline pass.
+    def publish(self, message: Message, now: float = 0.0) -> PublishResult:
+        """Route one message: the pipeline stages on a run of one, planned
+        by :meth:`_plan` (no fingerprint grouping — a lone message has
+        nothing to share a plan with)."""
+        expired = self._admit(message, now)
+        if expired is not None:
+            return expired
+        plan = self._plan(message)
+        self._write_ahead(message, plan.matches, now)
+        delivered, retained, dropped = self._deliver_run((message,), plan.matches, now)
+        return self._account(message, plan.filters_evaluated, delivered, retained, dropped)
 
-        Observably equivalent to calling :meth:`publish` on each message
-        in order — same per-inbox delivery order, same retention, same
-        ledger legs — but the per-message costs are amortized:
-
-        1. the batch is grouped by ``(topic, property-shape)``
-           fingerprint; every group is *planned once* (one memo probe,
-           or one cold plan of the group representative — the same
-           planner :meth:`publish` uses) and the plan fans out to all
-           its messages, so a cold group of ``n`` messages bills
-           ``filters_evaluated`` once, not ``n`` times, and a warm one
-           bills a single probe (``stats.batch_hits`` /
-           ``stats.batch_messages``);
-        2. write-ahead journal appends for retained persistent copies
-           happen back to back, riding the journal's group-commit sync
-           policy;
-        3. delivery walks the batch in input order, coalescing contiguous
-           same-plan runs into slice appends
-           (:meth:`Subscriber.deliver_many`) — contiguity, not grouping,
-           so interleaved shapes never reorder any subscriber's inbox.
-
-        A single-message batch delegates to :meth:`publish` outright and
-        is bit-identical to it, counters included.
-        """
-        count = len(messages)
-        if count == 0:
-            return BatchPublishResult(results=())
-        if count == 1:
-            return BatchPublishResult(results=(self.publish(messages[0], now=now),), groups=1)
-
-        results: List[Optional[PublishResult]] = [None] * count
-        live: List[int] = []
-        for index, message in enumerate(messages):
-            self.topics.get(message.topic)
-            self.stats.record_receive(message.topic)
-            if message.expired(now):
-                self.stats.expired += 1
-                results[index] = PublishResult(message, 0, 0, 0, 0, expired=True)
-            else:
-                live.append(index)
-
-        # -- group by (topic, property-shape) fingerprint --------------
+    def _plan_groups(
+        self, messages: Sequence[Message], live: Sequence[int]
+    ) -> Tuple[Dict[int, Tuple[Subscription, ...]], Dict[int, int], int, int]:
+        """Grouping + plan stage of a batch: group the ``live`` positions
+        by ``(topic, property-shape)`` fingerprint and plan every group
+        *once* — one memo probe, or one cold plan of the group's first
+        message through the same :meth:`_plan_cold` a scalar publish
+        uses.  A cold group of ``n`` bills ``filters_evaluated`` once, on
+        its first message; a warm one bills a single probe
+        (``stats.batch_hits`` / ``stats.batch_messages``).  Returns the
+        match-set and the filter bill per position, the group count and
+        how many groups were warm."""
         use_memo = self._memo_maxsize is not None
         header_fields: Dict[str, tuple] = {}
-        groups: "OrderedDict[object, List[int]]" = OrderedDict()
+        groups: Dict[object, List[int]] = {}
         for index in live:
             message = messages[index]
             topic_name = message.topic
@@ -568,64 +568,55 @@ class Broker:
                 header_fields[topic_name] = fields
             groups.setdefault(message_fingerprint(message, fields), []).append(index)
 
-        # -- plan each group once (memo probes first, then the cold plans)
-        group_members = list(groups.values())
-        matches_by: Dict[int, tuple] = {}
-        bills: Dict[int, int] = {}
+        # Memo probes first, then the cold plans (a store may evict what
+        # a later probe of the same batch would have hit).
+        matches_by: Dict[int, Tuple[Subscription, ...]] = {}
+        bills = dict.fromkeys(live, 0)
         cold: List[List[int]] = []
-        warm_groups = 0
-        for members in group_members:
+        for members in groups.values():
             representative = messages[members[0]]
+            plan = None
             if use_memo:
-                memo = self._memo_for(representative.topic)
-                if len(members) == 1:
-                    plan = memo.lookup(representative)
-                else:
-                    plan = memo.lookup_batch(representative, len(members))
-                if plan is not None:
-                    warm_groups += 1
-                    if len(members) > 1:
-                        self.stats.record_batch_hit(len(members))
-                    shared = plan.matches
-                    for index in members:
-                        matches_by[index] = shared
-                        bills[index] = 0
-                    continue
-            cold.append(members)
+                plan = self._memo_for(representative.topic).lookup(representative)
+            if plan is None:
+                cold.append(members)
+                continue
+            if len(members) > 1:
+                self.stats.record_batch_hit(len(members))
+            for index in members:
+                matches_by[index] = plan.matches
         for members in cold:
             plan = self._plan_cold(messages[members[0]])
             if use_memo:
                 self._memo_for(plan.message.topic).store(plan)
-            shared = plan.matches
             for index in members:
-                matches_by[index] = shared
-                bills[index] = 0
+                matches_by[index] = plan.matches
             # The evaluation happened once, for the representative:
             # the group's first message carries the whole bill.
             bills[members[0]] = plan.filters_evaluated
+        return matches_by, bills, len(groups), len(groups) - len(cold)
 
-        # -- write-ahead journaling, back to back (group-commit ride) --
-        if self.journal is not None:
-            from ..durability.journal import JournalWriteError, durable_key
+    def publish_batch(
+        self, messages: Sequence[Message], now: float = 0.0
+    ) -> BatchPublishResult:
+        """Route a batch through the same stages as :meth:`publish`.
 
-            for index in live:
-                message = messages[index]
-                if message.delivery_mode is not DeliveryMode.PERSISTENT:
-                    continue
-                owed = [
-                    durable_key(s.subscriber.subscriber_id, message.topic)
-                    for s in matches_by[index]
-                    if not s.active and s.durable
-                ]
-                if owed:
-                    try:
-                        self.journal.log_publish(
-                            "topic", message.topic, message, owed=owed, now=now
-                        )
-                    except JournalWriteError:
-                        self.journal_write_failures += 1
-
-        # -- coalesced delivery: contiguous same-plan runs in input order
+        Observably equivalent to a ``publish`` loop — same per-inbox
+        delivery order, same retention, same ledger legs — at any batch
+        size, one included.  What a batch adds is a grouping stage in
+        front of the plan (:meth:`_plan_groups`: one plan per
+        fingerprint group) and the order the stages run in: every
+        message is admitted, then every write-ahead append happens back
+        to back (riding the journal's group-commit sync policy), then
+        delivery walks the batch in input order, handing each contiguous
+        same-plan run to :meth:`_deliver_run` — contiguity, not grouping,
+        so interleaved shapes never reorder any subscriber's inbox.
+        """
+        results = [self._admit(message, now) for message in messages]
+        live = [index for index, result in enumerate(results) if result is None]
+        matches_by, bills, groups, warm_groups = self._plan_groups(messages, live)
+        for index in live:
+            self._write_ahead(messages[index], matches_by[index], now)
         cursor = 0
         while cursor < len(live):
             start = cursor
@@ -633,44 +624,13 @@ class Broker:
             cursor += 1
             while cursor < len(live) and matches_by[live[cursor]] is shared:
                 cursor += 1
-            run_indices = live[start:cursor]
-            run = [messages[index] for index in run_indices]
-            delivered = retained = dropped = 0  # per message, uniform in a run
-            for subscription in shared:
-                if subscription.active:
-                    subscriber = subscription.subscriber
-                    evicted = subscriber.deliver_many(
-                        [m.copy_for(subscriber.subscriber_id) for m in run], now=now
-                    )
-                    self.stats.record_delivery_outcome(inbox_dropped=evicted)
-                    delivered += 1
-                elif subscription.durable:
-                    for message in run:
-                        subscription.retain(message)
-                    retained += 1
-                    self.stats.record_delivery_outcome(retained=len(run))
-                else:
-                    dropped += 1
-                    self.stats.record_delivery_outcome(dropped_offline=len(run))
-            for index in run_indices:
-                message = messages[index]
-                bill = bills[index]
-                self.stats.record_dispatch(
-                    message.topic, copies=delivered + retained, filters_evaluated=bill
-                )
-                results[index] = PublishResult(
-                    message=message,
-                    filters_evaluated=bill,
-                    copies_delivered=delivered,
-                    copies_retained=retained,
-                    copies_dropped=dropped,
-                )
-
+            run = live[start:cursor]
+            counts = self._deliver_run([messages[index] for index in run], shared, now)
+            for index in run:
+                results[index] = self._account(messages[index], bills[index], *counts)
         final = tuple(result for result in results if result is not None)
-        assert len(final) == count  # every message got a result
-        return BatchPublishResult(
-            results=final, groups=len(group_members), warm_groups=warm_groups
-        )
+        assert len(final) == len(messages)  # every message got a result
+        return BatchPublishResult(results=final, groups=groups, warm_groups=warm_groups)
 
     def dry_run(self, message: Message) -> DispatchPlan:
         """Match without delivering (used by tests and what-if tools)."""

@@ -35,6 +35,7 @@ them (the single-ownership half of the handoff protocol).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -42,7 +43,6 @@ from ..broker.hierarchy import TopicPattern, TopicTrie
 from ..broker.message import Message
 from ..broker.queues import PointToPointQueue, QueueConsumer
 from ..broker.server import Broker, PublishResult
-from collections import OrderedDict
 from ..durability.disk import SimulatedDisk
 from ..durability.journal import Journal, SyncPolicy
 from ..overload.health import HealthState
@@ -345,61 +345,85 @@ class ShardedBroker:
         """The owner shard's queue object (created on first use)."""
         return self.owner_shard("queue", name).broker.queues.create(name)
 
+    def _route(self, domain: str, name: str, count: int) -> Optional[Shard]:
+        """The routing decision, once for all four entry points: is the
+        key mid-handoff (``deferred_migrating`` — retry after the
+        rebalance commits)?  Who owns it?  Is the owner available
+        (``shed_unavailable`` — degraded-mode routing: a shedding or
+        crashed shard sheds only its own partitions, the mesh stays up)?
+        Counters count *messages*: ``count`` of them share the decision.
+        Returns the owner shard, or ``None`` when the traffic is refused.
+        """
+        if self.membership.table.is_migrating(placement_key(domain, name)):
+            self.deferred_migrating += count
+            return None
+        shard = self.owner_shard(domain, name)
+        if not shard.available:
+            self.shed_unavailable += count
+            return None
+        if domain == "topic":
+            # First route materializes the topic on its owner shard, with
+            # any pending wildcard subscriptions, so the fan-out —
+            # including cross-shard wildcard subscribers — happens
+            # through that shard's FilterIndex in a single dispatch pass.
+            shard.broker.topics.create(name)
+            self._install_wildcards(shard, name)
+            self.routed_publishes += count
+        else:
+            self.routed_sends += count
+        return shard
+
+    def _hop(self, messages: Sequence[Message], now: float) -> Tuple[float, List[int]]:
+        """The routing hop (ingress router → owner shard), once for all
+        four entry points: the owner sees the messages at ``arrival =
+        now + hop_latency``, and a message whose deadline passes on the
+        way is dead on arrival — shed mid-hop (``expired_on_hop``)
+        instead of paying a full dispatch.  Returns ``arrival`` and the
+        positions of the messages still alive then."""
+        arrival = now + self.hop_latency
+        if self.hop_latency > 0.0:
+            alive = [i for i, m in enumerate(messages) if not m.expired(arrival)]
+            self.expired_on_hop += len(messages) - len(alive)
+            return arrival, alive
+        return arrival, list(range(len(messages)))
+
     def send(self, name: str, message: Message, now: float = 0.0) -> bool:
-        """Route one queue send to the owner shard.
+        """Route one queue send to the owner shard (:meth:`_route`, then
+        :meth:`_hop`).
 
         Mirrors :meth:`~repro.broker.queues.PointToPointQueue.send`
         (True iff delivered to a consumer at once); additionally returns
-        False without enqueueing when the key is mid-handoff
-        (``deferred_migrating``) or the owner shard is shedding/crashed
-        (``shed_unavailable`` — degraded-mode routing: only that shard's
-        partitions are affected, the mesh stays available).
+        False without enqueueing when routing refuses the key or the
+        message dies on the hop.
         """
-        if self.membership.table.is_migrating(placement_key("queue", name)):
-            self.deferred_migrating += 1
+        shard = self._route("queue", name, 1)
+        if shard is None:
             return False
-        shard = self.owner_shard("queue", name)
-        if not shard.available:
-            self.shed_unavailable += 1
-            return False
-        self.routed_sends += 1
-        arrival = now + self.hop_latency
-        if self.hop_latency > 0.0 and message.expired(arrival):
-            self.expired_on_hop += 1
+        arrival, alive = self._hop((message,), now)
+        if not alive:
             return False
         return shard.broker.queues.create(name).send(message, now=arrival)
 
     def send_batch(self, name: str, messages: Sequence[Message], now: float = 0.0) -> int:
-        """Route a whole batch to one queue with a single routing decision.
+        """Route a whole batch to one queue: the stages of :meth:`send`,
+        run once for the batch instead of once per message.
 
-        The migration check, owner lookup and availability check run once
-        for the batch instead of once per message; the owner queue then
-        ingests the batch through
-        :meth:`~repro.broker.queues.PointToPointQueue.send_batch` (one
-        ledger transaction, journal appends riding group-commit).
-        Refusal counters still count *messages*, matching what a
-        sequential :meth:`send` loop would have recorded.  Returns the
-        number of messages delivered to a consumer during the call.
+        The owner queue ingests the survivors through
+        :meth:`~repro.broker.queues.PointToPointQueue.send_batch`.
+        Returns the number of messages delivered to a consumer during
+        the call.
         """
-        count = len(messages)
-        if count == 0:
+        if not messages:
             return 0
-        if self.membership.table.is_migrating(placement_key("queue", name)):
-            self.deferred_migrating += count
+        shard = self._route("queue", name, len(messages))
+        if shard is None:
             return 0
-        shard = self.owner_shard("queue", name)
-        if not shard.available:
-            self.shed_unavailable += count
+        arrival, alive = self._hop(messages, now)
+        if not alive:
             return 0
-        self.routed_sends += count
-        arrival = now + self.hop_latency
-        if self.hop_latency > 0.0:
-            survivors = [m for m in messages if not m.expired(arrival)]
-            self.expired_on_hop += count - len(survivors)
-            messages = survivors
-            if not messages:
-                return 0
-        return shard.broker.queues.create(name).send_batch(messages, now=arrival)
+        return shard.broker.queues.create(name).send_batch(
+            [messages[i] for i in alive], now=arrival
+        )
 
     def attach_consumer(
         self, name: str, consumer: QueueConsumer, now: float = 0.0
@@ -412,79 +436,48 @@ class ShardedBroker:
     # Topic domain (concrete + wildcard cross-shard dispatch)
     # ------------------------------------------------------------------
     def publish(self, message: Message, now: float = 0.0) -> Optional[PublishResult]:
-        """Route one publish to the topic's owner shard.
-
-        Installs any pending wildcard subscriptions for this topic on
-        the owner shard first, so the fan-out — including cross-shard
-        wildcard subscribers — happens through that shard's FilterIndex
-        in a single dispatch pass.  Returns ``None`` when the owner
-        shard is unavailable (its partitions shed; the mesh stays up).
-        """
-        if self.membership.table.is_migrating(placement_key("topic", message.topic)):
-            self.deferred_migrating += 1
+        """Route one publish to the topic's owner shard (:meth:`_route`,
+        then :meth:`_hop`).  Returns ``None`` when routing refuses the
+        topic or the message dies on the hop."""
+        shard = self._route("topic", message.topic, 1)
+        if shard is None:
             return None
-        shard = self.owner_shard("topic", message.topic)
-        if not shard.available:
-            self.shed_unavailable += 1
-            return None
-        # First route materializes the topic on its owner shard.
-        shard.broker.topics.create(message.topic)
-        self._install_wildcards(shard, message.topic)
-        self.routed_publishes += 1
-        arrival = now + self.hop_latency
-        if self.hop_latency > 0.0 and message.expired(arrival):
-            # Dead on arrival at the owner shard: shed mid-hop instead
-            # of paying a full dispatch for an expired message.
-            self.expired_on_hop += 1
+        arrival, alive = self._hop((message,), now)
+        if not alive:
             return None
         return shard.broker.publish(message, now=arrival)
 
     def publish_batch(
         self, messages: Sequence[Message], now: float = 0.0
     ) -> List[Optional[PublishResult]]:
-        """Route a batch of topic publishes, one decision per topic/shard.
+        """Route a batch of topic publishes: the stages of
+        :meth:`publish`, run once per distinct topic (routing) and once
+        per owner shard (hop) instead of once per message.
 
-        Messages are grouped by owner shard; each distinct topic pays its
-        migration check, owner lookup, availability check and wildcard
-        install *once* for the whole batch, and each shard ingests its
-        slice through :meth:`~repro.broker.server.Broker.publish_batch`
-        (grouped planning, coalesced delivery).  Returns per-message
-        results in input order, ``None`` where the scalar :meth:`publish`
-        would have refused (owner migrating or unavailable); the refusal
-        counters count messages, matching the sequential loop.
+        Each shard ingests its slice through
+        :meth:`~repro.broker.server.Broker.publish_batch`.  Returns
+        per-message results in input order, ``None`` where the scalar
+        :meth:`publish` would have returned ``None``.
         """
         results: List[Optional[PublishResult]] = [None] * len(messages)
-        routes: Dict[str, "Shard | str"] = {}
-        shard_slices: "OrderedDict[str, List[int]]" = OrderedDict()
+        routes = {
+            topic_name: self._route("topic", topic_name, count)
+            for topic_name, count in Counter(m.topic for m in messages).items()
+        }
+        shard_slices: Dict[str, List[int]] = {}
         for index, message in enumerate(messages):
-            topic_name = message.topic
-            decision = routes.get(topic_name)
-            if decision is None:
-                if self.membership.table.is_migrating(placement_key("topic", topic_name)):
-                    decision = "migrating"
-                else:
-                    shard = self.owner_shard("topic", topic_name)
-                    if not shard.available:
-                        decision = "unavailable"
-                    else:
-                        # First route materializes the topic on its owner.
-                        shard.broker.topics.create(topic_name)
-                        self._install_wildcards(shard, topic_name)
-                        decision = shard
-                routes[topic_name] = decision
-            if decision == "migrating":
-                self.deferred_migrating += 1
-            elif decision == "unavailable":
-                self.shed_unavailable += 1
-            else:
-                assert isinstance(decision, Shard)
-                self.routed_publishes += 1
-                shard_slices.setdefault(decision.shard_id, []).append(index)
+            shard = routes[message.topic]
+            if shard is not None:
+                shard_slices.setdefault(shard.shard_id, []).append(index)
         for shard_id, indices in shard_slices.items():
+            arrival, alive = self._hop([messages[i] for i in indices], now)
+            if not alive:
+                continue
+            survivors = [indices[i] for i in alive]
             batch = self._shards[shard_id].broker.publish_batch(
-                [messages[i] for i in indices], now=now
+                [messages[i] for i in survivors], now=arrival
             )
-            for index, result in zip(indices, batch.results):
+            for index, result in zip(survivors, batch.results):
                 results[index] = result
         return results
 

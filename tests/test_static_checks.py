@@ -111,6 +111,7 @@ def test_check_static_covers_hotpath_surface():
     suites = [s.split("::")[0] for s in check_static.EQUIVALENCE_SUITES]
     assert "tests/broker/test_selector_compile.py" in suites
     assert "tests/broker/test_dispatch_memo.py" in suites
+    assert "tests/mesh/test_batch_routing.py" in suites
 
 
 def test_strict_mypy_scope_includes_hotpath():

@@ -84,13 +84,16 @@ CLI_SMOKE = (
 #: Hypothesis equivalence suites gating the compiled hot path: compiled
 #: selectors and fused topic scans must agree with the tree-walking
 #: interpreter (also across every event that makes a built scan stale),
-#: and memoized dispatch with cold planning, on randomized inputs.  Run
-#: as part of the gate because a divergence here silently corrupts dispatch.
+#: memoized dispatch with cold planning, and every batch entry point —
+#: broker, queue and mesh — with its scalar loop under any split into
+#: batches, on randomized inputs.  Run as part of the gate because a
+#: divergence here silently corrupts dispatch.
 EQUIVALENCE_SUITES = (
     "tests/broker/test_selector_compile.py::TestCompiledEquivalence",
     "tests/broker/test_dispatch_memo.py::TestMemoizedEquivalence",
     "tests/broker/test_publish_batch.py::TestBatchPublishEquivalence",
     "tests/broker/test_scan_kernel.py::TestScanInvalidation",
+    "tests/mesh/test_batch_routing.py::TestRoutingEquivalence",
 )
 
 
