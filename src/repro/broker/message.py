@@ -178,6 +178,10 @@ class Message:
         except KeyError:
             return self.properties.get(identifier)
 
+    def mark_redelivered(self) -> None:
+        """Flag the message as served again (``JMSRedelivered``)."""
+        self.redelivered = True
+
     def expired(self, now: float) -> bool:
         """Has the message passed its expiration time?"""
         return self.expiration is not None and now >= self.expiration

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Type
@@ -36,6 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
 
 from .errors import InvalidDestinationError, SubscriptionError
 from .filters import MatchAllFilter, MessageFilter
+from .ledger import FATE_TABLE, Ledger
 from .message import DeliveryMode, Message
 from .stats import BrokerStats
 
@@ -117,7 +119,6 @@ class QueueConsumer:
         #: Deliveries handed out but not yet acknowledged.
         self.unacked: Dict[int, QueueDelivery] = {}
         self.attached = False
-        self.acked = 0
         #: The queue this consumer is attached to (set by ``attach``).
         self.queue: Optional["PointToPointQueue"] = None
 
@@ -137,7 +138,6 @@ class QueueConsumer:
                 f"{delivery.message.message_id}"
             )
         del self.unacked[delivery.message.message_id]
-        self.acked += 1
         if self.queue is not None:
             self.queue._on_ack(delivery.message.message_id)
 
@@ -170,9 +170,9 @@ class PointToPointQueue:
         expired or past their deadline.
     stats:
         Optional broker-wide :class:`~repro.broker.stats.BrokerStats`
-        ledger; when given, drain-time expiry, dead-lettering and drops
-        are mirrored there so overload shedding stays attributable at the
-        broker level.
+        totals; when given, the queue's :attr:`ledger` mirrors drain-time
+        expiry, dead-lettering and drops there so overload shedding
+        stays attributable at the broker level.
     journal:
         Optional :class:`~repro.durability.journal.Journal`.  When set,
         every state transition of a *persistent* message is written ahead
@@ -232,45 +232,9 @@ class PointToPointQueue:
         self._redeliveries: Dict[int, int] = {}
         #: Poison messages that exhausted their redelivery budget.
         self.dead_letters: Deque[Message] = deque()
-        self.enqueued = 0
-        self.delivered = 0
-        self.acked = 0
-        self.expired = 0
-        #: Subset of :attr:`expired` that was detected while *draining* the
-        #: backlog (the message outlived its TTL in the queue) rather than
-        #: at ``send`` — the overload-shedding signature (see ISSUE 3).
-        self.expired_at_drain = 0
-        self.redelivered = 0
-        self.dead_lettered = 0
-        self.lost_on_crash = 0
-        self.dropped_new = 0
-        self.dropped_oldest = 0
-        self.deadline_shed = 0
-        #: Messages reinstated from the journal by crash recovery (they do
-        #: not re-count as :attr:`enqueued` — the original send did that).
-        self.restored = 0
-        #: Persistent in-memory copies dropped by a *journalled* crash —
-        #: not lost (the journal still has them; replay restores the
-        #: committed ones) but no longer in any memory ledger bucket.
-        self.discarded_on_crash = 0
-        #: Sends rejected because the write-ahead append failed.
-        self.journal_write_failures = 0
-        #: Messages handed off to another shard by a mesh rebalance —
-        #: they left this queue's population with the terminal fate
-        #: "transferred" (journalled as an ACK so recovery agrees).
-        self.transferred_out = 0
-        #: Messages accepted from another shard by a mesh rebalance —
-        #: the receiving-side accepted leg (mirrors :attr:`restored`:
-        #: the original send counted ``enqueued`` on the *source*).
-        self.transferred_in = 0
-        #: Transferred-in messages that could not be applied live
-        #: (expired while the handoff was in flight).
-        self.dropped_on_handoff = 0
-        #: Deliveries reaped from consumer inboxes because their deadline
-        #: passed before the consumer took them (:meth:`reap_expired`) —
-        #: the deadline-propagation fate for work already handed off the
-        #: backlog but not yet consumed.
-        self.expired_in_flight = 0
+        #: Every counter of this queue (see :mod:`repro.broker.ledger`);
+        #: each also reads as ``queue.<counter>``.
+        self.ledger = Ledger(stats)
 
     # ------------------------------------------------------------------
     @property
@@ -280,6 +244,15 @@ class PointToPointQueue:
     @property
     def consumers(self) -> List[QueueConsumer]:
         return list(self._consumers)
+
+    def closed_ledger(self) -> Ledger:
+        """A copy of :attr:`ledger` closed with the two in-system gauges
+        (backlog depth; inbox + unacked of attached consumers) — the form
+        ``conserved`` / ``assert_conserved`` hold on."""
+        return self.ledger.closed(
+            depth=len(self._backlog),
+            in_flight=sum(len(c.inbox) + len(c.unacked) for c in self._consumers),
+        )
 
     def attach(self, consumer: QueueConsumer, now: float = 0.0) -> None:
         """Add a competing consumer and drain any waiting backlog to it."""
@@ -325,7 +298,7 @@ class PointToPointQueue:
                         "queue", self.name, message_id, reason=reason, now=now
                     )
             except self._write_fault:
-                self.journal_write_failures += 1
+                self.ledger.record("journal_write_failures")
 
     # ------------------------------------------------------------------
     # Ingress stages: ``send`` and ``send_batch`` are thin drivers over
@@ -340,7 +313,7 @@ class PointToPointQueue:
             try:
                 self.journal.log_publish("queue", self.name, message, now=now)
             except self._write_fault:
-                self.journal_write_failures += 1
+                self.ledger.record("journal_write_failures")
                 return False
             self._journaled.add(message.message_id)
         return True
@@ -348,9 +321,7 @@ class PointToPointQueue:
     def _accept(self, message: Message, now: float) -> bool:
         """Accept stage: send-time expiry, then the write-ahead."""
         if message.expired(now):
-            self.expired += 1
-            if self.stats is not None:
-                self.stats.expired += 1
+            self.ledger.record("expired")
             return False
         return self._write_ahead(message, now)
 
@@ -363,7 +334,7 @@ class PointToPointQueue:
         """Enqueue stage: append, drain, then enforce capacity — the drop
         policy runs *after* the drain pass, so a message an attached
         consumer can take immediately is never shed."""
-        self.enqueued += 1
+        self.ledger.record("enqueued")
         self._backlog.append((message, False))
         self._drain(now)
         self._enforce_capacity(now)
@@ -377,9 +348,9 @@ class PointToPointQueue:
         """
         if not self._accept(message, now):
             return False
-        before = self.delivered
+        before = self.ledger.delivered
         self._enqueue(message, now)
-        return self.delivered > before
+        return self.ledger.delivered > before
 
     def send_batch(self, messages: Sequence[Message], now: float = 0.0) -> int:
         """Enqueue a batch; returns how many reached a consumer inbox.
@@ -395,10 +366,10 @@ class PointToPointQueue:
         the end would shed arrivals a sequential sender's consumers
         would have absorbed between sends on a bounded queue.
         """
-        before = self.delivered
+        before = self.ledger.delivered
         for message in [m for m in messages if self._accept(m, now)]:
             self._enqueue(message, now)
-        return self.delivered - before
+        return self.ledger.delivered - before
 
     def _shed_overflow(self, now: float) -> None:
         """Drop one backlog entry according to :attr:`drop_policy`."""
@@ -406,9 +377,7 @@ class PointToPointQueue:
             message, _ = self._backlog.popleft()
             self._redeliveries.pop(message.message_id, None)
             self._journal_terminal(message.message_id, "dropped", now=now)
-            self.dropped_oldest += 1
-            if self.stats is not None:
-                self.stats.dropped_oldest += 1
+            self.ledger.record("dropped_oldest")
             return
         if self.drop_policy is DropPolicy.DEADLINE_SHED:
             victim = self._first_unmeetable(now)
@@ -417,18 +386,14 @@ class PointToPointQueue:
                 del self._backlog[victim]
                 self._redeliveries.pop(message.message_id, None)
                 self._journal_terminal(message.message_id, "dropped", now=now)
-                self.deadline_shed += 1
-                if self.stats is not None:
-                    self.stats.deadline_shed += 1
+                self.ledger.record("deadline_shed")
                 return
         # DROP_NEW, and the DEADLINE_SHED fallback when every queued
         # message is still servable: tail drop.
         message, _ = self._backlog.pop()
         self._redeliveries.pop(message.message_id, None)
         self._journal_terminal(message.message_id, "dropped", now=now)
-        self.dropped_new += 1
-        if self.stats is not None:
-            self.stats.dropped_new += 1
+        self.ledger.record("dropped_new")
 
     def _first_unmeetable(self, now: float) -> Optional[int]:
         """Index of the first queued message whose deadline cannot be met.
@@ -478,7 +443,7 @@ class PointToPointQueue:
         survivors: List[Message] = [m for m, _ in self._backlog]
         self._backlog.clear()
         recovered = lost = 0
-        dead_before = self.dead_lettered
+        dead_before = self.ledger.dead_lettered
         # Requeue newest first so appendleft leaves the oldest at the head.
         ordered = sorted(
             survivors + [d.message for d in in_flight],
@@ -488,12 +453,12 @@ class PointToPointQueue:
         for message in ordered:
             if message.delivery_mode is not DeliveryMode.PERSISTENT:
                 lost += 1
-                self.lost_on_crash += 1
+                self.ledger.record("lost_on_crash")
                 self._redeliveries.pop(message.message_id, None)
                 continue
             if self.journal is not None:
                 # The journal, not memory, is the recovery source.
-                self.discarded_on_crash += 1
+                self.ledger.record("discarded_on_crash")
                 continue
             recovered += 1
             self._requeue(message, now=now)
@@ -504,7 +469,7 @@ class PointToPointQueue:
             queue=self.name,
             recovered=recovered,
             lost=lost,
-            dead_lettered=self.dead_lettered - dead_before,
+            dead_lettered=self.ledger.dead_lettered - dead_before,
         )
 
     def restore(self, message: Message, delivers: int = 0, now: float = 0.0) -> str:
@@ -534,7 +499,7 @@ class PointToPointQueue:
         """
         if delivers < 0:
             raise ValueError(f"delivers must be >= 0, got {delivers}")
-        self.restored += 1
+        self.ledger.record("restored")
         if self.journal is not None and message.delivery_mode is DeliveryMode.PERSISTENT:
             self._journaled.add(message.message_id)
         if message.expired(now):
@@ -543,14 +508,12 @@ class PointToPointQueue:
         if self.max_redeliveries is not None and delivers > self.max_redeliveries:
             self._journal_terminal(message.message_id, "dead_letter", now=now)
             self.dead_letters.append(message)
-            self.dead_lettered += 1
-            if self.stats is not None:
-                self.stats.dead_lettered += 1
+            self.ledger.record("dead_lettered")
             return "dead_letter"
         if delivers > 0:
-            message.redelivered = True
+            message.mark_redelivered()
             self._redeliveries[message.message_id] = delivers
-            self.redelivered += 1
+            self.ledger.record("redelivered")
         self._backlog.append((message, message.redelivered))
         self._enforce_capacity(now)
         return "requeued"
@@ -585,7 +548,7 @@ class PointToPointQueue:
                 del self._backlog[index]
                 self._redeliveries.pop(message_id, None)
                 self._journal_terminal(message_id, "transferred", now=now)
-                self.transferred_out += 1
+                self.ledger.record("transferred_out")
                 return message
         return None
 
@@ -614,17 +577,15 @@ class PointToPointQueue:
             return "duplicate"
         if not self._write_ahead(message, now):
             return "rejected"
-        self.transferred_in += 1
+        self.ledger.record("transferred_in")
         if message.expired(now):
-            self.expired += 1
             self._journal_terminal(message.message_id, "expired", now=now)
-            self.dropped_on_handoff += 1
+            self.ledger.record("dropped_on_handoff")
             return "dropped"
         if delivers > 0:
-            # per-message flag, not the BrokerStats.redelivered counter
-            message.redelivered = True  # repro: ignore[RACE001]
+            message.mark_redelivered()
             self._redeliveries[message.message_id] = delivers
-            self.redelivered += 1
+            self.ledger.record("redelivered")
         self._backlog.append((message, message.redelivered))
         self._enforce_capacity(now)
         self._drain(now)
@@ -654,32 +615,26 @@ class PointToPointQueue:
                 continue
             for delivery in consumer.inbox:
                 if delivery.message.expired(now):
-                    self.expired += 1
-                    self.expired_in_flight += 1
+                    self.ledger.record("expired_in_flight")
                     self._redeliveries.pop(delivery.message.message_id, None)
                     self._journal_terminal(
                         delivery.message.message_id, "expired", now=now
                     )
-                    if self.stats is not None:
-                        self.stats.record_expired_in_flight()
                     reaped += 1
             consumer.inbox.clear()
             consumer.inbox.extend(survivors)
         return reaped
 
     def _on_ack(self, message_id: int) -> None:
-        self.acked += 1
+        self.ledger.record("acked")
         self._redeliveries.pop(message_id, None)
         self._journal_terminal(message_id, "acked")
 
     def _count_drain_expiry(self, message: Message) -> None:
         """Count a message whose TTL ran out while it sat in the backlog."""
-        self.expired += 1
-        self.expired_at_drain += 1
+        self.ledger.record("expired_at_drain")
         self._redeliveries.pop(message.message_id, None)
         self._journal_terminal(message.message_id, "expired")
-        if self.stats is not None:
-            self.stats.expired_on_drain += 1
 
     def _requeue(self, message: Message, now: float = 0.0) -> None:
         """Return a message to the backlog head, or dead-letter it.
@@ -696,14 +651,12 @@ class PointToPointQueue:
             self._redeliveries.pop(message.message_id, None)
             self._journal_terminal(message.message_id, "dead_letter", now=now)
             self.dead_letters.append(message)
-            self.dead_lettered += 1
-            if self.stats is not None:
-                self.stats.dead_lettered += 1
+            self.ledger.record("dead_lettered")
             return
         self._redeliveries[message.message_id] = count
-        message.redelivered = True
+        message.mark_redelivered()
         self._backlog.appendleft((message, True))
-        self.redelivered += 1
+        self.ledger.record("redelivered")
 
     def _eligible(self, message: Message) -> List[QueueConsumer]:
         return [c for c in self._consumers if c.selector.matches(message)]
@@ -734,15 +687,21 @@ class PointToPointQueue:
             consumer.inbox.append(
                 QueueDelivery(message, consumer.consumer_id, redelivered=redelivered)
             )
-            self.delivered += 1
+            self.ledger.record("delivered")
             if self.journal is not None and message.message_id in self._journaled:
                 try:
                     self.journal.log_deliver(
                         "queue", self.name, message.message_id, consumer.consumer_id, now=now
                     )
                 except self._write_fault:
-                    self.journal_write_failures += 1
+                    self.ledger.record("journal_write_failures")
             progressed = True
+
+
+# The read surface ``queue.<counter>``: one read-only view per table row.
+for _fate in FATE_TABLE:
+    _view = property(operator.attrgetter(f"ledger.{_fate.name}"), doc=_fate.why)
+    setattr(PointToPointQueue, _fate.name, _view)
 
 
 @dataclass
@@ -786,6 +745,17 @@ class QueueManager:
         if queue is None:
             raise InvalidDestinationError(f"unknown queue {name!r}")
         return queue
+
+    def imbalances(self) -> List[str]:
+        """The per-leg dump of every queue whose ledger does not balance
+        (empty when all conserve) — a chaos harness's violation entries."""
+        dumps: List[str] = []
+        for name in sorted(self._queues):
+            try:
+                self._queues[name].closed_ledger().assert_conserved(f"queue {name}")
+            except AssertionError as imbalance:
+                dumps.append(str(imbalance))
+        return dumps
 
     def crash_all(self, now: float = 0.0) -> List[QueueCrashReport]:
         """Crash-recover every queue (deterministic name order)."""

@@ -336,6 +336,10 @@ class Broker:
             subscriber = self.get_subscriber(subscriber)
         subscriber.connected = False
 
+    def record_journal_write_failure(self) -> None:
+        """A topic-side journal append failed (publish, replay or recovery)."""
+        self.journal_write_failures += 1
+
     def reconnect(self, subscriber: Subscriber | str) -> int:
         """Bring a subscriber back online, replaying retained messages.
 
@@ -350,7 +354,7 @@ class Broker:
                 if subscription.subscriber is subscriber and subscription.durable:
                     for message in subscription.replay_retained():
                         subscriber.deliver(DeliveredMessage(message, subscriber.subscriber_id))
-                        self.stats.dispatched += 1
+                        self.stats.record("dispatched")
                         replayed += 1
                         if (
                             self.journal is not None
@@ -367,7 +371,7 @@ class Broker:
                                     ),
                                 )
                             except self._write_fault:
-                                self.journal_write_failures += 1
+                                self.record_journal_write_failure()
         return replayed
 
     # ------------------------------------------------------------------
@@ -389,7 +393,7 @@ class Broker:
         then counts the copies the journal owes the replay instead of
         copies surviving in RAM.
         """
-        self.stats.crashes += 1
+        self.stats.record("crashes")
         dropped = 0
         for bucket in self._subscriptions.values():
             for subscription_id in list(bucket):
@@ -463,7 +467,7 @@ class Broker:
         self.topics.get(message.topic)
         self.stats.record_receive(message.topic)
         if message.expired(now):
-            self.stats.expired += 1
+            self.stats.record("expired")
             return PublishResult(message, 0, 0, 0, 0, expired=True)
         return None
 
@@ -487,7 +491,7 @@ class Broker:
                         "topic", message.topic, message, owed=owed, now=now
                     )
                 except self._write_fault:
-                    self.journal_write_failures += 1
+                    self.record_journal_write_failure()
 
     def _deliver_run(
         self, run: Sequence[Message], matches: Tuple[Subscription, ...], now: float

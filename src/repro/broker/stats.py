@@ -9,12 +9,8 @@ is the broker's own unconditional ledger.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict
-
-if TYPE_CHECKING:  # pragma: no cover - import cycles, types only
-    from ..overload.breaker import CircuitBreaker
-    from ..resilience.budget import RetryBudget
+from dataclasses import dataclass, field, fields
+from typing import Dict
 
 __all__ = ["BrokerStats"]
 
@@ -72,17 +68,6 @@ class BrokerStats:
     #: Hedge duplicates dropped at the service boundary — losing copies
     #: of hedged races; zero double-deliveries is the hedging invariant.
     hedge_duplicates: int = 0
-    #: Circuit-breaker posture mirrored from the publisher side
-    #: (:meth:`observe_breaker`), so harnesses can assert on storm
-    #: entry/exit without reaching into client internals.
-    breaker_state: str = "closed"
-    breaker_opens: int = 0
-    breaker_probes: int = 0
-    breaker_short_circuited: int = 0
-    #: Retry-budget counters mirrored from :meth:`observe_retry_budget`.
-    retry_budget_granted: int = 0
-    retry_budget_denied: int = 0
-    retry_budget_deposited: float = 0.0
     # -- batched publish ledger (see Broker.publish_batch) -------------
     #: Multi-message fingerprint groups served warm by one memo probe.
     batch_hits: int = 0
@@ -116,6 +101,13 @@ class BrokerStats:
             return 0.0
         return self.filters_evaluated / self.received
 
+    def record(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the total ``name`` — the by-name mutation point
+        for everything off the dispatch hot path (queue ledgers mirror
+        through it; the testbed and recovery book their fates through
+        it).  An unknown name raises ``AttributeError``."""
+        setattr(self, name, getattr(self, name) + n)
+
     def record_receive(self, topic: str) -> None:
         self.received += 1
         self.per_topic_received[topic] += 1
@@ -130,37 +122,6 @@ class BrokerStats:
         self.batch_hits += 1
         self.batch_messages += messages
 
-    def record_expired_in_flight(self, count: int = 1) -> None:
-        """``count`` in-flight messages shed because their deadline
-        passed before service (deadline propagation).
-
-        Like ``expired_on_drain``, deliberately *not* folded into
-        :attr:`expired` — that counter tracks send-time expiry only.
-        """
-        self.expired_in_flight += count
-
-    def record_hedge_duplicate(self, count: int = 1) -> None:
-        """``count`` hedge copies lost their race and were deduplicated."""
-        self.hedge_duplicates += count
-
-    def observe_breaker(self, breaker: "CircuitBreaker") -> None:
-        """Mirror a publisher-side circuit breaker into the snapshot.
-
-        Counters are absolute (copied, not accumulated), so observing
-        the same breaker repeatedly is idempotent.
-        """
-        self.breaker_state = breaker.state.value
-        self.breaker_opens = breaker.opened_count
-        self.breaker_probes = breaker.probes
-        self.breaker_short_circuited = breaker.short_circuited
-
-    def observe_retry_budget(self, budget: "RetryBudget") -> None:
-        """Mirror a client-side retry budget into the snapshot
-        (absolute copies — idempotent, like :meth:`observe_breaker`)."""
-        self.retry_budget_granted = budget.granted
-        self.retry_budget_denied = budget.denied
-        self.retry_budget_deposited = budget.deposited
-
     def record_delivery_outcome(
         self, inbox_dropped: int = 0, retained: int = 0, dropped_offline: int = 0
     ) -> None:
@@ -173,39 +134,19 @@ class BrokerStats:
         self.retained += retained
         self.dropped_offline += dropped_offline
 
+    def observe_health(self, state: str) -> None:
+        """The health monitor moved to ``state`` (one transition)."""
+        self.health = state
+        self.health_transitions += 1
+
     def snapshot(self) -> Dict[str, "float | str"]:
-        """Plain-dict view (for logging and result tables)."""
-        return {
-            "received": self.received,
-            "dispatched": self.dispatched,
-            "overall": self.overall,
-            "filters_evaluated": self.filters_evaluated,
-            "expired": self.expired,
-            "dropped_offline": self.dropped_offline,
-            "retained": self.retained,
-            "crashes": self.crashes,
-            "lost_on_crash": self.lost_on_crash,
-            "redelivered": self.redelivered,
-            "dead_lettered": self.dead_lettered,
-            "dropped_by_fault": self.dropped_by_fault,
-            "expired_on_drain": self.expired_on_drain,
-            "dropped_new": self.dropped_new,
-            "dropped_oldest": self.dropped_oldest,
-            "deadline_shed": self.deadline_shed,
-            "admission_rejected": self.admission_rejected,
-            "inbox_dropped": self.inbox_dropped,
-            "expired_in_flight": self.expired_in_flight,
-            "hedge_duplicates": self.hedge_duplicates,
-            "breaker_state": self.breaker_state,
-            "breaker_opens": self.breaker_opens,
-            "breaker_probes": self.breaker_probes,
-            "breaker_short_circuited": self.breaker_short_circuited,
-            "retry_budget_granted": self.retry_budget_granted,
-            "retry_budget_denied": self.retry_budget_denied,
-            "retry_budget_deposited": self.retry_budget_deposited,
-            "batch_hits": self.batch_hits,
-            "batch_messages": self.batch_messages,
-            "health": self.health,
-            "health_transitions": self.health_transitions,
-            "mean_replication_grade": self.mean_replication_grade,
+        """Plain-dict view (for logging and result tables): every scalar
+        field plus the derived ``overall`` and ``mean_replication_grade``."""
+        view: Dict[str, "float | str"] = {
+            f.name: value
+            for f in fields(self)
+            if not isinstance(value := getattr(self, f.name), Counter)
         }
+        view["overall"] = self.overall
+        view["mean_replication_grade"] = self.mean_replication_grade
+        return view

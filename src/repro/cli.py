@@ -53,8 +53,8 @@ vs. the sequential publish loop, the M^X/G/1 batch-arrival model vs.
 the DES, and the b=1 degeneration to Eqs. 4-5) and, with ``--check``,
 gates on the recorded thresholds;
 ``check`` runs the whole-program
-invariant analyzer (determinism, recovery no-raise, ledger
-conservation, race hazards, API hygiene) over ``src/repro``.
+invariant analyzer (determinism, recovery no-raise, race hazards,
+API hygiene) over ``src/repro``.
 
 Exit codes (uniform across ``lint`` and ``check`` so CI and editors can
 consume them): **0** clean, **1** findings (or, for experiment commands,
@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = commands.add_parser(
         "check",
-        help="whole-program invariant analyzer (SIM/REC/LEDGER/RACE/API rules)",
+        help="whole-program invariant analyzer (SIM/REC/RACE/API rules)",
     )
     check.add_argument(
         "paths",
@@ -179,12 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="PATH",
         help="baseline file (default: STATIC_BASELINE.json at the repo root)",
-    )
-    check.add_argument(
-        "--conftest",
-        default=None,
-        metavar="PATH",
-        help="conservation conftest for LEDGER rules (default: tests/conftest.py)",
     )
     check.add_argument(
         "--update-baseline",
@@ -680,10 +674,9 @@ def _run_check(args: argparse.Namespace) -> int:
         if missing:
             raise _usage_error(f"check: no such path(s): {', '.join(missing)}")
         baseline = Path(args.baseline) if args.baseline else None
-        conftest = Path(args.conftest) if args.conftest else None
     else:
         # Default scan: the installed package, with the repo's committed
-        # baseline and conservation conftest when they are present.
+        # baseline when it is present.
         roots = (Path(__file__).resolve().parent,)
         root = _repo_root()
         baseline = (
@@ -692,29 +685,19 @@ def _run_check(args: argparse.Namespace) -> int:
             else (root / "STATIC_BASELINE.json"
                   if (root / "STATIC_BASELINE.json").exists() else None)
         )
-        conftest = (
-            Path(args.conftest)
-            if args.conftest
-            else (root / "tests" / "conftest.py"
-                  if (root / "tests" / "conftest.py").exists() else None)
-        )
     rules = (
         tuple(r.strip() for r in args.rules.split(",") if r.strip())
         if args.rules
         else None
     )
-    config = CheckConfig(
-        roots=roots, conftest=conftest, baseline=baseline, rules=rules
-    )
+    config = CheckConfig(roots=roots, baseline=baseline, rules=rules)
 
     try:
         if args.update_baseline:
             if baseline is None:
                 raise _usage_error("check: --update-baseline needs --baseline "
                                    "(no repo-root STATIC_BASELINE.json found)")
-            bare = CheckConfig(
-                roots=roots, conftest=conftest, baseline=None, rules=rules
-            )
+            bare = CheckConfig(roots=roots, baseline=None, rules=rules)
             index = build_index(bare)
             report = run_check(bare, index=index)
             previous = (

@@ -591,8 +591,9 @@ def recover_broker(
         if entry.domain == "queue":
             try:
                 queue = broker.queues.create(entry.destination)
+                ledger = queue.ledger
                 drops_before = (
-                    queue.dropped_new + queue.dropped_oldest + queue.deadline_shed
+                    ledger.dropped_new + ledger.dropped_oldest + ledger.deadline_shed
                 )
                 fate = queue.restore(message, delivers=entry.delivers, now=now)
             except Exception as exc:  # never raise out of recovery
@@ -602,7 +603,7 @@ def recover_broker(
                 )
                 continue
             report.dropped_on_recovery += (
-                queue.dropped_new + queue.dropped_oldest + queue.deadline_shed
+                ledger.dropped_new + ledger.dropped_oldest + ledger.deadline_shed
             ) - drops_before
             if fate == "expired":
                 report.expired_during_downtime += 1
@@ -619,7 +620,7 @@ def recover_broker(
         else:  # topic
             if message.expired(now):
                 report.expired_during_downtime += 1
-                broker.stats.expired += 1
+                broker.stats.record("expired")
                 # Converge the log: without this EXPIRE the PUBLISH stays
                 # live and every later recovery re-expires the message.
                 try:
@@ -628,7 +629,7 @@ def recover_broker(
                     )
                     report.terminal_fates_journaled += 1
                 except JournalError:
-                    broker.journal_write_failures += 1
+                    broker.record_journal_write_failure()
                 continue
             if not entry.owed:
                 report.errors.append(

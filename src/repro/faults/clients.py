@@ -16,7 +16,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from ..broker import Message
-from ..broker.stats import BrokerStats
 from ..overload import CircuitBreaker
 from ..resilience.budget import RetryBudget
 from ..simulation import Engine
@@ -59,8 +58,6 @@ class RetryingPoissonPublisher:
     removes the storm fixed point of :mod:`repro.core.resilience`.  A
     failed attempt whose retry the bucket denies is *abandoned* (counted
     in both ``abandoned`` and ``budget_denied``) instead of amplified.
-    Pass ``stats`` to mirror breaker/budget counters into
-    :meth:`BrokerStats.snapshot` after every attempt outcome.
     """
 
     def __init__(
@@ -77,7 +74,6 @@ class RetryingPoissonPublisher:
         breaker: Optional[CircuitBreaker] = None,
         router: Optional[Callable[[], SimulatedJMSServer]] = None,
         budget: Optional[RetryBudget] = None,
-        stats: Optional[BrokerStats] = None,
     ):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
@@ -92,7 +88,6 @@ class RetryingPoissonPublisher:
         self.stop_time = stop_time
         self.breaker = breaker
         self.budget = budget
-        self.stats = stats
         #: Resolves the current leader before every attempt (HA failover).
         #: The retry loop already defers messages across outages; with a
         #: router, a *failover* redirects the same in-flight messages to
@@ -157,7 +152,6 @@ class RetryingPoissonPublisher:
             self.budget.record_success(self.engine.now)
         self.accepted += 1
         self._accept_latency_sum += self.engine.now - born
-        self._mirror_stats()
 
     def _on_timeout(self, handle: SubmitHandle, attempt: int, born: float) -> None:
         if handle.cancel():
@@ -171,27 +165,16 @@ class RetryingPoissonPublisher:
             self.breaker.record_failure(self.engine.now)
         if self.policy.exhausted(attempt, elapsed=self.engine.now - born):
             self.abandoned += 1
-            self._mirror_stats()
             return
         if self.budget is not None and not self.budget.allow_retry(self.engine.now):
             # Empty bucket: abandon instead of amplifying — this is the
             # cap that keeps λ_eff at the stable fixed point.
             self.budget_denied += 1
             self.abandoned += 1
-            self._mirror_stats()
             return
         self.retries += 1
         delay = self.policy.delay(attempt, self.retry_rng)
         self.engine.call_in(delay, lambda: self._attempt(message, attempt + 1, born))
-        self._mirror_stats()
-
-    def _mirror_stats(self) -> None:
-        if self.stats is None:
-            return
-        if self.breaker is not None:
-            self.stats.observe_breaker(self.breaker)
-        if self.budget is not None:
-            self.stats.observe_retry_budget(self.budget)
 
     @property
     def in_flight(self) -> int:

@@ -51,7 +51,6 @@ from .ring import (
     ring_point,
 )
 from .sharded import (
-    MeshLedger,
     MeshRecoveryReport,
     Shard,
     ShardRecovery,
@@ -72,7 +71,6 @@ __all__ = [
     "PartitionTable",
     "ShardState",
     "TransferLog",
-    "MeshLedger",
     "MeshRecoveryReport",
     "Shard",
     "ShardRecovery",

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..broker.hierarchy import TopicPattern, TopicTrie
+from ..broker.ledger import Ledger
 from ..broker.message import Message
 from ..broker.queues import PointToPointQueue, QueueConsumer
 from ..broker.server import Broker, PublishResult
@@ -51,7 +52,6 @@ from .membership import MeshMembership, ShardState
 from .ring import placement_key
 
 __all__ = [
-    "MeshLedger",
     "MeshRecoveryReport",
     "Shard",
     "ShardRecovery",
@@ -149,79 +149,6 @@ class MeshRecoveryReport:
                 for s in self.shards
             ],
         }
-
-
-@dataclass
-class MeshLedger:
-    """Queue-shaped conservation ledger aggregated over the whole mesh.
-
-    Field-compatible with what the shared ``assert_conserved`` fixture
-    expects from a :class:`~repro.broker.queues.PointToPointQueue`, so
-    one call checks conservation across every queue on every shard —
-    including the handoff legs (``transferred_out`` on sources must be
-    matched by ``transferred_in``/``dropped_on_handoff`` on
-    destinations, with the difference live somewhere exactly once).
-    """
-
-    enqueued: int = 0
-    restored: int = 0
-    transferred_in: int = 0
-    acked: int = 0
-    expired_at_drain: int = 0
-    expired_in_flight: int = 0
-    dead_lettered: int = 0
-    dropped_new: int = 0
-    dropped_oldest: int = 0
-    deadline_shed: int = 0
-    lost_on_crash: int = 0
-    discarded_on_crash: int = 0
-    transferred_out: int = 0
-    dropped_on_handoff: int = 0
-    depth: int = 0
-    #: Deliveries held by attached consumers (inbox + unacked) — folded
-    #: in here because the mesh aggregates across shards whose consumer
-    #: sets the caller cannot easily enumerate.
-    in_flight: int = 0
-
-    def add_queue(self, queue: PointToPointQueue) -> None:
-        self.enqueued += queue.enqueued
-        self.restored += queue.restored
-        self.transferred_in += queue.transferred_in
-        self.acked += queue.acked
-        self.expired_at_drain += queue.expired_at_drain
-        self.expired_in_flight += queue.expired_in_flight
-        self.dead_lettered += queue.dead_lettered
-        self.dropped_new += queue.dropped_new
-        self.dropped_oldest += queue.dropped_oldest
-        self.deadline_shed += queue.deadline_shed
-        self.lost_on_crash += queue.lost_on_crash
-        self.discarded_on_crash += queue.discarded_on_crash
-        self.transferred_out += queue.transferred_out
-        self.dropped_on_handoff += queue.dropped_on_handoff
-        self.depth += queue.depth
-        self.in_flight += sum(
-            len(c.inbox) + len(c.unacked) for c in queue.consumers
-        )
-
-    @property
-    def conserved(self) -> bool:
-        accepted = self.enqueued + self.restored + self.transferred_in
-        fates = (
-            self.acked
-            + self.expired_at_drain
-            + self.expired_in_flight
-            + self.dead_lettered
-            + self.dropped_new
-            + self.dropped_oldest
-            + self.deadline_shed
-            + self.lost_on_crash
-            + self.discarded_on_crash
-            + self.transferred_out
-            + self.dropped_on_handoff
-            + self.depth
-            + self.in_flight
-        )
-        return accepted == fates
 
 
 @dataclass
@@ -650,19 +577,13 @@ class ShardedBroker:
     # ------------------------------------------------------------------
     # Mesh-wide ledger
     # ------------------------------------------------------------------
-    def mesh_ledger(self) -> MeshLedger:
-        ledger = MeshLedger()
-        for shard in self.shards():
-            for queue in sorted(shard.broker.queues, key=lambda q: q.name):
-                ledger.add_queue(queue)
-        return ledger
-
-    def all_consumers(self) -> List[QueueConsumer]:
-        consumers: List[QueueConsumer] = []
-        for shard in self.shards():
-            for queue in sorted(shard.broker.queues, key=lambda q: q.name):
-                consumers.extend(queue.consumers)
-        return consumers
+    def mesh_ledger(self) -> Ledger:
+        """The sum of every queue's closed ledger on every shard: one
+        check covers the whole mesh, handoff legs included
+        (``transferred_out`` on sources is matched by ``transferred_in``
+        / ``dropped_on_handoff`` on destinations)."""
+        queues = (queue for shard in self.shards() for queue in shard.broker.queues)
+        return sum((queue.closed_ledger() for queue in queues), Ledger())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -88,6 +88,15 @@ class CircuitBreaker:
     def state(self) -> BreakerState:
         return self._state
 
+    def snapshot(self) -> dict:
+        """Breaker posture, for harnesses asserting on storm entry/exit."""
+        return {
+            "breaker_state": self._state.value,
+            "breaker_opens": self.opened_count,
+            "breaker_probes": self.probes,
+            "breaker_short_circuited": self.short_circuited,
+        }
+
     @property
     def retry_at(self) -> Optional[float]:
         """When the next HALF_OPEN probe becomes possible (OPEN state)."""

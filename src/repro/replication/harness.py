@@ -281,6 +281,7 @@ def _verify_point(
     live_applied, terminal_applied = _fold_queue(records[:applied])
 
     backlog = _drain_backlog(promotion.broker)
+    violations.extend(promotion.broker.queues.imbalances())
     backlog_set = set(backlog)
     if len(backlog) != len(backlog_set):
         violations.append(f"duplicate messages in promoted backlog: {sorted(backlog)}")

@@ -9,10 +9,8 @@ probe), and each retry withdraws one token.  When the bucket is empty the
 retry is denied and the message is abandoned instead of amplified.
 
 Deliberately not thread-aware: like everything else in the testbed it
-runs inside the single-threaded DES.  The counters mirror into
-:class:`repro.broker.stats.BrokerStats` via
-:meth:`BrokerStats.observe_retry_budget` so harnesses can assert on storm
-entry/exit without reaching into client internals.
+runs inside the single-threaded DES.  :meth:`RetryBudget.snapshot`
+exposes the counters so harnesses can assert on storm entry/exit.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple
 
 from ..broker.message import DeliveredMessage, Message
-from ..broker.stats import BrokerStats
 from ..simulation import Engine
 from ..testbed.simserver import SimulatedJMSServer, SubmitHandle
 from .budget import RetryBudget
@@ -168,7 +167,6 @@ class DeadlineRetryPublisher:
         hedge: Optional[HedgePolicy] = None,
         log: Optional[DeliveryLog] = None,
         stop_time: Optional[float] = None,
-        stats: Optional[BrokerStats] = None,
         name: str = "deadline-publisher",
     ):
         if rate <= 0:
@@ -203,7 +201,6 @@ class DeadlineRetryPublisher:
         self.hedge = hedge
         self.log = log
         self.stop_time = stop_time
-        self.stats = stats
         self.name = name
         # -- counters ---------------------------------------------------
         self.generated = 0
@@ -279,7 +276,6 @@ class DeadlineRetryPublisher:
         self.accepted += 1
         if self.budget is not None:
             self.budget.record_success(self.engine.now)
-        self._mirror_stats()
 
     def _on_reject(self, state: _FreshMessage, attempt: int) -> None:
         self.rejected += 1
@@ -321,7 +317,6 @@ class DeadlineRetryPublisher:
         if attempt >= self.max_retries:
             state.abandoned = True
             self.abandoned += 1
-            self._mirror_stats()
             return
         if self.budget is not None and not self.budget.allow_retry(self.engine.now):
             # Empty bucket: abandon instead of amplifying — the clip that
@@ -329,7 +324,6 @@ class DeadlineRetryPublisher:
             state.abandoned = True
             self.budget_denied += 1
             self.abandoned += 1
-            self._mirror_stats()
             return
         if late:
             self.late_retries += 1
@@ -342,7 +336,6 @@ class DeadlineRetryPublisher:
             # attempt sees the stationary loss probability.
             delay *= 1.0 + self.retry_jitter * float(self.retry_rng.uniform(-1.0, 1.0))
         self.engine.call_in(delay, lambda: self._attempt(state, attempt + 1))
-        self._mirror_stats()
 
     def _maybe_hedge(self, state: _FreshMessage, message: Message) -> None:
         if state.succeeded or state.abandoned:
@@ -355,10 +348,6 @@ class DeadlineRetryPublisher:
         handle = self.server.submit(replace(message))
         if handle.pending:
             state.hedge_handles.append(handle)
-
-    def _mirror_stats(self) -> None:
-        if self.stats is not None and self.budget is not None:
-            self.stats.observe_retry_budget(self.budget)
 
     # -- instruments ----------------------------------------------------
     @property

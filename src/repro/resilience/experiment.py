@@ -262,7 +262,6 @@ def run_resilience_cell(
         retry_rng=streams.stream("retries"),
         budget=budget,
         stop_time=horizon,
-        stats=server.broker.stats,
     )
     publisher.start()
     engine.run()  # to event exhaustion: the backlog drains completely

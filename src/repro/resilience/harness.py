@@ -335,7 +335,6 @@ def _run_variant(config: StormHarnessConfig, protected: bool) -> StormRunResult:
         hedge=hedge,
         log=log,
         stop_time=config.horizon,
-        stats=server.broker.stats,
         name="protected" if protected else "control",
     )
     schedule = FaultSchedule(

@@ -2,20 +2,21 @@
 
 PR 1 proved the value of span-diagnosed static analysis for one DSL
 (message selectors); this package lifts the discipline to the whole
-codebase.  Five rule families encode the repo's real invariants:
+codebase.  Four rule families encode the repo's real invariants:
 
 =========  ==========================================================
 ``SIM``    bit-determinism: no wall clock, global entropy, hash-order
            iteration or environment reads inside ``src/repro``
 ``REC``    the recovery no-raise contract: no uncaught raise reachable
            from the ``durability.recovery`` scan/fold/apply entries
-``LEDGER`` conservation: queue fate counters and the
-           ``assert_conserved`` ledger legs must match, both ways
 ``RACE``   shared-state mutation outside owner classes / in callbacks
            — the audited worklist for m-worker dispatch (ROADMAP 5)
 ``API``    hygiene: mutable defaults, module-level mutable state,
            silently swallowed broad excepts
 =========  ==========================================================
+
+(Message conservation is product code, :mod:`repro.broker.ledger`;
+``RACE001`` guards its single mutation point.)
 
 The engine parses the package once, shares the ASTs across rules, and
 reports with the same caret diagnostics as ``repro lint``.  Inline

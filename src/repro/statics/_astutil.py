@@ -17,7 +17,6 @@ __all__ = [
     "resolve_call_name",
     "dotted_name",
     "node_anchor",
-    "iter_class_defs",
     "iter_function_defs",
     "owned_attributes",
     "handler_catches",
@@ -90,12 +89,6 @@ def node_anchor(node: ast.AST, lines: List[str]) -> Tuple[int, int, int]:
         text = lines[line - 1] if 0 <= line - 1 < len(lines) else ""
         end_col = len(text.rstrip("\n"))
     return line, col, max(end_col, col + 1)
-
-
-def iter_class_defs(tree: ast.Module) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef):
-            yield node
 
 
 def iter_function_defs(

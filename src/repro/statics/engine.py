@@ -51,24 +51,15 @@ class ModuleSource:
 
 @dataclass
 class PackageIndex:
-    """Every module of the scanned package, plus cross-cutting inputs.
-
-    ``conftest`` is the test-suite conservation oracle
-    (``tests/conftest.py``) that the LEDGER rules cross-check against;
-    it is not part of :attr:`modules` so per-module rules never scan it.
-    """
+    """Every module of the scanned package."""
 
     modules: Tuple[ModuleSource, ...]
-    conftest: Optional[ModuleSource] = None
     #: Files that failed to parse: ``(rel, error message)``.
     parse_errors: Tuple[Tuple[str, str], ...] = ()
 
     def sources(self) -> Dict[str, Sequence[str]]:
         """``rel path -> physical lines`` for rendering and baselines."""
-        table: Dict[str, Sequence[str]] = {m.rel: m.lines for m in self.modules}
-        if self.conftest is not None:
-            table[self.conftest.rel] = self.conftest.lines
-        return table
+        return {m.rel: m.lines for m in self.modules}
 
     def module(self, rel_suffix: str) -> Optional[ModuleSource]:
         for module in self.modules:
@@ -119,10 +110,10 @@ class Rule:
 
 def default_rules() -> List[Rule]:
     """The registry: every built-in rule, in deterministic order."""
-    from . import rules_api, rules_ledger, rules_race, rules_rec, rules_sim
+    from . import rules_api, rules_race, rules_rec, rules_sim
 
     rules: List[Rule] = []
-    for module in (rules_sim, rules_rec, rules_ledger, rules_race, rules_api):
+    for module in (rules_sim, rules_rec, rules_race, rules_api):
         rules.extend(module.rules())
     return sorted(rules, key=lambda rule: rule.code)
 
@@ -149,8 +140,6 @@ class CheckConfig:
 
     #: Package roots to scan (each a directory; files are scanned too).
     roots: Tuple[Path, ...]
-    #: The conservation oracle for LEDGER rules (``tests/conftest.py``).
-    conftest: Optional[Path] = None
     #: Committed baseline path (``STATIC_BASELINE.json``); ``None`` = none.
     baseline: Optional[Path] = None
     #: Rule code/family selection; ``None`` runs everything.
@@ -180,15 +169,8 @@ def build_index(config: CheckConfig) -> PackageIndex:
                 modules.append(ModuleSource.parse(path, rel))
             except (SyntaxError, UnicodeDecodeError, OSError) as exc:
                 errors.append((rel, str(exc)))
-    conftest = None
-    if config.conftest is not None and config.conftest.exists():
-        conftest = ModuleSource.parse(
-            config.conftest.resolve(), "tests/" + config.conftest.name
-        )
     modules.sort(key=lambda m: m.rel)
-    return PackageIndex(
-        modules=tuple(modules), conftest=conftest, parse_errors=tuple(errors)
-    )
+    return PackageIndex(modules=tuple(modules), parse_errors=tuple(errors))
 
 
 def run_check(
@@ -243,7 +225,7 @@ def run_check(
         baselined=len(matched),
         suppressed=suppressed,
         stale_baseline=[entry.to_dict() for entry in stale],
-        files_scanned=len(index.modules) + (1 if index.conftest else 0),
+        files_scanned=len(index.modules),
         rules_run=[rule.code for rule in active],
         fingerprints=fingerprint_findings(new, sources),
     )

@@ -8,11 +8,15 @@ serialization point.  These rules produce the audited worklist:
 
 * ``RACE001`` — an attribute owned by a shared broker object
   (``Broker``, ``FilterIndex``, ``DispatchMemo``, ``Journal``,
-  ``BrokerStats`` — the shared dispatch ledger) is mutated through a
-  reference *outside the owning class* (``obj.attr = ...`` /
-  ``obj.attr += ...`` where ``obj`` is not ``self`` in the owner).
-  Mutations funnelled through the owner's methods — the serialization
-  points — do not trigger.
+  ``BrokerStats`` and ``Ledger`` — the shared totals and the per-queue
+  conservation ledger) is mutated through a reference *outside the
+  owning class* (``obj.attr = ...`` / ``obj.attr += ...`` where ``obj``
+  is not ``self`` in the owner).  Attributes are matched by name; a
+  target whose counters no ``self.x = ...`` declares (``Ledger`` builds
+  them from its fate table) is matched through the attribute that holds
+  it (``self.ledger = Ledger(...)`` makes ``q.ledger.acked += 1`` a
+  finding).  Mutations funnelled through the owner's methods — the
+  serialization points — do not trigger.
 * ``RACE002`` — an attribute mutation inside a nested function or
   lambda on an object *captured from the enclosing scope* (callback
   context): under concurrent dispatch the callback runs on whichever
@@ -41,6 +45,7 @@ DEFAULT_TARGETS: Tuple[str, ...] = (
     "DispatchMemo",
     "Journal",
     "BrokerStats",
+    "Ledger",
     "StandbyReplica",
     "LeaseCoordinator",
     "SimulatedLink",
@@ -82,13 +87,20 @@ class ExternalMutationRule(Rule):
 
     def run(self, index: PackageIndex) -> Iterable[Finding]:
         owners: Dict[str, str] = {}  # attr -> owning target class
+        holders: Dict[str, str] = {}  # attr storing a target instance -> target
         for module in index.modules:
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.ClassDef) and node.name in self.targets:
                     for attr in owned_attributes(node):
                         if not attr.startswith("_"):
                             owners.setdefault(attr, node.name)
-        if not owners:
+                elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
+                    made = dotted_name(node.value.func)
+                    if made in self.targets:
+                        for target in node.targets:
+                            if isinstance(target, ast.Attribute):
+                                holders.setdefault(target.attr, made)
+        if not owners and not holders:
             return
         for module in index.modules:
             enclosing: Dict[int, Tuple[Optional[str], str]] = {}
@@ -100,6 +112,8 @@ class ExternalMutationRule(Rule):
                 if attribute is None:
                     continue
                 owner = owners.get(attribute.attr)
+                if owner is None and isinstance(attribute.value, ast.Attribute):
+                    owner = holders.get(attribute.value.attr)
                 if owner is None:
                     continue
                 if isinstance(attribute.value, ast.Name) and attribute.value.id == "self":

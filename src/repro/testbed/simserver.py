@@ -40,7 +40,7 @@ from ..broker.errors import (
 from ..broker.message import DeliveryMode
 from ..broker.queues import DropPolicy
 from ..overload.admission import AdmissionController
-from ..overload.bounded import BoundedMessageQueue, ShedEvent
+from ..overload.bounded import BoundedMessageQueue
 from ..overload.health import HealthMonitor, HealthState
 from ..overload.policy import OverloadConfig
 from ..simulation import (
@@ -54,6 +54,13 @@ from ..simulation import (
 )
 
 __all__ = ["SimulatedJMSServer", "SubmitHandle"]
+
+#: The broker-wide total a bounded-ingress eviction is booked to
+#: (anything else is a tail drop).
+_SHED_TOTAL = {
+    DropPolicy.DROP_OLDEST: "dropped_oldest",
+    DropPolicy.DEADLINE_SHED: "deadline_shed",
+}
 
 
 class SubmitHandle:
@@ -263,7 +270,7 @@ class SimulatedJMSServer:
             self._observe_health()
             if not admitted:
                 self.admission_rejected += 1
-                self.broker.stats.admission_rejected += 1
+                self.broker.stats.record("admission_rejected")
                 self._reject(
                     handle,
                     ServerOverloadedError(
@@ -341,7 +348,7 @@ class SimulatedJMSServer:
             # credit grant; the credit returns immediately.
             self._drop_next -= 1
             self.dropped_by_fault += 1
-            self.broker.stats.dropped_by_fault += 1
+            self.broker.stats.record("dropped_by_fault")
             if self._ingress is None:
                 self.flow.release()
             return True
@@ -349,7 +356,7 @@ class SimulatedJMSServer:
             # Injected corruption: quarantined to the server-side DLQ.
             self._corrupt_next -= 1
             self.dead_letters.append(message)
-            self.broker.stats.dead_lettered += 1
+            self.broker.stats.record("dead_lettered")
             if self._ingress is None:
                 self.flow.release()
             return True
@@ -360,7 +367,7 @@ class SimulatedJMSServer:
         if self._ingress is not None:
             shed = self._ingress.offer((message, now), now, deadline=message.expiration)
             if shed is not None:
-                self._record_shed(shed)
+                self.broker.stats.record(_SHED_TOTAL.get(shed.policy, "dropped_new"))
                 if shed.was_new and shed.item[0] is message:
                     survived = False
         else:
@@ -368,15 +375,6 @@ class SimulatedJMSServer:
         if not self._serving and not self.paused and self._backlog_depth() > 0:
             self._start_service()
         return survived
-
-    def _record_shed(self, shed: ShedEvent) -> None:
-        stats = self.broker.stats
-        if shed.policy is DropPolicy.DROP_OLDEST:
-            stats.dropped_oldest += 1
-        elif shed.policy is DropPolicy.DEADLINE_SHED:
-            stats.deadline_shed += 1
-        else:
-            stats.dropped_new += 1
 
     def _backlog_depth(self) -> int:
         if self._ingress is not None:
@@ -409,7 +407,7 @@ class SimulatedJMSServer:
                 # message queued — shed it unserved instead of burning a
                 # full service on dead work.
                 self.expired_in_flight += 1
-                self.broker.stats.record_expired_in_flight()
+                self.broker.stats.record("expired_in_flight")
                 if self._ingress is None:
                     self.flow.release()
                 continue
@@ -418,7 +416,7 @@ class SimulatedJMSServer:
                 # completed, so it is dropped at the service boundary —
                 # the dispatch memo never sees it twice.
                 self.hedge_duplicates_dropped += 1
-                self.broker.stats.record_hedge_duplicate()
+                self.broker.stats.record("hedge_duplicates")
                 if self._ingress is None:
                     self.flow.release()
                 continue
@@ -489,9 +487,7 @@ class SimulatedJMSServer:
     def _on_health_transition(
         self, old: HealthState, new: HealthState, now: float
     ) -> None:
-        stats = self.broker.stats
-        stats.health = new.value
-        stats.health_transitions += 1
+        self.broker.stats.observe_health(new.value)
         if new is HealthState.SHEDDING:
             # Publishers blocked on push-back credits must observe the
             # transition *now*, not after their full credit timeout: a
@@ -582,8 +578,8 @@ class SimulatedJMSServer:
         survivor_entries = []
         for (message, arrival), deadline in backlog:
             if message.delivery_mode is DeliveryMode.PERSISTENT:
-                message.redelivered = True
-                self.broker.stats.redelivered += 1
+                message.mark_redelivered()
+                self.broker.stats.record("redelivered")
                 if self._ingress is None:
                     took = self.flow.try_acquire()
                     assert took, "survivor exceeded ingress capacity"
@@ -591,7 +587,7 @@ class SimulatedJMSServer:
                 survivor_entries.append(((message, arrival), deadline))
             else:
                 self.lost_messages += 1
-                self.broker.stats.lost_on_crash += 1
+                self.broker.stats.record("lost_on_crash")
         if self._ingress is not None:
             self._ingress.replace(survivor_entries)
         else:

@@ -1,7 +1,12 @@
 """Tests for the cross-shard no-lost-message chaos harness."""
 
+import functools
+import operator
+
 import pytest
 
+from repro.broker.ledger import FATE_TABLE, Ledger
+from repro.mesh import ShardedBroker
 from repro.mesh.harness import (
     EVENT_KINDS,
     FAULT_KINDS,
@@ -45,9 +50,34 @@ class TestSmokeMatrix:
 
 
 class TestFullMatrixScale:
-    def test_default_matrix_exceeds_two_hundred_points(self):
-        """The ISSUE acceptance bar: >= 200 points, zero violations."""
+    def test_default_matrix_exceeds_two_hundred_points(self, monkeypatch):
+        """The ISSUE acceptance bar: >= 200 points, zero violations —
+        and at every point the mesh ledger the harness checks is the
+        by-hand fold of each queue's counters and gauges."""
+        product_ledger = ShardedBroker.mesh_ledger
+        folded = []
+
+        def cross_checked(mesh):
+            ledger = product_ledger(mesh)
+            queues = [q for shard in mesh.shards() for q in shard.broker.queues]
+            for fate in FATE_TABLE:
+                assert getattr(ledger, fate.name) == sum(
+                    getattr(q, fate.name) for q in queues
+                ), fate.name
+            assert ledger.depth == sum(q.depth for q in queues)
+            assert ledger.in_flight == sum(
+                len(c.inbox) + len(c.unacked) for q in queues for c in q.consumers
+            )
+            assert ledger == functools.reduce(
+                operator.add, (q.closed_ledger() for q in queues), Ledger()
+            )
+            folded.append(ledger)
+            return ledger
+
+        monkeypatch.setattr(ShardedBroker, "mesh_ledger", cross_checked)
         report = run_mesh_chaos_harness(seed=0)
+        assert len(folded) == len(report.points)
+        assert any(ledger.transferred_out for ledger in folded)
         assert report.ok, [p.to_dict() for p in report.failures]
         assert len(report.points) >= 200
         assert {p.event for p in report.points} == set(EVENT_KINDS)

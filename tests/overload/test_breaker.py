@@ -139,16 +139,12 @@ def test_invalid_parameters(kwargs):
         CircuitBreaker(**kwargs)
 
 
-class TestStatsMirror:
-    def test_breaker_posture_lands_in_broker_stats_snapshot(self):
-        from repro.broker.stats import BrokerStats
-
+class TestSnapshot:
+    def test_breaker_posture_reads_from_its_own_snapshot(self):
         breaker = make(failure_threshold=1, recovery_timeout=1.0)
         breaker.record_failure(0.0)  # opens
         breaker.allow(0.5)  # short-circuited while OPEN
-        stats = BrokerStats()
-        stats.observe_breaker(breaker)
-        snap = stats.snapshot()
+        snap = breaker.snapshot()
         assert snap["breaker_state"] == "open"
         assert snap["breaker_opens"] == 1
         assert snap["breaker_short_circuited"] == 1

@@ -74,17 +74,12 @@ class TestBucket:
         assert snap["retry_budget_denied"] == 1
         assert "RetryBudget" in repr(budget)
 
-    def test_mirrors_into_broker_stats_snapshot(self):
-        from repro.broker.stats import BrokerStats
-
+    def test_snapshot_counts_grants_and_denials(self):
         budget = RetryBudget(ratio=0.5, initial=2.0)
         budget.allow_retry(1.0)
         budget.allow_retry(1.0)
         budget.allow_retry(1.0)  # empty — denied
-        stats = BrokerStats()
-        stats.observe_retry_budget(budget)
-        stats.observe_retry_budget(budget)  # idempotent absolute copy
-        snap = stats.snapshot()
+        snap = budget.snapshot()
         assert snap["retry_budget_granted"] == 2
         assert snap["retry_budget_denied"] == 1
         assert snap["retry_budget_deposited"] == 0.0

@@ -8,7 +8,7 @@ named ``pkg`` so module rel-paths are ``pkg/<name>.py``.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import pytest
 
@@ -19,23 +19,15 @@ from repro.statics import CheckConfig, PackageIndex, build_index
 def make_index(tmp_path):
     """Factory: write a synthetic package, parse it into a PackageIndex.
 
-    ``files`` maps ``"name.py"`` (or ``"sub/name.py"``) to source text;
-    ``conftest`` is the optional conservation-oracle source.
+    ``files`` maps ``"name.py"`` (or ``"sub/name.py"``) to source text.
     """
 
-    def _make(
-        files: Dict[str, str], conftest: Optional[str] = None
-    ) -> PackageIndex:
+    def _make(files: Dict[str, str]) -> PackageIndex:
         root = tmp_path / "pkg"
         for name, source in files.items():
             target = root / name
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(source, encoding="utf-8")
-        conftest_path = None
-        if conftest is not None:
-            conftest_path = tmp_path / "conftest.py"
-            conftest_path.write_text(conftest, encoding="utf-8")
-        config = CheckConfig(roots=(root,), conftest=conftest_path)
-        return build_index(config)
+        return build_index(CheckConfig(roots=(root,)))
 
     return _make

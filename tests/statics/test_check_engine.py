@@ -60,7 +60,7 @@ class TestSelectRules:
         codes = [rule.code for rule in default_rules()]
         assert codes == sorted(codes)
         families = {rule.family for rule in default_rules()}
-        assert families == {"SIM", "REC", "LEDGER", "RACE", "API"}
+        assert families == {"SIM", "REC", "RACE", "API"}
 
     def test_family_and_code_selection(self):
         rules = default_rules()
@@ -163,7 +163,6 @@ class TestSelfApplication:
         root = repo_root()
         config = CheckConfig(
             roots=(root / "src" / "repro",),
-            conftest=root / "tests" / "conftest.py",
             baseline=root / "STATIC_BASELINE.json",
         )
         report = run_check(config)

@@ -65,6 +65,6 @@ class TestSpanRendering:
         text = report.render_text(index.sources())
         assert "t = time.time()" in text  # the offending line is echoed
         assert text.splitlines()[-1] == (
-            "1 file(s), 12 rule(s): 1 finding(s), 0 baselined, "
+            "1 file(s), 10 rule(s): 1 finding(s), 0 baselined, "
             "0 suppressed, 0 stale"
         )

@@ -1,8 +1,7 @@
-"""REC, LEDGER and RACE families: positives and negatives on tiny packages."""
+"""REC and RACE families: positives and negatives on tiny packages."""
 
 import textwrap
 
-from repro.statics.rules_ledger import LedgerLegRule, StaleLegRule
 from repro.statics.rules_race import CallbackMutationRule, ExternalMutationRule
 from repro.statics.rules_rec import NoRaiseRule
 
@@ -74,77 +73,6 @@ class TestNoRaise:
         assert "RuntimeError" in found[0].message
 
 
-QUEUE = textwrap.dedent(
-    """
-    class MiniQueue:
-        def __init__(self):
-            self.enqueued = 0
-            self.orphan = 0
-            self._private = 0
-
-        def send(self):
-            self.enqueued += 1
-            self.orphan += 1
-            self._private += 1
-
-        @property
-        def depth(self):
-            return 0
-    """
-)
-
-LEDGER_CONFTEST = textwrap.dedent(
-    """
-    def check_mini(stats):
-        assert stats.enqueued >= stats.depth + getattr(stats, "ghost", 0)
-    """
-)
-
-
-class TestLedger:
-    def _rules(self):
-        kwargs = dict(
-            module_suffix="pkg/queue.py",
-            class_name="MiniQueue",
-            conserved_function="check_mini",
-            stats_parameter="stats",
-            informational=frozenset(),
-        )
-        return LedgerLegRule(**kwargs), StaleLegRule(**kwargs)
-
-    def test_counter_missing_from_ledger(self, make_index):
-        index = make_index({"queue.py": QUEUE}, conftest=LEDGER_CONFTEST)
-        leg_rule, _ = self._rules()
-        found = findings_for(leg_rule, index)
-        assert [f.rule for f in found] == ["LEDGER001"]
-        assert "MiniQueue.orphan" in found[0].message
-        assert found[0].path == "pkg/queue.py"
-
-    def test_stale_leg_without_backing_counter(self, make_index):
-        index = make_index({"queue.py": QUEUE}, conftest=LEDGER_CONFTEST)
-        _, stale_rule = self._rules()
-        found = findings_for(stale_rule, index)
-        assert [f.rule for f in found] == ["LEDGER002"]
-        assert "stats.ghost" in found[0].message
-        assert found[0].path == "tests/conftest.py"
-
-    def test_matched_counters_and_properties_are_clean(self, make_index):
-        conftest = (
-            "def check_mini(stats):\n"
-            "    assert stats.enqueued >= stats.depth + stats.orphan\n"
-        )
-        index = make_index({"queue.py": QUEUE}, conftest=conftest)
-        leg_rule, stale_rule = self._rules()
-        assert findings_for(leg_rule, index) == []
-        assert findings_for(stale_rule, index) == []
-
-    def test_silent_without_oracle(self, make_index):
-        index = make_index({"queue.py": QUEUE})  # no conftest at all
-        leg_rule, stale_rule = self._rules()
-        assert findings_for(leg_rule, index) == []
-        assert findings_for(stale_rule, index) == []
-
-
 SHARED = textwrap.dedent(
     """
     class Broker:
@@ -183,6 +111,36 @@ class TestExternalMutation:
             targets=("Broker",), serialization_points=frozenset({"shim"})
         )
         assert findings_for(rule, index) == []
+
+
+    def test_table_built_target_is_matched_through_its_holder(self, make_index):
+        """A target whose counters are not declared by assignment (the
+        product ``Ledger``) is still owned: the attribute that stores the
+        instance identifies it."""
+        source = textwrap.dedent(
+            """
+            class Ledger:
+                __slots__ = ("_counts",)
+
+                def record(self, name):
+                    self._counts[name] += 1
+
+            class Queue:
+                def __init__(self):
+                    self.ledger = Ledger()
+
+                def send(self):
+                    self.ledger.record("acked")
+
+            def poke(queue):
+                queue.ledger.acked += 1
+            """
+        )
+        index = make_index({"queue.py": source})
+        found = findings_for(ExternalMutationRule(targets=("Ledger",)), index)
+        assert [f.rule for f in found] == ["RACE001"]
+        assert "Ledger.acked" in found[0].message
+        assert "'queue.ledger'" in found[0].message
 
 
 class TestCallbackMutation:

@@ -197,7 +197,7 @@ class TestCheck:
     def test_list_rules(self, capsys):
         assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("SIM001", "REC001", "LEDGER001", "RACE001", "API001"):
+        for code in ("SIM001", "REC001", "RACE001", "API001"):
             assert code in out
 
 

@@ -24,19 +24,21 @@ Two suites:
   chaos harness (control storms, budgeted+deadline client recovers
   >= 95% goodput, exactly-once hedging, zero expired deliveries).
 
-Usage: PYTHONPATH=src python tools/bench_gate.py [output.json]
+Usage: PYTHONPATH=src python tools/bench_gate.py output.json
            [--fast] [--suite hotpath|mesh|batch|resilience]
+
+The output path is required: a bare invocation must not be able to
+overwrite a committed ``BENCH_*.json``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 def _run_hotpath(fast: bool) -> dict:
@@ -67,34 +69,30 @@ def _run_resilience(fast: bool) -> dict:
     return record(fast=fast)
 
 
+RUNNERS = {
+    "hotpath": _run_hotpath,
+    "mesh": _run_mesh,
+    "batch": _run_batch,
+    "resilience": _run_resilience,
+}
+
+
 def main(argv: list[str]) -> int:
-    fast = "--fast" in argv
-    suite = "hotpath"
-    if "--suite" in argv:
-        suite = argv[argv.index("--suite") + 1]
-    positional = [
-        arg
-        for i, arg in enumerate(argv)
-        if not arg.startswith("-") and (i == 0 or argv[i - 1] != "--suite")
-    ]
-    runners = {
-        "hotpath": _run_hotpath,
-        "mesh": _run_mesh,
-        "batch": _run_batch,
-        "resilience": _run_resilience,
-    }
-    if suite not in runners:
-        print(
-            f"unknown suite {suite!r} (want hotpath, mesh, batch or resilience)",
-            file=sys.stderr,
-        )
-        return 2
-    out = pathlib.Path(
-        positional[0] if positional else REPO / f"BENCH_{suite}.json"
+    parser = argparse.ArgumentParser(
+        description="Record one bench suite to OUTPUT and gate on its acceptance block."
     )
-    payload = runners[suite](fast)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+    parser.add_argument(
+        "output",
+        type=pathlib.Path,
+        help="where to write the recording (pass a scratch path unless you mean "
+        "to re-record a committed BENCH_*.json)",
+    )
+    parser.add_argument("--fast", action="store_true", help="reduced CI-sized run")
+    parser.add_argument("--suite", choices=sorted(RUNNERS), default="hotpath")
+    args = parser.parse_args(argv)  # exits 2 on a usage error
+    payload = RUNNERS[args.suite](args.fast)
+    args.output.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {args.output}")
     acceptance = payload["acceptance"]
     for name, ok in acceptance.items():
         print(f"acceptance: {name} = {ok}")
