@@ -7,15 +7,31 @@ as a length-prefixed, CRC-checksummed record *before* the in-memory state
 changes, so a crash can always be rolled forward from disk
 (:mod:`repro.durability.recovery`).
 
-Record wire format (all integers big-endian)::
+Record wire format, version 2 (all integers big-endian)::
 
     record  := u32 length | u32 crc32(body) | body
-    body    := u8 kind | utf-8 JSON payload
+    body    := u8 kind | u32 meta_len | meta | blobs
+    meta    := the payload as canonical JSON (sorted keys, no
+               whitespace, utf-8) in which every message's "body"
+               field holds that body's *byte length*
+    blobs   := those bodies, raw, concatenated in document order
+
+A PUBLISH record carries one body (``payload["msg"]["body"]``), a
+CHECKPOINT one per entry in entry order, DELIVER/ACK/EXPIRE none (so
+``5 + meta_len == length``); a message dict without a ``"body"`` key
+carries no blob.  A reader accepts a record only if the declared
+lengths are non-negative ints that tile ``blobs`` *exactly*
+(:func:`repro.durability.recovery._try_parse`).  In memory a body is
+``bytes`` throughout; the length only exists on the wire, so a durable
+message costs its own size on disk plus a constant.
 
 Segment files (``<name>.<index>.seg`` on a
 :class:`~repro.durability.disk.SimulatedDisk`) start with a 10-byte
 header ``b"RJNL" ++ u16 version ++ u32 segment index`` and are rotated
-once they exceed ``segment_bytes``.  :meth:`Journal.checkpoint` writes a
+once they exceed ``segment_bytes``.  Readers check the version: a segment
+declaring any other than :data:`SEGMENT_VERSION` is input from outside
+this program and is quarantined whole, never repaired
+(:func:`segment_version`).  :meth:`Journal.checkpoint` writes a
 snapshot of the live state into a fresh segment and deletes the older
 ones (compaction); the ordering — write, **sync**, then delete — keeps
 every crash point recoverable.
@@ -54,8 +70,11 @@ __all__ = [
     "SyncPolicy",
     "Journal",
     "SEGMENT_MAGIC",
+    "SEGMENT_VERSION",
     "SEGMENT_HEADER_SIZE",
     "RECORD_HEADER_SIZE",
+    "BODY_PREFIX_SIZE",
+    "segment_version",
     "encode_message",
     "decode_message",
     "encode_record",
@@ -63,13 +82,18 @@ __all__ = [
 
 #: Segment header: magic, format version, segment index.
 SEGMENT_MAGIC = b"RJNL"
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
 _SEGMENT_HEADER = struct.Struct(">4sHI")
 SEGMENT_HEADER_SIZE = _SEGMENT_HEADER.size
 
 #: Record header: body length, CRC32 of the body.
 _RECORD_HEADER = struct.Struct(">II")
 RECORD_HEADER_SIZE = _RECORD_HEADER.size
+#: What a record body starts with: kind, length of the JSON ``meta``.
+_BODY_PREFIX = struct.Struct(">BI")
+BODY_PREFIX_SIZE = _BODY_PREFIX.size
+#: Both in one unpack, as a reader takes them.
+_RECORD_FRONT = struct.Struct(">IIBI")
 
 #: Guard against absurd lengths produced by corrupted headers.
 MAX_RECORD_BYTES = 16 * 1024 * 1024
@@ -120,7 +144,8 @@ class RecordKind(enum.Enum):
 
 @dataclass(frozen=True)
 class JournalRecord:
-    """One decoded journal record: a kind plus its JSON payload."""
+    """One decoded journal record: a kind plus its payload (a JSON
+    object, except that message bodies in it are ``bytes``)."""
 
     kind: RecordKind
     payload: Dict[str, Any]
@@ -156,14 +181,13 @@ class RecordLocation:
 # Message (de)serialisation
 # ----------------------------------------------------------------------
 def encode_message(message: Message) -> Dict[str, Any]:
-    """The JSON-serialisable fields a PUBLISH record stores."""
-    body = message.body.hex() if message.body else ""
+    """The fields a PUBLISH record stores; ``"body"`` is the raw bytes."""
     return {
         "mid": message.message_id,
         "topic": message.topic,
         "cid": message.correlation_id,
         "props": dict(message.properties),
-        "body": body,
+        "body": message.body,
         "prio": message.priority,
         "mode": message.delivery_mode.value,
         "ts": message.timestamp,
@@ -181,7 +205,7 @@ def decode_message(fields: Dict[str, Any]) -> Message:
         topic=str(fields["topic"]),
         correlation_id=fields.get("cid"),
         properties=dict(fields.get("props", {})),
-        body=bytes.fromhex(fields["body"]) if fields.get("body") else b"",
+        body=fields.get("body") or b"",
         priority=int(fields.get("prio", 4)),
         delivery_mode=DeliveryMode(fields.get("mode", "persistent")),
         timestamp=float(fields.get("ts", 0.0)),
@@ -190,12 +214,73 @@ def decode_message(fields: Dict[str, Any]) -> Message:
     )
 
 
+def segment_version(data: bytes) -> Optional[int]:
+    """The format version a segment's header declares.
+
+    ``None`` when the header is torn or its magic is wrong.  Only
+    :data:`SEGMENT_VERSION` is readable: a reader handed any other would
+    take every record for corruption and repair it away.
+    """
+    if len(data) < SEGMENT_HEADER_SIZE or data[:4] != SEGMENT_MAGIC:
+        return None
+    return int(_SEGMENT_HEADER.unpack_from(data)[1])
+
+
+def _message_with_body(holder: Any) -> Optional[Dict[str, Any]]:
+    """Where a body lives: the ``"msg"`` dict of a PUBLISH payload or a
+    CHECKPOINT entry, if it has a ``"body"`` key (``None`` otherwise)."""
+    msg = holder.get("msg") if isinstance(holder, dict) else None
+    return msg if isinstance(msg, dict) and "body" in msg else None
+
+
+def _detach_body(holder: Any, blobs: List[bytes]) -> Any:
+    """``holder`` as ``meta`` stores it: its message body moved to
+    ``blobs``, that body's length in its place."""
+    msg = _message_with_body(holder)
+    if msg is None:
+        return holder
+    blobs.append(msg["body"])
+    return {**holder, "msg": {**msg, "body": len(msg["body"])}}
+
+
+def _attach_body(holder: Any, blobs: bytes, start: int) -> int:
+    """The inverse, in place on a parsed ``meta``: swap the declared
+    length for the bytes at ``blobs[start:]``; returns where they end.
+
+    Raises :class:`ValueError` unless the length is a non-negative int.
+    An over-run is the caller's to catch: ends only grow, so the last
+    one then lies past the record.
+    """
+    msg = _message_with_body(holder)
+    if msg is None:
+        return start
+    size = msg["body"]
+    if type(size) is not int or size < 0:
+        raise ValueError(f"body length {size!r} is not a non-negative int")
+    msg["body"] = blobs[start : start + size]
+    return start + size
+
+
+def _frame(kind: RecordKind, meta: Dict[str, Any], blobs: bytes = b"") -> bytes:
+    """The wire bytes of one record from its two sections."""
+    head = _PAYLOAD_ENCODER.encode(meta).encode("utf-8")
+    front = _BODY_PREFIX.pack(kind.value, len(head)) + head
+    crc = zlib.crc32(front)
+    if blobs:
+        crc = zlib.crc32(blobs, crc)
+    return _RECORD_HEADER.pack(len(front) + len(blobs), crc) + front + blobs
+
+
 def encode_record(record: JournalRecord) -> bytes:
-    """Record wire format: ``u32 length | u32 crc | u8 kind | json``."""
-    body = bytes([record.kind.value]) + _PAYLOAD_ENCODER.encode(
-        record.payload
-    ).encode("utf-8")
-    return _RECORD_HEADER.pack(len(body), zlib.crc32(body)) + body
+    """Record wire format v2 (see the module docstring)."""
+    kind, payload = record.kind, record.payload
+    blobs: List[bytes] = []
+    if kind is RecordKind.PUBLISH:
+        payload = _detach_body(payload, blobs)
+    elif kind is RecordKind.CHECKPOINT and isinstance(payload.get("entries"), list):
+        entries = [_detach_body(entry, blobs) for entry in payload["entries"]]
+        payload = {**payload, "entries": entries}
+    return _frame(kind, payload, b"".join(blobs))
 
 
 # ----------------------------------------------------------------------
@@ -375,14 +460,15 @@ class Journal:
         self._segment_index = int(last[len(self.name) + 1 : -4])
         self._current = last
         data = disk.read(last)
-        if len(data) >= SEGMENT_HEADER_SIZE and data[: len(SEGMENT_MAGIC)] == SEGMENT_MAGIC:
+        if segment_version(data) == SEGMENT_VERSION:
             return  # valid header: resume appending at the tail
         # The tail segment has a torn or missing header (a crash can cut
-        # inside the 10 header bytes: rotation appends them unsynced).
-        # Appending here would be fatal later — the next recovery scan
-        # rejects the whole segment on its bad header, silently
-        # discarding records that were synced and acknowledged after the
-        # resume.  Repair before the first append instead.
+        # inside the 10 header bytes: rotation appends them unsynced) or
+        # declares a format this program does not write.  Appending here
+        # would be fatal later — the next recovery scan rejects the whole
+        # segment on its header, silently discarding records that were
+        # synced and acknowledged after the resume.  Repair before the
+        # first append instead.
         self.tail_repaired = last
         if len(data) == 0:
             # Nothing of the segment ever reached the platter; recreate
@@ -390,19 +476,21 @@ class Journal:
             self.disk.delete(last)
             self._create_segment(self._segment_index)
         else:
-            # Leave the headerless bytes for the recovery scan to
+            # Leave the unreadable bytes for the recovery scan to
             # quarantine (never rewrite history) and append after them.
             self._create_segment(self._segment_index + 1)
 
     def _create_segment(self, index: int) -> None:
         name = self._segment_name(index)
         self.disk.create(name)
-        self._dirty.add(name)  # before the write: a torn header is dirt too
+        # Before the write: a torn header is dirt too, and the file it
+        # sits in is this journal's newest whether the write lands or not.
+        self._dirty.add(name)
+        self._segment_index = index
+        self._current = name
         self.disk.append(
             name, _SEGMENT_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, index)
         )
-        self._segment_index = index
-        self._current = name
         self._tail_dirty = False
 
     def _rotate(self) -> None:
@@ -410,7 +498,16 @@ class Journal:
         # the policy is to never pay for syncs.
         if self.sync_policy.mode != "never":
             self._sync_current()
-        self._create_segment(self._segment_index + 1)
+        try:
+            self._create_segment(self._segment_index + 1)
+        except DiskWriteError as exc:
+            # The torn header stays for the recovery scan to quarantine;
+            # the next append rotates past it to a fresh segment.
+            self.write_failures += 1
+            self._tail_dirty = True
+            raise JournalWriteError(
+                f"journal rotation failed on the header of {self._current}: {exc}"
+            ) from exc
         self.rotations += 1
 
     # ------------------------------------------------------------------
@@ -420,8 +517,9 @@ class Journal:
         """Append one record; returns its log sequence number.
 
         Raises :class:`JournalWriteError` when the disk write fails
-        mid-record; the tail is marked dirty and the next append rotates
-        to a fresh segment so later records stay recoverable.
+        mid-record or on the header of the segment it rotated to; the
+        tail is marked dirty and the next append rotates to a fresh
+        segment so later records stay recoverable.
         """
         return self.append_encoded(encode_record(record), now=now)
 
@@ -516,15 +614,18 @@ class Journal:
         subscription still owed a topic message (empty for queues, where
         a single backlog entry exists).
         """
-        payload = {
+        fields = encode_message(message)
+        fields["body"] = len(message.body)  # the wire shape, built once
+        meta = {
             "domain": domain,
             "dest": destination,
-            "msg": encode_message(message),
+            "msg": fields,
             "mid": message.message_id,
         }
         if owed:
-            payload["owed"] = list(owed)
-        return self.append(JournalRecord(RecordKind.PUBLISH, payload), now=now)
+            meta["owed"] = list(owed)
+        encoded = _frame(RecordKind.PUBLISH, meta, message.body)
+        return self.append_encoded(encoded, now=now)
 
     def log_deliver(
         self,
@@ -540,7 +641,7 @@ class Journal:
             "mid": message_id,
             "consumer": consumer,
         }
-        return self.append(JournalRecord(RecordKind.DELIVER, payload), now=now)
+        return self.append_encoded(_frame(RecordKind.DELIVER, payload), now=now)
 
     def log_ack(
         self,
@@ -556,13 +657,13 @@ class Journal:
             "mid": message_id,
             "reason": reason,
         }
-        return self.append(JournalRecord(RecordKind.ACK, payload), now=now)
+        return self.append_encoded(_frame(RecordKind.ACK, payload), now=now)
 
     def log_expire(
         self, domain: str, destination: str, message_id: int, now: float = 0.0
     ) -> int:
         payload = {"domain": domain, "dest": destination, "mid": message_id}
-        return self.append(JournalRecord(RecordKind.EXPIRE, payload), now=now)
+        return self.append_encoded(_frame(RecordKind.EXPIRE, payload), now=now)
 
     # ------------------------------------------------------------------
     # Checkpoint / compaction
@@ -578,7 +679,8 @@ class Journal:
         is written to a *fresh* segment and synced before any old segment
         is deleted, so a crash at any byte of this sequence recovers
         either from the old history or from the new checkpoint — never
-        from neither.
+        from neither.  A write fault on the way raises
+        :class:`JournalWriteError` before anything is deleted.
 
         Returns ``(lsn, segments_deleted)``.
         """

@@ -19,6 +19,10 @@ Recovery proceeds in three phases, none of which may raise out of
    - no valid record follows in a *non-final* segment → the remainder is
      quarantined and scanning continues with the next segment.
 
+   A segment whose header declares another format version is not ours to
+   classify at all: it is quarantined whole and left byte for byte as
+   found, wherever it sits.
+
 2. **Fold** (:func:`fold_records`): reduce the record stream to the set
    of *live* messages — published, not yet terminally acked/expired —
    with their delivery counts and, for topics, the durable subscriptions
@@ -43,24 +47,27 @@ the chaos harness (and operators) can audit what recovery did.
 from __future__ import annotations
 
 import json
-import struct
 import zlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from .disk import SimulatedDisk
 from .journal import (
+    _RECORD_FRONT,
+    BODY_PREFIX_SIZE,
     MAX_RECORD_BYTES,
     RECORD_HEADER_SIZE,
     SEGMENT_HEADER_SIZE,
-    SEGMENT_MAGIC,
+    SEGMENT_VERSION,
     Journal,
     JournalError,
     JournalRecord,
     RecordKind,
+    _attach_body,
     decode_message,
     durable_key,
     encode_message,
+    segment_version,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -78,9 +85,6 @@ __all__ = [
     "collect_live_entries",
     "recover_broker",
 ]
-
-_RECORD_HEADER = struct.Struct(">II")
-
 
 # ----------------------------------------------------------------------
 # Scan phase
@@ -127,15 +131,17 @@ def _try_parse(data: bytes, offset: int) -> Optional[Tuple[JournalRecord, int]]:
     """Parse one record at ``offset``; ``None`` unless *everything* checks.
 
     A record is accepted only if the length is sane, the body is fully
-    present, the CRC matches, the kind byte is known and the payload is
-    valid JSON — the conjunction makes a false positive during probe
+    present, the CRC matches, the kind byte is known, ``meta`` is valid
+    JSON and the body lengths it declares tile the rest of the record
+    exactly — the conjunction makes a false positive during probe
     scanning (finding a "record" inside corrupted bytes) astronomically
-    unlikely.
+    unlikely.  Bodies come back as ``bytes`` in place of their lengths.
     """
-    if offset + RECORD_HEADER_SIZE > len(data):
+    if offset + _RECORD_FRONT.size > len(data):
         return None
-    length, crc = _RECORD_HEADER.unpack_from(data, offset)
-    if length < 1 or length > MAX_RECORD_BYTES:
+    length, crc, kind_byte, meta_len = _RECORD_FRONT.unpack_from(data, offset)
+    tiled = BODY_PREFIX_SIZE + meta_len
+    if tiled > length or length > MAX_RECORD_BYTES:
         return None
     body_start = offset + RECORD_HEADER_SIZE
     body_end = body_start + length
@@ -145,11 +151,20 @@ def _try_parse(data: bytes, offset: int) -> Optional[Tuple[JournalRecord, int]]:
     if zlib.crc32(body) != crc:
         return None
     try:
-        kind = RecordKind(body[0])
-        payload = json.loads(body[1:].decode("utf-8"))
+        kind = RecordKind(kind_byte)
+        payload = json.loads(body[BODY_PREFIX_SIZE:tiled].decode("utf-8"))
+        if not isinstance(payload, dict):
+            return None
+        # Only these two kinds look past ``meta``.
+        if kind is RecordKind.PUBLISH:
+            tiled = _attach_body(payload, body, tiled)
+        elif kind is RecordKind.CHECKPOINT:
+            entries = payload.get("entries")
+            for entry in entries if isinstance(entries, list) else ():
+                tiled = _attach_body(entry, body, tiled)
     except (ValueError, UnicodeDecodeError):
         return None
-    if not isinstance(payload, dict):
+    if tiled != length:
         return None
     return JournalRecord(kind, payload), body_end
 
@@ -170,7 +185,8 @@ def scan_disk(disk: SimulatedDisk, name: str = "journal") -> ScanResult:
     a final segment whose *header* is torn is deleted outright (a
     headerless file must never be resumed for appending).  Mid-log
     corruption is *not* rewritten — the bytes stay quarantined in place
-    (rewriting history would forge a CRC over unknown data).
+    (rewriting history would forge a CRC over unknown data) — and
+    neither is a segment of another format version, wherever it sits.
     """
     prefix = f"{name}."
     segments = [f for f in disk.list() if f.startswith(prefix) and f.endswith(".seg")]
@@ -181,7 +197,8 @@ def scan_disk(disk: SimulatedDisk, name: str = "journal") -> ScanResult:
         result.segments_scanned += 1
         result.bytes_scanned += len(data)
         # Segment header: a torn/bad header invalidates the whole file.
-        if len(data) < SEGMENT_HEADER_SIZE or data[:4] != SEGMENT_MAGIC:
+        version = segment_version(data)
+        if version is None:
             if final:
                 # Delete the file rather than truncating it to 0 bytes: a
                 # leftover headerless segment would be resumed verbatim by
@@ -194,6 +211,15 @@ def scan_disk(disk: SimulatedDisk, name: str = "journal") -> ScanResult:
                 result.quarantined.append(
                     QuarantinedRange(segment, 0, len(data), "bad segment header")
                 )
+            continue
+        if version != SEGMENT_VERSION:
+            # Written by something else: its records would all read as
+            # corruption.  Keep every byte, final segment included.
+            result.quarantined.append(
+                QuarantinedRange(
+                    segment, 0, len(data), f"unsupported segment version {version}"
+                )
+            )
             continue
         offset = SEGMENT_HEADER_SIZE
         while offset < len(data):

@@ -42,8 +42,9 @@ from typing import List, Optional, Tuple
 from .disk import SimulatedDisk
 from .journal import (
     SEGMENT_HEADER_SIZE,
-    SEGMENT_MAGIC,
+    SEGMENT_VERSION,
     JournalRecord,
+    segment_version,
 )
 from .recovery import _probe, _try_parse
 
@@ -199,13 +200,14 @@ class JournalTailer:
         """
         if self._offset >= SEGMENT_HEADER_SIZE:
             return True
-        if len(data) >= SEGMENT_HEADER_SIZE and data[:4] == SEGMENT_MAGIC:
+        if segment_version(data) == SEGMENT_VERSION:
             self._offset = SEGMENT_HEADER_SIZE
             return True
         if newest:
             return False  # torn/absent header on the tail: wait
-        # A sealed segment without a valid header holds nothing readable
-        # (the recovery scan quarantines it wholesale); skip it.
+        # A sealed segment without a valid header of this format version
+        # holds nothing readable (the recovery scan quarantines it
+        # wholesale); skip it.
         self.bytes_skipped += len(data)
         self._cross_to_next(segments)
         return False

@@ -3,8 +3,8 @@
 Shippers forward the bytes the tailer CRC-verified and the standby appends
 the bytes it parsed, instead of each re-serialising a parse.  That is only
 sound if ``encode_record(decode(x)) == x`` for every record the journal can
-write (sorted keys, fixed separators, ASCII-escaped JSON) — pinned here as a
-property rather than assumed.
+write (sorted keys, fixed separators, ASCII-escaped JSON header, raw bodies
+after it) — pinned here as a property rather than assumed.
 """
 
 from hypothesis import given, settings
@@ -39,8 +39,12 @@ VALUES = st.one_of(
 )
 BODIES = st.one_of(
     st.just(b""),
+    st.binary(min_size=1, max_size=1),
     st.binary(max_size=64),
+    st.just(bytes(range(256))),  # every byte value, raw on the wire
+    st.just(b"\xff\xfe\x80 not utf-8 \xc3"),
     st.just(bytes(range(256)) * 64),  # 16 KiB
+    st.binary(max_size=64).map(bytearray),
 )
 MESSAGES = st.builds(
     Message,

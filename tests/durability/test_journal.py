@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.broker import Broker
 from repro.broker.message import DeliveryMode, Message
 from repro.durability import (
     Journal,
@@ -150,6 +151,66 @@ class TestWriteFailures:
         j.sync()
         scan = scan_disk(j.disk, j.name)
         assert len(scan.records) == 2
+
+
+    @staticmethod
+    def _filled(seed):
+        """A journal whose current segment is full: the next append rotates."""
+        j = Journal(
+            SimulatedDisk(RandomStreams(seed)), sync=SyncPolicy.always(), segment_bytes=256
+        )
+        committed = []
+        while j.disk.length(j.current_segment) < j.segment_bytes:
+            committed.append(len(committed))
+            j.log_publish("queue", "q", Message(topic="q", properties={"n": committed[-1]}))
+        return j, committed
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_fault_on_a_rotation_header_fails_fast_and_the_journal_moves_on(self, seed):
+        # Regression: the fault escaped as a raw DiskWriteError and every
+        # later append died on "file already exists" until a reopen.
+        j, committed = self._filled(seed)
+        j.disk.fail_writes(1)  # lands on the next segment's header
+        with pytest.raises(JournalWriteError):
+            j.log_publish("queue", "q", Message(topic="q", properties={"n": -1}))
+        assert j.write_failures == 1
+        torn = j.current_segment
+        torn_bytes = j.disk.length(torn)
+        assert torn_bytes <= SEGMENT_HEADER_SIZE
+        for _ in range(3):
+            committed.append(len(committed))
+            j.log_publish("queue", "q", Message(topic="q", properties={"n": committed[-1]}))
+        assert j.current_segment > torn  # a fresh, higher-numbered segment
+        assert j.disk.length(torn) == torn_bytes  # history is never rewritten
+        assert j.unsynced_bytes == 0
+
+        j.disk.crash()
+        broker = Broker(journal=Journal(j.disk, segment_bytes=256))
+        queue = broker.queues.create("q")
+        broker.recover(reconnect_subscribers=False)
+        assert [m.properties["n"] for m, _ in queue._backlog] == committed
+        report = broker.last_recovery
+        if torn_bytes < SEGMENT_HEADER_SIZE:
+            assert [(q.segment, q.reason) for q in report.quarantined] == [
+                (torn, "bad segment header")
+            ]
+        else:  # the whole header landed before the error: an empty segment
+            assert report.clean
+
+    def test_fault_on_the_checkpoint_rotation_deletes_nothing(self):
+        j, committed = self._filled(seed=1)
+        before = j.disk.snapshot()
+        j.disk.fail_writes(1)
+        with pytest.raises(JournalWriteError):
+            j.checkpoint([])
+        assert j.write_failures == 1 and j.checkpoints == 0
+        survivors = {name: data for name, data in j.disk.snapshot().items() if name in before}
+        assert survivors == before  # the old history still recovers
+        image = SimulatedDisk.from_snapshot(j.disk.snapshot())  # (a scan repairs)
+        assert len(scan_disk(image, j.name).records) == len(committed)
+        _lsn, deleted = j.checkpoint([])
+        assert deleted == len(before) + 1  # the torn-header file goes with them
+        assert [r.kind for r in scan_disk(j.disk, j.name).records] == [RecordKind.CHECKPOINT]
 
 
 class TestCheckpoint:

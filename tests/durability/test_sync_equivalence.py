@@ -51,6 +51,7 @@ STEPS = st.lists(
         st.tuples(st.just("append"), st.integers(0, 300)),
         st.tuples(st.just("failed_append"), st.integers(0, 300)),
         st.tuples(st.just("checkpoint"), st.integers(0, 3)),
+        st.tuples(st.just("failed_checkpoint"), st.integers(0, 3)),
         st.tuples(st.just("tear"), st.just(0)),
         st.tuples(st.just("sync"), st.just(0)),
         st.tuples(st.just("close_reopen"), POLICIES),
@@ -93,17 +94,21 @@ class Side:
         raise AssertionError("journal never opened")
 
     def apply(self, step, arg, n, now):
-        """Run one step; returns the name of the error it raised, if any.
+        """Run one step; returns whether the journal refused the write.
 
-        A write fault that lands on a rotation's segment header escapes as
-        a raw disk error and wedges the journal until it is reopened; both
-        sides must then fail the same way, so errors are outcomes here.
+        With 256-byte segments an armed fault lands on a rotation's
+        segment header about as often as on a record.  Either way the
+        journal fails fast with ``JournalWriteError`` and stays usable: a
+        raw disk error escaping here, or a later step tripping over the
+        torn header, fails the test.
         """
+        failures = self.journal.write_failures
         try:
             self._apply(step, arg, n, now)
-        except (JournalWriteError, DiskError) as exc:
-            return type(exc).__name__
-        return None
+        except JournalWriteError:
+            assert self.journal.write_failures == failures + 1
+            return True
+        return False
 
     def _apply(self, step, arg, n, now):
         journal = self.journal
@@ -112,11 +117,13 @@ class Side:
         elif step == "failed_append":
             self.disk.fail_writes(1)
             publish(journal, n, arg, now)
-        elif step == "checkpoint":
+        elif step in ("checkpoint", "failed_checkpoint"):
             entries = [
                 {"domain": "queue", "dest": QUEUE, "mid": i, "msg": {"mid": i}, "delivers": 0}
                 for i in range(arg)
             ]
+            if step == "failed_checkpoint":
+                self.disk.fail_writes(1)  # lands on the fresh segment's header
             journal.checkpoint(entries, now=now)
         elif step == "tear":
             self.disk.tear_tail()

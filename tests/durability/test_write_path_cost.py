@@ -98,6 +98,26 @@ class TestAppendIsConstantInLogLength:
         assert relaxed.unsynced_bytes == 0
 
 
+class TestAmplificationIsConstant:
+    def test_a_publish_record_is_its_body_plus_a_constant(self):
+        # Format v2 stores the body raw, so the bytes a PUBLISH adds to the
+        # log beyond its body do not grow with the body (v1 hex-doubled it).
+        # The one size-dependent part is the decimal length in the header.
+        def overhead(size):
+            disk = SimulatedDisk(RandomStreams(0))
+            journal = Journal(disk, sync=SyncPolicy.always())
+            before = disk.length(journal.current_segment)
+            message = Message(
+                topic=QUEUE, properties={"n": 1}, body=b"\xab" * size, message_id=7
+            )
+            journal.log_publish("queue", QUEUE, message)
+            written = disk.length(journal.current_segment) - before
+            assert written == disk.bytes_written - before
+            return written - size - len(str(size))
+
+        assert overhead(0) == overhead(64) == overhead(16 * 1024) < 192
+
+
 class TestPollReadsOnlyWhatIsNew:
     def unread(self, disk, tailer, journal):
         held, offset = tailer.position

@@ -112,6 +112,7 @@ def test_check_static_covers_hotpath_surface():
     assert "tests/broker/test_selector_compile.py" in suites
     assert "tests/broker/test_dispatch_memo.py" in suites
     assert "tests/mesh/test_batch_routing.py" in suites
+    assert "tests/durability/test_record_format.py" in suites
 
 
 def test_strict_mypy_scope_includes_hotpath():

@@ -87,13 +87,16 @@ CLI_SMOKE = (
 #: memoized dispatch with cold planning, and every batch entry point —
 #: broker, queue and mesh — with its scalar loop under any split into
 #: batches, on randomized inputs.  Run as part of the gate because a
-#: divergence here silently corrupts dispatch.
+#: divergence here silently corrupts dispatch.  The write-ahead record
+#: format rides along: its encoder and its parser must stay inverses,
+#: since shipped and replicated records are never re-serialised.
 EQUIVALENCE_SUITES = (
     "tests/broker/test_selector_compile.py::TestCompiledEquivalence",
     "tests/broker/test_dispatch_memo.py::TestMemoizedEquivalence",
     "tests/broker/test_publish_batch.py::TestBatchPublishEquivalence",
     "tests/broker/test_scan_kernel.py::TestScanInvalidation",
     "tests/mesh/test_batch_routing.py::TestRoutingEquivalence",
+    "tests/durability/test_record_format.py::TestRecordFormatV2",
 )
 
 
