@@ -63,6 +63,13 @@ class SimulatedDisk:
     append, sync, read, truncate, delete.  ``sync`` advances the durable
     watermark; bytes beyond it are at the mercy of :meth:`crash`.
 
+    Two monotone counters let a reader that polls the disk skip the poll
+    when nothing happened — the in-memory stand-in for ``st_mtime`` or an
+    inotify watch: :attr:`changes` moves on every call that can change
+    what a reader sees (a created, deleted, truncated, torn or corrupted
+    file, an append — the partial write of a failed one included),
+    :attr:`name_changes` only when the set of file names does.
+
     Example
     -------
     >>> disk = SimulatedDisk(RandomStreams(seed=7))
@@ -79,6 +86,8 @@ class SimulatedDisk:
         self.streams = streams if streams is not None else RandomStreams(seed=0)
         self._files: Dict[str, bytearray] = {}
         self._synced: Dict[str, int] = {}
+        self._changes = 0
+        self._name_changes = 0
         # -- counters ----------------------------------------------------
         self.writes = 0
         self.syncs = 0
@@ -91,6 +100,19 @@ class SimulatedDisk:
         self._fail_next = 0
 
     # ------------------------------------------------------------------
+    # Change counters
+    # ------------------------------------------------------------------
+    @property
+    def changes(self) -> int:
+        """Bumped by every call that can change what a reader sees."""
+        return self._changes
+
+    @property
+    def name_changes(self) -> int:
+        """Bumped only when a file is created or deleted."""
+        return self._name_changes
+
+    # ------------------------------------------------------------------
     # File operations
     # ------------------------------------------------------------------
     def create(self, name: str) -> None:
@@ -98,6 +120,8 @@ class SimulatedDisk:
             raise DiskError(f"file {name!r} already exists")
         self._files[name] = bytearray()
         self._synced[name] = 0
+        self._changes += 1
+        self._name_changes += 1
 
     def exists(self, name: str) -> bool:
         return name in self._files
@@ -118,6 +142,7 @@ class SimulatedDisk:
         """
         buffer = self._file(name)
         offset = len(buffer)
+        self._changes += 1
         if self._fail_next > 0:
             self._fail_next -= 1
             self.failed_writes += 1
@@ -159,11 +184,14 @@ class SimulatedDisk:
             )
         del buffer[length:]
         self._synced[name] = min(self._synced[name], length)
+        self._changes += 1
 
     def delete(self, name: str) -> None:
         self._file(name)
         del self._files[name]
         del self._synced[name]
+        self._changes += 1
+        self._name_changes += 1
 
     def list(self) -> List[str]:
         """File names in lexicographic order (segment replay order)."""
@@ -222,6 +250,7 @@ class SimulatedDisk:
                 break
             buffer[position] ^= 1 << int(rng.integers(0, 8))
         self.corruptions += 1
+        self._changes += 1
         return offset
 
     def tear_tail(self, name: Optional[str] = None) -> int:
@@ -248,6 +277,7 @@ class SimulatedDisk:
         if discarded:
             del buffer[synced + keep :]
             self.torn_writes += 1
+            self._changes += 1
         return discarded
 
     def crash(self) -> DiskCrashReport:

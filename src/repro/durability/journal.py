@@ -126,6 +126,13 @@ class JournalWriteError(JournalError):
     the persistent store rejects a send).
     """
 
+    #: How many leading records of the failed call reached the log whole
+    #: all the same: a failed disk write keeps a prefix, and the prefix
+    #: of a run can hold entire records.  They are unsynced, uncounted by
+    #: the journal and a reader will see them — whoever retries a run
+    #: resumes after them or the log carries them twice.
+    records_written = 0
+
 
 class RecordKind(enum.Enum):
     """The journalled state transitions of a persistent message."""
@@ -142,10 +149,14 @@ class RecordKind(enum.Enum):
     CHECKPOINT = 5
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class JournalRecord:
     """One decoded journal record: a kind plus its payload (a JSON
-    object, except that message bodies in it are ``bytes``)."""
+    object, except that message bodies in it are ``bytes``).
+
+    Slotted and not frozen, like :class:`RecordLocation`: every parse
+    builds one.
+    """
 
     kind: RecordKind
     payload: Dict[str, Any]
@@ -164,9 +175,13 @@ class JournalRecord:
         return int(self.payload.get("mid", 0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RecordLocation:
-    """Where one record landed on disk (used by the chaos harness)."""
+    """Where one record landed on disk (used by the chaos harness).
+
+    One is built per append, so it is slotted and not frozen: a frozen
+    dataclass costs 0.5 µs to construct, this 0.2.
+    """
 
     segment: str
     offset: int
@@ -529,30 +544,70 @@ class Journal:
         ``encoded`` is :func:`encode_record` output or the bytes a reader
         has CRC-verified and parsed (the standby appends what was shipped
         instead of re-serialising its parse).  Same contract as
-        :meth:`append`.
+        :meth:`append`.  A run of one: see :meth:`append_run`.
         """
-        segment = self._current
-        if self._tail_dirty or self.disk.length(segment) >= self.segment_bytes:
-            self._rotate()
+        return self.append_run((encoded,), now=now)
+
+    def append_run(self, records: Sequence[bytes], now: float = 0.0) -> int:
+        """Append records already in wire format as one commit.
+
+        The bytes land exactly where appending the records one by one
+        would put them — a rotation falls before the first record that
+        finds its segment full — but each stretch of records that share a
+        segment costs one disk write and one sync-policy decision, not
+        one per record.  Returns the log sequence number of the first.
+
+        On a write fault the records already appended stay appended, the
+        tail is marked dirty and :class:`JournalWriteError` says in
+        ``records_written`` how many of ``records`` are on the log whole.
+        """
+        first = self.records_appended
+        disk, limit = self.disk, self.segment_bytes
+        start, count = 0, len(records)
+        while start < count:
             segment = self._current
-        self._dirty.add(segment)  # before the write: a partial one is dirt too
-        try:
-            offset = self.disk.append(segment, encoded)
-        except DiskWriteError as exc:
-            self.write_failures += 1
-            self._tail_dirty = True
-            kind = RecordKind(encoded[RECORD_HEADER_SIZE]).name
-            raise JournalWriteError(
-                f"journal append of {kind} to {segment} failed: {exc}"
-            ) from exc
-        lsn = self.records_appended
-        self.records_appended += 1
-        self._unsynced_records += 1
-        self.record_locations.append(
-            RecordLocation(segment=segment, offset=offset, end=offset + len(encoded))
-        )
-        self._maybe_sync(now)
-        return lsn
+            if self._tail_dirty or (size := disk.length(segment)) >= limit:
+                try:
+                    self._rotate()
+                except JournalWriteError as exc:
+                    exc.records_written = start
+                    raise
+                segment, size = self._current, SEGMENT_HEADER_SIZE
+            # This stretch: every record that finds the segment not yet full.
+            stop = start + 1
+            chunk = records[start]
+            if stop < count:
+                filled = size + len(chunk)
+                while stop < count and filled < limit:
+                    filled += len(records[stop])
+                    stop += 1
+                chunk = b"".join(records[start:stop])
+            self._dirty.add(segment)  # before the write: a partial one is dirt too
+            try:
+                offset = disk.append(segment, chunk)
+            except DiskWriteError as exc:
+                self.write_failures += 1
+                self._tail_dirty = True
+                kind = RecordKind(chunk[RECORD_HEADER_SIZE]).name
+                error = JournalWriteError(
+                    f"journal append of {kind} to {segment} failed: {exc}"
+                )
+                kept = disk.length(segment) - size  # the prefix that did land
+                while start < stop and kept >= len(records[start]):
+                    kept -= len(records[start])
+                    start += 1
+                error.records_written = start
+                raise error from exc
+            locations = self.record_locations
+            for index in range(start, stop):
+                end = offset + len(records[index])
+                locations.append(RecordLocation(segment, offset, end))
+                offset = end
+            self.records_appended += stop - start
+            self._unsynced_records += stop - start
+            self._maybe_sync(now)
+            start = stop
+        return first
 
     def _maybe_sync(self, now: float) -> None:
         """Apply the sync policy right after a successful append."""
@@ -675,19 +730,32 @@ class Journal:
 
         ``live`` is a sequence of entries in the shape
         :func:`repro.durability.recovery.live_state` produces: each holds
-        the PUBLISH payload plus its delivery bookkeeping.  The snapshot
-        is written to a *fresh* segment and synced before any old segment
-        is deleted, so a crash at any byte of this sequence recovers
-        either from the old history or from the new checkpoint — never
-        from neither.  A write fault on the way raises
+        the PUBLISH payload plus its delivery bookkeeping.  Encodes them
+        as one CHECKPOINT record and compacts through
+        :meth:`checkpoint_encoded`.
+
+        Returns ``(lsn, segments_deleted)``.
+        """
+        record = JournalRecord(RecordKind.CHECKPOINT, {"entries": list(live)})
+        return self.checkpoint_encoded(encode_record(record), now=now)
+
+    def checkpoint_encoded(self, encoded: bytes, now: float = 0.0) -> Tuple[int, int]:
+        """Compact the log down to one CHECKPOINT record in wire format.
+
+        ``encoded`` is this journal's own snapshot or the CHECKPOINT a
+        replica was shipped: the standby compacts at the record the
+        primary compacted at.  The record is written to a *fresh* segment
+        and synced before any old segment of this journal's name is
+        deleted, so a crash at any byte of this sequence recovers either
+        from the old history or from the new checkpoint — never from
+        neither.  A write fault on the way raises
         :class:`JournalWriteError` before anything is deleted.
 
         Returns ``(lsn, segments_deleted)``.
         """
         self._rotate()
         keep = self.current_segment
-        record = JournalRecord(RecordKind.CHECKPOINT, {"entries": list(live)})
-        lsn = self.append(record, now=now)
+        lsn = self.append_encoded(encoded, now=now)
         self._sync_current()
         deleted = 0
         for segment in self.segments:

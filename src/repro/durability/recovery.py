@@ -127,15 +127,24 @@ class ScanResult:
         return sum(q.length for q in self.quarantined)
 
 
+#: ``meta`` is decoded by one module-level decoder, and must be the whole
+#: of its extent: ``raw_decode`` skips no whitespace before the value and
+#: the end check allows none after it.
+_decode_meta = json.JSONDecoder().raw_decode
+_KIND_OF_BYTE = {kind.value: kind for kind in RecordKind}
+
+
 def _try_parse(data: bytes, offset: int) -> Optional[Tuple[JournalRecord, int]]:
     """Parse one record at ``offset``; ``None`` unless *everything* checks.
 
     A record is accepted only if the length is sane, the body is fully
     present, the CRC matches, the kind byte is known, ``meta`` is valid
-    JSON and the body lengths it declares tile the rest of the record
-    exactly — the conjunction makes a false positive during probe
-    scanning (finding a "record" inside corrupted bytes) astronomically
-    unlikely.  Bodies come back as ``bytes`` in place of their lengths.
+    JSON — all of it, with no whitespace around the value: padding could
+    never re-encode to the bytes it was parsed from — and the body
+    lengths it declares tile the rest of the record exactly.  The
+    conjunction makes a false positive during probe scanning (finding a
+    "record" inside corrupted bytes) astronomically unlikely.  Bodies
+    come back as ``bytes`` in place of their lengths.
     """
     if offset + _RECORD_FRONT.size > len(data):
         return None
@@ -150,10 +159,13 @@ def _try_parse(data: bytes, offset: int) -> Optional[Tuple[JournalRecord, int]]:
     body = data[body_start:body_end]
     if zlib.crc32(body) != crc:
         return None
+    kind = _KIND_OF_BYTE.get(kind_byte)
+    if kind is None:
+        return None
     try:
-        kind = RecordKind(kind_byte)
-        payload = json.loads(body[BODY_PREFIX_SIZE:tiled].decode("utf-8"))
-        if not isinstance(payload, dict):
+        text = body[BODY_PREFIX_SIZE:tiled].decode("utf-8")
+        payload, end = _decode_meta(text)
+        if end != len(text) or not isinstance(payload, dict):
             return None
         # Only these two kinds look past ``meta``.
         if kind is RecordKind.PUBLISH:

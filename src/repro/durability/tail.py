@@ -31,6 +31,15 @@ The delicate part is staying correct while the journal mutates underneath:
 The tailer never mutates the disk and never double-reads: its position
 ``(segment, offset)`` only moves forward within a segment and only moves
 to strictly newer segments across them.
+
+A poll costs what changed, not what exists.  The disk keeps two change
+counters (:attr:`SimulatedDisk.changes`, :attr:`SimulatedDisk.name_changes`
+— what ``st_mtime`` or an inotify watch is to a real log shipper): a poll
+that finds the disk exactly as the last poll *that ran the log dry* left
+it returns at once, without a listing, a read or a parse, and any other
+poll lists the directory again only if a file was created or deleted
+since the listing it remembers.  A poll cut short by ``max_records`` did
+not run dry, so pagination never mistakes "page full" for "nothing new".
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from .recovery import _probe, _try_parse
 __all__ = ["JournalTailer", "TailedRecord"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TailedRecord(JournalRecord):
     """A record read off a log, with the wire bytes it was parsed from.
 
@@ -86,6 +95,11 @@ class JournalTailer:
         #: Current read position; ``None`` segment = not yet positioned.
         self._segment: Optional[str] = None
         self._offset = 0
+        #: The last directory listing and the ``disk.name_changes`` it was
+        #: taken at; ``disk.changes`` as of the last poll that ran dry.
+        self._listing: List[str] = []
+        self._listed_at: Optional[int] = None
+        self._dry_at: Optional[int] = None
         # -- counters ----------------------------------------------------
         self.records_read = 0
         self.segments_crossed = 0
@@ -98,11 +112,16 @@ class JournalTailer:
 
     # ------------------------------------------------------------------
     def _segments(self) -> List[str]:
-        """The journal's segment files, oldest first (one disk listing)."""
-        prefix = f"{self.name}."
-        return [
-            f for f in self.disk.list() if f.startswith(prefix) and f.endswith(".seg")
-        ]
+        """The journal's segment files, oldest first: the remembered
+        listing, taken again only after a file was created or deleted."""
+        names_at = self.disk.name_changes
+        if names_at != self._listed_at:
+            prefix = f"{self.name}."
+            self._listing = [
+                f for f in self.disk.list() if f.startswith(prefix) and f.endswith(".seg")
+            ]
+            self._listed_at = names_at
+        return self._listing
 
     def _holds(self, segments: List[str]) -> bool:
         """Whether the held segment is still among ``segments`` (sorted)."""
@@ -138,14 +157,24 @@ class JournalTailer:
         returns a record that could still change.
 
         Nothing writes the disk during a poll, so the directory is listed
-        once and each segment is read once, from the position on.
+        at most once and each segment is read once, from the position on;
+        a poll of a disk nobody touched since the log last ran dry makes
+        no disk call at all.
         """
         if max_records is not None and max_records < 0:
             raise ValueError(f"max_records must be >= 0, got {max_records}")
         out: List[TailedRecord] = []
+        changes = self.disk.changes
+        if changes != self._dry_at:
+            self._dry_at = changes if self._read_into(out, max_records) else None
+        return out
+
+    def _read_into(self, out: List[TailedRecord], max_records: Optional[int]) -> bool:
+        """Append what is readable to ``out``; whether the log ran dry
+        (``False``: ``max_records`` stopped the read first)."""
         segments = self._segments()
         if not segments:
-            return out
+            return True
         if not self._holds(segments):
             if self._segment is not None:
                 # Compaction deleted the held segment.  Everything we had
@@ -162,9 +191,11 @@ class JournalTailer:
                 held, base = segment, self._offset
                 data = self.disk.read(segment, base)
             newest = segment == segments[-1]
-            if not self._consume_header(data, newest, segments):
+            if self._offset < SEGMENT_HEADER_SIZE and not self._consume_header(
+                data, newest, segments
+            ):
                 if newest:
-                    return out  # header still being written: wait
+                    return True  # header still being written: wait
                 continue  # skipped a sealed headerless segment
             start = self._offset - base
             parsed = _try_parse(data, start)
@@ -178,7 +209,7 @@ class JournalTailer:
                 self._cross_to_next(segments)
                 continue
             if newest:
-                return out  # exhausted, or a record still being written
+                return True  # exhausted, or a record still being written
             # Sealed segment with unparsable bytes at the position: probe
             # past the garbage (mid-log corruption) or give the remainder
             # up (dirty tail before a rotation) and cross over.
@@ -189,7 +220,7 @@ class JournalTailer:
                 continue
             self.bytes_skipped += len(data) - start
             self._cross_to_next(segments)
-        return out
+        return False
 
     # ------------------------------------------------------------------
     def _consume_header(self, data: bytes, newest: bool, segments: List[str]) -> bool:
@@ -198,8 +229,6 @@ class JournalTailer:
         A position before the header is always offset 0, so ``data`` is
         then the whole segment.
         """
-        if self._offset >= SEGMENT_HEADER_SIZE:
-            return True
         if segment_version(data) == SEGMENT_VERSION:
             self._offset = SEGMENT_HEADER_SIZE
             return True

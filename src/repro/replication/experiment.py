@@ -10,10 +10,13 @@ for the standby to detect the lapsed lease and promote, and measures:
 - ``detection_measured`` — crash to promotion (lease expiry plus the
   standby's polling quantum);
 - ``rto_measured`` — detection plus promotion replay.  Replay time is
-  *virtualized* as ``records_applied / replay_rate``: the simulated
-  clock cannot time real CPU work, so the bench recorder measures
-  ``replay_rate`` from wall-clock timed recovery runs and feeds it in —
-  the same convention either side of the comparison.
+  *virtualized* as ``records_replayed / replay_rate``, where
+  ``records_replayed`` is what the promotion's recovery scan read (not
+  the replica's lifetime count: a replica that compacted replays only
+  its last checkpoint period).  The simulated clock cannot time real CPU
+  work, so the bench recorder measures ``replay_rate`` from wall-clock
+  timed recovery runs and feeds it in — the same convention either side
+  of the comparison.
 
 Each measurement is averaged over ``seeds`` independent runs (crash
 phase varies by seed) and compared with
@@ -128,7 +131,7 @@ def _run_once(
     return {
         "rpo": float(max(acked - applied, 0)),
         "detection": now - crash_time,
-        "replayed": float(pair.promotion.records_applied),
+        "replayed": float(pair.promotion.records_replayed),
     }
 
 

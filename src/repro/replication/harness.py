@@ -22,7 +22,10 @@ The invariants, per crash point:
    multiple of the lease duration, under every link-fault scenario.
 
 Link-fault scenarios (drop, corruption, reorder, delay windows) exercise
-the go-back-N shipping path; the separate lease-pause check proves the
+the go-back-N shipping path, and a standby-disk scenario fails the
+replica's own journal writes under it: a frame the standby could not
+write is neither acknowledged nor folded, and the resend must land each
+of its records exactly once.  The separate lease-pause check proves the
 split-brain defence: a primary paused past its lease expiry and then
 revived is fenced — its ack attempts raise
 :class:`~repro.replication.lease.FencingError` and its client-visible
@@ -54,12 +57,14 @@ _QUEUE = "orders"
 
 @dataclass(frozen=True)
 class LinkScenario:
-    """A named schedule of link faults, keyed by workload step."""
+    """A named schedule of faults, keyed by workload step."""
 
     name: str
     #: ``(step, action, magnitude)`` triples; ``action`` is one of
     #: ``drop``/``corrupt``/``reorder`` (magnitude = frame count),
-    #: ``delay`` (magnitude = extra seconds) or ``pause``/``revive``.
+    #: ``delay`` (magnitude = extra seconds), ``standby-write-fault``
+    #: (magnitude = writes of the standby's disk that fail) or
+    #: ``pause``/``revive``.
     actions: Tuple[Tuple[int, str, float], ...] = ()
 
 
@@ -70,6 +75,10 @@ def _scenarios(dt: float) -> Tuple[LinkScenario, ...]:
         LinkScenario("corrupt", ((5, "corrupt", 2),)),
         LinkScenario("reorder", ((6, "reorder", 2),)),
         LinkScenario("delay", ((3, "delay", 6 * dt),)),
+        LinkScenario(
+            "standby-write-fault",
+            ((2, "standby-write-fault", 1), (9, "standby-write-fault", 2)),
+        ),
     )
 
 
@@ -161,6 +170,8 @@ def _apply_action(pair: ReplicatedPair, action: str, magnitude: float, now: floa
         pair.link.reorder_next(int(magnitude))
     elif action == "delay":
         pair.link.add_delay(magnitude, until=now + 5 * dt)
+    elif action == "standby-write-fault":
+        pair.standby.disk.fail_writes(int(magnitude))
     elif action == "pause":
         pair.pause_primary(now)
     elif action == "revive":

@@ -24,7 +24,9 @@ in :mod:`repro.replication.experiment`:
   ``lease_duration − renew_interval/2`` until expiry.
 - Replay: the promotion recovery pass replays the standby's journal at
   ``replay_rate`` records/second (measured, not assumed — the bench
-  recorder feeds it from timed recovery runs).
+  recorder feeds it from timed recovery runs).  The replica compacts at
+  every shipped CHECKPOINT, so what it replays is bounded by the
+  checkpoint interval, not by uptime.
 
 Sync replication's ack cost folds into Eq. 1 the same way the fsync cost
 did: one shipped frame covers ``b`` records, so the per-message ack
@@ -66,7 +68,8 @@ class ReplicationLagModel:
     renew_interval: float
     #: Promotion replay speed (records/second), measured from timed runs.
     replay_rate: float
-    #: Records on the standby replica that promotion must replay.
+    #: Records promotion must replay: those on the replica since its last
+    #: checkpoint, plus the snapshot record itself.
     standby_records: int = 0
 
     def __post_init__(self) -> None:

@@ -9,12 +9,17 @@
   :class:`~repro.replication.link.ShipFrame` frames — a frame goes out
   when ``batch_size`` records accumulate or ``ship_interval`` elapses
   since the last send, whichever comes first (the group-commit shape,
-  M^X batch arrivals on the wire);
+  M^X batch arrivals on the wire).  The cost follows the commits, not
+  the clock: a tick with nothing new on the primary's disk, nothing
+  pending and nothing unacked polls, frames and resends nothing and
+  touches neither disk;
 - frames cross a fault-injectable
   :class:`~repro.replication.link.SimulatedLink` to the
-  :class:`~repro.replication.standby.StandbyReplica`, which applies them
-  in sequence and acks cumulatively; dropped/corrupt frames are
-  retransmitted after ``retransmit_timeout`` (go-back-N);
+  :class:`~repro.replication.standby.StandbyReplica`, which applies each
+  as one commit (one write, one fsync, then the ack), in sequence, and
+  acks cumulatively; dropped/corrupt frames — and frames the standby
+  could not write — are retransmitted after ``retransmit_timeout``
+  (go-back-N);
 - a :class:`~repro.replication.lease.LeaseCoordinator` arbitrates
   leadership: the primary renews every tick, a crash or pause lets the
   lease lapse, and :meth:`maybe_promote` has the standby take over via
@@ -224,17 +229,26 @@ class ReplicatedPair:
         if not self.primary_up or self.primary_paused or self.primary_fenced:
             return
         # Forward the bytes the tailer CRC-verified; nothing re-encodes them.
-        self._pending.extend(record.encoded for record in self.tailer.poll())
-        batch = self.config.batch_size
-        while len(self._pending) >= batch:
-            self._send_frame(self._pending[:batch], now)
-            del self._pending[:batch]
-        if self._pending and now - self._last_ship >= self.config.ship_interval:
-            self._send_frame(self._pending, now)
-            self._pending = []
-        for sequence in sorted(self._unacked):
-            records, last_sent = self._unacked[sequence]
-            if now - last_sent >= self.config.retransmit_timeout:
+        pending = self._pending
+        polled = self.tailer.poll()
+        if polled:
+            pending.extend([record.encoded for record in polled])
+        if pending:
+            batch = self.config.batch_size
+            while len(pending) >= batch:
+                self._send_frame(pending[:batch], now)
+                del pending[:batch]
+            if pending and now - self._last_ship >= self.config.ship_interval:
+                self._send_frame(pending, now)
+                pending.clear()
+        if not self._unacked:
+            return
+        # Go-back-N: resend what has waited too long.  Frames enter
+        # ``_unacked`` in increasing sequence and a resend keeps its key,
+        # so insertion order is sequence order.
+        timeout = self.config.retransmit_timeout
+        for sequence, (records, last_sent) in self._unacked.items():
+            if now - last_sent >= timeout:
                 wire = encode_frame(
                     ShipFrame(
                         sequence=sequence,

@@ -1,13 +1,27 @@
 """The warm standby: applies shipped frames, promotes on failover.
 
 A :class:`StandbyReplica` owns its **own** disk and journal replica.
-Every record that arrives in a ship frame is (a) appended verbatim to
-the local journal — the standby's durability is independent of the
-primary's — and (b) folded into a continuously maintained
-:class:`~repro.durability.recovery.IncrementalFold`, so the replica is
-*warm*: at promotion time the live state is already known and the
-scan→fold→apply recovery path over the local journal replica merely
-rebuilds it into a :class:`~repro.broker.server.Broker`.
+A ship frame is its commit unit: every record of the frame is checked by
+the one parser recovery uses, the accepted records are (a) appended
+verbatim to the local journal as one run — one write and one fsync, the
+standby's durability is independent of the primary's — and only then
+(b) folded into a continuously maintained
+:class:`~repro.durability.recovery.IncrementalFold` and acknowledged.
+The replica is *warm*: its live state is known at every instant.
+Promotion nevertheless runs the scan→fold→apply recovery path over the
+local journal replica, exactly what a single-node restart runs, so what
+it costs is what the replica holds — which is why the replica **compacts
+at every shipped CHECKPOINT**, as the primary did: fresh segment, the
+shipped bytes of the record, sync, then delete the older segments of
+its own journal name.  Promotion replays one checkpoint period, not the
+pair's lifetime.
+
+A write fault on the replica's disk means the frame is *not* on the
+replica: it is not folded, not counted and not acknowledged, and
+go-back-N resends it.  A failed write keeps a prefix of the run, which
+can hold whole records; the resend resumes after them
+(:attr:`~repro.durability.journal.JournalWriteError.records_written`),
+so no record is logged — and at promotion folded — twice.
 
 Frame protocol (receiver side of go-back-N):
 
@@ -41,7 +55,13 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..broker.server import Broker
 from ..durability.disk import SimulatedDisk
-from ..durability.journal import Journal, JournalError, SyncPolicy
+from ..durability.journal import (
+    Journal,
+    JournalRecord,
+    JournalWriteError,
+    RecordKind,
+    SyncPolicy,
+)
 from ..durability.recovery import IncrementalFold, RecoveryReport, _try_parse
 from .link import ShipFrame, decode_frame
 
@@ -57,8 +77,12 @@ class PromotionReport:
     succeeded: bool = False
     #: Fencing epoch the promotion was authorized under.
     epoch: int = 0
-    #: Records the replica had applied when promotion started.
+    #: Records the replica had applied when promotion started — over its
+    #: whole life, compacted history included.
     records_applied: int = 0
+    #: Records the promotion's recovery scan actually read: what is on
+    #: the replica since its last checkpoint, plus the snapshot record.
+    records_replayed: int = 0
     recovery: Optional[RecoveryReport] = None
     broker: Optional[Broker] = None
     errors: List[str] = field(default_factory=list)
@@ -70,6 +94,7 @@ class PromotionReport:
             "succeeded": self.succeeded,
             "epoch": self.epoch,
             "records_applied": self.records_applied,
+            "records_replayed": self.records_replayed,
             "recovery": self.recovery.to_dict() if self.recovery else None,
             "errors": list(self.errors),
         }
@@ -99,6 +124,10 @@ class StandbyReplica:
         )
         self.fold = IncrementalFold()
         self._next_sequence = 0
+        #: Leading records of frame ``_next_sequence`` that a failed write
+        #: left on the replica whole (already folded and counted): the
+        #: resend of that frame resumes after them.
+        self._resume = 0
         self._buffered: Dict[int, ShipFrame] = {}
         self._reorder_window = reorder_window
         self._max_epoch_seen = 0
@@ -164,25 +193,66 @@ class StandbyReplica:
             self.frames_buffered += 1
         self._buffered[frame.sequence] = frame
         while self._next_sequence in self._buffered:
-            self._apply(self._buffered.pop(self._next_sequence), now)
+            try:
+                self._apply(self._buffered.pop(self._next_sequence), now)
+            except JournalWriteError:
+                # Not on the replica, so not acknowledged: go-back-N
+                # resends the frame after ``retransmit_timeout``.
+                self.journal_write_failures += 1
+                break
             self._next_sequence += 1
         return self._next_sequence
 
     def _apply(self, frame: ShipFrame, now: float) -> None:
+        """Commit one frame: validate, write, and only then fold.
+
+        Every record is checked by the one parser; the accepted ones are
+        appended verbatim as one run (one write, one fsync per stretch
+        that shares a segment), so the replica is byte-identical to what
+        shipped — except at a CHECKPOINT, where the replica compacts as
+        the primary did.  A write fault raises with nothing beyond what
+        reached the disk folded or counted; ``_resume`` remembers how far
+        that was.
+        """
+        accepted: List[JournalRecord] = []
+        encoded: List[bytes] = []
         for raw in frame.records:
             parsed = _try_parse(raw, 0)
-            if parsed is None or parsed[1] != len(raw):
-                self.malformed_records += 1
-                continue
-            self.fold.push(parsed[0])
+            if parsed is not None and parsed[1] == len(raw):
+                accepted.append(parsed[0])
+                encoded.append(raw)
+        journal = self.journal
+        done, count = self._resume, len(accepted)
+        if done and done == count:
+            journal.sync()  # the failed attempt left all of it there, unflushed
+        while done < count:
+            # One commit: a CHECKPOINT alone, or the run up to the next one.
+            stop = done + 1
+            compact = accepted[done].kind is RecordKind.CHECKPOINT
+            while not compact and stop < count and (
+                accepted[stop].kind is not RecordKind.CHECKPOINT
+            ):
+                stop += 1
             try:
-                # ``raw`` has just been CRC-checked and parsed: append it
-                # as is, so the replica is byte-identical to what shipped.
-                self.journal.append_encoded(raw, now=now)
-            except JournalError:
-                self.journal_write_failures += 1
-            self.records_applied += 1
+                if compact:
+                    journal.checkpoint_encoded(encoded[done], now=now)
+                else:
+                    journal.append_run(encoded[done:stop], now=now)
+            except JournalWriteError as exc:
+                self._landed(accepted[done : done + exc.records_written])
+                raise
+            self._landed(accepted[done:stop])
+            done = stop
+        self._resume = 0
+        self.malformed_records += len(frame.records) - count
         self.frames_applied += 1
+
+    def _landed(self, records: List[JournalRecord]) -> None:
+        """These records of the frame being applied are on the replica."""
+        for record in records:
+            self.fold.push(record)
+        self.records_applied += len(records)
+        self._resume += len(records)
 
     # ------------------------------------------------------------------
     def promote(
@@ -221,6 +291,8 @@ class StandbyReplica:
             report.errors.append(f"promotion failed: {exc!r}")
             return report
         report.recovery = broker.last_recovery
+        if report.recovery is not None:
+            report.records_replayed = report.recovery.records_replayed
         report.broker = broker
         report.succeeded = True
         self.journal = journal

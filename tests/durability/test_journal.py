@@ -288,3 +288,151 @@ class TestTornHeaderResume:
     def test_clean_resume_reports_no_repair(self):
         disk = self._disk_with_one_record()
         assert Journal(disk).tail_repaired is None
+
+
+# ----------------------------------------------------------------------
+# append_run / checkpoint_encoded: one body behind single and run appends
+# ----------------------------------------------------------------------
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.durability.journal import JournalRecord, _frame, encode_record  # noqa: E402
+
+
+def ack_record(mid, pad=0):
+    payload = {"domain": "queue", "dest": "q", "mid": mid, "reason": "x" * pad}
+    return _frame(RecordKind.ACK, payload)
+
+
+POLICIES = st.sampled_from(
+    [SyncPolicy.always(), SyncPolicy.never(), SyncPolicy.group_commit(batch=3)]
+)
+
+
+class TestAppendRun:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pads=st.lists(st.integers(0, 300), min_size=1, max_size=30),
+        cuts=st.sets(st.integers(1, 29)),
+        policy=POLICIES,
+    )
+    def test_any_partition_into_runs_lands_the_bytes_one_by_one_appends_would(
+        self, pads, cuts, policy
+    ):
+        records = [ack_record(n, pad) for n, pad in enumerate(pads)]
+        single = journal(segment_bytes=256, sync=policy)
+        for record in records:
+            single.append_encoded(record)
+        runs = journal(segment_bytes=256, sync=policy)
+        bounds = [0] + sorted(c for c in cuts if c < len(records)) + [len(records)]
+        lsns = [
+            runs.append_run(records[a:b]) for a, b in zip(bounds, bounds[1:])
+        ]
+        assert lsns == bounds[:-1]  # each run returns the lsn of its first record
+        assert runs.disk.snapshot() == single.disk.snapshot()
+        assert runs.record_locations == single.record_locations
+        assert runs.records_appended == single.records_appended == len(records)
+        assert runs.rotations == single.rotations
+        assert runs.disk.writes <= single.disk.writes
+        if policy.mode == "always":
+            assert runs.unsynced_bytes == single.unsynced_bytes == 0
+            assert runs.syncs <= single.syncs
+        single.close()
+        runs.close()
+        assert scan_disk(runs.disk).records == scan_disk(single.disk).records
+
+    def test_a_run_in_one_segment_is_one_write_and_one_policy_decision(self):
+        j = journal()
+        writes, syncs = j.disk.writes, j.syncs
+        assert j.append_run([ack_record(n) for n in range(16)]) == 0
+        assert (j.disk.writes - writes, j.syncs - syncs) == (1, 1)
+        assert j.records_appended == 16 and len(j.record_locations) == 16
+        assert j.append_run([]) == 16  # nothing to do, nothing done
+        assert (j.disk.writes - writes, j.syncs - syncs) == (1, 1)
+
+    def test_a_failed_run_says_how_many_records_landed_whole(self):
+        records = [ack_record(n) for n in range(6)]
+        sizes = [len(r) for r in records]
+        seen = set()
+        for seed in range(40):
+            j = journal(disk=SimulatedDisk(RandomStreams(seed)))
+            start = j.disk.length(j.current_segment)
+            j.disk.fail_writes(1)
+            with pytest.raises(JournalWriteError) as caught:
+                j.append_run(records)
+            kept = j.disk.length(j.current_segment) - start
+            whole = caught.value.records_written
+            assert sum(sizes[:whole]) <= kept
+            assert whole == len(records) or kept < sum(sizes[: whole + 1])
+            # Failed means uncounted — as a failed single append always was.
+            assert j.records_appended == 0 and j.record_locations == []
+            assert j.write_failures == 1
+            seen.add(whole)
+            # The rest, appended after them, completes the history once.
+            j.append_run(records[whole:])
+            j.close()
+            assert [encode_record(r) for r in scan_disk(j.disk).records] == records
+        assert len(seen) > 3
+
+    def test_a_fault_on_a_later_stretch_counts_the_stretches_before_it(self):
+        records = [ack_record(n, pad=60) for n in range(8)]  # ~130 B: 2-3 per segment
+        clean = journal(segment_bytes=256)
+        clean.append_run(records)
+        assert clean.rotations >= 2
+        j = journal(segment_bytes=256)
+        append, calls = j.disk.append, []
+
+        def third_append_fails(name, data):
+            calls.append(name)
+            if len(calls) == 3:  # stretch, header, *stretch*
+                j.disk.fail_writes(1)
+            return append(name, data)
+
+        j.disk.append = third_append_fails
+        with pytest.raises(JournalWriteError) as caught:
+            j.append_run(records)
+        first_stretch = j.records_appended
+        assert first_stretch >= 1  # durable and counted: that write succeeded
+        assert caught.value.records_written >= first_stretch
+        j.append_run(records[caught.value.records_written :])
+        j.close()
+        assert [encode_record(r) for r in scan_disk(j.disk).records] == records
+
+    def test_a_single_failed_append_reports_zero_or_one(self):
+        for seed in range(12):
+            j = journal(disk=SimulatedDisk(RandomStreams(seed)))
+            j.disk.fail_writes(1)
+            with pytest.raises(JournalWriteError) as caught:
+                j.append_encoded(ack_record(1))
+            assert caught.value.records_written in (0, 1)
+            assert j.records_appended == 0
+
+
+class TestCheckpointEncoded:
+    def test_checkpoint_is_a_thin_caller_of_the_encoded_path(self):
+        entries = [{"domain": "queue", "dest": "q", "mid": 7, "msg": {"mid": 7}, "delivers": 1}]
+        a, b = journal(segment_bytes=256), journal(segment_bytes=256)
+        for j in (a, b):
+            for n in range(10):
+                j.log_ack("queue", "q", n)
+        encoded = encode_record(JournalRecord(RecordKind.CHECKPOINT, {"entries": entries}))
+        assert a.checkpoint(entries, now=2.0) == b.checkpoint_encoded(encoded, now=2.0)
+        assert a.disk.snapshot() == b.disk.snapshot()
+        assert a.record_locations == b.record_locations and len(b.record_locations) == 1
+        assert (a.checkpoints, a.segments_compacted, a.syncs, a.rotations) == (
+            b.checkpoints, b.segments_compacted, b.syncs, b.rotations,
+        )
+        assert b.disk.read(b.current_segment, SEGMENT_HEADER_SIZE) == encoded
+
+    def test_only_segments_of_this_journals_name_are_deleted(self):
+        disk = SimulatedDisk(RandomStreams(0))
+        other = Journal(disk, name="transfer-s0-a1", segment_bytes=256)
+        mine = Journal(disk, name="journal", segment_bytes=256)
+        for n in range(10):
+            other.log_ack("queue", "q", n)
+            mine.log_ack("queue", "q", n)
+        theirs = {s: disk.read(s) for s in other.segments}
+        encoded = encode_record(JournalRecord(RecordKind.CHECKPOINT, {"entries": []}))
+        _lsn, deleted = mine.checkpoint_encoded(encoded)
+        assert deleted >= 3 and mine.segments == [mine.current_segment]
+        assert {s: disk.read(s) for s in other.segments} == theirs

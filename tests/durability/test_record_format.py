@@ -213,6 +213,22 @@ class TestRecordFormatV2:
         assert _try_parse(frame(3, b"\xff\xfe{}"), 0) is None
         assert _try_parse(frame(3, b"[1,2]"), 0) is None
 
+    def test_meta_padded_with_json_whitespace_is_rejected(self):
+        # Decided in PR 18: ``meta`` must be the JSON value and nothing
+        # else.  Padding is valid JSON and the hand-made CRC is right, but
+        # such a record could never re-encode to the bytes it was parsed
+        # from — the property shipping rests on — so no reader accepts it.
+        meta = canonical({"domain": "queue", "dest": QUEUE, "mid": 1})
+        assert _try_parse(frame(3, meta), 0) is not None
+        for padded in (meta + b" ", b" " + meta, meta + b"\n", b"\t" + meta + b"\r\n"):
+            json.loads(padded)  # (valid JSON all the same)
+            assert _try_parse(frame(3, padded), 0) is None, padded
+        publish = canonical({"domain": "queue", "dest": QUEUE, "mid": 1, "msg": {"body": 2}})
+        assert _try_parse(frame(1, publish, b"ab"), 0) is not None
+        assert _try_parse(frame(1, publish + b" ", b"ab"), 0) is None
+        # A second value after the first is not padding either.
+        assert _try_parse(frame(3, meta + meta), 0) is None
+
     # -- no "body" key, no blob ----------------------------------------
     def test_message_without_a_body_key_carries_no_blob(self):
         publish = {"domain": "queue", "dest": QUEUE, "mid": 1, "msg": {"mid": 1}}

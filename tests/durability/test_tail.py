@@ -157,3 +157,145 @@ class TestCompaction:
         # exactly the new appends, once each.
         assert len(post) == 12
         assert tailer.poll() == []
+
+
+class TestIdlePolls:
+    """A poll that can have nothing new costs nothing (the disk's change
+    counters stand in for ``st_mtime``); pagination is never mistaken for it."""
+
+    def test_a_poll_after_the_log_ran_dry_does_not_touch_the_disk(self, monkeypatch):
+        disk, journal = small_journal()
+        for i in range(5):
+            publish(journal, i)
+        tailer = JournalTailer(disk)
+        assert len(tailer.poll()) == 5
+        for name in ("list", "read", "length"):
+            monkeypatch.setattr(disk, name, None)  # any disk call would raise
+        for _ in range(3):
+            assert tailer.poll() == []
+            assert tailer.poll(max_records=2) == []
+
+    def test_a_page_cut_short_by_max_records_is_not_dry(self):
+        disk, journal = small_journal()
+        for i in range(4):
+            publish(journal, i)
+        tailer = JournalTailer(disk)
+        assert len(tailer.poll(max_records=4)) == 4  # exactly the log, but not known dry
+        assert tailer.poll(max_records=0) == []  # reads nothing, proves nothing
+        publish(journal, 4)
+        assert len(tailer.poll(max_records=0)) == 0
+        assert len(tailer.poll()) == 1
+
+    def test_every_kind_of_disk_change_wakes_the_tailer(self):
+        disk, journal = small_journal(segment_bytes=4096)
+        publish(journal, 0)
+        tailer = JournalTailer(disk)
+        assert len(tailer.poll()) == 1
+        newest = journal.current_segment
+        # A partial record: the poll looks (and waits) ...
+        disk.append(newest, b"\x00\x00\x00\x99partial")
+        assert tailer.poll() == [] and tailer._dry_at == disk.changes
+        # ... the writer rotates away from it: the sealed garbage is skipped.
+        journal._tail_dirty = True
+        publish(journal, 1)
+        assert [r.payload["msg"]["props"]["n"] for r in tailer.poll()] == [1]
+        assert tailer.bytes_skipped == len(b"\x00\x00\x00\x99partial")
+        # Compaction deletes the held segment: reposition on the snapshot.
+        journal.checkpoint([], now=1.0)
+        assert [r.kind.name for r in tailer.poll()] == ["CHECKPOINT"]
+        assert tailer.repositions == 1
+
+    def test_negative_max_records_is_rejected_even_when_idle(self):
+        disk, journal = small_journal()
+        publish(journal, 0)
+        tailer = JournalTailer(disk)
+        tailer.poll()
+        with pytest.raises(ValueError):
+            tailer.poll(max_records=-1)
+
+
+# ----------------------------------------------------------------------
+# A tailer that remembers (listing, dryness) ≡ one that does not
+# ----------------------------------------------------------------------
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.durability import JournalWriteError  # noqa: E402
+
+TAIL_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(0, 200)),
+        st.tuples(st.just("failed_append"), st.integers(0, 200)),
+        st.tuples(st.just("rotate"), st.just(0)),
+        st.tuples(st.just("checkpoint"), st.integers(0, 3)),
+        st.tuples(st.just("tear_tail"), st.just(0)),
+        st.tuples(st.just("corrupt"), st.integers(0, 7)),
+        st.tuples(st.just("truncate"), st.integers(0, 7)),
+        st.tuples(st.just("crash"), st.just(0)),
+        st.tuples(st.just("poll"), st.one_of(st.none(), st.integers(0, 4))),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def twin_of(tailer):
+    """A tailer at the same position that remembers nothing else."""
+    twin = JournalTailer(tailer.disk, tailer.name)
+    twin._segment, twin._offset = tailer.position
+    for counter in ("records_read", "segments_crossed", "repositions", "bytes_skipped"):
+        setattr(twin, counter, getattr(tailer, counter))
+    return twin
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**16), policy=st.sampled_from(["always", "never"]), steps=TAIL_STEPS)
+def test_a_long_lived_tailer_returns_what_a_twin_without_memory_returns(seed, policy, steps):
+    disk = SimulatedDisk(RandomStreams(seed))
+
+    def reopen():
+        return Journal(disk, sync=SyncPolicy.parse(policy), segment_bytes=256)
+
+    journal = reopen()
+    tailer = JournalTailer(disk)
+    for n, (step, arg) in enumerate(steps):
+        segments = journal.segments
+        if step in ("append", "failed_append"):
+            if step == "failed_append":
+                disk.fail_writes(1)
+            try:
+                publish(journal, n, body=arg)
+            except JournalWriteError:
+                pass
+        elif step == "rotate":
+            journal._tail_dirty = True  # the next append opens a fresh segment
+        elif step == "checkpoint":
+            entries = [
+                {"domain": "queue", "dest": QUEUE, "mid": i, "msg": {"mid": i}, "delivers": 0}
+                for i in range(arg)
+            ]
+            journal.checkpoint(entries, now=n * 1e-3)
+        elif step == "tear_tail":
+            disk.tear_tail()
+        elif step == "corrupt":
+            target = segments[arg % len(segments)]
+            if disk.length(target):
+                disk.corrupt(target)
+        elif step == "truncate":
+            target = segments[arg % len(segments)]
+            disk.truncate(target, disk.length(target) * (arg % 3) // 3)
+        elif step == "crash":
+            disk.crash()
+            journal = reopen()
+        else:
+            twin = twin_of(tailer)
+            got, expected = tailer.poll(arg), twin.poll(arg)
+            assert got == expected, (n, step, arg)
+            assert tailer.position == twin.position
+            assert vars(tailer).keys() == vars(twin).keys()
+            for counter in ("records_read", "segments_crossed", "repositions", "bytes_skipped"):
+                assert getattr(tailer, counter) == getattr(twin, counter), (n, counter)
+    twin = twin_of(tailer)
+    assert tailer.poll() == twin.poll()
+    assert tailer.position == twin.position
+    assert tailer.lag_bytes == twin.lag_bytes

@@ -4,8 +4,10 @@ A ``SimulatedDisk`` that counts its metadata queries and reads pins the
 complexity of the per-record operations: an append under
 ``SyncPolicy.always()`` makes the same few disk calls whether 2 or 200
 sealed segments sit beside the current one, and a tailer poll lists the
-directory once, reads each segment it touches once and copies only bytes
-it has not consumed.
+directory at most once — not at all unless a file was created or deleted
+since its last listing —, reads each segment it touches once, copies only
+bytes it has not consumed, and makes no disk call when nothing changed
+since it last ran the log dry.
 """
 
 from collections import Counter
@@ -156,7 +158,8 @@ class TestPollReadsOnlyWhatIsNew:
         disk.reset()
         records = tailer.poll()
         assert len(records) == 3
-        assert disk.calls["list"] == 1 and disk.calls["read"] == 1
+        # No file was created or deleted since the first poll's listing.
+        assert disk.calls["list"] == 0 and disk.calls["read"] == 1
         assert disk.bytes_read == appended
         assert b"".join(record.encoded for record in records) == SimulatedDisk.read(
             disk, journal.current_segment, before
@@ -174,7 +177,8 @@ class TestPollReadsOnlyWhatIsNew:
             unread = self.unread(disk, tailer, journal)
             disk.reset()
             chunk = tailer.poll(max_records=page)
-            assert disk.calls["list"] == 1
+            # One listing serves every page: nothing creates or deletes.
+            assert disk.calls["list"] == (1 if seen == 0 else 0)
             assert len(disk.reads) == len(set(disk.reads))
             assert disk.bytes_read <= unread
             if not chunk:
@@ -191,4 +195,126 @@ class TestPollReadsOnlyWhatIsNew:
         tailer.poll()
         disk.reset()
         assert tailer.lag_bytes == 0
-        assert disk.calls["list"] == 1 and disk.calls["length"] == 1
+        assert disk.calls["list"] == 0 and disk.calls["length"] == 1  # the poll's listing
+        sealed, n = len(journal.segments), 40
+        while len(journal.segments) == sealed:  # until a rotation creates a file
+            publish(journal, n)
+            n += 1
+        disk.reset()
+        assert tailer.lag_bytes > 0
+        assert disk.calls["list"] == 1
+
+
+# ----------------------------------------------------------------------
+# The replicated pair: cost per commit, not per tick or per record
+# ----------------------------------------------------------------------
+from repro.broker.queues import QueueConsumer  # noqa: E402
+from repro.replication import ReplicatedPair, ReplicationConfig  # noqa: E402
+
+DISK_CALLS = ("create", "append", "sync", "read", "length", "synced_length",
+              "truncate", "delete", "list", "exists")
+
+
+def count_calls(disk):
+    """Count ``disk``'s calls from outside, on the instance — the way the
+    lifecycle benchmark's tracer does, so the product must keep reaching
+    them through attribute lookup at call time."""
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        return call
+
+    for name in DISK_CALLS:
+        setattr(disk, name, counted(name, getattr(disk, name)))
+    return calls
+
+
+def synced_pair(segment_bytes=64 * 1024, batch_size=16):
+    config = ReplicationConfig(
+        mode="sync", batch_size=batch_size, ship_interval=0.001, link_delay=0.0005,
+        segment_bytes=segment_bytes,
+    )
+    pair = ReplicatedPair(config, seed=3)
+    queue = pair.primary.queues.create(QUEUE)
+    consumer = QueueConsumer("worker")
+    queue.attach(consumer)
+    return pair, queue, consumer
+
+
+def settle(pair, now):
+    while pair.acked_records(now) < pair.journal.records_appended:
+        now += 0.001
+        pair.tick(now)
+    return now
+
+
+class TestIdleTicksAreFree:
+    def test_ticks_with_nothing_pending_touch_neither_disk(self):
+        pair, queue, consumer = synced_pair()
+        now = 0.0
+        for n in range(5):
+            queue.send(Message(topic=QUEUE, properties={"n": n}, body=b"x" * 64), now)
+            consumer.ack(consumer.receive())
+            now = settle(pair, now)
+        primary, standby = count_calls(pair.primary_disk), count_calls(pair.standby.disk)
+        for _ in range(50):
+            now += 0.001
+            pair.tick(now)
+        assert not primary and not standby
+        assert pair.standby.records_applied == pair.journal.records_appended == 15
+        # ... and the first record after the lull still ships.
+        queue.send(Message(topic=QUEUE, properties={"n": 5}), now)
+        now = settle(pair, now)
+        assert pair.standby.records_applied == 17  # PUBLISH + DELIVER
+        assert primary["list"] == 0 and primary["read"] >= 1
+
+
+class TestAFrameIsOneCommitOnTheStandby:
+    @pytest.mark.parametrize("k", [1, 2, 16])
+    def test_k_records_cost_one_write_and_one_fsync(self, k):
+        pair, _queue, _consumer = synced_pair()
+        for n in range(k):
+            pair.journal.log_ack("queue", QUEUE, n)
+        standby = count_calls(pair.standby.disk)
+        settle(pair, 0.0)
+        assert pair.frames_shipped == 1 and pair.standby.records_applied == k
+        assert standby["append"] == 1 and standby["sync"] == 1
+        assert standby["create"] == standby["list"] == standby["read"] == 0
+
+    def test_a_rotation_inside_the_frame_costs_one_more_of_each(self):
+        pair, _queue, _consumer = synced_pair(segment_bytes=512)
+        for n in range(16):  # ~70 B each: the frame straddles rotations
+            pair.journal.log_ack("queue", QUEUE, n)
+        standby = count_calls(pair.standby.disk)
+        settle(pair, 0.0)
+        assert pair.frames_shipped == 1 and pair.standby.records_applied == 16
+        crossed = pair.standby.journal.rotations
+        assert crossed == pair.journal.rotations >= 1
+        # Per stretch one write + one fsync; per rotation the header write
+        # and the fsync that seals the retiring segment.
+        assert standby["append"] == (crossed + 1) + crossed
+        assert standby["sync"] == (crossed + 1) + crossed
+        assert standby["create"] == crossed
+        assert pair.standby.disk.snapshot() == pair.primary_disk.snapshot()
+
+    def test_the_replica_is_the_primary_byte_for_byte_at_small_segments(self):
+        pair, queue, consumer = synced_pair(segment_bytes=512, batch_size=5)
+        now = 0.0
+        for n in range(60):
+            queue.send(Message(topic=QUEUE, properties={"n": n}, body=b"x" * (n * 7 % 90)), now)
+            if n % 3:
+                consumer.ack(consumer.receive())
+            now += 0.001
+            pair.tick(now)
+        settle(pair, now)
+        assert len(pair.journal.segments) > 10
+        assert pair.standby.disk.snapshot() == pair.primary_disk.snapshot()
+        assert pair.standby.journal.record_locations == pair.journal.record_locations
+        assert pair.standby.journal.records_appended == pair.journal.records_appended
+        # Fewer commits than records: that is the point.
+        assert pair.standby.disk.writes < pair.primary_disk.writes
+        assert pair.standby.journal.syncs < pair.journal.syncs

@@ -10,6 +10,7 @@ import pytest
 
 from repro.broker.message import Message
 from repro.broker.queues import QueueConsumer
+from repro.durability import SimulatedDisk, scan_disk
 from repro.durability.recovery import collect_live_entries
 from repro.mesh.membership import ShardState
 from repro.mesh.rebalance import HandoffSession, RebalanceEngine
@@ -158,6 +159,33 @@ class TestFaultedRebalance:
         assert sorted(live_ids(mesh)) == sorted(sent)
         assert_conserved(mesh.mesh_ledger())
 
+    def test_dest_disk_write_fault_is_resent_not_skipped(self, assert_conserved):
+        # The receiver is a StandbyReplica: a frame it could not write is
+        # not acknowledged, the ``applied_sequence`` gate keeps the session
+        # in "ship", and go-back-N lands every record exactly once.
+        mesh, _names, sent, now = build_mesh()
+        mesh.add_shard("s3")
+        event = mesh.membership.join("s3")
+        engine = RebalanceEngine(mesh)
+        engine.now = now
+        receivers = []
+
+        def hook(eng, session, step_index):
+            if session.receiver is not None and session.receiver not in receivers:
+                receivers.append(session.receiver)
+                mesh.shard(session.dest).disk.fail_writes(1)
+
+        report = engine.rebalance(event, hook=hook)
+        assert report.completed, report.errors
+        assert receivers and all(r.journal_write_failures == 1 for r in receivers)
+        assert sum(h.retransmissions for h in report.handoffs) >= len(receivers)
+        assert all(
+            r.records_applied == h.records_shipped
+            for r, h in zip(receivers, report.handoffs)
+        )
+        assert sorted(live_ids(mesh)) == sorted(sent)
+        assert_conserved(mesh.mesh_ledger())
+
     def test_step_budget_exhaustion_reported(self):
         mesh, _names, _sent, now = build_mesh()
         mesh.add_shard("s3")
@@ -211,6 +239,40 @@ class TestCompactionDuringHandoff:
         assert mesh.membership.table.owner("queue|jobs") == dest
         assert sorted(live_ids(mesh)) == sorted(sent)
         assert_conserved(mesh.mesh_ledger())
+
+
+    def test_the_receiver_compacts_only_its_own_journal_on_the_shared_disk(self):
+        mesh = ShardedBroker(["s0", "s1"], segment_bytes=512)
+        mesh.create_queue("jobs")
+        for i in range(24):
+            mesh.send("jobs", Message(topic="jobs", body=f"op-{i:03}".encode()), now=i * 1e-3)
+        source = mesh.owner_id("queue", "jobs")
+        dest = next(s for s in mesh.shard_ids if s != source)
+        journal = mesh.shard(source).journal
+        session = HandoffSession(mesh, source, dest, ["queue|jobs"])
+        now = 1.0
+        for _ in range(3):
+            session.step(now)
+            now += 0.01
+        dest_disk = mesh.shard(dest).disk
+        own = {n: d for n, d in dest_disk.snapshot().items() if n.startswith("journal.")}
+        assert own and session.receiver.journal.records_appended > 0
+        journal.checkpoint(collect_live_entries(mesh.shard(source).broker), now=now)
+        while session.state == "ship":
+            now += 0.01
+            session.step(now)
+        receiver = session.receiver
+        assert receiver.journal.checkpoints == 1
+        # The staging journal is the snapshot and what followed it ...
+        image = SimulatedDisk.from_snapshot(dest_disk.snapshot())
+        kinds = [r.kind.name for r in scan_disk(image, receiver.name).records]
+        assert kinds[0] == "CHECKPOINT" and kinds.count("CHECKPOINT") == 1
+        assert len(receiver.journal.record_locations) == len(kinds)
+        assert len(receiver.fold.result.live) == 24
+        # ... and the destination shard's own journal was not touched.
+        assert {
+            n: d for n, d in dest_disk.snapshot().items() if n.startswith("journal.")
+        } == own
 
 
 class TestValidation:

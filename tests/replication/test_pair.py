@@ -294,3 +294,80 @@ class TestConfigValidation:
         assert payload["mode"] == "sync"
         assert payload["records_appended"] == 3
         assert payload["promoted"] is False
+
+
+def drain_ids(broker):
+    """Property ``n`` of every message in the promoted backlog, in order."""
+    consumer = QueueConsumer("after-failover")
+    broker.queues.create(QUEUE).attach(consumer)
+    ids = []
+    while (delivery := consumer.receive()) is not None:
+        ids.append(delivery.message.properties["n"])
+    return ids
+
+
+class TestStandbyDiskFault:
+    def test_one_write_fault_on_the_standby_loses_no_sync_acked_message(self):
+        # Regression: the standby folded the record, swallowed the write
+        # error, counted it applied and acked — so the client was told
+        # RPO = 0 for a message the replica's journal did not hold, and
+        # failover came back with [1, 2, 4, 5].
+        pair = make_pair("sync")
+        queue = pair.primary.queues.create(QUEUE)
+        now = 0.0
+        for n in range(1, 6):
+            if n == 3:
+                pair.standby.disk.fail_writes(1)
+            queue.send(Message(topic=QUEUE, properties={"n": n}), now=now)
+            while pair.acked_records(now) < pair.journal.records_appended:
+                now += DT
+                pair.tick(now)
+        assert pair.standby.journal_write_failures == 1
+        assert pair.retransmits >= 1  # go-back-N carried the frame again
+        assert pair.client_acked_records == pair.standby.records_applied == 5
+        pair.crash_primary(now)
+        report = pair.maybe_promote(now + 2 * pair.config.lease_duration)
+        assert report is not None and report.succeeded
+        assert drain_ids(report.broker) == [1, 2, 3, 4, 5]
+        report.broker.queues.get(QUEUE).closed_ledger().assert_conserved("after failover")
+
+    def test_the_ack_waits_for_the_resend(self):
+        pair = make_pair("sync")
+        queue = pair.primary.queues.create(QUEUE)
+        pair.standby.disk.fail_writes(1)
+        queue.send(Message(topic=QUEUE, properties={"n": 1}), now=DT)
+        now = DT
+        while pair.standby.journal_write_failures == 0:
+            now += DT
+            pair.tick(now)
+        assert pair.client_acked_records == 0 and pair.standby.applied_sequence == 0
+        now = settle(pair, now)
+        assert pair.client_acked_records == 1
+
+
+class TestTracerSeams:
+    """The lifecycle benchmark wraps these on *instances* after
+    construction; a call bound at construction time or a slotted class
+    would make its per-layer metrics read zero without failing anything."""
+
+    def test_instance_level_wrappers_are_reached(self):
+        pair = make_pair("sync")
+        called = []
+
+        def wrap(target, method):
+            function = getattr(target, method)
+
+            def wrapper(*args, **kwargs):
+                called.append(method)
+                return function(*args, **kwargs)
+
+            setattr(target, method, wrapper)  # AttributeError on a slotted class
+
+        wrap(pair.tailer, "poll")
+        wrap(pair.standby, "receive")
+        wrap(pair.journal.disk, "append")
+        wrap(pair.journal, "log_publish")
+        wrap(pair, "tick")
+        settle(pair, publish(pair, 3))
+        assert {"poll", "receive", "append", "log_publish"} <= set(called)
+        assert pair.standby.records_applied == 3

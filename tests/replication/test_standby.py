@@ -123,3 +123,233 @@ class TestAppliesTheShippedBytes:
         replica.receive(encode_frame(frame))
         assert replica.malformed_records == 1
         assert replica.journal.records_appended == 0
+
+
+# ----------------------------------------------------------------------
+# A frame is one commit: written, then folded, then acknowledged
+# ----------------------------------------------------------------------
+from repro.durability import DiskWriteError, SimulatedDisk, scan_disk  # noqa: E402
+from repro.durability.journal import _frame  # noqa: E402
+from repro.durability.recovery import fold_records  # noqa: E402
+
+
+class PrefixFaultDisk(SimulatedDisk):
+    """A disk whose write faults keep a *chosen* prefix: ``fail_at(n, keep)``
+    makes the ``n``-th append from now persist ``keep`` bytes and raise —
+    what ``fail_writes`` does with a seeded ``keep``, made enumerable."""
+
+    def __init__(self):
+        super().__init__()
+        self._countdown = None
+        self._keep = 0
+
+    def fail_at(self, nth, keep):
+        self._countdown, self._keep = nth, keep
+
+    def append(self, name, data):
+        if self._countdown is not None:
+            self._countdown -= 1
+            if self._countdown == 0:
+                self._countdown = None
+                self.failed_writes += 1
+                super().append(name, data[: self._keep])
+                raise DiskWriteError(f"write to {name!r} failed after {self._keep} bytes")
+        return super().append(name, data)
+
+
+def deliver(mid, consumer="worker"):
+    return _frame(
+        RecordKind.DELIVER,
+        {"domain": "queue", "dest": "orders", "mid": mid, "consumer": consumer},
+    )
+
+
+def ack(mid):
+    return _frame(
+        RecordKind.ACK, {"domain": "queue", "dest": "orders", "mid": mid, "reason": "acked"}
+    )
+
+
+def publish(mid, body=b"payload"):
+    message = Message(topic="orders", properties={"n": mid}, body=body, message_id=mid)
+    payload = {"domain": "queue", "dest": "orders", "msg": encode_message(message), "mid": mid}
+    return encode_record(JournalRecord(RecordKind.PUBLISH, payload))
+
+
+def checkpoint(*mids):
+    entries = [
+        {
+            "domain": "queue",
+            "dest": "orders",
+            "mid": mid,
+            "msg": encode_message(Message(topic="orders", body=b"kept", message_id=mid)),
+            "delivers": 0,
+        }
+        for mid in mids
+    ]
+    return encode_record(JournalRecord(RecordKind.CHECKPOINT, {"entries": entries}))
+
+
+def frame_of(sequence, *records):
+    return encode_frame(ShipFrame(sequence=sequence, epoch=1, records=tuple(records)))
+
+
+def replica_records(replica):
+    """What a promotion would replay: a scan of a copy of the replica's disk."""
+    image = SimulatedDisk.from_snapshot(replica.disk.snapshot())
+    return scan_disk(image, replica.name).records
+
+
+def delivers(fold_result):
+    return {key[2]: entry.delivers for key, entry in fold_result.live.items()}
+
+
+#: Two messages, one delivered twice, one delivered and acked: a record
+#: folded twice would show in ``delivers`` (2 → 3) or as ``unmatched``.
+HISTORY = (publish(1), publish(2), deliver(1), deliver(2), deliver(1), ack(2), publish(3))
+
+
+class TestAWriteFaultNeverAcknowledgesOrDuplicates:
+    def test_a_frame_the_replica_could_not_write_is_not_acknowledged_or_folded(self):
+        disk = PrefixFaultDisk()
+        replica = StandbyReplica(disk=disk)
+        assert replica.receive(frame_of(0, publish(1))) == 1
+        disk.fail_at(1, keep=3)
+        assert replica.receive(frame_of(1, publish(2), deliver(2))) == 1  # not acked
+        assert replica.journal_write_failures == 1
+        assert replica.records_applied == 1 and replica.frames_applied == 1
+        assert delivers(replica.fold.result) == {1: 0}
+        # Go-back-N resends it: now it lands, once.
+        assert replica.receive(frame_of(1, publish(2), deliver(2))) == 2
+        assert replica.records_applied == 3
+        assert delivers(replica.fold.result) == {1: 0, 2: 1}
+        assert delivers(fold_records(replica_records(replica))) == {1: 0, 2: 1}
+
+    def test_at_every_byte_the_resend_lands_each_record_exactly_once(self):
+        # A failed write keeps a prefix of the run, and the prefix can hold
+        # whole records.  Whatever it holds, after the resend the replica
+        # replays the history once: no record lost, none folded twice.
+        run = b"".join(HISTORY)
+        expected = {1: 2, 3: 0}
+        resumed = set()
+        for keep in range(len(run) + 1):
+            disk = PrefixFaultDisk()
+            replica = StandbyReplica(disk=disk)
+            disk.fail_at(1, keep)
+            assert replica.receive(frame_of(0, *HISTORY)) == 0
+            resumed.add(replica._resume)
+            assert replica.records_applied == replica._resume
+            assert len(replica.fold.result.live) <= 3
+            assert replica.receive(frame_of(0, *HISTORY)) == 1, keep
+            assert replica.records_applied == len(HISTORY)
+            assert replica.journal.unsynced_bytes == 0  # durable before the ack
+            assert delivers(replica.fold.result) == expected, keep
+            replayed = replica_records(replica)
+            assert [encode_record(r) for r in replayed] == list(HISTORY), keep
+            replayed_fold = fold_records(replayed)
+            assert delivers(replayed_fold) == expected and replayed_fold.unmatched == 0
+        assert resumed == set(range(len(HISTORY) + 1))  # every resume point was hit
+
+    def test_a_frame_split_by_a_rotation_keeps_its_durable_first_stretch(self):
+        # 256-byte segments: HISTORY needs several stretches.  Fail the
+        # write of each data stretch and of each rotation header in turn.
+        clean = StandbyReplica(disk=SimulatedDisk(), segment_bytes=256)
+        clean.receive(frame_of(0, *HISTORY))
+        writes = clean.disk.writes - 1  # appends the frame cost (minus the first header)
+        assert clean.journal.rotations >= 2
+        for nth in range(1, writes + 1):
+            for keep in (0, 5, 40, 10_000):
+                disk = PrefixFaultDisk()
+                replica = StandbyReplica(disk=disk, segment_bytes=256)
+                disk.fail_at(nth, keep)
+                assert replica.receive(frame_of(0, *HISTORY)) == 0
+                assert replica.receive(frame_of(0, *HISTORY)) == 1
+                replayed = replica_records(replica)
+                assert [encode_record(r) for r in replayed] == list(HISTORY), (nth, keep)
+                assert delivers(replica.fold.result) == {1: 2, 3: 0}
+                assert replica.journal.unsynced_bytes == 0
+
+    def test_two_faults_in_a_row_still_converge(self):
+        disk = PrefixFaultDisk()
+        replica = StandbyReplica(disk=disk)
+        size = len(HISTORY[0]) + len(HISTORY[1])
+        disk.fail_at(1, keep=size + 3)  # two whole records and a bit
+        assert replica.receive(frame_of(0, *HISTORY)) == 0
+        assert replica._resume == 2
+        disk.fail_at(1, keep=0)  # the resend's rotation header fails
+        assert replica.receive(frame_of(0, *HISTORY)) == 0
+        assert replica._resume == 2
+        assert replica.receive(frame_of(0, *HISTORY)) == 1
+        assert replica.journal_write_failures == 2
+        assert [encode_record(r) for r in replica_records(replica)] == list(HISTORY)
+
+    def test_later_frames_wait_behind_the_failed_one(self):
+        disk = PrefixFaultDisk()
+        replica = StandbyReplica(disk=disk)
+        replica.receive(frame_of(1, publish(2)))  # early: buffered
+        disk.fail_at(1, keep=0)
+        assert replica.receive(frame_of(0, publish(1))) == 0
+        assert replica.records_applied == 0
+        assert replica.receive(frame_of(0, publish(1))) == 2  # drains the buffer too
+        assert [r.message_id for r in replica_records(replica)] == [1, 2]
+
+    def test_malformed_records_are_counted_once_however_often_the_frame_comes(self):
+        disk = PrefixFaultDisk()
+        replica = StandbyReplica(disk=disk)
+        bad = publish(9) + b"\x00"
+        disk.fail_at(1, keep=1)
+        assert replica.receive(frame_of(0, publish(1), bad, publish(2))) == 0
+        assert replica.malformed_records == 0
+        assert replica.receive(frame_of(0, publish(1), bad, publish(2))) == 1
+        assert replica.malformed_records == 1 and replica.records_applied == 2
+
+
+class TestTheReplicaCompactsAtAShippedCheckpoint:
+    def test_a_checkpoint_in_the_middle_of_a_frame_applies_in_order(self):
+        disk = SimulatedDisk()
+        disk.create("journal-of-someone-else.00000000.seg")  # same disk, another name
+        disk.create("other.00000000.seg")
+        replica = StandbyReplica(disk=disk, segment_bytes=256)
+        replica.receive(frame_of(0, *HISTORY))
+        assert len(replica.journal.segments) > 2
+        assert replica.receive(frame_of(1, publish(4), checkpoint(1, 4), publish(5), deliver(4))) == 2
+        assert replica.records_applied == len(HISTORY) + 4
+        # The fold: the snapshot, then what followed it — in that order.
+        assert delivers(replica.fold.result) == {1: 0, 4: 1, 5: 0}
+        # The disk: nothing of this journal's name older than the snapshot
+        # segment (a 256-byte segment is full after it: the suffix rotated).
+        oldest = replica.journal.segments[0]
+        assert disk.read(oldest, SEGMENT_HEADER_SIZE) == checkpoint(1, 4)
+        assert len(replica.journal.segments) == 2
+        kinds = [r.kind.name for r in replica_records(replica)]
+        assert kinds == ["CHECKPOINT", "PUBLISH", "DELIVER"]
+        assert len(replica.journal.record_locations) == 3
+        assert replica.journal.checkpoints == 1
+        # Files of other names on the shared disk are not this journal's.
+        assert disk.exists("other.00000000.seg")
+        assert disk.exists("journal-of-someone-else.00000000.seg")
+        assert delivers(fold_records(replica_records(replica))) == {1: 0, 4: 1, 5: 0}
+
+    def test_the_replica_holds_the_shipped_bytes_of_the_checkpoint(self):
+        replica = StandbyReplica()
+        snapshot = checkpoint(1, 2)
+        replica.receive(frame_of(0, publish(1), publish(2), snapshot))
+        assert replica.disk.read(replica.journal.current_segment, SEGMENT_HEADER_SIZE) == snapshot
+
+    def test_a_write_fault_on_the_way_deletes_nothing_and_the_resend_compacts(self):
+        # Fail the compaction's rotation header (1st write of the resend
+        # frame), then its CHECKPOINT append (2nd), at several prefixes.
+        for nth in (1, 2):
+            for keep in (0, 4, 10_000):
+                disk = PrefixFaultDisk()
+                replica = StandbyReplica(disk=disk)
+                replica.receive(frame_of(0, *HISTORY))
+                before = disk.snapshot()
+                disk.fail_at(nth, keep)
+                assert replica.receive(frame_of(1, checkpoint(1, 3), deliver(3))) == 1
+                survivors = {n: d for n, d in disk.snapshot().items() if n in before}
+                assert survivors == before, (nth, keep)  # the old history is all there
+                assert replica.receive(frame_of(1, checkpoint(1, 3), deliver(3))) == 2
+                assert delivers(replica.fold.result) == {1: 0, 3: 1}
+                assert delivers(fold_records(replica_records(replica))) == {1: 0, 3: 1}
+                assert replica.journal.unsynced_bytes == 0

@@ -113,6 +113,8 @@ def test_check_static_covers_hotpath_surface():
     assert "tests/broker/test_dispatch_memo.py" in suites
     assert "tests/mesh/test_batch_routing.py" in suites
     assert "tests/durability/test_record_format.py" in suites
+    assert "tests/durability/test_journal.py" in suites
+    assert "tests/durability/test_tail.py" in suites
 
 
 def test_strict_mypy_scope_includes_hotpath():

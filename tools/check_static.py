@@ -89,7 +89,10 @@ CLI_SMOKE = (
 #: batches, on randomized inputs.  Run as part of the gate because a
 #: divergence here silently corrupts dispatch.  The write-ahead record
 #: format rides along: its encoder and its parser must stay inverses,
-#: since shipped and replicated records are never re-serialised.
+#: since shipped and replicated records are never re-serialised.  So do
+#: the two shortcuts replication takes: a run append must land the bytes
+#: one-by-one appends would, and a tailer that remembers its listing and
+#: that the log ran dry must return what one without memory returns.
 EQUIVALENCE_SUITES = (
     "tests/broker/test_selector_compile.py::TestCompiledEquivalence",
     "tests/broker/test_dispatch_memo.py::TestMemoizedEquivalence",
@@ -97,6 +100,8 @@ EQUIVALENCE_SUITES = (
     "tests/broker/test_scan_kernel.py::TestScanInvalidation",
     "tests/mesh/test_batch_routing.py::TestRoutingEquivalence",
     "tests/durability/test_record_format.py::TestRecordFormatV2",
+    "tests/durability/test_journal.py::TestAppendRun",
+    "tests/durability/test_tail.py::test_a_long_lived_tailer_returns_what_a_twin_without_memory_returns",
 )
 
 
