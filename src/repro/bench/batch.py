@@ -9,10 +9,12 @@ Three measurements back the checked-in ``BENCH_batch.json`` baseline
     through :meth:`~repro.broker.server.Broker.publish_batch`.  The
     corpus repeats a small set of property *shapes*, so batched planning
     evaluates each (topic, shape) group once instead of once per
-    message — the mechanism behind the >= ``BATCH_SPEEDUP_MIN`` gate at
-    batch size 64.  Besides the two rates the result carries an
-    ``equivalent`` flag: per-subscriber inbox contents and the per-batch
-    dispatch totals must be identical between the two modes.
+    message.  That saving is gated as the exact filter-evaluation bill
+    (``batch_size x subscriptions`` sequentially, ``shapes x
+    subscriptions`` batched) beside an ``equivalent`` flag: per-subscriber
+    inbox contents and the per-batch dispatch totals must be identical
+    between the two modes.  Of the two rates the gate asks only that the
+    batch is not slower than the loop it replaces (``BATCH_SPEEDUP_MIN``).
 
 ``bench_batch_model``
     The :class:`~repro.core.batch.MXG1Queue` batch-arrival closed form
@@ -44,7 +46,7 @@ from ..core import DeterministicBatchSize, MXG1Queue
 from ..core.moments import Moments
 from ..simulation import Exponential, simulate_mxg1
 from ..simulation.rng import make_generator
-from .hotpath import _best_rate, message_corpus
+from .hotpath import _best_rates, message_corpus
 
 __all__ = [
     "BatchAcceptance",
@@ -56,13 +58,15 @@ __all__ = [
     "run_batch_bench",
 ]
 
-#: Batched publish must beat the sequential loop by this factor at b=64.
-#: The ratio is *batched over a cold sequential loop*, so it falls
-#: whenever cold planning gets cheaper: the fused topic scan took it from
-#: 8.8x to 2.4x (``--fast``, 64 filters; 3.9x in full mode) while both
-#: absolute rates rose.  What batching saves is exact and gated beside
-#: it: filter evaluations 4096 -> 512 and ``equivalent``.
-BATCH_SPEEDUP_MIN = 1.5
+#: A batch must not be slower than the sequential loop it replaces —
+#: and that is all the timing says.  The ratio is *batched over a cold
+#: sequential loop*, so it falls whenever cold planning gets cheaper
+#: (``--fast``, 64 filters: 8.8x -> 2.4x with the fused topic scan, ->
+#: 1.2-1.6x with boolean-expression selectors) while both absolute rates
+#: rise.  What batching saves is exact and gated instead: ``equivalent``
+#: and the filter-evaluation bill of the corpus, 4096 -> 512 (``--fast``)
+#: and 12800 -> 1600 (:attr:`BatchAcceptance.publish_bill_exact`).
+BATCH_SPEEDUP_MIN = 1.0
 #: Model-vs-DES mean-wait bar on every (batch, rho) cell.
 MODEL_TOLERANCE = 0.05
 #: b=1 degeneration bar against Eqs. 4-5.
@@ -182,8 +186,9 @@ def bench_batch_publish(
     def run_batched() -> None:
         bat_broker.publish_batch(corpus, now=0.0)
 
-    sequential_rate = _best_rate(run_sequential, len(corpus), repeats)
-    batched_rate = _best_rate(run_batched, len(corpus), repeats)
+    sequential_rate, batched_rate = _best_rates(
+        [run_sequential, run_batched], len(corpus), repeats
+    )
     return {
         "subscriptions": subscriptions,
         "batch_size": batch_size,
@@ -196,6 +201,13 @@ def bench_batch_publish(
         "filters_evaluated_batched": filters_batched,
         "dispatch_groups": bat_result.groups,
         "equivalent": equivalent,
+        # What the grouping stage promises: every filter once per message
+        # sequentially, once per shape batched.
+        "bill_exact": (
+            filters_sequential == len(corpus) * subscriptions
+            and filters_batched == shapes * subscriptions
+            and bat_result.groups == shapes
+        ),
     }
 
 
@@ -302,12 +314,13 @@ class BatchAcceptance:
 
     publish_speedup: float
     publish_equivalent: bool
+    publish_bill_exact: bool
     model_max_rel_err: float
     pk_max_err: float
 
     @property
     def publish_pass(self) -> bool:
-        return self.publish_speedup >= BATCH_SPEEDUP_MIN
+        return self.publish_bill_exact and self.publish_speedup >= BATCH_SPEEDUP_MIN
 
     @property
     def model_pass(self) -> bool:
@@ -330,7 +343,7 @@ class BatchAcceptance:
 def run_batch_bench(fast: bool = False) -> Dict[str, object]:
     """Run all three layers and assemble the ``BENCH_batch.json`` payload."""
     if fast:
-        publish = bench_batch_publish(subscriptions=64, repeats=3)
+        publish = bench_batch_publish(subscriptions=64, repeats=10)
         model = bench_batch_model(
             batch_sizes=(1, 4),
             loads=(0.7,),
@@ -344,6 +357,7 @@ def run_batch_bench(fast: bool = False) -> Dict[str, object]:
     acceptance = BatchAcceptance(
         publish_speedup=float(publish["speedup"]),  # type: ignore[arg-type]
         publish_equivalent=bool(publish["equivalent"]),
+        publish_bill_exact=bool(publish["bill_exact"]),
         model_max_rel_err=float(model["max_rel_err"]),  # type: ignore[arg-type]
         pk_max_err=float(degeneration["max_abs_err"]),  # type: ignore[arg-type]
     )
@@ -354,8 +368,11 @@ def run_batch_bench(fast: bool = False) -> Dict[str, object]:
             "planner), the M^X/G/1 batch-arrival closed form vs. the "
             "discrete-event testbed on a batch-size x utilisation grid, "
             "and the b=1 degeneration to the paper's Eqs. 4-5.  Rates "
-            "are machine-dependent; the gate asserts the speedup ratio, "
-            "the equivalence flag and the model errors, which are not."
+            "are machine-dependent; the gate asserts the equivalence flag, "
+            "the exact filter-evaluation bill (every filter once per "
+            "message sequentially, once per shape batched) and the model "
+            "errors, which are not — of the batched-over-sequential ratio "
+            "only that the batch is not slower than the loop it replaces."
         ),
         "config": {
             "fast": fast,
@@ -370,6 +387,7 @@ def run_batch_bench(fast: bool = False) -> Dict[str, object]:
             "publish_speedup": acceptance.publish_speedup,
             "publish_pass": acceptance.publish_pass,
             "publish_equivalent": acceptance.publish_equivalent,
+            "publish_bill_exact": acceptance.publish_bill_exact,
             "model_max_rel_err": acceptance.model_max_rel_err,
             "model_pass": acceptance.model_pass,
             "pk_max_err": acceptance.pk_max_err,
@@ -408,7 +426,7 @@ def format_batch_report(payload: Dict[str, object]) -> str:
     )
     verdict = "PASS" if acceptance["pass"] else "FAIL"  # type: ignore[index]
     lines.append(
-        f"  gate: speedup >= {BATCH_SPEEDUP_MIN:g}x "
+        f"  gate: filter bill exact and batched >= {BATCH_SPEEDUP_MIN:g}x sequential "
         f"{'ok' if acceptance['publish_pass'] else 'FAIL'}, "  # type: ignore[index]
         f"model err <= {MODEL_TOLERANCE:.0%} "
         f"{'ok' if acceptance['model_pass'] else 'FAIL'}, "  # type: ignore[index]

@@ -15,7 +15,9 @@ Three measurements, one per optimisation layer of the hot path:
     A broker with a few hundred property-filter subscriptions planning
     the same message set cold (full filter scan per publish) and warm
     (memoized via :class:`repro.broker.dispatch_cache.DispatchMemo`).
-    The cold and warm ``DispatchPlan.matches`` tuples must be identical.
+    The cold and warm ``DispatchPlan.matches`` tuples must be identical,
+    and the memo's own counters must say what it saved: one miss per
+    distinct message, a hit for every plan after that.
 
 ``bench_simulation``
     Events per second of the discrete-event engine driving an M/M/1
@@ -54,12 +56,15 @@ __all__ = [
 
 #: Compiled selector evaluation must beat the interpreter by this factor.
 COMPILED_SPEEDUP_MIN = 3.0
-#: Warm memoized dispatch must beat cold planning by this factor.  The
-#: ratio is *warm over cold*, so it falls whenever cold planning gets
-#: cheaper: the fused topic scan took it from 61x to 17x (full mode) and
-#: 5.3x (``--fast``, 64 filters) while both absolute rates rose.  The
-#: floor sits under the fast-mode figure, not under what the memo saves.
-MEMO_SPEEDUP_MIN = 2.5
+#: A warm plan must not be slower than the cold plan it avoids — and
+#: that is all the timing says.  The ratio is *warm over cold*, so it
+#: falls whenever cold planning gets cheaper (61x -> 17x with the fused
+#: topic scan, -> 8x with boolean-expression selectors; 5.3x -> 2.7x in
+#: ``--fast``) while both absolute rates rise; a floor under it is a
+#: gate on the slow side staying slow.  What the memo saves is exact and
+#: gated instead: identical match sets, one miss per distinct message,
+#: every later plan a hit (:attr:`HotpathAcceptance.memo_exact`).
+MEMO_SPEEDUP_MIN = 1.0
 
 #: Representative selectors: one per operator family the compiler lowers,
 #: plus combinations that exercise 3VL short-circuiting and a volatile
@@ -106,17 +111,27 @@ def message_corpus(count: int = 64, topic: str = "orders") -> List[Message]:
     return messages
 
 
+def _best_rates(runs: Sequence[Callable[[], None]], ops: int, repeats: int) -> List[float]:
+    """Operations per second of each contender over the fastest of its
+    ``repeats`` passes.  The contenders' passes are interleaved, so a
+    drift of the box's speed between two phases cannot pass for a
+    difference between two contenders (it moved a 1.3x ratio anywhere
+    between 0.9x and 1.5x on a shared two-core box)."""
+    best = [float("inf")] * len(runs)
+    for _ in range(max(1, repeats)):
+        for index, run in enumerate(runs):
+            # The bench harness *measures* host wall time by design; it never
+            # feeds simulation state, so determinism (SIM001) does not apply.
+            start = time.perf_counter()  # repro: ignore[SIM001]
+            run()
+            elapsed = time.perf_counter() - start  # repro: ignore[SIM001]
+            best[index] = min(best[index], elapsed)
+    return [ops / elapsed if elapsed > 0 else float("inf") for elapsed in best]
+
+
 def _best_rate(run: Callable[[], None], ops: int, repeats: int) -> float:
     """Operations per second over the fastest of ``repeats`` passes."""
-    best = float("inf")
-    for _ in range(max(1, repeats)):
-        # The bench harness *measures* host wall time by design; it never
-        # feeds simulation state, so determinism (SIM001) does not apply.
-        start = time.perf_counter()  # repro: ignore[SIM001]
-        run()
-        elapsed = time.perf_counter() - start  # repro: ignore[SIM001]
-        best = min(best, elapsed)
-    return ops / best if best > 0 else float("inf")
+    return _best_rates([run], ops, repeats)[0]
 
 
 # ----------------------------------------------------------------------
@@ -213,6 +228,8 @@ def bench_dispatch(
     warm_rate = _best_rate(run_warm, len(corpus), repeats)
     memo = broker.dispatch_memo(topic)
     assert memo is not None
+    # Plans made after the priming pass: the probe above + the timed passes.
+    later_plans = (1 + max(1, repeats)) * len(corpus)
     return {
         "subscriptions": subscriptions,
         "distinct_messages": len(corpus),
@@ -224,6 +241,10 @@ def bench_dispatch(
         "memo_hits": memo.hits,
         "memo_misses": memo.misses,
         "memo_entries": len(memo),
+        "plans_after_priming": later_plans,
+        # What the memo saved, as its own counters tell it: one miss per
+        # distinct message, a hit for every plan after the priming pass.
+        "memo_exact": memo.misses == len(corpus) and memo.hits == later_plans,
     }
 
 
@@ -309,6 +330,7 @@ class HotpathAcceptance:
     memo_speedup: float
     selector_mismatches: int
     matches_identical: bool
+    memo_exact: bool
 
     @property
     def compiled_pass(self) -> bool:
@@ -316,7 +338,7 @@ class HotpathAcceptance:
 
     @property
     def memo_pass(self) -> bool:
-        return self.memo_speedup >= MEMO_SPEEDUP_MIN
+        return self.memo_exact and self.memo_speedup >= MEMO_SPEEDUP_MIN
 
     @property
     def equivalent(self) -> bool:
@@ -342,6 +364,7 @@ def run_hotpath_bench(fast: bool = False) -> Dict[str, object]:
         memo_speedup=float(dispatch["speedup"]),  # type: ignore[arg-type]
         selector_mismatches=int(selector["mismatches"]),  # type: ignore[arg-type]
         matches_identical=bool(dispatch["matches_identical"]),
+        memo_exact=bool(dispatch["memo_exact"]),
     )
     return {
         "description": (
@@ -349,8 +372,11 @@ def run_hotpath_bench(fast: bool = False) -> Dict[str, object]:
             "tree-walking interpreter, memoized dispatch plans vs. cold "
             "filter scans, and engine events/s on an M/M/1 utilisation "
             "sweep with single-draw vs. batched RNG sampling.  Rates are "
-            "machine-dependent; the gate asserts the speedup ratios and "
-            "the equivalence counters, which are not."
+            "machine-dependent; the gate asserts the compiled-over-"
+            "interpreter ratio, the equivalence counters and what the memo "
+            "saves as exact counts (one miss per distinct message, every "
+            "later plan a hit) — of the warm-over-cold ratio only that a "
+            "warm plan is not slower than the cold one it avoids."
         ),
         "config": {
             "fast": fast,
@@ -365,6 +391,7 @@ def run_hotpath_bench(fast: bool = False) -> Dict[str, object]:
             "compiled_speedup": acceptance.compiled_speedup,
             "compiled_pass": acceptance.compiled_pass,
             "memo_speedup": acceptance.memo_speedup,
+            "memo_exact": acceptance.memo_exact,
             "memo_pass": acceptance.memo_pass,
             "selector_mismatches": acceptance.selector_mismatches,
             "matches_identical": acceptance.matches_identical,
@@ -389,7 +416,9 @@ def format_hotpath_report(payload: Dict[str, object]) -> str:
         (
             f"  dispatch: cold {dispatch['plans_per_s_cold']:,.0f} plans/s, "  # type: ignore[index]
             f"warm {dispatch['plans_per_s_warm']:,.0f} plans/s "  # type: ignore[index]
-            f"({dispatch['speedup']:.1f}x, identical={dispatch['matches_identical']})"  # type: ignore[index]
+            f"({dispatch['speedup']:.1f}x, identical={dispatch['matches_identical']}, "  # type: ignore[index]
+            f"memo {dispatch['memo_misses']} misses / {dispatch['distinct_messages']} distinct, "  # type: ignore[index]
+            f"{dispatch['memo_hits']} hits / {dispatch['plans_after_priming']} later plans)"  # type: ignore[index]
         ),
     ]
     for row in simulation["sweep"]:  # type: ignore[index]
@@ -402,7 +431,7 @@ def format_hotpath_report(payload: Dict[str, object]) -> str:
     lines.append(
         f"  gate: compiled >= {COMPILED_SPEEDUP_MIN:g}x "
         f"{'ok' if acceptance['compiled_pass'] else 'FAIL'}, "  # type: ignore[index]
-        f"memo >= {MEMO_SPEEDUP_MIN:g}x "
+        f"memo counts exact and warm >= {MEMO_SPEEDUP_MIN:g}x cold "
         f"{'ok' if acceptance['memo_pass'] else 'FAIL'} -> {verdict}"  # type: ignore[index]
     )
     return "\n".join(lines)

@@ -21,9 +21,12 @@ from .subscriptions import Subscription
 __all__ = ["DispatchPlan", "LinearScan", "plan_dispatch"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class DispatchPlan:
     """The outcome of matching one message against a topic's subscriptions.
+
+    Slotted and not frozen: one is built per message, warm or cold, and a
+    frozen unslotted dataclass cost 0.85 µs a construction against 0.26.
 
     Attributes
     ----------

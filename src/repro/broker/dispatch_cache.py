@@ -100,14 +100,16 @@ class DispatchMemo:
         """Everything the topic's filters can observe, as a hashable key."""
         return message_fingerprint(message, self.header_fields)
 
-    def lookup(self, message: Message) -> Optional[DispatchPlan]:
+    def lookup(self, message: Message, key: object) -> Optional[DispatchPlan]:
         """A warm plan for ``message``, or None on a miss.
 
+        ``key`` is the message's :meth:`fingerprint`, taken by the caller
+        so that a miss can hand the same key to :meth:`store` (a
+        fingerprint costs as much as a warm plan's other work together).
         The returned plan carries the *new* message object and a zero
         filter bill — the match-set is the only thing reused.
         """
         cache = self._cache
-        key = self.fingerprint(message)
         matches = cache.get(key)
         if matches is None:
             self.misses += 1
@@ -116,10 +118,10 @@ class DispatchMemo:
         self.hits += 1
         return DispatchPlan(message=message, matches=matches, filters_evaluated=0)
 
-    def store(self, plan: DispatchPlan) -> None:
-        """Remember a cold plan's match-set under its message fingerprint."""
+    def store(self, key: object, plan: DispatchPlan) -> None:
+        """Remember a cold plan's match-set under the fingerprint ``key``
+        of its message (the one the failed :meth:`lookup` was given)."""
         cache = self._cache
-        key = self.fingerprint(plan.message)
         cache[key] = plan.matches
         cache.move_to_end(key)
         if len(cache) > self.maxsize:

@@ -3,23 +3,41 @@
 The tree-walking evaluator (:mod:`repro.broker.selector.evaluator`) pays
 an ``isinstance`` dispatch chain and a Python-level recursion per AST
 node *per message*.  This module pays those costs **once per selector**
-instead: the AST is lowered to straight-line Python source — identifier
-loads hoisted into locals, SQL-92 three-valued logic inlined with
-short-circuiting, LIKE patterns pre-compiled to anchored regexes, IN
-lists frozen into sets — and ``compile()``-d into a single code object.
-Evaluating a message is then one function call.
+instead: the AST is lowered to Python source — identifier loads and the
+type tests of what they loaded hoisted into locals, LIKE patterns
+pre-compiled to anchored regexes, IN lists frozen into sets — and
+``compile()``-d into code objects.  Evaluating a message is then one
+function call.
+
+**The lowering asks "is it TRUE?", never "what is it?".**  A message
+matches only when its selector is TRUE, so a condition needs no
+three-valued *value*: :func:`_truth` and :func:`_falsity` give, for any
+condition, a plain Python boolean expression over the hoisted locals
+that holds iff the condition is TRUE, respectively FALSE::
+
+    truth(A AND B) = truth(A) and truth(B)   falsity(A AND B) = falsity(A) or falsity(B)
+    truth(A OR B)  = truth(A) or truth(B)    falsity(A OR B)  = falsity(A) and falsity(B)
+    truth(NOT A)   = falsity(A)              falsity(NOT A)   = truth(A)
+    truth(x < 5)   = guard and x < 5         falsity(x < 5)   = guard and not (x < 5)
+
+SQL's UNKNOWN is "neither": a predicate's ``guard`` says it is *not*
+UNKNOWN (operands present and of comparable kinds, the evaluator's rules
+one for one), an identifier or literal used as a condition is decided by
+identity (``v is True``) or at compile time, and short-circuiting is
+Python's own ``and`` / ``or`` over sub-expressions that are pure.  Only a
+condition used as a *value* — ``(a > 1) = flag``, or the result of
+:meth:`CompiledSelector.evaluate` — spells UNKNOWN out, as ``None``
+(:data:`~repro.broker.selector.evaluator.UNKNOWN` at the API boundary).
 
 A topic's dispatch plan needs the verdict of *every* installed filter,
 so :func:`compile_scan` takes the same lowering one level up: a run of
 filters becomes one generated function per block of :data:`SCAN_BLOCK`,
-which loads every referenced property once per block and carries each
-selector's straight-line body inline (see :class:`ScanKernel`).
-
-Semantics are *exactly* the evaluator's (the hypothesis equivalence
-suite in ``tests/broker/test_selector_compile.py`` proves it on
-randomized ASTs and messages): ``None`` represents SQL NULL/UNKNOWN
-inside the generated code and is mapped back to
-:data:`~repro.broker.selector.evaluator.UNKNOWN` at the API boundary.
+which loads every referenced property — and tests its type — once per
+block and carries each selector as one line, ``if <truth>: hit(k)``
+(see :class:`ScanKernel`).  Semantics are *exactly* the evaluator's: the
+hypothesis equivalence suite in ``tests/broker/test_selector_compile.py``
+proves it on randomized ASTs and messages, NaN and infinities included,
+with the tree-walking interpreter as the oracle.
 
 The interpreter remains available as a fallback: set the environment
 variable ``REPRO_SELECTOR_COMPILE=0`` before import, or call
@@ -29,6 +47,7 @@ walks the tree again.
 
 from __future__ import annotations
 
+import math
 import os
 from typing import (
     TYPE_CHECKING,
@@ -36,6 +55,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Protocol,
     Sequence,
@@ -56,7 +76,7 @@ from .ast import (
     Unary,
     iter_identifiers,
 )
-from .evaluator import UNKNOWN, _like_regex  # noqa: F401 - re-exported for tests
+from .evaluator import UNKNOWN, _is_number, _like_regex
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..message import Message
@@ -90,6 +110,7 @@ _HEADER_NAMES = frozenset(
 
 _COMPARISON_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
+_ARITH_OPS = frozenset({"+", "-", "*", "/"})
 
 # Opt-out escape hatch only: flipping it changes *speed*, never results
 # (check_static's equivalence smoke enforces exactly that).
@@ -120,11 +141,12 @@ class CompiledSelector:
     Attributes
     ----------
     fn:
-        The raw generated closure; returns ``True``/``False``/``None``
-        (``None`` encodes SQL UNKNOWN) or a number/string for
+        The generated three-valued function; returns ``True``/``False``/
+        ``None`` (``None`` encodes SQL UNKNOWN) or a number/string for
         non-condition expressions.
     matches:
-        ``Callable[[message], bool]`` — the hot-path predicate.
+        ``Callable[[message], bool]`` — the hot-path predicate, generated
+        from the "is it TRUE?" expression alone.
     source:
         The generated Python source (debugging/teaching aid).
     ast:
@@ -133,15 +155,13 @@ class CompiledSelector:
 
     __slots__ = ("fn", "matches", "source", "ast")
 
-    def __init__(self, fn: Callable[[Any], Any], source: str, ast: Expr):
+    def __init__(
+        self, fn: Callable[[Any], Any], matches: Callable[[Any], bool], source: str, ast: Expr
+    ):
         self.fn = fn
+        self.matches = matches
         self.source = source
         self.ast = ast
-
-        def matches(message: Any, _fn: Callable[[Any], Any] = fn) -> bool:
-            return _fn(message) is True
-
-        self.matches = matches
 
     def evaluate(self, message: Any) -> Any:
         """Three-valued result, API-compatible with the interpreter."""
@@ -149,19 +169,70 @@ class CompiledSelector:
         return UNKNOWN if result is None else result
 
     def __call__(self, message: Any) -> bool:
-        return self.fn(message) is True
+        return self.matches(message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CompiledSelector({str(self.ast)!r})"
 
 
+#: How many levels of parenthesised and/or groups one generated expression
+#: may nest before a group is spilled into a ``tN = ...`` statement of its
+#: own.  Deeper than selectors people write; what it protects is the
+#: generated ones — CPython refuses a few hundred nested parentheses, and
+#: nesting must not grow with the length of a selector.  A spilled group
+#: is evaluated unconditionally (sub-expressions are pure), so the cost
+#: of the limit is short-circuiting, never a verdict.
+_MAX_NESTING = 8
+
+
+class _Chain(NamedTuple):
+    """A flat ``a and b and c`` / ``a or b or c`` of Python source terms.
+
+    ``depth`` counts the parenthesised groups nested inside the deepest
+    term.  A single term is a chain of one (its ``op`` is moot).
+    """
+
+    op: str
+    terms: Tuple[str, ...]
+    depth: int
+
+
+#: A lowered condition: decided at compile time, or a boolean expression.
+_Cond = Union[bool, _Chain]
+
+
+def _term(text: str) -> _Chain:
+    return _Chain("and", (text,), 0)
+
+
+def _render(cond: _Cond) -> str:
+    if isinstance(cond, bool):
+        return repr(cond)
+    return f" {cond.op} ".join(cond.terms)
+
+
+#: The type tests a block hoists next to its loads, one local per
+#: (identifier, kind) some unit asks about.  ``n`` is the evaluator's
+#: ``_is_number``: an int or a non-NaN float, never a bool; ``i`` refines
+#: a value already known to be a number.
+_GUARD_TESTS = {
+    "n": "isinstance({v}, _num) and not isinstance({v}, bool) and {v} == {v}",
+    "s": "isinstance({v}, str)",
+    "b": "{v} is True or {v} is False",
+    "i": "isinstance({v}, int)",
+}
+
+
 class _CodeGen:
-    """Accumulates generated statements and shared constants."""
+    """Accumulates generated statements, hoisted guards and constants."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
         self.consts: Dict[str, object] = {}
         self.ident_vars: Dict[str, str] = {}
+        self.guards: Dict[str, str] = {}
+        #: ``id`` of a condition node used as a value -> the local bound to it.
+        self.values: Dict[int, str] = {}
         self._tmp = 0
 
     def temp(self) -> str:
@@ -173,259 +244,218 @@ class _CodeGen:
         self.consts[name] = value
         return name
 
-    def emit(self, depth: int, line: str) -> None:
-        self.lines.append("    " * depth + line)
+    def emit(self, line: str) -> None:
+        self.lines.append("    " + line)
+
+    def literal(self, value: object) -> str:
+        """A literal as source text; ``repr`` round-trips every JMS type
+        but the non-finite floats (``1e999`` parses to ``inf``)."""
+        if isinstance(value, float) and not math.isfinite(value):
+            return self.const(value)
+        return repr(value)
+
+    def guard(self, var: str, kind: str) -> _Chain:
+        """The hoisted local that answers "is ``var`` of ``kind``?"."""
+        name = f"{kind}_{var}"
+        self.guards.setdefault(name, f"    {name} = " + _GUARD_TESTS[kind].format(v=var))
+        return _term(name)
+
+    def join(self, op: str, *parts: _Cond) -> _Cond:
+        """``parts`` under ``and`` / ``or``: constants folded, chains of
+        the same operator spliced flat, repeated terms dropped (in a
+        chain a term that was reached again has the value it had), and a
+        group that would nest beyond :data:`_MAX_NESTING` spilled."""
+        absorbing = op == "or"  # TRUE decides an ``or``, FALSE an ``and``
+        if any(part is absorbing for part in parts):
+            return absorbing
+        chains = [part for part in parts if not isinstance(part, bool)]
+        if len(chains) < 2:
+            return chains[0] if chains else not absorbing
+        terms: Dict[str, None] = {}
+        depth = 0
+        for part in chains:
+            if part.op == op or len(part.terms) == 1:
+                terms.update(dict.fromkeys(part.terms))
+                depth = max(depth, part.depth)
+            elif part.depth + 1 < _MAX_NESTING:
+                terms[f"({_render(part)})"] = None
+                depth = max(depth, part.depth + 1)
+            else:
+                spilled = self.temp()
+                self.emit(f"{spilled} = {_render(part)}")
+                terms[spilled] = None
+        return _Chain(op, tuple(terms), depth)
 
 
-def _atom(value: object) -> str:
-    """Literal constants as source text (repr round-trips all JMS types)."""
-    if value is True:
-        return "True"
-    if value is False:
-        return "False"
-    return repr(value)
+# ----------------------------------------------------------------------
+# Polarity lowering: "is it TRUE?" and "is it FALSE?", never "what is it?"
+# ----------------------------------------------------------------------
+def _is_arith(expr: Expr) -> bool:
+    return isinstance(expr, (Unary, Binary)) and expr.op in _ARITH_OPS
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _num_check(expr: str) -> str:
-    """Source for the evaluator's ``_is_number`` test (bool excluded)."""
-    return f"(isinstance({expr}, _num) and not isinstance({expr}, bool))"
-
-
-def _bool_check(expr: str) -> str:
-    return f"({expr} is True or {expr} is False)"
-
-
-_NOT_CONST = object()
-
-
-def _compile_node(gen: _CodeGen, expr: Expr, depth: int) -> Tuple[str, object]:
-    """Emit statements computing ``expr``; return ``(atom, const_value)``.
-
-    ``atom`` is a variable name or literal source text holding the
-    three-valued result (``None`` = UNKNOWN).  ``const_value`` is the
-    compile-time value for :class:`Literal` nodes (else ``_NOT_CONST``),
-    which lets comparisons constant-fold the literal side's type checks.
-    """
+def _truth(gen: _CodeGen, expr: Expr) -> _Cond:
+    """A Python boolean expression that holds iff ``expr`` is TRUE."""
+    if isinstance(expr, Binary) and expr.op in ("AND", "OR"):
+        op = "and" if expr.op == "AND" else "or"
+        return gen.join(op, _truth(gen, expr.left), _truth(gen, expr.right))
+    if isinstance(expr, Unary) and expr.op == "NOT":
+        return _falsity(gen, expr.operand)
     if isinstance(expr, Literal):
-        return _atom(expr.value), expr.value
+        return expr.value is True
     if isinstance(expr, Identifier):
-        return gen.ident_vars[expr.name], _NOT_CONST
-    if isinstance(expr, Unary):
-        return _compile_unary(gen, expr, depth)
+        return _term(f"{gen.ident_vars[expr.name]} is True")
+    return _predicate(gen, expr, True)
+
+
+def _falsity(gen: _CodeGen, expr: Expr) -> _Cond:
+    """A Python boolean expression that holds iff ``expr`` is FALSE.
+
+    UNKNOWN is what is left when neither this nor :func:`_truth` holds;
+    no generated code ever holds it in a variable.
+    """
+    if isinstance(expr, Binary) and expr.op in ("AND", "OR"):
+        op = "or" if expr.op == "AND" else "and"  # Kleene: De Morgan holds
+        return gen.join(op, _falsity(gen, expr.left), _falsity(gen, expr.right))
+    if isinstance(expr, Unary) and expr.op == "NOT":
+        return _truth(gen, expr.operand)
+    if isinstance(expr, Literal):
+        return expr.value is False
+    if isinstance(expr, Identifier):
+        return _term(f"{gen.ident_vars[expr.name]} is False")
+    return _predicate(gen, expr, False)
+
+
+def _predicate(gen: _CodeGen, expr: Expr, want: bool) -> _Cond:
+    """``guard and test`` for TRUE, ``guard and not (test)`` for FALSE.
+
+    The guard says the predicate is not UNKNOWN (operands present and of
+    comparable types).  FALSE is the *negated test*, never the
+    complementary operator: the two differ wherever a Python comparison
+    is not total, and the guard alone must decide what is UNKNOWN.
+    """
+    if _is_arith(expr):
+        return False  # a number (or UNKNOWN) is neither TRUE nor FALSE
+    guard, test, negated = _guard_and_test(gen, expr)
+    return gen.join("and", guard, _term(f"not ({test})" if want == negated else test))
+
+
+def _guard_and_test(gen: _CodeGen, expr: Expr) -> Tuple[_Cond, str, bool]:
+    """``(guard, test, negated)`` of a comparison, BETWEEN, IN, LIKE or
+    IS NULL, mirroring the evaluator's type rules one for one."""
     if isinstance(expr, Binary):
-        return _compile_binary(gen, expr, depth)
+        left, right = _operand(gen, expr.left), _operand(gen, expr.right)
+        # Numbers compare with every operator; booleans and strings
+        # support only (in)equality; mixed kinds never compare.
+        kinds = [
+            kind
+            for kind in ("n" if expr.op in _ORDERING_OPS else "nbs")
+            if left.kind in (None, kind) and right.kind in (None, kind)
+        ]
+        guard = gen.join(
+            "or", *(gen.join("and", _is(gen, left, k), _is(gen, right, k)) for k in kinds)
+        )
+        return guard, f"{left.value} {_COMPARISON_OPS[expr.op]} {right.value}", False
     if isinstance(expr, Between):
-        return _compile_between(gen, expr, depth)
+        value, low, high = (_operand(gen, e) for e in (expr.operand, expr.low, expr.high))
+        guard = gen.join("and", *(_is(gen, operand, "n") for operand in (value, low, high)))
+        return guard, f"{low.value} <= {value.value} <= {high.value}", expr.negated
     if isinstance(expr, InList):
-        return _compile_in(gen, expr, depth)
+        value = _operand(gen, expr.operand)
+        members = gen.const(frozenset(expr.values))
+        return _is(gen, value, "s"), f"{value.value} in {members}", expr.negated
     if isinstance(expr, Like):
-        return _compile_like(gen, expr, depth)
+        value = _operand(gen, expr.operand)
+        # Pre-compile the pattern once; the hot path is one fullmatch call.
+        matcher = gen.const(_like_regex(expr.pattern, expr.escape).fullmatch)
+        return _is(gen, value, "s"), f"{matcher}({value.value}) is not None", expr.negated
     if isinstance(expr, IsNull):
-        return _compile_is_null(gen, expr, depth)
+        if not isinstance(expr.operand, Identifier):
+            raise InvalidSelectorError("IS NULL applies to identifiers only")
+        # The one predicate with no UNKNOWN: NULL *is* the information.
+        return True, f"{gen.ident_vars[expr.operand.name]} is None", expr.negated
     raise InvalidSelectorError(f"cannot compile AST node {type(expr).__name__}")
 
 
-def _compile_unary(gen: _CodeGen, expr: Unary, depth: int) -> Tuple[str, object]:
-    value, _ = _compile_node(gen, expr.operand, depth)
-    out = gen.temp()
-    if expr.op == "NOT":
-        gen.emit(depth, f"{out} = (not {value}) if {_bool_check(value)} else None")
-    elif expr.op == "+":
-        gen.emit(depth, f"{out} = {value} if {_num_check(value)} else None")
-    else:  # unary minus
-        gen.emit(depth, f"{out} = (-{value}) if {_num_check(value)} else None")
-    return out, _NOT_CONST
+class _Operand(NamedTuple):
+    """A value operand: where its value is, and when it is of which kind."""
+
+    value: str  #: source text; meaningful only where the guard holds
+    kind: Optional[str]  #: the one kind it can have; ``None``: an identifier, any
+    guard: _Cond  #: holds iff the value is of ``kind`` (in particular not UNKNOWN)
 
 
-def _compile_binary(gen: _CodeGen, expr: Binary, depth: int) -> Tuple[str, object]:
-    if expr.op == "AND":
-        return _compile_and(gen, expr, depth)
-    if expr.op == "OR":
-        return _compile_or(gen, expr, depth)
-    left, left_const = _compile_node(gen, expr.left, depth)
-    right, right_const = _compile_node(gen, expr.right, depth)
-    if expr.op in ("+", "-", "*", "/"):
-        return _compile_arith(gen, expr.op, left, right, depth)
-    return _compile_comparison(gen, expr.op, left, left_const, right, right_const, depth)
+def _is(gen: _CodeGen, operand: _Operand, kind: str) -> _Cond:
+    if operand.kind is None:
+        return gen.guard(operand.value, kind)
+    return operand.guard if operand.kind == kind else False
 
 
-def _compile_and(gen: _CodeGen, expr: Binary, depth: int) -> Tuple[str, object]:
-    out = gen.temp()
-    left, _ = _compile_node(gen, expr.left, depth)
-    # Kleene AND with short-circuit: False dominates, so the right-hand
-    # side is skipped entirely when the left is False (sub-expressions
-    # are pure, so skipping them cannot change the result).
-    gen.emit(depth, f"if {left} is False:")
-    gen.emit(depth + 1, f"{out} = False")
-    gen.emit(depth, "else:")
-    right, _ = _compile_node(gen, expr.right, depth + 1)
-    gen.emit(depth + 1, f"if {right} is False:")
-    gen.emit(depth + 2, f"{out} = False")
-    gen.emit(depth + 1, f"elif {left} is None or {right} is None:")
-    gen.emit(depth + 2, f"{out} = None")
-    gen.emit(depth + 1, f"elif {left} is True:")
-    gen.emit(depth + 2, f"{out} = True if {right} is True else None")
-    gen.emit(depth + 1, "else:")
-    gen.emit(depth + 2, f"{out} = None")  # non-boolean operand
-    return out, _NOT_CONST
-
-
-def _compile_or(gen: _CodeGen, expr: Binary, depth: int) -> Tuple[str, object]:
-    out = gen.temp()
-    left, _ = _compile_node(gen, expr.left, depth)
-    gen.emit(depth, f"if {left} is True:")
-    gen.emit(depth + 1, f"{out} = True")
-    gen.emit(depth, "else:")
-    right, _ = _compile_node(gen, expr.right, depth + 1)
-    gen.emit(depth + 1, f"if {right} is True:")
-    gen.emit(depth + 2, f"{out} = True")
-    gen.emit(depth + 1, f"elif {left} is None or {right} is None:")
-    gen.emit(depth + 2, f"{out} = None")
-    gen.emit(depth + 1, f"elif {left} is False:")
-    gen.emit(depth + 2, f"{out} = False if {right} is False else None")
-    gen.emit(depth + 1, "else:")
-    gen.emit(depth + 2, f"{out} = None")  # non-boolean operand
-    return out, _NOT_CONST
-
-
-def _compile_arith(
-    gen: _CodeGen, op: str, left: str, right: str, depth: int
-) -> Tuple[str, object]:
-    out = gen.temp()
-    guard = f"{_num_check(left)} and {_num_check(right)}"
-    if op == "/":
-        # SQL: division by zero poisons the predicate; exact integer
-        # division stays an int when it divides evenly.
-        gen.emit(depth, f"if {guard} and {right} != 0:")
-        gen.emit(
-            depth + 1,
-            f"{out} = ({left} // {right}) if (isinstance({left}, int)"
-            f" and isinstance({right}, int) and {left} % {right} == 0)"
-            f" else ({left} / {right})",
+def _operand(gen: _CodeGen, expr: Expr) -> _Operand:
+    if isinstance(expr, Literal):
+        value = expr.value
+        kind = (
+            "b" if isinstance(value, bool)
+            else "n" if _is_number(value)
+            else "s" if isinstance(value, str)
+            else ""
         )
-        gen.emit(depth, "else:")
-        gen.emit(depth + 1, f"{out} = None")
-    else:
-        gen.emit(depth, f"if {guard}:")
-        gen.emit(depth + 1, f"{out} = {left} {op} {right}")
-        gen.emit(depth, "else:")
-        gen.emit(depth + 1, f"{out} = None")
-    return out, _NOT_CONST
+        return _Operand(gen.literal(value), kind, True)
+    if isinstance(expr, Identifier):
+        return _Operand(gen.ident_vars[expr.name], None, True)
+    # Anything computed is bound once and checked the way the evaluator
+    # re-checks what it is handed: an arithmetic result may be NaN, a
+    # condition's value UNKNOWN.
+    if _is_arith(expr):
+        guard, value = _arith(gen, expr)
+        bound = gen.temp()
+        bind = _term(f"({bound} := {value}) == {bound}")
+        return _Operand(bound, "n", gen.join("and", guard, bind))
+    # A condition is total, so its value gets a statement of its own, and
+    # one per node: "is TRUE" and "is FALSE" of the enclosing comparison
+    # both read it, and lowering it once each would double per level.
+    name = gen.values.get(id(expr))
+    if name is None:
+        name = gen.values[id(expr)] = gen.temp()
+        gen.emit(f"{name} = {_tristate(_truth(gen, expr), _falsity(gen, expr))}")
+    return _Operand(name, "b", _term(f"{name} is not None"))
 
 
-def _compile_comparison(
-    gen: _CodeGen,
-    op: str,
-    left: str,
-    left_const: object,
-    right: str,
-    right_const: object,
-    depth: int,
-) -> Tuple[str, object]:
-    # Normalise so a literal (if any) sits on the right; ordering ops flip.
-    if left_const is not _NOT_CONST and right_const is _NOT_CONST:
-        flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "<>": "<>"}
-        op = flip[op]
-        left, right = right, left
-        left_const, right_const = right_const, left_const
-    pyop = _COMPARISON_OPS[op]
-    out = gen.temp()
-    if right_const is not _NOT_CONST:
-        value = right_const
-        if op in _ORDERING_OPS:
-            if _is_number(value):
-                gen.emit(
-                    depth,
-                    f"{out} = ({left} {pyop} {right}) if {_num_check(left)} else None",
-                )
-            else:
-                # Ordering against a string/boolean constant is UNKNOWN
-                # for every possible operand type.
-                gen.emit(depth, f"{out} = None")
-        elif _is_number(value):
-            gen.emit(
-                depth, f"{out} = ({left} {pyop} {right}) if {_num_check(left)} else None"
-            )
-        elif isinstance(value, bool):
-            gen.emit(
-                depth, f"{out} = ({left} {pyop} {right}) if {_bool_check(left)} else None"
-            )
-        else:  # string constant
-            gen.emit(
-                depth,
-                f"{out} = ({left} {pyop} {right}) if isinstance({left}, str) else None",
-            )
-        return out, _NOT_CONST
-    # Generic path: mirror the evaluator's _compare chain exactly.
-    gen.emit(depth, f"if {left} is None or {right} is None:")
-    gen.emit(depth + 1, f"{out} = None")
-    gen.emit(depth, f"elif {_num_check(left)}:")
-    gen.emit(depth + 1, f"{out} = ({left} {pyop} {right}) if {_num_check(right)} else None")
-    if op in _ORDERING_OPS:
-        # Booleans and strings support only (in)equality.
-        gen.emit(depth, "else:")
-        gen.emit(depth + 1, f"{out} = None")
-    else:
-        gen.emit(depth, f"elif {_bool_check(left)}:")
-        gen.emit(
-            depth + 1, f"{out} = ({left} {pyop} {right}) if {_bool_check(right)} else None"
-        )
-        gen.emit(depth, f"elif isinstance({left}, str) and isinstance({right}, str):")
-        gen.emit(depth + 1, f"{out} = {left} {pyop} {right}")
-        gen.emit(depth, "else:")
-        gen.emit(depth + 1, f"{out} = None")
-    return out, _NOT_CONST
-
-
-def _compile_between(gen: _CodeGen, expr: Between, depth: int) -> Tuple[str, object]:
-    value, _ = _compile_node(gen, expr.operand, depth)
-    low, _ = _compile_node(gen, expr.low, depth)
-    high, _ = _compile_node(gen, expr.high, depth)
-    out = gen.temp()
-    test = f"{low} <= {value} <= {high}"
-    if expr.negated:
-        test = f"not ({test})"
-    gen.emit(
-        depth,
-        f"if {_num_check(value)} and {_num_check(low)} and {_num_check(high)}:",
+def _arith(gen: _CodeGen, expr: Expr) -> Tuple[_Cond, str]:
+    """``(guard, value)``: ``value`` is the number ``expr`` evaluates to
+    wherever ``guard`` holds; elsewhere the expression is UNKNOWN."""
+    if isinstance(expr, Unary):
+        operand = _operand(gen, expr.operand)
+        return _is(gen, operand, "n"), f"{'' if expr.op == '+' else '-'}{operand.value}"
+    assert isinstance(expr, Binary)
+    left, right = _operand(gen, expr.left), _operand(gen, expr.right)
+    guard = gen.join("and", _is(gen, left, "n"), _is(gen, right, "n"))
+    a, b = left.value, right.value
+    if expr.op != "/":
+        return guard, f"{a} {expr.op} {b}"
+    # SQL: division by zero poisons the predicate; exact integer division
+    # stays an int when it divides evenly.
+    exact = gen.join(
+        "and", _is_int(gen, expr.left, a), _is_int(gen, expr.right, b), _term(f"{a} % {b} == 0")
     )
-    gen.emit(depth + 1, f"{out} = {test}")
-    gen.emit(depth, "else:")
-    gen.emit(depth + 1, f"{out} = None")
-    return out, _NOT_CONST
+    value = f"{a} / {b}" if exact is False else f"({a} // {b} if {_render(exact)} else {a} / {b})"
+    return gen.join("and", guard, _term(f"{b} != 0")), value
 
 
-def _compile_in(gen: _CodeGen, expr: InList, depth: int) -> Tuple[str, object]:
-    value, _ = _compile_node(gen, expr.operand, depth)
-    members = gen.const(frozenset(expr.values))
-    out = gen.temp()
-    membership = f"{value} not in {members}" if expr.negated else f"{value} in {members}"
-    gen.emit(depth, f"{out} = ({membership}) if isinstance({value}, str) else None")
-    return out, _NOT_CONST
+def _is_int(gen: _CodeGen, expr: Expr, value: str) -> _Cond:
+    """Is the operand (already known to be a number) an ``int``?"""
+    if isinstance(expr, Literal):
+        return isinstance(expr.value, int)
+    if isinstance(expr, Identifier):
+        return gen.guard(value, "i")
+    return _term(f"isinstance({value}, int)")
 
 
-def _compile_like(gen: _CodeGen, expr: Like, depth: int) -> Tuple[str, object]:
-    value, _ = _compile_node(gen, expr.operand, depth)
-    # Pre-compile the pattern once; the hot path is one fullmatch call.
-    matcher = gen.const(_like_regex(expr.pattern, expr.escape).fullmatch)
-    out = gen.temp()
-    test = f"{matcher}({value}) is None" if expr.negated else f"{matcher}({value}) is not None"
-    gen.emit(depth, f"{out} = ({test}) if isinstance({value}, str) else None")
-    return out, _NOT_CONST
-
-
-def _compile_is_null(gen: _CodeGen, expr: IsNull, depth: int) -> Tuple[str, object]:
-    if not isinstance(expr.operand, Identifier):
-        raise InvalidSelectorError("IS NULL applies to identifiers only")
-    value = gen.ident_vars[expr.operand.name]
-    out = gen.temp()
-    test = f"{value} is not None" if expr.negated else f"{value} is None"
-    gen.emit(depth, f"{out} = {test}")
-    return out, _NOT_CONST
+def _tristate(truth: _Cond, falsity: _Cond) -> str:
+    """A condition as a *value* — ``(a > 1) = TRUE``, or what
+    :meth:`CompiledSelector.evaluate` returns: the only place UNKNOWN
+    (``None``) is spelled out."""
+    return f"True if {_render(truth)} else False if {_render(falsity)} else None"
 
 
 def _hoist_identifiers(gen: _CodeGen, names: Sequence[str]) -> List[str]:
@@ -449,34 +479,46 @@ def _hoist_identifiers(gen: _CodeGen, names: Sequence[str]) -> List[str]:
     return loads
 
 
-def _materialize(source: str, filename: str, name: str, gen: _CodeGen) -> Any:
-    """``compile`` + ``exec`` generated ``source``; return function ``name``."""
-    namespace: Dict[str, object] = {
+def _materialize(source: str, filename: str, gen: _CodeGen) -> Dict[str, Any]:
+    """``compile`` + ``exec`` generated ``source``; return its namespace."""
+    namespace: Dict[str, Any] = {
         "_num": (int, float),
         "isinstance": isinstance,
         **gen.consts,
     }
     code = compile(source, filename, "exec")
     exec(code, namespace)  # noqa: S102 - code is generated from our own AST
-    return namespace[name]
+    return namespace
 
 
 def compile_ast(expr: Expr) -> CompiledSelector:
     """Lower ``expr`` to a :class:`CompiledSelector`.
 
-    The generated function takes one message (anything exposing the
+    The generated functions take one message (anything exposing the
     :class:`~repro.broker.message.Message` interface: a ``properties``
     mapping plus the JMS header attributes when the selector references
-    them) and returns ``True``/``False``/``None``.
+    them).  ``_matches`` answers "is it TRUE?" and nothing else;
+    ``_selector`` returns ``True``/``False``/``None``, or the value of a
+    non-condition such as ``a + 1``.
     """
     gen = _CodeGen()
     loads = _hoist_identifiers(gen, sorted(set(iter_identifiers(expr))))
-    result, _ = _compile_node(gen, expr, 1)
+    truth = _truth(gen, expr)
+    truth_lines = list(gen.lines)
+    if isinstance(expr, (Literal, Identifier)):
+        value = _operand(gen, expr).value
+    elif _is_arith(expr):
+        guard, number = _arith(gen, expr)
+        value = f"{number} if {_render(guard)} else None"
+    else:
+        value = _tristate(truth, _falsity(gen, expr))
+    prologue = loads + list(gen.guards.values())
     source = "\n".join(
-        ["def _selector(message):"] + loads + gen.lines + [f"    return {result}"]
+        ["def _selector(message):"] + prologue + gen.lines + [f"    return {value}"]
+        + ["def _matches(message):"] + prologue + truth_lines + [f"    return {_render(truth)}"]
     )
-    fn = _materialize(source, f"<selector:{expr}>", "_selector", gen)
-    return CompiledSelector(fn=fn, source=source, ast=expr)
+    namespace = _materialize(source, f"<selector:{expr}>", gen)
+    return CompiledSelector(namespace["_selector"], namespace["_matches"], source, expr)
 
 
 #: Compilation cache, keyed by ``repr`` of the AST.  Dataclass equality is
@@ -504,12 +546,15 @@ def compiled_for_ast(expr: Expr) -> CompiledSelector:
 # ----------------------------------------------------------------------
 # From closure to scan kernel: one generated function per block of filters
 # ----------------------------------------------------------------------
-#: Filters fused into one generated function.  A measurement, not a knob:
-#: one function for a whole 200-selector topic is ~4,000 generated lines,
-#: ``compile()`` of it takes 30 ms and — worse — +8.8 MB of peak RSS
-#: (101.5 -> 110.3 MB on the lifecycle benchmark's ``fanout_filtered``),
-#: while blocks of 10 / 25 / 50 measured 100.9 / 101.3 / 101.6 MB at the
-#: same throughput.  Blocks also bound what a subscription change
+#: Filters fused into one generated function.  A measurement, not a knob,
+#: taken when a 200-selector topic lowered to ~4,300 lines of ``if``/
+#: ``elif`` ladders: one function for all of it took 30 ms to ``compile()``
+#: and +8.8 MB of peak RSS (101.5 -> 110.3 MB on the lifecycle benchmark's
+#: ``fanout_filtered``), blocks of 10 / 25 / 50 measured 100.9 / 101.3 /
+#: 101.6 MB at the same throughput.  As boolean expressions the same topic
+#: is 282 lines in 7 blocks or 212 in one, and the memory argument is gone
+#: (100.6 vs 100.4 MB; one block reads 6-7 % faster end to end, DESIGN
+#: §10).  What blocks still bound is what a subscription change
 #: regenerates: the blocks before the change are cache hits.
 SCAN_BLOCK = 32
 
@@ -577,7 +622,8 @@ class ScanKernel:
 
 def _generate_block(units: Sequence[_Unit]) -> _Block:
     """Lower up to :data:`SCAN_BLOCK` units to one function: identifier
-    loads for the whole block first, then each unit's verdict in order."""
+    loads and type guards for the whole block first, then one line per
+    unit — "if it is TRUE, hit" — in order."""
     gen = _CodeGen()
     loads = _hoist_identifiers(
         gen,
@@ -588,23 +634,22 @@ def _generate_block(units: Sequence[_Unit]) -> _Block:
     for position, unit in enumerate(units):
         accept = f"hit(base + {position})"
         if unit is None:
-            gen.emit(1, accept)
+            gen.emit(accept)
         elif isinstance(unit, Expr):
-            result, const = _compile_node(gen, unit, 1)
-            if const is _NOT_CONST:
-                gen.emit(1, f"if {result} is True:")
-                gen.emit(2, accept)
-            elif const is True:
-                gen.emit(1, accept)
+            truth = _truth(gen, unit)
+            if truth is True:
+                gen.emit(accept)
+            elif truth is not False:
+                gen.emit(f"if {_render(truth)}: {accept}")
         else:
             # Not ours to inline (a correlation-ID filter, a user filter,
             # or compilation is off): call it, from the same function.
-            gen.emit(1, f"if {gen.const(unit)}(message):")
-            gen.emit(2, accept)
+            gen.emit(f"if {gen.const(unit)}(message): {accept}")
     source = "\n".join(
-        ["def _scan(message, hit, base):"] + loads + gen.lines + ["    return None"]
+        ["def _scan(message, hit, base):"] + loads + list(gen.guards.values()) + gen.lines
+        + ["    return None"]
     )
-    block: _Block = _materialize(source, f"<scan:{len(units)} filters>", "_scan", gen)
+    block: _Block = _materialize(source, f"<scan:{len(units)} filters>", gen)["_scan"]
     return block
 
 

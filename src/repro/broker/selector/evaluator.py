@@ -70,7 +70,12 @@ def evaluate(expr: Expr, message: Any):
 # helpers
 # ----------------------------------------------------------------------
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or a float that is a value one can order — never a bool,
+    never NaN.  NaN is what SQL has no word for: it equals nothing and
+    lies on no side of anything, so ``NOT (x < 5)`` and ``x >= 5`` could
+    not both be right about it.  Treating it like NULL (every comparison
+    UNKNOWN) keeps complementary-operator negation sound."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value == value
 
 
 def _not3(value):

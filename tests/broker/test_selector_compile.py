@@ -6,10 +6,14 @@ messages with absent properties (NULL) and bool-masquerading-as-number
 values — ``CompiledSelector.evaluate`` returns the same True/False/UNKNOWN
 as :func:`repro.broker.selector.evaluator.evaluate`, and ``matches`` the
 same two-valued verdict.  The hypothesis suite below drives randomized
-ASTs and sparse messages through both paths.
+ASTs and sparse messages through both paths — NaN and ±inf property
+values included, and with every warning the generated source could
+raise turned into an error.
 """
 
 import string
+import warnings
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -47,10 +51,19 @@ from repro.broker.selector.evaluator import UNKNOWN
 from repro.core.params import FilterType
 
 
+def strictly(build, *args):
+    """``build(*args)`` with warnings as errors: generated source that
+    makes CPython warn (``3 is False``) is source that does not compile
+    under ``-W error``, for a selector the interpreter accepts."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return build(*args)
+
+
 def verdicts(text: str, message: Message):
     """(interpreter, compiled) three-valued results for a selector text."""
     ast = parse(text)
-    return evaluate(ast, message), compile_ast(ast).evaluate(message)
+    return evaluate(ast, message), strictly(compile_ast, ast).evaluate(message)
 
 
 MESSAGES = (
@@ -80,6 +93,14 @@ SELECTORS = (
     "JMSPriority >= 5",
     "JMSCorrelationID = 'c-1'",
     "price + qty * 2 <= 200",
+    "(price > 100) AND 3",  # a literal as a condition is never TRUE or FALSE
+    "'x' OR price > 100",
+    "NOT 7",
+    "(price > 100) = flag",  # a condition as a value operand
+    "(price > 100) = TRUE",
+    "-price < -50",
+    "qty BETWEEN +qty AND price",
+    "price < 1e999",  # parses to inf, which has no source spelling
 )
 
 
@@ -112,6 +133,34 @@ class TestCompiledSemantics:
         compiled = compile_ast(parse("price > 100 AND region = 'EU'"))
         assert isinstance(compiled, CompiledSelector)
         assert "def _selector(message):" in compiled.source
+
+    def test_nan_is_no_value_one_can_order(self):
+        """Regression: ``NOT (price < 513)`` was TRUE on the raw AST and
+        FALSE on the canonical ``price >= 513`` for a NaN price, and
+        ``matches`` gave the canonical answer.  NaN compares UNKNOWN."""
+        nan = Message(topic="t", properties={"price": float("nan"), "qty": 0.0})
+        selector = Selector("NOT (price < 513)")
+        assert str(selector.canonical) == "(price >= 513)"
+        for ast in (selector.ast, selector.canonical):
+            assert evaluate(ast, nan) is UNKNOWN
+            assert compile_ast(ast).evaluate(nan) is UNKNOWN
+        assert not selector.matches(nan)
+        # ... and so does a NaN that arithmetic made, where it is compared.
+        inf = Message(topic="t", properties={"price": float("inf"), "qty": 0.0})
+        for text in ("price * qty <> 1", "NOT (price - price = 0)", "price / price > 0"):
+            interpreted, compiled = verdicts(text, inf)
+            assert compiled is interpreted is UNKNOWN
+        assert verdicts("price > 513", inf) == (True, True)
+
+    def test_a_top_level_value_is_returned_as_the_interpreter_returns_it(self):
+        message = Message(topic="t", properties={"a": 4, "s": "x", "n": float("inf")})
+        for text, expected in (("a + 1", 5), ("s", "x"), ("-a", -4), ("a / 0", UNKNOWN),
+                               ("a + s", UNKNOWN), ("missing", UNKNOWN), ("7", 7)):
+            compiled = compile_ast(parse(text))
+            assert compiled.evaluate(message) == evaluate(parse(text), message) == expected
+            assert not compiled.matches(message)
+        made_nan = compile_ast(parse("n - n")).evaluate(message)
+        assert made_nan != made_nan and evaluate(parse("n - n"), message) != made_nan
 
     def test_compiled_for_ast_caches_per_ast(self):
         ast = simplify(parse("price > 100"))
@@ -200,16 +249,17 @@ def _conditions(identifier):
     """Random condition ASTs over the given identifier-node strategy."""
     arith = st.recursive(
         st.one_of(_number.map(Literal), identifier),
-        lambda children: st.builds(
-            Binary, st.sampled_from(["+", "-", "*", "/"]), children, children
+        lambda children: st.one_of(
+            st.builds(Binary, st.sampled_from(["+", "-", "*", "/"]), children, children),
+            st.builds(Unary, st.sampled_from(["+", "-"]), children),
         ),
         max_leaves=4,
     )
+    comparison = st.sampled_from(["=", "<>", "<", "<=", ">", ">="])
     predicate = st.one_of(
-        st.builds(
-            Binary, st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), arith, arith
-        ),
+        st.builds(Binary, comparison, arith, arith),
         st.builds(Between, identifier, arith, arith, st.booleans()),
+        st.builds(Between, identifier, identifier, identifier, st.booleans()),
         st.builds(
             InList,
             identifier,
@@ -227,11 +277,30 @@ def _conditions(identifier):
         st.booleans().map(Literal),
         identifier,
     )
+    # A value where a condition belongs — never TRUE, never FALSE — as an
+    # AND/OR/NOT operand (at the top it would be returned as a value,
+    # which the identity assertions below do not compare).
+    value = st.one_of(
+        st.one_of(_number, _string_lit).map(Literal),
+        st.builds(Unary, st.sampled_from(["+", "-"]), identifier),
+    )
     return st.recursive(
         predicate,
         lambda children: st.one_of(
-            st.builds(Binary, st.sampled_from(["AND", "OR"]), children, children),
-            st.builds(Unary, st.just("NOT"), children),
+            st.builds(
+                Binary,
+                st.sampled_from(["AND", "OR"]),
+                st.one_of(children, value),
+                st.one_of(children, value),
+            ),
+            st.builds(Unary, st.just("NOT"), st.one_of(children, value)),
+            # ... and a condition where a value belongs: ``(a > 1) = flag``.
+            st.builds(
+                Binary,
+                comparison,
+                children,
+                st.one_of(children, st.booleans().map(Literal), identifier),
+            ),
         ),
         max_leaves=8,
     )
@@ -241,7 +310,8 @@ _condition = _conditions(_ident.map(Identifier))
 
 _prop_value = st.one_of(
     st.integers(min_value=-10, max_value=60),
-    st.floats(min_value=-10, max_value=60, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-10, max_value=60),
+    st.sampled_from((float("nan"), float("inf"), float("-inf"))),
     st.text(alphabet=string.ascii_lowercase + "%_", max_size=4),
     st.booleans(),
 )
@@ -300,7 +370,7 @@ def _interpreted(filter_: MessageFilter, message: Message) -> bool:
 
 
 def _assert_scan_is_the_interpreter(filters, message: Message) -> None:
-    kernel = compile_scan(filters)
+    kernel = strictly(compile_scan, filters)
     assert kernel.evaluated == sum(not f.is_trivial for f in filters)
     if any(isinstance(f, _RaisingFilter) for f in filters):
         with pytest.raises(_Boom):
@@ -349,20 +419,20 @@ class TestCompiledEquivalence:
     @given(ast=_condition, message=_sparse_message)
     @settings(max_examples=300, deadline=None)
     def test_three_valued_identity_on_raw_ast(self, ast: Expr, message: Message):
-        assert compile_ast(ast).evaluate(message) is evaluate(ast, message)
+        assert strictly(compile_ast, ast).evaluate(message) is evaluate(ast, message)
 
     @given(ast=_condition, message=_sparse_message)
     @settings(max_examples=300, deadline=None)
     def test_three_valued_identity_on_canonical_ast(self, ast: Expr, message: Message):
         canonical = simplify(ast)
-        assert compiled_for_ast(canonical).evaluate(message) is evaluate(
+        assert strictly(compiled_for_ast, canonical).evaluate(message) is evaluate(
             canonical, message
         )
 
     @given(ast=_condition, message=_sparse_message)
     @settings(max_examples=200, deadline=None)
     def test_match_verdict_identity(self, ast: Expr, message: Message):
-        assert compile_ast(ast).matches(message) == (evaluate(ast, message) is True)
+        assert strictly(compile_ast, ast).matches(message) == (evaluate(ast, message) is True)
 
     @given(filters=_runs(_scan_condition.map(_AstFilter)), message=_scan_message)
     @settings(max_examples=150, deadline=None)
@@ -399,3 +469,93 @@ class TestCompiledEquivalence:
             _assert_scan_is_the_interpreter(filters, message)
         finally:
             set_compilation(original)
+
+
+# ----------------------------------------------------------------------
+# Depth: generated nesting must not grow with the length of a selector
+# ----------------------------------------------------------------------
+def _nesting(source: str) -> int:
+    """Deepest parenthesis nesting of ``source`` (no quoted parentheses
+    occur in the selectors below)."""
+    deepest = depth = 0
+    for char in source:
+        depth += (char == "(") - (char == ")")
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _leaf(i: int) -> Expr:
+    """Distinct predicates that are TRUE, FALSE and UNKNOWN in turn on
+    ``{"a": i}``-style messages, so a long chain is decided far in."""
+    return (
+        Binary("=", Identifier("a"), Literal(i)),
+        Binary(">", Identifier("b"), Literal(i)),
+        Like(Identifier("c"), f"x{i}%", None, bool(i % 2)),
+    )[i % 3]
+
+
+_DEEP = {
+    # The parser builds `p0 OR p1 OR ...` left-deep in a loop; 300 terms.
+    "left-deep OR chain": reduce(lambda l, r: Binary("OR", l, r), map(_leaf, range(300))),
+    "right-nested AND/OR": reduce(
+        lambda r, i: Binary("AND" if i % 5 else "OR", _leaf(i), r), range(100), _leaf(100)
+    ),
+    "NOT/AND alternation": reduce(
+        lambda r, i: Unary("NOT", Binary("AND", _leaf(i), r)), range(100), _leaf(100)
+    ),
+    "NOT/OR over comparisons of conditions": reduce(
+        lambda r, i: Unary("NOT", Binary("OR", Binary("=", _leaf(i), r), _leaf(i + 1))),
+        range(40),
+        _leaf(40),
+    ),
+}
+_DEEP_MESSAGES = [
+    Message(topic="t", properties=properties)
+    for properties in (
+        {},
+        {"a": 299},
+        {"a": 0, "b": 1000, "c": "x5"},
+        {"a": 99, "b": -1, "c": "x2y"},
+        {"a": "str", "b": float("nan"), "c": 7},
+        {"b": 50, "c": "x100"},
+        {"a": 3, "b": 3, "c": "x3"},
+    )
+]
+
+
+class TestLoweringDepth:
+    """All four compile at the parent commit too (through ``if``/``elif``
+    ladders whose nesting is indentation); an expression lowering must
+    flatten chains and spill, or CPython refuses the source outright
+    (``too many nested parentheses``).  Deeper right nests die in the
+    *parser* (``RecursionError`` around 150) and are out of scope."""
+
+    @pytest.mark.parametrize("shape", _DEEP)
+    def test_deep_selectors_compile_and_agree_with_the_interpreter(self, shape):
+        ast = _DEEP[shape]
+        compiled = strictly(compile_ast, ast)
+        kernel = strictly(compile_scan, [_AstFilter(ast), _AstFilter(Unary("NOT", ast))])
+        verdicts = set()
+        for message in _DEEP_MESSAGES:
+            expected = evaluate(ast, message)
+            verdicts.add(expected)
+            assert compiled.evaluate(message) is expected
+            assert compiled.matches(message) is (expected is True)
+            assert kernel(message) == [
+                i for i, verdict in enumerate((True, False)) if expected is verdict
+            ]
+        assert len(verdicts) >= 2  # the messages do decide the chain differently
+        assert _nesting(compiled.source) <= 16
+
+    def test_a_same_operator_chain_is_flat_whatever_its_length(self):
+        short, long = (
+            compile_ast(reduce(lambda l, r: Binary("OR", l, r), map(_leaf, range(n))))
+            for n in (6, 300)
+        )
+        assert _nesting(long.source) == _nesting(short.source)
+        assert not any(line.lstrip().startswith("t") for line in long.source.splitlines())
+
+    def test_a_guard_repeated_inside_one_and_chain_is_tested_once(self):
+        source = compile_ast(parse("a > 1 AND a < 9 AND a <> 5")).source
+        matches = source[source.index("def _matches") :]
+        assert matches.splitlines()[-1] == "    return n_v0 and v0 > 1 and v0 < 9 and v0 != 5"
