@@ -29,7 +29,6 @@ from .fig11 import figure11, wait_ccdf_curve
 from .fig12 import capacity_for_bound, figure12, normalized_quantile
 from .fig15 import figure15, psr_example_per_server_capacity
 from .overload import (
-    OverloadValidationRow,
     format_validation,
     overload_figure,
     validate_overload,
@@ -50,7 +49,6 @@ __all__ = [
     "ClaimCheck",
     "Fig4Point",
     "FigureData",
-    "OverloadValidationRow",
     "SensitivityRow",
     "Series",
     "Table1Row",

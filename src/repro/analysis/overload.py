@@ -14,7 +14,6 @@ wait and effective throughput (the numbers recorded in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..core.service_time import ReplicationFamily
@@ -27,7 +26,6 @@ from .series import FigureData
 
 __all__ = [
     "DEFAULT_RHO_GRID",
-    "OverloadValidationRow",
     "format_validation",
     "overload_figure",
     "validate_overload",
@@ -74,66 +72,34 @@ def overload_figure(
     return data
 
 
-@dataclass(frozen=True)
-class OverloadValidationRow:
-    """One model-vs-simulation comparison cell."""
-
-    family: str
-    rho: float
-    messages: int
-    loss_sim: float
-    loss_model: float
-    loss_rel_err: float
-    wait_sim: float
-    wait_model: float
-    wait_rel_err: float
-    throughput_rel_err: float
-    max_system_size: int
-
-    @classmethod
-    def from_result(cls, result: OverloadRunResult) -> "OverloadValidationRow":
-        return cls(
-            family=result.config.family.value,
-            rho=result.config.rho,
-            messages=result.config.messages,
-            loss_sim=result.loss_sim,
-            loss_model=result.loss_model,
-            loss_rel_err=result.loss_rel_err,
-            wait_sim=result.mean_wait_sim,
-            wait_model=result.mean_wait_model,
-            wait_rel_err=result.wait_rel_err,
-            throughput_rel_err=result.throughput_rel_err,
-            max_system_size=result.max_system_size,
-        )
-
-
 def validate_overload(
     rhos: Sequence[float],
     config: Optional[OverloadExperimentConfig] = None,
     families: Sequence[ReplicationFamily] = _FAMILIES,
-) -> List[OverloadValidationRow]:
-    """Cross-validate the M/G/1/K model against the overload simulation."""
+) -> List[OverloadRunResult]:
+    """Cross-validate the M/G/1/K model against the overload simulation:
+    one run per (family, ρ) cell, each carrying both sides, their
+    relative errors and the server's closed ledger."""
     if config is None:
         config = OverloadExperimentConfig()
-    rows = []
-    for family in families:
-        for rho in rhos:
-            result = run_overload_experiment(config.with_(family=family, rho=rho))
-            rows.append(OverloadValidationRow.from_result(result))
-    return rows
+    return [
+        run_overload_experiment(config.with_(family=family, rho=rho))
+        for family in families
+        for rho in rhos
+    ]
 
 
-def format_validation(rows: Sequence[OverloadValidationRow]) -> str:
-    """Fixed-width table of the cross-validation rows."""
+def format_validation(rows: Sequence[OverloadRunResult]) -> str:
+    """Fixed-width table of the cross-validation runs."""
     lines = [
         f"{'family':<17s} {'rho':>5s} {'loss sim':>9s} {'loss model':>10s} "
         f"{'err':>6s} {'wait sim':>10s} {'wait model':>10s} {'err':>6s} {'maxN':>4s}"
     ]
     for row in rows:
         lines.append(
-            f"{row.family:<17s} {row.rho:>5.2f} {row.loss_sim:>9.4f} "
+            f"{row.config.family.value:<17s} {row.config.rho:>5.2f} {row.loss_sim:>9.4f} "
             f"{row.loss_model:>10.4f} {row.loss_rel_err:>6.1%} "
-            f"{row.wait_sim:>10.6f} {row.wait_model:>10.6f} "
+            f"{row.mean_wait_sim:>10.6f} {row.mean_wait_model:>10.6f} "
             f"{row.wait_rel_err:>6.1%} {row.max_system_size:>4d}"
         )
     return "\n".join(lines)

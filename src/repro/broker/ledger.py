@@ -1,40 +1,45 @@
 """The conservation ledger: every accepted message meets exactly one fate.
 
-One **fate table** declares every queue counter once — its role in the
-invariant, the broker-wide :class:`~repro.broker.stats.BrokerStats`
-total it mirrors into (if any) and why it exists — and one
-:class:`Ledger` built from it is the only place a counter changes
-(:meth:`Ledger.record`).  The equation
+One **fate table** declares every counter of a population once — its
+role in the invariant, the broker-wide
+:class:`~repro.broker.stats.BrokerStats` total it mirrors into (if any)
+and why it exists — and the ledger class built from it
+(:func:`ledger_class`) is the only place a counter changes
+(:meth:`LedgerBase.record`).  The equation
 
-    accepted legs == terminal fates + depth + in-flight
+    accepted legs == terminal fates + the two in-system gauges
 
-is stated once (:meth:`Ledger.sides`) and holds on any ledger *closed*
-with its two in-system gauges: a queue closes its own
-(:meth:`~repro.broker.queues.PointToPointQueue.closed_ledger`), a mesh
-sums its queues' (``a + b``).
+is stated once (:meth:`LedgerBase.sides`) and holds on any ledger
+*closed* with its gauges.  Two populations, one machinery: the queue's
+(:data:`FATE_TABLE`, gauges ``depth`` / ``in_flight`` — a queue closes
+its own with :meth:`~repro.broker.queues.PointToPointQueue.closed_ledger`,
+a mesh sums its queues', ``a + b``) and the simulated server's ingress
+(:data:`repro.testbed.simserver.INGRESS_FATES`, gauges ``backlog`` /
+``in_service``).
 """
 
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, ClassVar, NamedTuple, Optional, Tuple, Type, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .stats import BrokerStats
 
-__all__ = ["Role", "Fate", "FATE_TABLE", "ACCEPTED", "TERMINAL", "INFORMATIONAL", "Ledger"]
+__all__ = ["Role", "Fate", "FATE_TABLE", "ACCEPTED", "TERMINAL", "INFORMATIONAL", "by_role",
+           "LedgerBase", "ledger_class", "Ledger"]
 
 
 class Role(enum.Enum):
     """What a counter means to the conservation equation."""
 
-    ACCEPTED = "accepted leg"  # left-hand side: joined this queue's population
+    ACCEPTED = "accepted leg"  # left-hand side: joined the population
     TERMINAL = "terminal fate"  # right-hand side: left it, exactly once
     INFORMATIONAL = "informational"  # no leg: re-counts, hand-offs, rejections
 
 
 class Fate(NamedTuple):
-    """One row of the fate table."""
+    """One row of a fate table."""
 
     name: str
     role: Role
@@ -85,70 +90,68 @@ FATE_TABLE: Tuple[Fate, ...] = (
          "rejects the send *before* acceptance"),
 )
 
-ACCEPTED, TERMINAL, INFORMATIONAL = (
-    tuple(fate.name for fate in FATE_TABLE if fate.role is role) for role in Role
-)
-_COUNTERS = ACCEPTED + TERMINAL + INFORMATIONAL
-_GAUGES = ("depth", "in_flight")
-#: ``name -> (subset_of, mirror)``: what else a booking to ``name`` books.
-_EFFECTS = {fate.name: (fate.subset_of, fate.mirror) for fate in FATE_TABLE}
+
+def by_role(table: Tuple[Fate, ...]) -> Tuple[Tuple[str, ...], ...]:
+    """``(accepted, terminal, informational)`` counter names, in table order."""
+    return tuple(tuple(fate.name for fate in table if fate.role is role) for role in Role)
 
 
-class Ledger:
-    """One slot per :data:`FATE_TABLE` counter plus the two in-system
-    gauges: ``depth`` (messages waiting in the backlog) and ``in_flight``
-    (deliveries held by attached consumers, inbox + unacked).
+ACCEPTED, TERMINAL, INFORMATIONAL = by_role(FATE_TABLE)
 
-    Counters change only through :meth:`record`; the slots admit no new
-    name, and ``RACE001`` flags a write from outside.  ``totals`` is the
-    broker-wide ledger the mirrored rows are also booked to.
+L = TypeVar("L", bound="LedgerBase")
+
+
+class LedgerBase:
+    """What every table-built ledger does; :func:`ledger_class` adds the
+    slots — one per counter of its table plus the two gauges — and
+    :meth:`record`, the only way a counter changes: the slots admit no
+    new name, and ``RACE001`` flags a write from outside.  ``totals`` is
+    the broker-wide ledger the mirrored rows are also booked to.
     """
 
-    __slots__ = _COUNTERS + _GAUGES + ("_totals",)
-    depth: int
-    in_flight: int
+    __slots__ = ("_totals",)
+    ACCEPTED: ClassVar[Tuple[str, ...]]
+    TERMINAL: ClassVar[Tuple[str, ...]]
+    GAUGES: ClassVar[Tuple[str, str]]
+    _NAMES: ClassVar[Tuple[str, ...]]  # every counter, then the gauges
     _totals: Optional["BrokerStats"]
 
-    if TYPE_CHECKING:  # the counter slots are generated: tell the checker their type
+    if TYPE_CHECKING:  # slots and record() are generated: tell the checker their types
 
         def __getattr__(self, name: str) -> int: ...
 
+        def record(self, name: str, n: int = 1) -> None: ...
+
     def __init__(self, totals: Optional["BrokerStats"] = None) -> None:
-        for name in _COUNTERS + _GAUGES:
+        for name in self._NAMES:
             setattr(self, name, 0)
         self._totals = totals
 
-    def record(self, name: str, n: int = 1) -> None:
-        """Book ``n`` messages to counter ``name`` — the only mutation
-        point; an undeclared name raises ``KeyError``."""
-        subset_of, mirror = _EFFECTS[name]
-        setattr(self, name, getattr(self, name) + n)
-        if subset_of is not None:
-            setattr(self, subset_of, getattr(self, subset_of) + n)
-        if mirror is not None and self._totals is not None:
-            self._totals.record(mirror, n)
-
-    def closed(self, depth: int, in_flight: int) -> "Ledger":
-        """A detached copy carrying the gauges — what the equation holds on."""
-        out = self + Ledger()
-        out.depth, out.in_flight = depth, in_flight
+    def closed(self: L, **gauges: int) -> L:
+        """A detached copy carrying the two gauges (by name) — what the
+        equation holds on."""
+        if gauges.keys() != set(self.GAUGES):
+            raise TypeError(f"closed() takes exactly the gauges {self.GAUGES}, got {gauges}")
+        out = self + type(self)()
+        for name, value in gauges.items():
+            setattr(out, name, value)
         return out
 
-    def __add__(self, other: "Ledger") -> "Ledger":
-        out = Ledger()
-        for name in _COUNTERS + _GAUGES:
+    def __add__(self: L, other: L) -> L:
+        out = type(self)()
+        for name in self._NAMES:
             setattr(out, name, getattr(self, name) + getattr(other, name))
         return out
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Ledger):
+        if type(other) is not type(self):
             return NotImplemented
-        return all(getattr(self, n) == getattr(other, n) for n in _COUNTERS + _GAUGES)
+        return all(getattr(self, n) == getattr(other, n) for n in self._NAMES)
 
     def sides(self) -> Tuple[int, int]:
         """``(accepted, accounted)`` — the conservation equation."""
-        accepted = sum(getattr(self, name) for name in ACCEPTED)
-        accounted = sum(getattr(self, name) for name in TERMINAL) + self.depth + self.in_flight
+        accepted = sum(getattr(self, name) for name in self.ACCEPTED)
+        accounted = sum(getattr(self, name) for name in self.TERMINAL + self.GAUGES)
         return accepted, accounted
 
     @property
@@ -167,5 +170,45 @@ class Ledger:
             )
 
     def __repr__(self) -> str:
-        legs = " ".join(f"{name}={getattr(self, name)}" for name in _COUNTERS + _GAUGES)
-        return f"Ledger({legs})"
+        legs = " ".join(f"{name}={getattr(self, name)}" for name in self._NAMES)
+        return f"{type(self).__name__}({legs})"
+
+
+def ledger_class(
+    table: Tuple[Fate, ...], gauges: Tuple[str, str]
+) -> Callable[[Type[L]], Type[L]]:
+    """Class decorator: rebuild the (empty) :class:`LedgerBase` subclass
+    it decorates as the ledger of ``table`` closed by ``gauges``.  The
+    table's effects are bound into ``record`` here, once, so a booking
+    pays no lookup on the class.
+    """
+    accepted, terminal, informational = by_role(table)
+    names = accepted + terminal + informational + gauges
+    #: ``name -> (subset_of, mirror)``: what else a booking to ``name`` books.
+    effects = {fate.name: (fate.subset_of, fate.mirror) for fate in table}
+
+    def record(self: LedgerBase, name: str, n: int = 1) -> None:
+        """Book ``n`` messages to counter ``name`` — the only mutation
+        point; an undeclared name raises ``KeyError``."""
+        subset_of, mirror = effects[name]
+        setattr(self, name, getattr(self, name) + n)
+        if subset_of is not None:
+            setattr(self, subset_of, getattr(self, subset_of) + n)
+        if mirror is not None and self._totals is not None:
+            self._totals.record(mirror, n)
+
+    def build(declared: Type[L]) -> Type[L]:
+        body = {key: getattr(declared, key) for key in ("__doc__", "__module__", "__qualname__")}
+        body.update(__slots__=names, _NAMES=names, ACCEPTED=accepted, TERMINAL=terminal,
+                    GAUGES=gauges, record=record)
+        return type(declared.__name__, (LedgerBase,), body)  # type: ignore[return-value]
+
+    return build
+
+
+@ledger_class(FATE_TABLE, gauges=("depth", "in_flight"))
+class Ledger(LedgerBase):
+    """The queue population's ledger: one slot per :data:`FATE_TABLE`
+    counter plus the gauges ``depth`` (messages waiting in the backlog)
+    and ``in_flight`` (deliveries held by attached consumers, inbox +
+    unacked)."""

@@ -111,9 +111,8 @@ class Selector:
     :class:`~repro.broker.errors.InvalidSelectorError` eagerly, as a JMS
     provider must when the subscription is created).  Matching normally
     runs through a closure compiled from the canonical AST
-    (:mod:`repro.broker.selector.compile`); set
-    ``REPRO_SELECTOR_COMPILE=0`` or call :func:`set_compilation` to fall
-    back to the tree-walking interpreter.
+    (:mod:`repro.broker.selector.compile`); call
+    :func:`set_compilation` to fall back to the tree-walking interpreter.
     """
 
     __slots__ = ("text", "ast", "identifiers", "_canonical", "_matcher")

@@ -39,16 +39,14 @@ hypothesis equivalence suite in ``tests/broker/test_selector_compile.py``
 proves it on randomized ASTs and messages, NaN and infinities included,
 with the tree-walking interpreter as the oracle.
 
-The interpreter remains available as a fallback: set the environment
-variable ``REPRO_SELECTOR_COMPILE=0`` before import, or call
-:func:`set_compilation` at runtime, and every subsequently-built matcher
-walks the tree again.
+The interpreter remains available as a fallback: call
+:func:`set_compilation` and every subsequently-built matcher walks the
+tree again.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -114,7 +112,7 @@ _ARITH_OPS = frozenset({"+", "-", "*", "/"})
 
 # Opt-out escape hatch only: flipping it changes *speed*, never results
 # (check_static's equivalence smoke enforces exactly that).
-_enabled = os.environ.get("REPRO_SELECTOR_COMPILE", "1") != "0"  # repro: ignore[SIM004]
+_enabled = True
 
 
 def compilation_enabled() -> bool:

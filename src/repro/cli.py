@@ -782,7 +782,7 @@ def _run_faults(args: argparse.Namespace) -> int:
         f"+ outages {result.impact.extra_mean_wait * 1e3:.2f} ms; "
         f"availability {result.impact.availability:.3f}"
     )
-    conserved = "balanced" if result.conserved else "IMBALANCED"
+    conserved = "balanced" if result.conserved else f"IMBALANCED {result.ledger!r}"
     print(f"conservation: {conserved}" + ("" if result.no_persistent_loss else " (loss or backlog)"))
     return 0 if result.conserved else 1
 
@@ -830,7 +830,10 @@ def _run_overload(args: argparse.Namespace) -> int:
     print(format_validation(rows))
     worst = max(max(row.loss_rel_err, row.wait_rel_err) for row in rows)
     print(f"worst relative error: {worst:.1%}")
-    return 0 if worst < 0.05 else 1
+    imbalanced = [row for row in rows if not row.conserved]
+    for row in imbalanced:
+        print(f"IMBALANCED {row.config.family.value} rho={row.config.rho:g}: {row.ledger!r}")
+    return 0 if worst < 0.05 and not imbalanced else 1
 
 
 def _run_bench(args: argparse.Namespace) -> int:

@@ -3,10 +3,8 @@
 :func:`run_fault_experiment` wires the full resilient stack — durable
 scenario, simulated server, retrying Poisson publisher, fault injector —
 runs it for a horizon of virtual time, lets the retry loop drain, and
-returns a :class:`FaultRunResult` whose message ledger must balance:
-
-    accepted == delivered + expired + lost + backlog
-
+returns a :class:`FaultRunResult` carrying the server's closed ledger
+(:data:`repro.testbed.simserver.INGRESS_FATES`), which must balance —
 with ``lost == 0`` whenever every message is persistent (the delivery
 guarantee the acceptance tests assert).  Alongside the measured metrics
 the result carries the fault-free Pollaczek–Khinchine baseline and the
@@ -16,16 +14,16 @@ fluid-model outage prediction of :mod:`repro.faults.availability`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Optional
 
 from ..core.mg1 import MG1Queue
 from ..core.params import FilterType, costs_for
 from ..core.replication import DeterministicReplication
 from ..core.service_time import ServiceTimeModel
 from ..broker.message import DeliveryMode, Message
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
 from ..testbed.scenario import build_filter_scenario
-from ..testbed.simserver import SimulatedJMSServer
+from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .availability import OutageImpact, outage_impact
 from .clients import RetryingPoissonPublisher
 from .injector import FaultInjector
@@ -85,10 +83,14 @@ class FaultExperimentConfig:
 
 
 @dataclass(frozen=True)
-class FaultRunResult:
+class FaultRunResult(RunMetrics):
     """Ledger, metrics and model predictions of one fault run."""
 
+    NOT_METRICS = ("config", "ledger", "impact")
+
     config: FaultExperimentConfig
+    #: The server's books, closed at the end of the run.
+    ledger: IngressLedger
     # -- publisher-side ledger -----------------------------------------
     generated: int
     publisher_accepted: int
@@ -132,46 +134,12 @@ class FaultRunResult:
     @property
     def conserved(self) -> bool:
         """Does the server-side ledger balance?"""
-        return self.accepted == (
-            self.delivered + self.expired + self.lost + self.backlog_at_end
-        )
+        return self.ledger.conserved
 
     @property
     def no_persistent_loss(self) -> bool:
         """The acceptance-test invariant: nothing lost, nothing left over."""
         return self.lost == 0 and self.backlog_at_end == 0 and self.conserved
-
-    def to_metrics(self) -> Dict[str, float]:
-        """A plain dict of every number — the determinism fingerprint.
-
-        Two runs with identical seeds and schedules must produce
-        *bit-identical* dictionaries (asserted by the property tests).
-        """
-        return {
-            "generated": float(self.generated),
-            "publisher_accepted": float(self.publisher_accepted),
-            "retries": float(self.retries),
-            "timeouts": float(self.timeouts),
-            "abandoned": float(self.abandoned),
-            "rejected_submits": float(self.rejected_submits),
-            "accepted": float(self.accepted),
-            "delivered": float(self.delivered),
-            "expired": float(self.expired),
-            "redelivered": float(self.redelivered),
-            "lost": float(self.lost),
-            "dropped_by_fault": float(self.dropped_by_fault),
-            "corrupted": float(self.corrupted),
-            "dead_lettered": float(self.dead_lettered),
-            "backlog_at_end": float(self.backlog_at_end),
-            "crashes": float(self.crashes),
-            "mean_wait": self.mean_wait,
-            "wait_p99": self.wait_p99,
-            "mean_accept_latency": self.mean_accept_latency,
-            "mean_service_time": self.mean_service_time,
-            "server_utilization": self.server_utilization,
-            "received_rate": self.received_rate,
-            "end_time": self.end_time,
-        }
 
 
 def run_fault_experiment(
@@ -183,8 +151,9 @@ def run_fault_experiment(
 
     The publisher generates new messages until ``config.horizon``; with
     ``drain`` the engine then runs to event exhaustion so every retry loop
-    either lands its message or abandons it — the state in which the
-    conservation ledger must balance exactly.
+    either lands its message or abandons it.  The server's ledger
+    balances either way: without ``drain`` the message on the CPU at the
+    horizon is its ``in_service`` gauge.
     """
     if config is None:
         config = FaultExperimentConfig()
@@ -232,7 +201,7 @@ def run_fault_experiment(
         engine.run()
     if not server.up:  # drain disabled mid-outage: bring state up anyway
         server.restart()
-    stats = server.broker.stats
+    ledger = server.closed_ledger()
     impact = outage_impact(
         arrival_rate=config.arrival_rate,
         service=config.service_model.moments,
@@ -241,22 +210,23 @@ def run_fault_experiment(
     )
     return FaultRunResult(
         config=config,
+        ledger=ledger,
         generated=publisher.generated,
         publisher_accepted=publisher.accepted,
         retries=publisher.retries,
         timeouts=publisher.timeouts,
         abandoned=publisher.abandoned,
-        rejected_submits=server.rejected_submits,
-        accepted=server.accepted,
-        delivered=server.delivered_messages,
-        expired=server.expired_messages,
-        redelivered=server.redelivered_messages,
-        lost=server.lost_messages,
-        dropped_by_fault=server.dropped_by_fault,
-        corrupted=len(server.dead_letters),
-        dead_lettered=stats.dead_lettered,
-        backlog_at_end=server.queue_depth,
-        crashes=server.crashes,
+        rejected_submits=ledger.rejected_submits,
+        accepted=ledger.accepted,
+        delivered=ledger.delivered,
+        expired=ledger.expired,
+        redelivered=ledger.served_again,
+        lost=ledger.lost_on_crash,
+        dropped_by_fault=ledger.dropped_by_fault,
+        corrupted=ledger.corrupted,
+        dead_lettered=server.broker.stats.dead_lettered,
+        backlog_at_end=ledger.backlog,
+        crashes=ledger.crashes,
         mean_wait=server.waiting_times.mean(),
         wait_p99=server.waiting_times.quantile(0.99),
         mean_accept_latency=publisher.mean_accept_latency,

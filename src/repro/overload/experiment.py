@@ -12,17 +12,15 @@ both the measured and the predicted loss probability, conditional mean
 wait of accepted messages and effective throughput, plus their relative
 errors — the cross-validation numbers recorded in ``BENCH_overload.json``.
 
-The ledger must balance exactly in every run:
-
-    accepted == served + dropped_new + dropped_oldest + deadline_shed + backlog
-
-and ``offered == accepted + admission_rejected``.
+The server's closed ledger (:data:`repro.testbed.simserver.INGRESS_FATES`)
+must balance in every run, and beside it the generator's own population:
+every offered message was accepted or refused admission.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..broker.queues import DropPolicy
 from ..core.params import FilterType, costs_for
@@ -33,9 +31,9 @@ from ..core.replication import (
     ScaledBernoulliReplication,
 )
 from ..core.service_time import ReplicationFamily, ServiceTimeModel
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
 from ..testbed.scenario import build_replication_scenario
-from ..testbed.simserver import SimulatedJMSServer
+from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .health import HealthThresholds
 from .mg1k import MG1KQueue
 from .policy import OverloadConfig
@@ -177,10 +175,14 @@ class OverloadExperimentConfig:
 
 
 @dataclass(frozen=True)
-class OverloadRunResult:
+class OverloadRunResult(RunMetrics):
     """Ledger, measurements and model comparison of one overload run."""
 
+    NOT_METRICS = ("config", "ledger", "health_at_end")
+
     config: OverloadExperimentConfig
+    #: The server's books, closed at the end of the run.
+    ledger: IngressLedger
     # -- ledger ---------------------------------------------------------
     offered: int
     accepted: int
@@ -208,16 +210,15 @@ class OverloadRunResult:
     utilization_model: float
 
     @property
-    def total_shed(self) -> int:
-        return self.dropped_new + self.dropped_oldest + self.deadline_shed
+    def every_offer_answered(self) -> bool:
+        """The *generator's* population, not the server's: each offered
+        message was accepted or refused admission."""
+        return self.offered == self.accepted + self.admission_rejected
 
     @property
     def conserved(self) -> bool:
-        """Does the server-side ledger balance exactly?"""
-        return (
-            self.accepted == self.served + self.total_shed + self.backlog_at_end
-            and self.offered == self.accepted + self.admission_rejected
-        )
+        """Do the server's ledger and, beside it, the generator's balance?"""
+        return self.ledger.conserved and self.every_offer_answered
 
     @property
     def loss_rel_err(self) -> float:
@@ -238,32 +239,6 @@ class OverloadRunResult:
         if self.throughput_model == 0:
             return abs(self.throughput_sim)
         return abs(self.throughput_sim - self.throughput_model) / self.throughput_model
-
-    def to_metrics(self) -> Dict[str, float]:
-        """Every number as a flat dict — the determinism fingerprint."""
-        return {
-            "offered": float(self.offered),
-            "accepted": float(self.accepted),
-            "admission_rejected": float(self.admission_rejected),
-            "dropped_new": float(self.dropped_new),
-            "dropped_oldest": float(self.dropped_oldest),
-            "deadline_shed": float(self.deadline_shed),
-            "served": float(self.served),
-            "delivered": float(self.delivered),
-            "expired": float(self.expired),
-            "backlog_at_end": float(self.backlog_at_end),
-            "max_system_size": float(self.max_system_size),
-            "mean_wait_sim": self.mean_wait_sim,
-            "loss_sim": self.loss_sim,
-            "throughput_sim": self.throughput_sim,
-            "utilization_sim": self.utilization_sim,
-            "health_transitions": float(self.health_transitions),
-            "end_time": self.end_time,
-            "loss_model": self.loss_model,
-            "mean_wait_model": self.mean_wait_model,
-            "throughput_model": self.throughput_model,
-            "utilization_model": self.utilization_model,
-        }
 
 
 def run_overload_experiment(
@@ -307,24 +282,26 @@ def run_overload_experiment(
     engine.call_in(float(arrivals.exponential(1.0 / arrival_rate)), generate)
     engine.run()  # to event exhaustion: the backlog drains completely
     model = config.model
-    accepted = server.accepted
-    shed = server.total_shed
+    ledger = server.closed_ledger()
+    accepted = ledger.accepted
+    shed = ledger.dropped_new + ledger.dropped_oldest + ledger.deadline_shed
     loss_sim = shed / accepted if accepted else 0.0
     # Effective throughput over the arrival horizon (drain time excluded:
     # the model's λ_eff is a steady-state rate under ongoing arrivals).
     throughput_sim = (accepted - shed) / horizon if horizon > 0 else 0.0
     return OverloadRunResult(
         config=config,
+        ledger=ledger,
         offered=state["generated"],
         accepted=accepted,
-        admission_rejected=server.admission_rejected,
-        dropped_new=server.dropped_new,
-        dropped_oldest=server.dropped_oldest,
-        deadline_shed=server.deadline_shed,
-        served=server.completed,
-        delivered=server.delivered_messages,
-        expired=server.expired_messages,
-        backlog_at_end=server.queue_depth,
+        admission_rejected=ledger.admission_rejected,
+        dropped_new=ledger.dropped_new,
+        dropped_oldest=ledger.dropped_oldest,
+        deadline_shed=ledger.deadline_shed,
+        served=ledger.completed,
+        delivered=ledger.delivered,
+        expired=ledger.expired,
+        backlog_at_end=ledger.backlog,
         max_system_size=state["max_system"],
         mean_wait_sim=server.waiting_times.mean(),
         loss_sim=loss_sim,

@@ -26,7 +26,7 @@ rather than the exact post-shed queue state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..broker.queues import DropPolicy
 from ..core.params import FilterType, costs_for
@@ -38,9 +38,9 @@ from ..core.replication import (
 from ..core.resilience import RetryAmplificationModel
 from ..core.service_time import ReplicationFamily, ServiceTimeModel
 from ..overload import OverloadConfig
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
 from ..testbed.scenario import build_replication_scenario
-from ..testbed.simserver import SimulatedJMSServer
+from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .budget import RetryBudget
 from .clients import DeadlineRetryPublisher
 
@@ -151,10 +151,15 @@ class ResilienceCellConfig:
 
 
 @dataclass(frozen=True)
-class ResilienceCellResult:
+class ResilienceCellResult(RunMetrics):
     """Ledger, measured λ_eff and model comparison of one cell."""
 
+    NOT_METRICS = ("config", "ledger", "classification")
+    DERIVED_METRICS = ("lambda_rel_err",)
+
     config: ResilienceCellConfig
+    #: The server's books, closed at the end of the run.
+    ledger: IngressLedger
     # -- ledger ---------------------------------------------------------
     generated: int
     attempts: int
@@ -188,31 +193,15 @@ class ResilienceCellResult:
         return abs(self.lambda_eff_sim - self.lambda_eff_model) / self.lambda_eff_model
 
     @property
-    def conserved(self) -> bool:
-        """Client-side attempt ledger: every attempt resolved one way."""
+    def every_attempt_resolved(self) -> bool:
+        """The *client's* population, not the server's: each attempt was
+        accepted or rejected."""
         return self.attempts == self.accepted + self.rejected
 
-    def to_metrics(self) -> Dict[str, float]:
-        """Every number as a flat dict — the determinism fingerprint."""
-        return {
-            "generated": float(self.generated),
-            "attempts": float(self.attempts),
-            "accepted": float(self.accepted),
-            "rejected": float(self.rejected),
-            "retries": float(self.retries),
-            "abandoned": float(self.abandoned),
-            "budget_denied": float(self.budget_denied),
-            "served": float(self.served),
-            "backlog_at_end": float(self.backlog_at_end),
-            "lambda_fresh": self.lambda_fresh,
-            "lambda_eff_sim": self.lambda_eff_sim,
-            "loss_sim": self.loss_sim,
-            "end_time": self.end_time,
-            "lambda_eff_model": self.lambda_eff_model,
-            "loss_model": self.loss_model,
-            "amplification_model": self.amplification_model,
-            "lambda_rel_err": self.lambda_rel_err,
-        }
+    @property
+    def conserved(self) -> bool:
+        """Do the server's ledger and, beside it, the client's balance?"""
+        return self.ledger.conserved and self.every_attempt_resolved
 
 
 def run_resilience_cell(
@@ -269,8 +258,10 @@ def run_resilience_cell(
     fixed_point = model.solve()
     warmup = config.warmup_fraction * horizon
     lambda_eff_sim = publisher.attempt_rate(warmup, horizon)
+    ledger = server.closed_ledger()
     return ResilienceCellResult(
         config=config,
+        ledger=ledger,
         generated=publisher.generated,
         attempts=publisher.attempts,
         accepted=publisher.accepted,
@@ -278,8 +269,8 @@ def run_resilience_cell(
         retries=publisher.retries,
         abandoned=publisher.abandoned,
         budget_denied=publisher.budget_denied,
-        served=server.completed,
-        backlog_at_end=server.queue_depth,
+        served=ledger.completed,
+        backlog_at_end=ledger.backlog,
         lambda_fresh=lambda_fresh,
         lambda_eff_sim=lambda_eff_sim,
         loss_sim=publisher.rejected / publisher.attempts if publisher.attempts else 0.0,

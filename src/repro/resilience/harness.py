@@ -24,7 +24,7 @@ queued message goes late, and the timeout retries ignite the storm.
 Acceptance (asserted by the tier-1 test over this harness): the
 protected run's post-fault goodput recovers to ≥ 95 % of pre-fault
 while the control's stays collapsed; zero expired messages are ever
-dispatched; hedging never double-delivers.
+dispatched; hedging never double-delivers; both servers' ledgers balance.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from ..core.service_time import ServiceTimeModel
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from ..overload import OverloadConfig
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
 from ..testbed.scenario import build_replication_scenario
-from ..testbed.simserver import SimulatedJMSServer
+from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .budget import RetryBudget
 from .clients import DeadlineRetryPublisher, DeliveryLog
 from .hedge import HedgePolicy
@@ -140,11 +140,16 @@ class StormHarnessConfig:
 
 
 @dataclass(frozen=True)
-class StormRunResult:
+class StormRunResult(RunMetrics):
     """Windowed goodput, λ_eff and ledger of one harness variant."""
+
+    NOT_METRICS = ("name", "protected", "ledger")
+    DERIVED_METRICS = ("recovery_ratio", "post_amplification", "ledger_balanced")
 
     name: str
     protected: bool
+    #: The server's books, closed after the drain.
+    ledger: IngressLedger
     # -- windowed rates -------------------------------------------------
     pre_goodput: float
     during_goodput: float
@@ -167,7 +172,11 @@ class StormRunResult:
     hedge_duplicates_dropped: int
     expired_delivered: int
     double_deliveries: int
-    ledger_balanced: bool
+
+    @property
+    def ledger_balanced(self) -> bool:
+        """Do the server's books balance?"""
+        return self.ledger.conserved
 
     @property
     def recovery_ratio(self) -> float:
@@ -178,32 +187,6 @@ class StormRunResult:
     def post_amplification(self) -> float:
         """Post-fault λ_eff over the fresh rate — ≈ 1 healthy, ≈ 1+r stormed."""
         return self.post_attempt_rate / self.lambda_fresh if self.lambda_fresh else 0.0
-
-    def to_metrics(self) -> Dict[str, float]:
-        return {
-            "pre_goodput": self.pre_goodput,
-            "during_goodput": self.during_goodput,
-            "post_goodput": self.post_goodput,
-            "pre_attempt_rate": self.pre_attempt_rate,
-            "post_attempt_rate": self.post_attempt_rate,
-            "lambda_fresh": self.lambda_fresh,
-            "recovery_ratio": self.recovery_ratio,
-            "post_amplification": self.post_amplification,
-            "generated": float(self.generated),
-            "attempts": float(self.attempts),
-            "goodput_total": float(self.goodput_total),
-            "late_retries": float(self.late_retries),
-            "loss_retries": float(self.loss_retries),
-            "abandoned": float(self.abandoned),
-            "budget_denied": float(self.budget_denied),
-            "hedges": float(self.hedges),
-            "hedges_cancelled": float(self.hedges_cancelled),
-            "expired_in_flight": float(self.expired_in_flight),
-            "hedge_duplicates_dropped": float(self.hedge_duplicates_dropped),
-            "expired_delivered": float(self.expired_delivered),
-            "double_deliveries": float(self.double_deliveries),
-            "ledger_balanced": float(self.ledger_balanced),
-        }
 
 
 @dataclass(frozen=True)
@@ -244,12 +227,17 @@ class StormHarnessReport:
         )
 
     @property
+    def ledgers_balanced(self) -> bool:
+        return self.control.ledger_balanced and self.protected.ledger_balanced
+
+    @property
     def passed(self) -> bool:
         return (
             self.protected_recovered
             and self.control_stormed
             and self.exactly_once
             and self.no_dead_work_delivered
+            and self.ledgers_balanced
         )
 
     def to_metrics(self) -> Dict[str, float]:
@@ -279,6 +267,8 @@ class StormHarnessReport:
                 f"(ratio {r.recovery_ratio:.2f}), post λ_eff/λ = {r.post_amplification:.2f}, "
                 f"budget_denied={r.budget_denied}, hedges={r.hedges}"
             )
+            if not r.ledger_balanced:
+                lines.append(f"  {r.name:>9}: server ledger IMBALANCED: {r.ledger!r}")
         lines.append(f"passed={self.passed}")
         return "\n".join(lines)
 
@@ -352,16 +342,11 @@ def _run_variant(config: StormHarnessConfig, protected: bool) -> StormRunResult:
     engine.run()  # past the horizon: open retries and the backlog drain
     fault_end = config.fault_start + config.fault_duration
     post_start = config.horizon - config.post_window
-    ledger_balanced = server.accepted == (
-        server.completed
-        + server.total_shed
-        + server.expired_in_flight
-        + server.hedge_duplicates_dropped
-        + server.queue_depth
-    )
+    ledger = server.closed_ledger()
     return StormRunResult(
         name=publisher.name,
         protected=protected,
+        ledger=ledger,
         pre_goodput=publisher.goodput_rate(config.warmup, config.fault_start),
         during_goodput=publisher.goodput_rate(config.fault_start, fault_end),
         post_goodput=publisher.goodput_rate(post_start, config.horizon),
@@ -377,11 +362,10 @@ def _run_variant(config: StormHarnessConfig, protected: bool) -> StormRunResult:
         budget_denied=publisher.budget_denied,
         hedges=publisher.hedges,
         hedges_cancelled=publisher.hedges_cancelled,
-        expired_in_flight=server.expired_in_flight,
-        hedge_duplicates_dropped=server.hedge_duplicates_dropped,
+        expired_in_flight=ledger.expired_in_flight,
+        hedge_duplicates_dropped=ledger.hedge_duplicates,
         expired_delivered=log.expired_delivered,
         double_deliveries=log.double_deliveries,
-        ledger_balanced=ledger_balanced,
     )
 
 

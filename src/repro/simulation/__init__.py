@@ -26,6 +26,7 @@ from .events import Interrupt, ScheduledEvent, Signal
 from .metrics import (
     BusyTracker,
     MeasurementWindow,
+    RunMetrics,
     SampleStats,
     TimeWeightedStat,
     WindowedCounter,
@@ -61,6 +62,7 @@ __all__ = [
     "QueueingResults",
     "QueueingStation",
     "RandomStreams",
+    "RunMetrics",
     "SampleStats",
     "ScheduledEvent",
     "Signal",

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass, field, fields
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from ._backend import HAVE_NUMPY, np
 
@@ -22,6 +22,7 @@ __all__ = [
     "SampleStats",
     "TimeWeightedStat",
     "BusyTracker",
+    "RunMetrics",
 ]
 
 
@@ -262,3 +263,21 @@ class BusyTracker(TimeWeightedStat):
 
     def utilization(self, until: float) -> float:
         return self.time_average(until)
+
+
+@dataclass(frozen=True)
+class RunMetrics:
+    """Base of a run-result dataclass: :meth:`to_metrics` is generated
+    from the fields, so a number is declared once — not once more in a
+    dict literal."""
+
+    #: Fields that are not numbers of the run (configs, labels, objects).
+    NOT_METRICS: ClassVar[Tuple[str, ...]] = ()
+    #: Properties reported beside the fields.
+    DERIVED_METRICS: ClassVar[Tuple[str, ...]] = ()
+
+    def to_metrics(self) -> Dict[str, float]:
+        """Every number as a flat dict — the determinism fingerprint:
+        identical seeds and schedules must give bit-identical dicts."""
+        names = [f.name for f in fields(self) if f.name not in self.NOT_METRICS]
+        return {name: float(getattr(self, name)) for name in (*names, *self.DERIVED_METRICS)}

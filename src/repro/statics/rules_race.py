@@ -8,12 +8,12 @@ serialization point.  These rules produce the audited worklist:
 
 * ``RACE001`` — an attribute owned by a shared broker object
   (``Broker``, ``FilterIndex``, ``DispatchMemo``, ``Journal``,
-  ``BrokerStats`` and ``Ledger`` — the shared totals and the per-queue
-  conservation ledger) is mutated through a reference *outside the
+  ``BrokerStats``, ``Ledger`` and ``IngressLedger`` — the shared totals
+  and the two conservation ledgers) is mutated through a reference *outside the
   owning class* (``obj.attr = ...`` / ``obj.attr += ...`` where ``obj``
   is not ``self`` in the owner).  Attributes are matched by name; a
-  target whose counters no ``self.x = ...`` declares (``Ledger`` builds
-  them from its fate table) is matched through the attribute that holds
+  target whose counters no ``self.x = ...`` declares (the ledgers build
+  theirs from a fate table) is matched through the attribute that holds
   it (``self.ledger = Ledger(...)`` makes ``q.ledger.acked += 1`` a
   finding).  Mutations funnelled through the owner's methods — the
   serialization points — do not trigger.
@@ -46,6 +46,7 @@ DEFAULT_TARGETS: Tuple[str, ...] = (
     "Journal",
     "BrokerStats",
     "Ledger",
+    "IngressLedger",
     "StandbyReplica",
     "LeaseCoordinator",
     "SimulatedLink",

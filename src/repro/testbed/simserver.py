@@ -6,16 +6,22 @@ Combines the broker brain (:class:`repro.broker.Broker`), the virtual CPU
 server attached to a simulation engine — the stand-in for the paper's
 3.2 GHz FioranoMQ machine.
 
-Message lifecycle:
+Message lifecycle — the stages the fates of :data:`INGRESS_FATES` hang on:
 
-1. a publisher asks for an ingress credit (push-back blocks it when the
-   server buffer is full);
-2. the accepted message joins the FIFO ingress queue (*received* counted
-   here, like the publisher-side send counter of the paper);
-3. the CPU serves messages sequentially; each message is charged
-   ``t_rcv + n_checked · t_fltr + R · t_tx`` of virtual time, after which
-   the copies appear in the subscriber inboxes (*dispatched* counted here)
-   and the credit is released.
+1. **admit**: a publisher asks for an ingress credit (push-back blocks
+   it when the server buffer is full); a down server, the admission
+   controller or a SHEDDING state refuse it, and an injected network
+   fault may eat the message after the grant — all *before* acceptance;
+2. **enqueue**: the accepted message joins the FIFO ingress buffer
+   (*received* counted here, like the publisher-side send counter of the
+   paper); a full bounded buffer sheds by its drop policy, and a crash
+   loses the non-persistent backlog;
+3. **shed-or-serve**: the CPU takes messages sequentially; a head whose
+   deadline passed or whose id already completed leaves unserved (under
+   the postures that say so), every other is charged
+   ``t_rcv + n_checked · t_fltr + R · t_tx`` of virtual time;
+4. **complete**: the copies appear in the subscriber inboxes
+   (*dispatched* counted here) and the credit is released.
 
 Fault model (see :mod:`repro.faults`): the server carries an explicit
 up/down state.  :meth:`SimulatedJMSServer.crash` stops service, fails
@@ -28,8 +34,7 @@ inflation, message drop/corruption) are also applied here.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..broker import Broker, FlowController, Message, PublishResult
 from ..broker.errors import (
@@ -37,6 +42,7 @@ from ..broker.errors import (
     ServerOverloadedError,
     ServerUnavailableError,
 )
+from ..broker.ledger import Fate, LedgerBase, Role, ledger_class
 from ..broker.message import DeliveryMode
 from ..broker.queues import DropPolicy
 from ..overload.admission import AdmissionController
@@ -53,11 +59,64 @@ from ..simulation import (
     WindowedCounter,
 )
 
-__all__ = ["SimulatedJMSServer", "SubmitHandle"]
+__all__ = ["SimulatedJMSServer", "SubmitHandle", "INGRESS_FATES", "IngressLedger"]
 
-#: The broker-wide total a bounded-ingress eviction is booked to
-#: (anything else is a tail drop).
-_SHED_TOTAL = {
+_A, _T, _I = Role.ACCEPTED, Role.TERMINAL, Role.INFORMATIONAL
+
+#: The server's population — messages admitted to its ingress — on the
+#: machinery of :mod:`repro.broker.ledger` (name, role, mirror, why).
+INGRESS_FATES: Tuple[Fate, ...] = (
+    Fate("accepted", _A, None, "messages admitted to the ingress buffer, after the credit "
+         "grant and the injected network faults"),
+    Fate("delivered", _T, None, "served and dispatched; the message in service at a crash "
+         "had already published, so it is rolled forward into this row", "completed"),
+    Fate("expired", _T, None, "served — charged its cost — but found expired by the broker's "
+         "admit stage: the paper's model serves everything it accepted", "completed"),
+    Fate("lost_on_crash", _T, "lost_on_crash", "non-persistent backlog that died with the "
+         "server (persistent backlog survives through the journal)"),
+    Fate("dropped_new", _T, "dropped_new", "arrivals tail-dropped by the full bounded ingress "
+         "buffer"),
+    Fate("dropped_oldest", _T, "dropped_oldest", "queued messages evicted to admit newer "
+         "arrivals"),
+    Fate("deadline_shed", _T, "deadline_shed", "queued messages shed because their deadline "
+         "became unmeetable given the backlog estimate"),
+    Fate("expired_in_flight", _T, "expired_in_flight", "accepted messages shed unserved because "
+         "their deadline passed while they queued (shed_expired_before_service)"),
+    Fate("hedge_duplicates", _T, "hedge_duplicates", "hedge duplicates dropped at the service "
+         "boundary (hedge_dedup) — the losing copies of hedged races"),
+    Fate("completed", _I, None, "every service that ran to its end, delivered or expired"),
+    Fate("admission_rejected", _I, "admission_rejected", "sends refused by the admission "
+         "controller"),
+    Fate("rejected_submits", _I, None, "every submit answered through on_reject, whatever the "
+         "reason (down, admission, shedding, a reported tail drop, crash, client timeout)"),
+    Fate("waiters_shed", _I, None, "publishers rejected promptly because of SHEDDING: waiters "
+         "drained at the transition plus submits that would have blocked while the state was "
+         "already SHEDDING"),
+    Fate("client_timeouts", _I, None, "blocked submits failed by an injected CLIENT_TIMEOUT "
+         "fault"),
+    Fate("crashes", _I, None, "times the server went down hard"),
+    Fate("dropped_by_fault", _I, "dropped_by_fault", "vanished to an injected network fault "
+         "after the credit grant and *before* acceptance — never joins the population (the "
+         "analogue of the queue table's send-time expired)"),
+    Fate("corrupted", _I, "dead_lettered", "arrived corrupted and was quarantined to the "
+         "server-side DLQ at receive — likewise before acceptance"),
+    Fate("redelivered", _I, "redelivered", "persistent backlog flagged JMSRedelivered by a "
+         "crash; every crash re-marks its survivors"),
+    Fate("served_again", _I, None, "completions of a message carrying that flag — a different "
+         "event from the marking: marked at two crashes, served once"),
+)
+
+
+@ledger_class(INGRESS_FATES, gauges=("backlog", "in_service"))
+class IngressLedger(LedgerBase):
+    """The ingress population's ledger: one slot per :data:`INGRESS_FATES`
+    counter plus the gauges ``backlog`` (waiting in the ingress buffer)
+    and ``in_service`` (0 or 1: on the CPU, or parked there by a pause)."""
+
+
+#: The fate a bounded-ingress eviction is booked to.
+_SHED_FATE = {
+    DropPolicy.DROP_NEW: "dropped_new",
     DropPolicy.DROP_OLDEST: "dropped_oldest",
     DropPolicy.DEADLINE_SHED: "deadline_shed",
 }
@@ -98,6 +157,11 @@ class SubmitHandle:
     def pending(self) -> bool:
         """Still blocked on push-back (neither accepted nor failed)."""
         return not (self.accepted or self.rejected or self.cancelled)
+
+    def accept(self) -> None:
+        """The server admitted the message (called from the credit grant,
+        possibly long after ``submit`` returned)."""
+        self.accepted = True
 
     def cancel(self) -> bool:
         """Withdraw a submit still waiting for a credit.
@@ -175,57 +239,38 @@ class SimulatedJMSServer:
         self.report_drops = report_drops
         self.shed_expired_before_service = shed_expired_before_service
         self.hedge_dedup = hedge_dedup
-        if overload is not None and overload.blocking:
-            # Credits bound the whole system (in service + waiting) = K.
-            buffer_capacity = overload.capacity
-        self.flow = FlowController(buffer_capacity)
+        #: Every counter of this server (see :data:`INGRESS_FATES`).
+        self.ledger = IngressLedger(broker.stats)
         # -- overload-control state -------------------------------------
-        self._ingress: Optional[BoundedMessageQueue] = None
+        #: Push-back (the paper's posture): every message in the system
+        #: holds a credit, and the credits bound it — the ingress buffer
+        #: itself is unbounded.  Under a drop policy the buffer is bounded
+        #: and sheds server-side; nothing holds a credit.
+        self._push_back = overload is None or overload.blocking
+        self._ingress: BoundedMessageQueue[Tuple[Message, float]] = BoundedMessageQueue(None)
         self.admission: Optional[AdmissionController] = None
         self.health: Optional[HealthMonitor] = None
         if overload is not None:
-            if not overload.blocking:
+            if overload.blocking:
+                buffer_capacity = overload.capacity  # K = in service + waiting
+            else:
                 self._ingress = overload.make_ingress()
             self.admission = overload.make_admission()
             self.health = overload.make_health_monitor(
                 on_transition=self._on_health_transition
             )
-        #: Sends refused by the admission controller.
-        self.admission_rejected = 0
-        #: Publishers rejected promptly because of SHEDDING: waiters
-        #: drained at the transition plus submits that would have blocked
-        #: while the state was already SHEDDING.
-        self.waiters_shed = 0
+        self.flow = FlowController(buffer_capacity)
         self.received = WindowedCounter(window, name="received")
         self.dispatched = WindowedCounter(window, name="dispatched")
         self.busy = BusyTracker(window=window)
         self.service_times = SampleStats(name="service-time", window=window)
         self.waiting_times = SampleStats(name="waiting-time", window=window)
-        self._queue: Deque[tuple[Message, float]] = deque()
         self._serving = False
         # -- fault-model state ------------------------------------------
         self.up = True
-        self.crashes = 0
         #: Slow-consumer degradation: multiplies the transmit (``t_tx``)
         #: share of every service; 1.0 = healthy.
         self.slowdown = 1.0
-        #: Ledger: messages admitted to the ingress queue / fully served.
-        self.accepted = 0
-        self.completed = 0
-        self.delivered_messages = 0
-        self.expired_messages = 0
-        self.redelivered_messages = 0
-        self.lost_messages = 0
-        self.rejected_submits = 0
-        self.dropped_by_fault = 0
-        #: Accepted messages shed unserved because their deadline passed
-        #: while they queued (``shed_expired_before_service``).
-        self.expired_in_flight = 0
-        #: Hedge duplicates dropped at the service boundary
-        #: (``hedge_dedup``) — the losing copies of hedged races.
-        self.hedge_duplicates_dropped = 0
-        #: Blocked submits failed by an injected CLIENT_TIMEOUT fault.
-        self.client_timeouts = 0
         #: Corrupted messages quarantined at receive (server-side DLQ).
         self.dead_letters: List[Message] = []
         self._drop_next = 0
@@ -269,8 +314,7 @@ class SimulatedJMSServer:
             admitted = self.admission.admit(self.engine.now)
             self._observe_health()
             if not admitted:
-                self.admission_rejected += 1
-                self.broker.stats.record("admission_rejected")
+                self.ledger.record("admission_rejected")
                 self._reject(
                     handle,
                     ServerOverloadedError(
@@ -279,7 +323,7 @@ class SimulatedJMSServer:
                     ),
                 )
                 return handle
-        if self._ingress is not None:
+        if not self._push_back:
             # Drop-policy mode: the submit completes immediately — any
             # shedding happens server-side and is visible in the ledger,
             # not to the publisher (fire-and-forget send semantics),
@@ -294,7 +338,7 @@ class SimulatedJMSServer:
                     ),
                 )
                 return handle
-            handle.accepted = True
+            handle.accept()
             if on_accept is not None:
                 on_accept()
             return handle
@@ -307,7 +351,7 @@ class SimulatedJMSServer:
             # The submit would block, but a SHEDDING server will not free
             # a credit any time soon: fail fast instead of queueing a
             # waiter that the next transition would have to drain anyway.
-            self.waiters_shed += 1
+            self.ledger.record("waiters_shed")
             self._reject(
                 handle,
                 ServerOverloadedError(f"server shedding at t={self.engine.now:g}"),
@@ -316,7 +360,7 @@ class SimulatedJMSServer:
 
         def granted() -> None:
             self._pending.pop(granted, None)
-            handle.accepted = True
+            handle.accept()
             self._accept(message)
             if on_accept is not None:
                 on_accept()
@@ -335,9 +379,16 @@ class SimulatedJMSServer:
     def _reject(self, handle: SubmitHandle, error: Exception) -> None:
         handle.rejected = True
         handle.error = error
-        self.rejected_submits += 1
+        self.ledger.record("rejected_submits")
         if handle._on_reject is not None:
             handle._on_reject(error)
+
+    def _release_credit(self) -> None:
+        """Return the credit of a message that left the system — which
+        may synchronously admit a blocked publisher.  The one place that
+        knows only push-back messages hold one."""
+        if self._push_back:
+            self.flow.release()
 
     def _accept(self, message: Message) -> bool:
         """Admit one message; ``False`` means *this* arrival was shed
@@ -347,44 +398,33 @@ class SimulatedJMSServer:
             # Injected network fault: the message vanishes after the
             # credit grant; the credit returns immediately.
             self._drop_next -= 1
-            self.dropped_by_fault += 1
-            self.broker.stats.record("dropped_by_fault")
-            if self._ingress is None:
-                self.flow.release()
+            self.ledger.record("dropped_by_fault")
+            self._release_credit()
             return True
         if self._corrupt_next > 0:
             # Injected corruption: quarantined to the server-side DLQ.
             self._corrupt_next -= 1
             self.dead_letters.append(message)
-            self.broker.stats.record("dead_lettered")
-            if self._ingress is None:
-                self.flow.release()
+            self.ledger.record("corrupted")
+            self._release_credit()
             return True
         message.timestamp = now
-        self.accepted += 1
+        self.ledger.record("accepted")
         self.received.record(now)
-        survived = True
-        if self._ingress is not None:
-            shed = self._ingress.offer((message, now), now, deadline=message.expiration)
-            if shed is not None:
-                self.broker.stats.record(_SHED_TOTAL.get(shed.policy, "dropped_new"))
-                if shed.was_new and shed.item[0] is message:
-                    survived = False
-        else:
-            self._queue.append((message, now))
-        if not self._serving and not self.paused and self._backlog_depth() > 0:
+        shed = self._ingress.offer((message, now), now, deadline=message.expiration)
+        if shed is not None:
+            self.ledger.record(_SHED_FATE[shed.policy])
+        if not self._serving and not self.paused and self._ingress:
             self._start_service()
-        return survived
+        return shed is None or not shed.was_new
 
-    def _backlog_depth(self) -> int:
-        if self._ingress is not None:
-            return len(self._ingress)
-        return len(self._queue)
-
-    def _pop_next(self) -> tuple[Message, float]:
-        if self._ingress is not None:
-            return self._ingress.popleft()
-        return self._queue.popleft()
+    def closed_ledger(self) -> IngressLedger:
+        """A copy of :attr:`ledger` closed with the two in-system gauges
+        (ingress backlog; the message on the CPU) — the form ``conserved``
+        / ``assert_conserved`` hold on, in every posture, at any instant."""
+        return self.ledger.closed(
+            backlog=len(self._ingress), in_service=int(self._in_service is not None)
+        )
 
     # ------------------------------------------------------------------
     # CPU service loop
@@ -397,30 +437,25 @@ class SimulatedJMSServer:
         # concurrent service.
         self._serving = True
         while True:
-            if self._backlog_depth() == 0:
+            if not self._ingress:
                 self._serving = False
                 self.busy.idle(now)
                 return
-            message, arrival_time = self._pop_next()
+            message, arrival_time = self._ingress.popleft()
             if self.shed_expired_before_service and message.expired(now):
                 # Deadline propagation: the budget ran out while the
                 # message queued — shed it unserved instead of burning a
                 # full service on dead work.
-                self.expired_in_flight += 1
-                self.broker.stats.record("expired_in_flight")
-                if self._ingress is None:
-                    self.flow.release()
-                continue
-            if self.hedge_dedup and message.message_id in self._completed_ids:
+                unserved = "expired_in_flight"
+            elif self.hedge_dedup and message.message_id in self._completed_ids:
                 # A hedge duplicate lost the race: its primary already
                 # completed, so it is dropped at the service boundary —
                 # the dispatch memo never sees it twice.
-                self.hedge_duplicates_dropped += 1
-                self.broker.stats.record("hedge_duplicates")
-                if self._ingress is None:
-                    self.flow.release()
-                continue
-            break
+                unserved = "hedge_duplicates"
+            else:
+                break
+            self.ledger.record(unserved)
+            self._release_credit()
         self.waiting_times.record(now - arrival_time, time=arrival_time)
         self.busy.busy(now)
         result = self.broker.publish(message, now=now)
@@ -434,8 +469,7 @@ class SimulatedJMSServer:
         if self.admission is not None:
             self.admission.observe_service(total)
             if (
-                self._ingress is not None
-                and self.overload is not None
+                self.overload is not None
                 and self.overload.drain_rate is None
                 and self.admission.service_mean > 0
             ):
@@ -448,31 +482,21 @@ class SimulatedJMSServer:
         )
 
     def _finish_service(self, result: PublishResult) -> None:
-        now = self.engine.now
         self._service_event = None
         self._in_service = None
-        self.dispatched.record(now, count=result.replication_grade)
         self._count_completion(result)
-        if self._ingress is None:
-            # Keep _serving True while releasing: the credit hand-off may
-            # synchronously admit a blocked publisher's message, which must
-            # queue rather than start a second, concurrent service.
-            self.flow.release()
+        # Keep _serving True while releasing: the credit hand-off may
+        # synchronously admit a blocked publisher's message, which must
+        # queue rather than start a second, concurrent service.
+        self._release_credit()
         self._observe_health()
-        if self._backlog_depth() > 0:
-            self._start_service()
-        else:
-            self._serving = False
-            self.busy.idle(now)
+        self._start_service()  # the next message, or idle on an empty buffer
 
     def _count_completion(self, result: PublishResult) -> None:
-        self.completed += 1
-        if result.expired:
-            self.expired_messages += 1
-        else:
-            self.delivered_messages += 1
+        self.dispatched.record(self.engine.now, count=result.replication_grade)
+        self.ledger.record("expired" if result.expired else "delivered")
         if result.message.redelivered:
-            self.redelivered_messages += 1
+            self.ledger.record("served_again")
         if self.hedge_dedup:
             self._completed_ids.add(result.message.message_id)
 
@@ -496,30 +520,11 @@ class SimulatedJMSServer:
             for grant in self.flow.drain_waiters():
                 handle = self._pending.pop(grant, None)
                 if handle is not None:
-                    self.waiters_shed += 1
+                    self.ledger.record("waiters_shed")
                     self._reject(
                         handle,
                         ServerOverloadedError(f"server shedding at t={now:g}"),
                     )
-
-    @property
-    def dropped_new(self) -> int:
-        """Arrivals tail-dropped by the bounded ingress buffer."""
-        return self._ingress.dropped_new if self._ingress is not None else 0
-
-    @property
-    def dropped_oldest(self) -> int:
-        """Queued messages evicted to admit newer arrivals."""
-        return self._ingress.dropped_oldest if self._ingress is not None else 0
-
-    @property
-    def deadline_shed(self) -> int:
-        """Queued messages shed because their deadline became unmeetable."""
-        return self._ingress.deadline_shed if self._ingress is not None else 0
-
-    @property
-    def total_shed(self) -> int:
-        return self._ingress.total_shed if self._ingress is not None else 0
 
     @property
     def health_state(self) -> HealthState:
@@ -542,7 +547,7 @@ class SimulatedJMSServer:
             raise ServerUnavailableError("crash() on a server that is already down")
         now = self.engine.now
         self.up = False
-        self.crashes += 1
+        self.ledger.record("crashes")
         # 1. the message in service completes atomically at crash time
         #    (also the paused case: PROCESS_PAUSE parks the in-service
         #    message with its event cancelled, but it already published).
@@ -552,7 +557,6 @@ class SimulatedJMSServer:
         if self._in_service is not None:
             result = self._in_service
             self._in_service = None
-            self.dispatched.record(now, count=result.replication_grade)
             self._count_completion(result)
         self.paused = False
         self._pause_remaining = None
@@ -565,33 +569,22 @@ class SimulatedJMSServer:
             handle = self._pending.pop(grant, None)
             if handle is not None:
                 self._reject(handle, ServerUnavailableError(f"server crashed at t={now:g}"))
-        # 3. ingress queue: persistent messages survive via the journal
-        #    (flagged redelivered), non-persistent ones are lost.  In
-        #    drop-policy mode no credits are held, so survivors are
-        #    re-journalled straight into the bounded buffer.
-        backlog = (
-            self._ingress.entries()
-            if self._ingress is not None
-            else [(entry, None) for entry in self._queue]
-        )
-        survivors: Deque[tuple[Message, float]] = deque()
-        survivor_entries = []
-        for (message, arrival), deadline in backlog:
+        # 3. ingress buffer: persistent messages survive via the journal
+        #    (flagged redelivered, each re-taking a push-back credit),
+        #    non-persistent ones are lost.
+        survivors = []
+        for entry in self._ingress.entries():
+            (message, _arrival), _deadline = entry
             if message.delivery_mode is DeliveryMode.PERSISTENT:
                 message.mark_redelivered()
-                self.broker.stats.record("redelivered")
-                if self._ingress is None:
+                self.ledger.record("redelivered")
+                if self._push_back:
                     took = self.flow.try_acquire()
                     assert took, "survivor exceeded ingress capacity"
-                survivors.append((message, arrival))
-                survivor_entries.append(((message, arrival), deadline))
+                survivors.append(entry)
             else:
-                self.lost_messages += 1
-                self.broker.stats.record("lost_on_crash")
-        if self._ingress is not None:
-            self._ingress.replace(survivor_entries)
-        else:
-            self._queue = survivors
+                self.ledger.record("lost_on_crash")
+        self._ingress.replace(survivors)
         # 4. broker state: non-durable subscriptions die, durables retain.
         self.broker.crash()
 
@@ -601,7 +594,7 @@ class SimulatedJMSServer:
             raise ServerUnavailableError("restart() on a server that is already up")
         self.up = True
         self.broker.recover()
-        if self._backlog_depth() > 0 and not self._serving and not self.paused:
+        if self._ingress and not self._serving and not self.paused:
             self._start_service()
 
     def degrade(self, slowdown: float) -> None:
@@ -646,7 +639,7 @@ class SimulatedJMSServer:
                 continue
             if handle._withdraw():
                 self._pending.pop(grant, None)
-                self.client_timeouts += 1
+                self.ledger.record("client_timeouts")
                 timed_out += 1
                 self._reject(
                     handle,
@@ -682,18 +675,18 @@ class SimulatedJMSServer:
             self._service_event = self.engine.call_in(
                 remaining, lambda: self._finish_service(result)
             )
-        elif self.up and not self._serving and self._backlog_depth() > 0:
+        elif self.up and not self._serving and self._ingress:
             self._start_service()
 
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        return self._backlog_depth()
+        return len(self._ingress)
 
     @property
     def system_size(self) -> int:
         """Messages in the system: waiting plus in service (``≤ K``)."""
-        return self._backlog_depth() + (1 if self._serving else 0)
+        return len(self._ingress) + (1 if self._serving else 0)
 
     def utilization(self, until: Optional[float] = None) -> float:
         """Windowed CPU utilization — the simulated ``sar`` reading."""

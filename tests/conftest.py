@@ -9,14 +9,13 @@ dependency-free surface (broker, selectors, dispatch, simulation).
 
 The :func:`assert_conserved` fixture is the shared entry point to the
 message-conservation invariant ("every accepted message has exactly one
-fate"): queues and ledgers are checked by product code
-(:mod:`repro.broker.ledger`), experiment results by their own
-``conserved`` property.
+fate"); every shape it takes ends in the one product-code check,
+:meth:`repro.broker.ledger.LedgerBase.assert_conserved`.
 """
 
 import pytest
 
-from repro.broker.ledger import Ledger
+from repro.broker.ledger import LedgerBase
 from repro.broker.queues import PointToPointQueue
 
 try:
@@ -62,25 +61,25 @@ def check_conserved(stats, consumers=(), context=""):
       (``consumers`` is accepted for the callers that pass it; the queue
       already knows its attached consumers, the only ones that can hold
       a delivery);
-    * a closed :class:`~repro.broker.ledger.Ledger` (e.g. the mesh's
-      aggregated ``mesh_ledger()``) — checked as is;
-    * an experiment result exposing a boolean ``conserved`` property
-      (``repro.faults`` / ``repro.overload``) — asserts it, surfacing
-      ``to_metrics()`` in the failure message when available.
+    * a closed ledger (the mesh's aggregated ``mesh_ledger()``, a
+      simulated server's ``closed_ledger()``) — checked as is;
+    * an experiment result (``repro.faults`` / ``repro.overload`` /
+      ``repro.resilience``) — the closed server ledger it carries is
+      checked, then its ``conserved`` property, which adds the clauses
+      about the client-side populations.
 
     The equation itself lives in :mod:`repro.broker.ledger`, once.
     """
     if isinstance(stats, PointToPointQueue):
         stats = stats.closed_ledger()
-    if isinstance(stats, Ledger):
+    if isinstance(stats, LedgerBase):
         stats.assert_conserved(context)
         return
-    conserved = getattr(stats, "conserved", None)
-    if conserved is None:
+    ledger = getattr(stats, "ledger", None)
+    if not isinstance(ledger, LedgerBase):
         raise TypeError(f"assert_conserved: unsupported stats object {stats!r}")
-    suffix = f" [{context}]" if context else ""
-    detail = stats.to_metrics() if hasattr(stats, "to_metrics") else stats
-    assert conserved, f"ledger imbalanced{suffix}: {detail}"
+    ledger.assert_conserved(context)
+    assert stats.conserved, f"client-side imbalance [{context}]: {stats.to_metrics()}"
 
 
 @pytest.fixture(scope="session")

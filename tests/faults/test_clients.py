@@ -16,7 +16,7 @@ class TestSubmitHandle:
         assert handle.rejected and not handle.accepted
         assert isinstance(handle.error, ServerUnavailableError)
         assert isinstance(errors[0], ServerUnavailableError)
-        assert rig.server.rejected_submits == 1
+        assert rig.server.ledger.rejected_submits == 1
 
     def test_cancel_withdraws_blocked_submit(self, rig):
         # Fill the 4-credit buffer plus the server's service slot.
@@ -28,14 +28,14 @@ class TestSubmitHandle:
         assert blocked.cancelled
         rig.engine.run()
         # The cancelled message never entered the server.
-        assert rig.server.accepted == 4
+        assert rig.server.ledger.accepted == 4
 
     def test_cancel_after_acceptance_is_noop(self, rig):
         handle = rig.server.submit(rig.make_message())
         assert handle.accepted
         assert not handle.cancel()
         rig.engine.run()
-        assert rig.server.completed == 1
+        assert rig.server.ledger.completed == 1
 
 
 class TestRetryingPoissonPublisher:
@@ -69,7 +69,7 @@ class TestRetryingPoissonPublisher:
         rig.engine.run()
         assert publisher.retries > 0
         assert publisher.accepted == publisher.generated
-        assert rig.server.accepted + rig.server.lost_messages >= publisher.accepted - 4
+        assert rig.server.ledger.accepted + rig.server.ledger.lost_on_crash >= publisher.accepted - 4
 
     def test_accept_latency_grows_with_outage(self, rig):
         publisher = self._publisher(rig, RetryPolicy())
@@ -117,7 +117,7 @@ class TestReliablePublisher:
         assert publisher.done
         assert publisher.sent == 30
         assert publisher.retries > 0
-        assert rig.server.delivered_messages + rig.server.lost_messages >= 29
+        assert rig.server.ledger.delivered + rig.server.ledger.lost_on_crash >= 29
 
 
 class TestBreakerComposition:
@@ -151,7 +151,7 @@ class TestBreakerComposition:
         assert breaker.state is not BreakerState.CLOSED
         assert breaker.opened_count >= 1
         assert breaker.short_circuited > 0
-        assert rig.server.rejected_submits < publisher.retries
+        assert rig.server.ledger.rejected_submits < publisher.retries
 
     def test_breaker_closes_on_recovery_and_drains(self, rig):
         breaker = self._breaker()
@@ -189,7 +189,7 @@ class TestBreakerComposition:
             fresh.engine.call_at(3.0, fresh.server.restart)
             fresh.engine.run()
             assert publisher.accepted == publisher.generated
-            rejected[label] = fresh.server.rejected_submits
+            rejected[label] = fresh.server.ledger.rejected_submits
         assert rejected["with"] < rejected["without"]
 
 
@@ -244,11 +244,11 @@ class TestRouterFailover:
         assert publisher.failovers == 1
         assert publisher.server is backup
         assert publisher.accepted == publisher.generated
-        assert backup.accepted > 0
+        assert backup.ledger.accepted > 0
         # Only crash-time rejections (messages already in the primary's
         # buffer) hit the dead server; every post-failover attempt goes
         # straight to the backup instead of hammering the corpse.
-        assert rig.server.rejected_submits <= 1 + 4  # in-flight + buffered
+        assert rig.server.ledger.rejected_submits <= 1 + 4  # in-flight + buffered
 
     def test_reliable_publisher_drains_through_the_new_leader(self, rig):
         backup = self._backup_server(rig)
@@ -274,7 +274,7 @@ class TestRouterFailover:
         assert publisher.done
         assert publisher.failovers == 1
         assert publisher.abandoned == 0
-        assert rig.server.accepted + backup.accepted >= 10
+        assert rig.server.ledger.accepted + backup.ledger.accepted >= 10
 
     def test_no_router_keeps_the_bound_server(self, rig):
         publisher = ReliablePublisher(

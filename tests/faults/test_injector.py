@@ -41,7 +41,7 @@ class TestCrashWindows:
         load(rig)
         rig.engine.run()
         assert rig.server.up
-        assert rig.server.crashes == 1
+        assert rig.server.ledger.crashes == 1
         (record,) = injector.log
         assert record.applied_at == pytest.approx(1.0)
         assert record.recovered_at == pytest.approx(1.5)
@@ -51,7 +51,7 @@ class TestCrashWindows:
         arm(rig, schedule)
         load(rig)
         rig.engine.run()
-        assert rig.server.crashes == 3
+        assert rig.server.ledger.crashes == 3
         assert rig.server.up
 
 
@@ -76,7 +76,7 @@ class TestSubscriberDisconnect:
         subscriber = rig.broker.get_subscriber("match-0")
         assert subscriber.connected
         # Everything dispatched eventually reaches the durable subscriber.
-        assert len(subscriber.inbox) == rig.server.delivered_messages
+        assert len(subscriber.inbox) == rig.server.ledger.delivered
 
 
 class TestDegradations:
@@ -109,9 +109,9 @@ class TestDegradations:
         for _ in range(6):
             rig.server.submit(rig.make_message())
         rig.engine.run()
-        assert rig.server.dropped_by_fault == 2
+        assert rig.server.ledger.dropped_by_fault == 2
         assert len(rig.server.dead_letters) == 1
-        assert rig.server.completed == 3
+        assert rig.server.ledger.completed == 3
         assert rig.broker.stats.dropped_by_fault == 2
         assert rig.broker.stats.dead_lettered == 1
 

@@ -112,9 +112,9 @@ class TestClientTimeoutInjection:
         timed_out = [h for h in handles if isinstance(h.error, ClientTimeoutError)]
         assert len(timed_out) == 2
         assert all(h.rejected for h in timed_out)
-        assert rig.server.client_timeouts == 2
+        assert rig.server.ledger.client_timeouts == 2
         # The surviving waiter was eventually granted and served.
-        assert rig.server.completed == 5
+        assert rig.server.ledger.completed == 5
         (record,) = injector.log
         assert record.detail == "timed out 2/2 blocked submit(s)"
         assert record.recovered_at == record.applied_at  # point fault
@@ -127,7 +127,7 @@ class TestClientTimeoutInjection:
             ),
         )
         rig.engine.run()
-        assert rig.server.client_timeouts == 0
+        assert rig.server.ledger.client_timeouts == 0
         (record,) = injector.log
         assert record.detail == "timed out 0/3 blocked submit(s)"
 
@@ -147,8 +147,8 @@ class TestProcessPauseInjection:
         def probe(label):
             probes[label] = (
                 rig.server.paused,
-                rig.server.completed,
-                rig.server.accepted,
+                rig.server.ledger.completed,
+                rig.server.ledger.accepted,
             )
 
         # Arrivals during the window are still accepted (queue grows).
@@ -157,7 +157,7 @@ class TestProcessPauseInjection:
         rig.engine.run()
         assert probes["during"] == (True, 0, 4)
         assert not rig.server.paused
-        assert rig.server.completed == 4
+        assert rig.server.ledger.completed == 4
         assert rig.server.up
         # The interrupted service kept its remaining cost: nothing could
         # finish before the window closed at t=0.505.
@@ -180,7 +180,7 @@ class TestProcessPauseInjection:
         rig.engine.run()
         assert rig.server.up
         assert not rig.server.paused
-        assert rig.server.crashes == 1
+        assert rig.server.ledger.crashes == 1
         assert all(r.recovered_at is not None for r in injector.log)
 
 

@@ -87,7 +87,7 @@ class TestSheddingTransition:
         # it is failed fast too, instead of queueing a doomed waiter.
         assert late.rejected
         assert isinstance(late.error, ServerOverloadedError)
-        assert server.waiters_shed == 2
+        assert server.ledger.waiters_shed == 2
         assert server.broker.stats.health == "shedding"
 
     def test_in_flight_messages_still_served_after_shedding(self):
@@ -101,7 +101,7 @@ class TestSheddingTransition:
         server.submit(Message(topic="t"))
         engine.run()
         # Both credit-holding messages completed despite the transition.
-        assert server.completed == 2
+        assert server.ledger.completed == 2
         assert server.queue_depth == 0
 
     def test_healthy_server_does_not_shed_waiters(self):
@@ -112,8 +112,8 @@ class TestSheddingTransition:
         assert handle.pending
         engine.run()  # credits free up normally; the waiter gets served
         assert handle.accepted
-        assert server.waiters_shed == 0
-        assert server.completed == 3
+        assert server.ledger.waiters_shed == 0
+        assert server.ledger.completed == 3
 
 
 class TestDownServer:

@@ -55,11 +55,11 @@ class TestPreServiceShed:
             message.expiration = engine.now + 0.03
             server.submit(message)
         engine.run()
-        assert server.expired_in_flight > 0
-        assert server.completed + server.expired_in_flight == 30
-        assert server.broker.stats.expired_in_flight == server.expired_in_flight
+        assert server.ledger.expired_in_flight > 0
+        assert server.ledger.completed + server.ledger.expired_in_flight == 30
+        assert server.broker.stats.expired_in_flight == server.ledger.expired_in_flight
         # Shed work was never dispatched: only completed messages were.
-        assert server.delivered_messages == server.completed
+        assert server.ledger.delivered == server.ledger.completed
 
     def test_flag_off_serves_dead_work(self):
         engine = Engine()
@@ -72,9 +72,9 @@ class TestPreServiceShed:
         engine.run()
         # Without the flag the server pays for every message; the broker
         # still refuses to dispatch the expired ones at publish time.
-        assert server.expired_in_flight == 0
-        assert server.completed == 10
-        assert server.expired_messages > 0
+        assert server.ledger.expired_in_flight == 0
+        assert server.ledger.completed == 10
+        assert server.ledger.expired > 0
 
 
 class TestMeshHopStage:
@@ -190,7 +190,7 @@ class TestEndToEnd:
         publisher.start()
         engine.run()
         assert publisher.generated > 1000
-        assert server.expired_in_flight > 0  # the stage actually fired
+        assert server.ledger.expired_in_flight > 0  # the stage actually fired
         assert log.expired_delivered == 0  # and no dead work got out
         assert publisher.goodput > 0
         assert publisher.goodput == len(publisher.goodput_times)

@@ -7,6 +7,8 @@ no deadline-expired message is ever delivered and hedging never
 double-delivers.
 """
 
+from dataclasses import replace
+
 import pytest
 
 np = pytest.importorskip("numpy")
@@ -57,6 +59,15 @@ class TestStormHarness:
     def test_ledgers_balance(self, report, assert_conserved):
         for result in (report.control, report.protected):
             assert result.ledger_balanced, result.to_metrics()
+
+    def test_the_verdict_reads_the_witness_it_carries(self, report):
+        for result in (report.control, report.protected):
+            result.ledger.assert_conserved(result.name)
+        assert report.ledgers_balanced and "IMBALANCED" not in report.describe()
+        lost_one = report.control.ledger.closed(backlog=1, in_service=0)
+        cooked = replace(report, control=replace(report.control, ledger=lost_one))
+        assert not cooked.ledgers_balanced and not cooked.passed
+        assert "control: server ledger IMBALANCED: IngressLedger(accepted=" in cooked.describe()
 
     def test_report_surfaces(self, report):
         assert report.passed

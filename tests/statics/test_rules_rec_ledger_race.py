@@ -142,6 +142,32 @@ class TestExternalMutation:
         assert "Ledger.acked" in found[0].message
         assert "'queue.ledger'" in found[0].message
 
+    def test_ingress_ledger_is_a_default_target(self, make_index):
+        """The simulated server's books are owned like the queue's: a
+        write from outside is a finding, ``record`` is not."""
+        source = textwrap.dedent(
+            """
+            @ledger_class(INGRESS_FATES, gauges=("backlog", "in_service"))
+            class IngressLedger(LedgerBase):
+                pass
+
+            class Server:
+                def __init__(self, stats):
+                    self.books = IngressLedger(stats)
+
+                def accept(self):
+                    self.books.record("accepted")
+
+            def poke(server):
+                server.books.accepted += 1
+            """
+        )
+        index = make_index({"server.py": source})
+        found = findings_for(ExternalMutationRule(), index)
+        assert [f.rule for f in found] == ["RACE001"]
+        assert "IngressLedger.accepted" in found[0].message
+        assert "'server.books'" in found[0].message
+
 
 class TestCallbackMutation:
     def test_flags_captured_object_mutation(self, make_index):

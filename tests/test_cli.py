@@ -99,6 +99,26 @@ class TestOverload:
         assert "worst relative error" in out
         assert code in (0, 1)
 
+    def test_validate_fails_on_imbalanced_books(self, capsys, monkeypatch):
+        import dataclasses
+
+        import repro.analysis.overload as analysis
+
+        real = analysis.validate_overload
+
+        def cooked(*args, **kwargs):  # one message too many in every backlog
+            return [
+                dataclasses.replace(row, ledger=row.ledger.closed(backlog=1, in_service=0))
+                for row in real(*args, **kwargs)
+            ]
+
+        monkeypatch.setattr(analysis, "validate_overload", cooked)
+        argv = ["overload", "--validate", "--rho", "0.5", "--family", "deterministic"]
+        assert main(argv + ["--messages", "500"]) == 1
+        assert "IMBALANCED deterministic rho=0.5: IngressLedger(accepted=500 " in (
+            capsys.readouterr().out
+        )
+
     def test_invalid_policy_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["overload", "--policy", "block"])
