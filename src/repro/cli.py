@@ -1115,12 +1115,22 @@ def _run_resilience(args: argparse.Namespace) -> int:
         for result in validate_amplification():
             worst = max(worst, result.lambda_rel_err)
             beta = result.config.budget_ratio
+            cell = (
+                f"rho={result.config.rho:4.2f} K={result.config.capacity:3d} "
+                f"r={result.config.max_retries} beta={0 if beta is None else beta:g}"
+            )
             print(
-                f"  rho={result.config.rho:4.2f} K={result.config.capacity:3d} "
-                f"r={result.config.max_retries} beta={0 if beta is None else beta:g}: "
+                f"  {cell}: "
                 f"model {result.lambda_eff_model:8.2f} sim {result.lambda_eff_sim:8.2f} "
                 f"({result.lambda_rel_err * 100:5.2f}% err, {result.classification})"
             )
+            if not result.conserved:
+                status = 1
+                print(
+                    f"  IMBALANCED {cell}: {result.ledger!r} (client: "
+                    f"{result.attempts} attempts, {result.accepted} accepted, "
+                    f"{result.rejected} rejected)"
+                )
         print(f"  worst cell error: {worst * 100:.2f}%")
         if worst > 0.05:
             status = 1

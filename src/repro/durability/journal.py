@@ -25,6 +25,21 @@ lengths are non-negative ints that tile ``blobs`` *exactly*
 ``bytes`` throughout; the length only exists on the wire, so a durable
 message costs its own size on disk plus a constant.
 
+``meta`` has two authors and one layout.  The broker-facing calls —
+:meth:`Journal.log_publish`, ``log_deliver``, ``log_ack``, ``log_expire``,
+two to three of them per persistent message — *assemble* it: fixed text
+with the keys already in sorted order around :func:`_atom` of each value,
+the JSON encoder run only for what is free-form (a property section, an
+``owed`` list, an atom of a type ``_atom`` does not write itself), one
+value at a time.  :func:`encode_record` *serialises* it from a payload
+dict with that same encoder: CHECKPOINTs, and any parsed record encoded
+again.  Both end in :func:`_seal`, the one place that frames a record.
+``encode_record`` is the specification: ``tests/durability/
+test_encode_once.py`` holds every ``log_*`` call to exactly the bytes
+``encode_record`` gives for the payload it stands for, over hostile
+strings, numbers and types, and ``test_record_format.py::TestGoldenWal``
+pins a fixed script's bytes to a literal digest.
+
 Segment files (``<name>.<index>.seg`` on a
 :class:`~repro.durability.disk.SimulatedDisk`) start with a 10-byte
 header ``b"RJNL" ++ u16 version ++ u32 segment index`` and are rotated
@@ -55,6 +70,8 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..broker.message import DeliveryMode, Message
@@ -276,14 +293,38 @@ def _attach_body(holder: Any, blobs: bytes, start: int) -> int:
     return start + size
 
 
-def _frame(kind: RecordKind, meta: Dict[str, Any], blobs: bytes = b"") -> bytes:
-    """The wire bytes of one record from its two sections."""
-    head = _PAYLOAD_ENCODER.encode(meta).encode("utf-8")
+def _atom(value: Any) -> str:
+    """One value of an assembled ``meta``, exactly as the canonical
+    encoder writes it.
+
+    A ``str``, an ``int``, a finite ``float`` and ``None`` are written
+    here; a subclass of those (``True`` is not ``1``), a non-finite float
+    or a container is the encoder's, one value at a time.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int or (kind is float and isfinite(value)):
+        return repr(value)
+    if value is None:
+        return "null"
+    return _PAYLOAD_ENCODER.encode(value)
+
+
+def _seal(kind: RecordKind, meta: str, blobs: bytes = b"") -> bytes:
+    """The wire bytes of one record from its two sections, ``meta``
+    already canonical JSON text."""
+    head = meta.encode("utf-8")
     front = _BODY_PREFIX.pack(kind.value, len(head)) + head
     crc = zlib.crc32(front)
     if blobs:
         crc = zlib.crc32(blobs, crc)
     return _RECORD_HEADER.pack(len(front) + len(blobs), crc) + front + blobs
+
+
+def _frame(kind: RecordKind, meta: Dict[str, Any], blobs: bytes = b"") -> bytes:
+    """The same from a ``meta`` still to be serialised."""
+    return _seal(kind, _PAYLOAD_ENCODER.encode(meta), blobs)
 
 
 def encode_record(record: JournalRecord) -> bytes:
@@ -619,8 +660,13 @@ class Journal:
             due = due or self._unsynced_records > 0
         if due:
             # The record just appended makes the current segment dirty by
-            # construction; only the other remembered ones need testing.
-            self._sync_dirty(known_dirty=self._current)
+            # construction.  Usually it is the only one remembered: nothing
+            # to order, nothing to test.  Otherwise only the others need
+            # testing.
+            if self._dirty == {self._current}:
+                self._sync_current()
+            else:
+                self._sync_dirty(known_dirty=self._current)
             self._last_sync_at = now
 
     def _sync_current(self) -> None:
@@ -669,18 +715,19 @@ class Journal:
         subscription still owed a topic message (empty for queues, where
         a single backlog entry exists).
         """
-        fields = encode_message(message)
-        fields["body"] = len(message.body)  # the wire shape, built once
-        meta = {
-            "domain": domain,
-            "dest": destination,
-            "msg": fields,
-            "mid": message.message_id,
-        }
-        if owed:
-            meta["owed"] = list(owed)
-        encoded = _frame(RecordKind.PUBLISH, meta, message.body)
-        return self.append_encoded(encoded, now=now)
+        mid = _atom(message.message_id)
+        body, props = message.body, message.properties
+        properties = _PAYLOAD_ENCODER.encode(props) if props else "{}"
+        tail = f',"owed":{_PAYLOAD_ENCODER.encode(list(owed))}' if owed else ""
+        meta = (
+            f'{{"dest":{_atom(destination)},"domain":{_atom(domain)},"mid":{mid},'
+            f'"msg":{{"body":{len(body)},"cid":{_atom(message.correlation_id)},'
+            f'"exp":{_atom(message.expiration)},"mid":{mid},'
+            f'"mode":{_atom(message.delivery_mode.value)},'
+            f'"prio":{_atom(message.priority)},"props":{properties},'
+            f'"topic":{_atom(message.topic)},"ts":{_atom(message.timestamp)}}}{tail}}}'
+        )
+        return self.append_encoded(_seal(RecordKind.PUBLISH, meta, body), now=now)
 
     def log_deliver(
         self,
@@ -690,13 +737,11 @@ class Journal:
         consumer: "str | int",
         now: float = 0.0,
     ) -> int:
-        payload = {
-            "domain": domain,
-            "dest": destination,
-            "mid": message_id,
-            "consumer": consumer,
-        }
-        return self.append_encoded(_frame(RecordKind.DELIVER, payload), now=now)
+        meta = (
+            f'{{"consumer":{_atom(consumer)},"dest":{_atom(destination)},'
+            f'"domain":{_atom(domain)},"mid":{_atom(message_id)}}}'
+        )
+        return self.append_encoded(_seal(RecordKind.DELIVER, meta), now=now)
 
     def log_ack(
         self,
@@ -706,19 +751,20 @@ class Journal:
         reason: str = "acked",
         now: float = 0.0,
     ) -> int:
-        payload = {
-            "domain": domain,
-            "dest": destination,
-            "mid": message_id,
-            "reason": reason,
-        }
-        return self.append_encoded(_frame(RecordKind.ACK, payload), now=now)
+        meta = (
+            f'{{"dest":{_atom(destination)},"domain":{_atom(domain)},'
+            f'"mid":{_atom(message_id)},"reason":{_atom(reason)}}}'
+        )
+        return self.append_encoded(_seal(RecordKind.ACK, meta), now=now)
 
     def log_expire(
         self, domain: str, destination: str, message_id: int, now: float = 0.0
     ) -> int:
-        payload = {"domain": domain, "dest": destination, "mid": message_id}
-        return self.append_encoded(_frame(RecordKind.EXPIRE, payload), now=now)
+        meta = (
+            f'{{"dest":{_atom(destination)},"domain":{_atom(domain)},'
+            f'"mid":{_atom(message_id)}}}'
+        )
+        return self.append_encoded(_seal(RecordKind.EXPIRE, meta), now=now)
 
     # ------------------------------------------------------------------
     # Checkpoint / compaction

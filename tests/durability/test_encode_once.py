@@ -116,3 +116,121 @@ def test_append_encoded_writes_the_bytes_it_is_given():
     assert replica.snapshot() == source.snapshot()
     assert copy.records_appended == journal.records_appended
     assert copy.record_locations == journal.record_locations
+
+
+# ----------------------------------------------------------------------
+# The four log_* calls assemble their header; encode_record is the oracle
+# ----------------------------------------------------------------------
+import enum  # noqa: E402
+import json.encoder  # noqa: E402
+from unittest import mock  # noqa: E402
+
+import pytest  # noqa: E402
+
+from repro.durability import journal as journal_module  # noqa: E402
+
+QUOTERS = [json.encoder.py_encode_basestring_ascii]
+if json.encoder.c_encode_basestring_ascii is not None:
+    QUOTERS.append(json.encoder.c_encode_basestring_ascii)
+
+
+class Worker(enum.IntEnum):
+    SEVEN = 7
+
+
+class Lane(str, enum.Enum):
+    FAST = 'fa"st'
+
+
+#: Quotes, backslashes, control characters, non-ASCII, astral planes and
+#: lone surrogates: everything a JSON string has to escape.
+HOSTILE_TEXT = st.one_of(
+    st.sampled_from(["", "orders", 'a"b', "back\\slash", "\x00\x1f\x7f", "prices/€", "\U0001f4a9", "\ud800"]),
+    st.text(alphabet=st.characters(), max_size=12),
+)
+#: Ids and handles of every type a caller could pass: ``1``, ``"1"`` and
+#: ``True`` are three different consumers (and one dict key).
+HOSTILE_ATOMS = st.one_of(
+    st.sampled_from([1, "1", True, False, None, 1.0, -0.0, 1e22, Worker.SEVEN, Lane.FAST]),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), (1, "a"), [], {"b": 1, "a": None}]),
+    st.integers(-(2**70), 2**70),
+    st.floats(),
+    HOSTILE_TEXT,
+)
+HOSTILE_MESSAGES = st.builds(
+    Message,
+    topic=HOSTILE_TEXT.filter(bool),
+    correlation_id=st.one_of(
+        st.none(), st.text(alphabet=st.characters(exclude_categories=["Cs"]), max_size=12)
+    ),
+    properties=st.dictionaries(NAMES, st.one_of(VALUES, st.floats()), max_size=4),
+    body=BODIES,
+    priority=st.one_of(st.integers(0, 9), st.just(True)),
+    delivery_mode=st.sampled_from(DeliveryMode),
+    timestamp=st.one_of(st.integers(-5, 2**40), st.floats(), st.booleans()),
+    expiration=st.one_of(st.none(), st.integers(0, 2**40), st.floats()),
+    message_id=HOSTILE_ATOMS,
+)
+
+
+def on_disk(call, *args, **kwargs):
+    """The bytes one ``log_*`` call appends to a fresh journal."""
+    disk = SimulatedDisk()
+    journal = Journal(disk, sync=SyncPolicy.never())
+    getattr(journal, call)(*args, **kwargs)
+    return disk.read(journal.current_segment, SEGMENT_HEADER_SIZE)
+
+
+def specified(kind, payload):
+    return encode_record(JournalRecord(kind, payload))
+
+
+@pytest.mark.parametrize("quote", QUOTERS, ids=lambda quote: quote.__module__)
+@settings(max_examples=200, deadline=None)
+@given(
+    message=HOSTILE_MESSAGES,
+    owed=st.one_of(OWED, st.lists(HOSTILE_ATOMS, max_size=3).map(tuple)),
+    domain=st.one_of(st.sampled_from(["queue", "topic"]), HOSTILE_ATOMS),
+    dest=HOSTILE_TEXT,
+    mid=HOSTILE_ATOMS,
+    consumer=HOSTILE_ATOMS,
+    reason=st.one_of(
+        st.sampled_from(["acked", "dead_letter", "dropped", "transferred", "expired"]),
+        HOSTILE_ATOMS,
+    ),
+)
+def test_each_log_call_lands_the_canonical_encoding_of_its_payload(
+    quote, message, owed, domain, dest, mid, consumer, reason
+):
+    route = {"domain": domain, "dest": dest}
+    publish = {**route, "msg": encode_message(message), "mid": message.message_id}
+    if owed:
+        publish["owed"] = list(owed)
+    with mock.patch.object(journal_module, "encode_basestring_ascii", quote):
+        assert on_disk("log_publish", domain, dest, message, owed=owed) == specified(
+            RecordKind.PUBLISH, publish
+        )
+        assert on_disk("log_deliver", domain, dest, mid, consumer) == specified(
+            RecordKind.DELIVER, {**route, "mid": mid, "consumer": consumer}
+        )
+        assert on_disk("log_ack", domain, dest, mid, reason=reason) == specified(
+            RecordKind.ACK, {**route, "mid": mid, "reason": reason}
+        )
+        assert on_disk("log_expire", domain, dest, mid) == specified(
+            RecordKind.EXPIRE, {**route, "mid": mid}
+        )
+
+
+def test_an_atom_json_cannot_carry_is_refused_before_anything_is_written():
+    disk = SimulatedDisk()
+    journal = Journal(disk)
+    for attempt in (
+        lambda: journal.log_deliver("queue", "orders", 1, b"not a consumer"),
+        lambda: journal.log_ack("queue", "orders", b"not an id"),
+        lambda: journal.log_expire("queue", b"not a name", 1),
+        lambda: journal.log_publish("queue", "orders", Message(topic="q"), owed=[b"x"]),
+    ):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            attempt()
+    assert disk.length(journal.current_segment) == SEGMENT_HEADER_SIZE
+    assert journal.records_appended == 0

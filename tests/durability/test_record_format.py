@@ -9,6 +9,7 @@ that all three readers check the segment version, and what probing after
 damage can and cannot surface now that bodies are no longer inert hex.
 """
 
+import hashlib
 import json
 import struct
 import zlib
@@ -36,6 +37,7 @@ from repro.durability.journal import (
     RECORD_HEADER_SIZE,
     SEGMENT_HEADER_SIZE,
     SEGMENT_VERSION,
+    durable_key,
     encode_message,
     encode_record,
 )
@@ -445,3 +447,66 @@ class TestRecordShapedBodies:
         else:
             assert report.quarantined[0].end == enclosing.end
             assert report.records_by_kind == {"PUBLISH": 3}
+
+
+class TestGoldenWal:
+    """Format stability: a fixed script lands fixed bytes.
+
+    The digest is a literal on purpose — computed once, on the commit
+    before the ``log_*`` calls began assembling their own headers — so a
+    change to key order, separators, escaping, number formatting, framing
+    or segment layout fails here even if writer and reader move together.
+    """
+
+    SHA256 = "cf805e30b481ff437a46879cf65a23673675c6ecdbf5a360a284140af1137261"
+
+    def play(self):
+        disk = SimulatedDisk(RandomStreams(0))
+        journal = Journal(disk, sync=SyncPolicy.always(), segment_bytes=512)
+        digest = hashlib.sha256()
+
+        def absorb():
+            for segment in journal.segments:
+                digest.update(segment.encode("ascii"))
+                digest.update(disk.read(segment))
+
+        queued = Message(
+            topic=QUEUE, correlation_id='c"7\\', properties={"n": 1, "tier": "gold", "hot": True},
+            body=bytes(range(256)), priority=7, timestamp=1.5, expiration=9.25, message_id=11,
+        )
+        plain = Message(topic=QUEUE, message_id=12)
+        fanned = Message(
+            topic="prices/€", properties={"px": 101.5, "sym": "€UR"}, body=bytearray(b"tick"),
+            timestamp=3, message_id=2**64 + 13,
+        )
+        owed = [durable_key("alice", "prices/€"), durable_key('b"ob', "prices/€")]
+        journal.log_publish("queue", QUEUE, queued, now=0.001)
+        journal.log_publish("queue", QUEUE, plain, now=0.002)
+        journal.log_publish("topic", "prices/€", fanned, owed=owed, now=0.003)
+        journal.log_publish("topic", "prices/€", Message(topic="prices/€", message_id=14), now=0.004)
+        journal.log_deliver("queue", QUEUE, 11, "worker-1", now=0.005)
+        journal.log_deliver("queue", QUEUE, 12, 3, now=0.006)
+        journal.log_deliver("topic", "prices/€", 2**64 + 13, owed[0], now=0.007)
+        for mid, reason in enumerate(
+            ["acked", "dead_letter", "dropped", "transferred", "expired"], start=20
+        ):
+            journal.log_ack("queue", QUEUE, mid, reason=reason, now=0.008)
+        journal.log_ack("queue", QUEUE, 11, now=0.009)
+        journal.log_expire("queue", QUEUE, 12, now=0.010)
+        assert journal.rotations >= 2
+        absorb()
+        entry = LiveEntry(
+            domain="topic", destination="prices/€", message_fields=encode_message(fanned),
+            delivers=1, owed=owed[1:],
+        )
+        journal.checkpoint([entry.to_payload()], now=0.011)
+        journal.log_expire("topic", "prices/€", 2**64 + 13, now=0.012)
+        absorb()
+        return digest.hexdigest(), disk
+
+    def test_a_fixed_script_lands_the_recorded_bytes(self):
+        digest, disk = self.play()
+        assert digest == self.SHA256
+        scan = scan_disk(disk)  # ... and a reader takes every one of them
+        assert scan.torn_tail is None and not scan.quarantined
+        assert [record.kind for record in scan.records] == [RecordKind.CHECKPOINT, RecordKind.EXPIRE]

@@ -1,21 +1,26 @@
 """The write-ahead path costs the record, not the log (counts, not times).
 
-A ``SimulatedDisk`` that counts its metadata queries and reads pins the
-complexity of the per-record operations: an append under
-``SyncPolicy.always()`` makes the same few disk calls whether 2 or 200
-sealed segments sit beside the current one, and a tailer poll lists the
+A ``SimulatedDisk`` that counts its calls pins the complexity of the
+per-record operations: an append under ``SyncPolicy.always()`` is one
+``length``, one ``append`` and one ``sync`` whether 2 or 200 sealed
+segments sit beside the current one, the canonical JSON encoder runs only
+for a record's free-form parts (never for a DELIVER, ACK or EXPIRE), and a
+tailer poll lists the
 directory at most once — not at all unless a file was created or deleted
 since its last listing —, reads each segment it touches once, copies only
 bytes it has not consumed, and makes no disk call when nothing changed
 since it last ran the log dry.
 """
 
+import json
 from collections import Counter
+from unittest import mock
 
 import pytest
 
 from repro.broker.message import Message
 from repro.durability import Journal, JournalTailer, SimulatedDisk, SyncPolicy
+from repro.durability import journal as journal_module
 from repro.simulation import RandomStreams
 
 QUEUE = "orders"
@@ -36,6 +41,14 @@ class CountingDisk(SimulatedDisk):
     def list(self):
         self.calls["list"] += 1
         return super().list()
+
+    def append(self, name, data):
+        self.calls["append"] += 1
+        return super().append(name, data)
+
+    def sync(self, name):
+        self.calls["sync"] += 1
+        super().sync(name)
 
     def length(self, name):
         self.calls["length"] += 1
@@ -85,9 +98,30 @@ def calls_of_one_append(sealed):
 class TestAppendIsConstantInLogLength:
     def test_append_under_always_costs_the_same_with_2_or_200_segments(self):
         few, many = calls_of_one_append(2), calls_of_one_append(200)
-        assert few == many
-        assert sum(many.values()) <= 8
-        assert many["list"] == 0
+        assert few == many == Counter(length=1, append=1, sync=1)
+
+    def test_a_dirty_neighbour_takes_the_commit_through_the_general_walk(self):
+        # A predecessor under ``never`` left unsynced bytes in a sealed
+        # segment: the first commit flushes both, oldest first, and the
+        # next one is back to three calls.
+        disk = CountingDisk(RandomStreams(0))
+        relaxed = Journal(disk, sync=SyncPolicy.never(), segment_bytes=256)
+        while len(relaxed.segments) < 2:
+            publish(relaxed, 0)
+        journal = Journal(disk, sync=SyncPolicy.always())
+        synced = []
+
+        def sync(name):
+            synced.append(name)
+            CountingDisk.sync(disk, name)
+
+        disk.sync = sync
+        publish(journal, 1)
+        assert synced == journal.segments and len(synced) == 2
+        assert journal.unsynced_bytes == 0
+        disk.reset()
+        publish(journal, 2)
+        assert Counter(disk.calls) == Counter(length=1, append=1, sync=1)
 
     def test_explicit_sync_tests_only_the_remembered_segments(self):
         disk, journal = disk_with_sealed_segments(200)
@@ -98,6 +132,70 @@ class TestAppendIsConstantInLogLength:
         assert disk.calls["list"] == 0
         assert disk.calls["length"] == disk.calls["synced_length"] == 1
         assert relaxed.unsynced_bytes == 0
+
+
+class CountingEncoder(json.JSONEncoder):
+    """The journal's canonical encoder, counting what it is handed."""
+
+    def __init__(self):
+        super().__init__(sort_keys=True, separators=(",", ":"))
+        self.encoded = []
+
+    def encode(self, o):
+        self.encoded.append(o)
+        return super().encode(o)
+
+
+class TestTheEncoderRunsOnlyForFreeFormParts:
+    """A record's header is assembled from fixed text; ``json`` sees the
+    property section, an ``owed`` list and atoms of unusual type — one
+    value at a time, never the record."""
+
+    def encoded_by(self, call, *args, **kwargs):
+        journal = Journal(SimulatedDisk(RandomStreams(0)))
+        with mock.patch.object(journal_module, "_PAYLOAD_ENCODER", CountingEncoder()) as encoder:
+            getattr(journal, call)(*args, **kwargs)
+        assert journal.records_appended == 1
+        return encoder.encoded
+
+    def test_deliver_ack_and_expire_never_reach_it(self):
+        assert self.encoded_by("log_deliver", "queue", QUEUE, 7, "worker-1", now=0.5) == []
+        assert self.encoded_by("log_deliver", "queue", QUEUE, 7, 3) == []
+        assert self.encoded_by("log_ack", "queue", QUEUE, 7) == []
+        assert self.encoded_by("log_ack", "queue", QUEUE, 2**70, reason="dead_letter") == []
+        assert self.encoded_by("log_expire", "topic", 'prices/€"', -7) == []
+
+    def test_publish_hands_it_the_property_section_and_the_owed_list_only(self):
+        bare = Message(topic=QUEUE, body=b"x" * 64, timestamp=1.5, expiration=2.5)
+        assert self.encoded_by("log_publish", "queue", QUEUE, bare) == []
+        tagged = Message(topic=QUEUE, correlation_id="c-1", properties={"n": 1, "tier": "gold"})
+        assert self.encoded_by("log_publish", "queue", QUEUE, tagged) == [{"n": 1, "tier": "gold"}]
+        assert self.encoded_by("log_publish", "topic", QUEUE, tagged, owed=("a|t", "b|t")) == [
+            {"n": 1, "tier": "gold"},
+            ["a|t", "b|t"],
+        ]
+        assert self.encoded_by("log_publish", "topic", QUEUE, bare, owed=["a|t"]) == [["a|t"]]
+
+    def test_an_atom_of_unusual_type_goes_through_it_alone(self):
+        assert self.encoded_by("log_deliver", "queue", QUEUE, 7, True) == [True]
+        assert self.encoded_by("log_ack", "queue", QUEUE, 7.0, reason=float("inf")) == [
+            float("inf")
+        ]
+        late = Message(topic=QUEUE, expiration=float("inf"), timestamp=3)
+        assert self.encoded_by("log_publish", "queue", QUEUE, late) == [float("inf")]
+
+    def test_strings_are_quoted_through_the_module_global(self):
+        # ... which is how test_encode_once runs both quoting functions.
+        quoted = []
+
+        def quote(text):
+            quoted.append(text)
+            return json.encoder.py_encode_basestring_ascii(text)
+
+        journal = Journal(SimulatedDisk(RandomStreams(0)))
+        with mock.patch.object(journal_module, "encode_basestring_ascii", quote):
+            journal.log_ack("queue", QUEUE, 7, reason="dropped")
+        assert sorted(quoted) == ["dropped", QUEUE, "queue"]
 
 
 class TestAmplificationIsConstant:

@@ -365,9 +365,21 @@ class TestTracerSeams:
 
         wrap(pair.tailer, "poll")
         wrap(pair.standby, "receive")
-        wrap(pair.journal.disk, "append")
-        wrap(pair.journal, "log_publish")
+        for call in ("append", "sync"):
+            wrap(pair.journal.disk, call)
+        for call in ("log_publish", "log_deliver", "log_ack", "log_expire"):
+            wrap(pair.journal, call)
         wrap(pair, "tick")
-        settle(pair, publish(pair, 3))
-        assert {"poll", "receive", "append", "log_publish"} <= set(called)
-        assert pair.standby.records_applied == 3
+        now = publish(pair, 3)
+        queue = pair.primary.queues.get(QUEUE)
+        consumer = QueueConsumer("worker")
+        queue.attach(consumer, now=now)  # DELIVER
+        consumer.ack(consumer.receive())  # ACK
+        queue.send(Message(topic=QUEUE, expiration=now + DT), now=now)
+        assert queue.reap_expired(now + 2 * DT) == 1  # EXPIRE
+        settle(pair, now + 2 * DT)
+        assert set(called) == {
+            "poll", "receive", "append", "sync", "tick",
+            "log_publish", "log_deliver", "log_ack", "log_expire",
+        }
+        assert pair.standby.records_applied == pair.journal.records_appended

@@ -128,6 +128,36 @@ class TestOverload:
             main(["overload", "--capacity", "1", "--validate", "--rho", "0.9"])
 
 
+class TestResilienceValidate:
+    CELL = dict(seed=11, rho=0.9, capacity=10, max_retries=3, messages=500)
+
+    def cells(self, monkeypatch, **cooked):
+        """One small cell whose model error is zero by construction, so
+        the exit status is the ledger's alone."""
+        import dataclasses
+
+        import repro.resilience.experiment as experiment
+
+        result = experiment.run_resilience_cell(experiment.ResilienceCellConfig(**self.CELL))
+        result = dataclasses.replace(result, lambda_eff_model=result.lambda_eff_sim)
+        if cooked:
+            result = dataclasses.replace(result, ledger=result.ledger.closed(**cooked))
+        monkeypatch.setattr(experiment, "validate_amplification", lambda: [result])
+
+    def test_balanced_cells_within_tolerance_exit_zero(self, capsys, monkeypatch):
+        self.cells(monkeypatch)
+        assert main(["resilience", "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "worst cell error: 0.00%" in out and "IMBALANCED" not in out
+
+    def test_validate_fails_on_imbalanced_books(self, capsys, monkeypatch):
+        self.cells(monkeypatch, backlog=1, in_service=0)  # one message too many
+        assert main(["resilience", "--validate"]) == 1
+        out = capsys.readouterr().out
+        assert "worst cell error: 0.00%" in out
+        assert "IMBALANCED rho=0.90 K= 10 r=3 beta=0: IngressLedger(accepted=532 " in out
+
+
 class TestBench:
     def test_fast_bench_runs_and_reports(self, capsys):
         assert main(["bench", "--fast"]) == 0
