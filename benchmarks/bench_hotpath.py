@@ -2,7 +2,7 @@
 
 Prints the interpreter-vs-compiled and cold-vs-warm rates the
 ``BENCH_hotpath.json`` baseline records, then times each layer with
-pytest-benchmark.  The assertions mirror ``tools/bench_gate.py``: the
+pytest-benchmark.  The assertions mirror ``python -m repro bench hotpath``: the
 compiled-over-interpreter ratio, exact equivalence and what the memo
 saves as exact counts — never absolute rates.
 """

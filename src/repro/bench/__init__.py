@@ -1,42 +1,5 @@
-"""Hot-path performance benchmarks and the regression gate.
+"""The bench suites behind the checked-in ``BENCH_*.json`` baselines.
 
-The measurements here back the checked-in ``BENCH_hotpath.json``
-baseline: selector evaluation (tree-walking interpreter vs. compiled
-closures), dispatch planning (cold vs. memoized), and discrete-event
-engine throughput with and without batched RNG sampling.  Run via
-``python -m repro bench`` or ``tools/bench_gate.py``.
+One module per suite; :mod:`repro.bench.suites` is the table of them
+and ``python -m repro bench SUITE`` the one way to run a row.
 """
-
-from .batch import (
-    BatchAcceptance,
-    batch_message_corpus,
-    bench_batch_degeneration,
-    bench_batch_model,
-    bench_batch_publish,
-    format_batch_report,
-    run_batch_bench,
-)
-from .hotpath import (
-    HotpathAcceptance,
-    bench_dispatch,
-    bench_selector_eval,
-    bench_simulation,
-    format_hotpath_report,
-    run_hotpath_bench,
-)
-
-__all__ = [
-    "BatchAcceptance",
-    "HotpathAcceptance",
-    "batch_message_corpus",
-    "bench_batch_degeneration",
-    "bench_batch_model",
-    "bench_batch_publish",
-    "bench_dispatch",
-    "bench_selector_eval",
-    "bench_simulation",
-    "format_batch_report",
-    "format_hotpath_report",
-    "run_batch_bench",
-    "run_hotpath_bench",
-]

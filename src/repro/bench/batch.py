@@ -1,7 +1,7 @@
 """Batched hot-path benchmarks and the M^X/G/1 validation sweep.
 
 Three measurements back the checked-in ``BENCH_batch.json`` baseline
-(``tools/bench_gate.py --suite batch``):
+(``python -m repro bench batch``):
 
 ``bench_batch_publish``
     A broker with a few hundred property-filter subscriptions ingesting
@@ -43,7 +43,7 @@ from typing import Dict, List, Mapping, Sequence
 
 from ..broker import Broker, Message, PropertyFilter
 from ..core import DeterministicBatchSize, MXG1Queue
-from ..core.moments import Moments
+from ..core.moments import Moments, relative_error
 from ..simulation import Exponential, simulate_mxg1
 from ..simulation.rng import make_generator
 from .hotpath import _best_rates, message_corpus
@@ -237,7 +237,7 @@ def bench_batch_model(
                 )
                 waits.append(result.mean_wait)
             sim_wait = sum(waits) / len(waits)
-            rel_err = abs(sim_wait - model.mean_wait) / model.mean_wait
+            rel_err = relative_error(sim_wait, model.mean_wait)
             max_rel_err = max(max_rel_err, rel_err)
             rows.append(
                 {

@@ -1,39 +1,31 @@
-#!/usr/bin/env python
-"""Record the fault-injection robustness baseline (BENCH_faults.json).
+"""The fault-injection robustness baseline (``BENCH_faults.json``).
 
 Runs the canonical outage schedule — one 5 s crash a third of the way
 into a 60 s run at ρ = 0.7, seed 0 — plus the fault-free control, and
-writes throughput, waiting-time and ledger numbers to
-``BENCH_faults.json`` at the repo root.  The runs are fully
-deterministic, so future PRs can re-run this script and diff the file to
-catch robustness regressions.
-
-Usage: PYTHONPATH=src python tools/record_bench_faults.py [output.json]
+records throughput, waiting-time and ledger numbers.  The runs are fully
+deterministic in virtual time, so a re-recording that differs from the
+committed file by one byte is a robustness regression.  The gate is the
+``invariants`` block: neither run may lose a persistent message.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-from repro.faults import FaultExperimentConfig, FaultSchedule, run_fault_experiment
+from typing import Any, Dict
 
 
-def canonical_config() -> FaultExperimentConfig:
-    return FaultExperimentConfig(seed=0, horizon=60.0, utilization=0.7)
+def record(fast: bool) -> Dict[str, Any]:
+    """One size only: ``fast`` records the same two 60 s runs."""
+    from ..faults import FaultExperimentConfig, FaultSchedule, run_fault_experiment
 
-
-def canonical_schedule() -> FaultSchedule:
-    return FaultSchedule.single_outage(at=20.0, duration=5.0)
-
-
-def record() -> dict:
-    config = canonical_config()
+    config = FaultExperimentConfig(seed=0, horizon=60.0, utilization=0.7)
     baseline = run_fault_experiment(FaultSchedule.none(), config)
-    outage = run_fault_experiment(canonical_schedule(), config)
+    outage = run_fault_experiment(
+        FaultSchedule.single_outage(at=20.0, duration=5.0), config
+    )
+    invariants = {
+        "fault_free_conserved": baseline.no_persistent_loss,
+        "single_outage_conserved": outage.no_persistent_loss,
+    }
     return {
         "description": (
             "Canonical fault-injection baseline: 60s run at rho=0.7 (seed 0), "
@@ -58,30 +50,15 @@ def record() -> dict:
             "predicted_mean_wait": outage.impact.mean_wait,
             "peak_backlog": outage.impact.peak_backlog,
         },
-        "invariants": {
-            "fault_free_conserved": baseline.no_persistent_loss,
-            "single_outage_conserved": outage.no_persistent_loss,
-        },
+        "invariants": invariants,
+        "acceptance": {"pass": all(invariants.values())},
     }
 
 
-def main() -> int:
-    out = pathlib.Path(
-        sys.argv[1]
-        if len(sys.argv) > 1
-        else pathlib.Path(__file__).resolve().parents[1] / "BENCH_faults.json"
-    )
-    payload = record()
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+def report(payload: Dict[str, Any]) -> str:
     single = payload["single_outage"]
-    print(
+    return (
         f"single outage: wait {single['mean_wait'] * 1e3:.2f} ms (p99 "
         f"{single['wait_p99'] * 1e3:.2f} ms), rate {single['received_rate']:.1f}/s, "
         f"lost {single['lost']:.0f}"
     )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,5 +1,4 @@
-#!/usr/bin/env python
-"""Record the sharded-mesh baseline (BENCH_mesh.json).
+"""The sharded-mesh baseline (``BENCH_mesh.json``).
 
 Three deterministic measurements:
 
@@ -12,42 +11,25 @@ Three deterministic measurements:
   attempts of one clean join / leave / crash rebalance on a populated
   3-shard mesh.
 * **Chaos harness summary** — the full event x fault x step matrix
-  (``repro mesh``); the violation count must be 0 and the matrix must
-  land above the 200-point acceptance bar.
-
-Usage: PYTHONPATH=src python tools/record_bench_mesh.py [output.json] [--fast]
+  (``repro mesh``); the violation count must be 0 and, in full mode,
+  the matrix must land above the 200-point acceptance bar.
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-from repro.architectures.base import SystemParameters
-from repro.broker.message import Message
-from repro.core import CORRELATION_ID_COSTS
-from repro.mesh import RebalanceEngine, ShardedBroker, run_mesh_chaos_harness
-from repro.mesh.capacity import mesh_capacity_curve, validate_mesh_capacity
+from typing import Any, Dict
 
 SHARD_COUNTS = (1, 2, 4, 8)
 PLACEMENTS = ("partitioned", "psr", "ssr")
-PARAMS = SystemParameters(
-    costs=CORRELATION_ID_COSTS,
-    publishers=2,
-    subscribers=8,
-    filters_per_subscriber=10,
-    mean_replication=1.0,
-    rho=0.9,
-)
 CAPACITY_TOLERANCE = 0.05
 MIN_CHAOS_POINTS = 200
 
 
-def _rebalance_cost(event_kind: str, ops: int, n_queues: int) -> dict:
+def _rebalance_cost(event_kind: str, ops: int, n_queues: int) -> Dict[str, Any]:
     """Clean-run cost of one membership event on a populated mesh."""
+    from ..broker.message import Message
+    from ..mesh import RebalanceEngine, ShardedBroker
+
     mesh = ShardedBroker(["s0", "s1", "s2"], lease_duration=0.5)
     names = [f"q-{i}" for i in range(n_queues)]
     for name in names:
@@ -79,31 +61,43 @@ def _rebalance_cost(event_kind: str, ops: int, n_queues: int) -> dict:
     }
 
 
-def record(fast: bool = False) -> dict:
+def record(fast: bool) -> Dict[str, Any]:
+    from ..architectures.base import SystemParameters
+    from ..core import CORRELATION_ID_COSTS
+    from ..mesh import run_mesh_chaos_harness
+    from ..mesh.capacity import mesh_capacity_curve, validate_mesh_capacity
+
+    params = SystemParameters(
+        costs=CORRELATION_ID_COSTS,
+        publishers=2,
+        subscribers=8,
+        filters_per_subscriber=10,
+        mean_replication=1.0,
+        rho=0.9,
+    )
     ops, queues = (18, 8) if fast else (36, 16)
-    fault_kinds = ("crash-dest", "link-drop") if fast else None
 
     curves = {
         placement: {
-            str(count): report.to_dict()
-            for count, report in mesh_capacity_curve(
-                PARAMS, SHARD_COUNTS, placement=placement
+            str(count): point.to_dict()
+            for count, point in mesh_capacity_curve(
+                params, SHARD_COUNTS, placement=placement
             ).items()
         }
         for placement in PLACEMENTS
     }
     validation = validate_mesh_capacity(
-        PARAMS, shard_counts=SHARD_COUNTS, tolerance=CAPACITY_TOLERANCE
+        params, shard_counts=SHARD_COUNTS, tolerance=CAPACITY_TOLERANCE
     )
     rebalances = [
         _rebalance_cost(kind, ops, queues) for kind in ("join", "leave", "crash")
     ]
-    if fault_kinds is None:
-        harness = run_mesh_chaos_harness(seed=0, ops=ops, queues=queues)
-    else:
+    if fast:
         harness = run_mesh_chaos_harness(
-            seed=0, ops=ops, queues=queues, fault_kinds=fault_kinds
+            seed=0, ops=ops, queues=queues, fault_kinds=("crash-dest", "link-drop")
         )
+    else:
+        harness = run_mesh_chaos_harness(seed=0, ops=ops, queues=queues)
 
     capacity_monotonic = all(
         curves[placement][str(a)]["capacity"] <= curves[placement][str(b)]["capacity"]
@@ -117,14 +111,8 @@ def record(fast: bool = False) -> dict:
         "capacity_model_within_tolerance": validation.ok,
         "capacity_monotonic_in_shard_count": capacity_monotonic,
         "rebalances_completed": all(r["completed"] for r in rebalances),
-        "pass": (
-            harness.ok
-            and len(harness.points) >= point_floor
-            and validation.ok
-            and capacity_monotonic
-            and all(r["completed"] for r in rebalances)
-        ),
     }
+    acceptance["pass"] = all(acceptance.values())
     return {
         "description": (
             "Sharded-mesh baseline: superposed-M/G/1 capacity vs shard "
@@ -149,37 +137,22 @@ def record(fast: bool = False) -> dict:
     }
 
 
-def main() -> int:
-    fast = "--fast" in sys.argv[1:]
-    positional = [arg for arg in sys.argv[1:] if not arg.startswith("-")]
-    out = pathlib.Path(
-        positional[0]
-        if positional
-        else pathlib.Path(__file__).resolve().parents[1] / "BENCH_mesh.json"
-    )
-    payload = record(fast=fast)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+def report(payload: Dict[str, Any]) -> str:
+    lines = []
     for placement in PLACEMENTS:
         row = " ".join(
             f"N={count}: {payload['capacity_curves'][placement][str(count)]['capacity']:.1f}"
             for count in SHARD_COUNTS
         )
-        print(f"capacity[{placement}]: {row} msg/s")
+        lines.append(f"capacity[{placement}]: {row} msg/s")
     validation = payload["capacity_validation"]
-    print(f"capacity vs DES: max rel err {validation['max_rel_err']:.2%}")
+    lines.append(f"capacity vs DES: max rel err {validation['max_rel_err']:.2%}")
     for row in payload["rebalance_costs"]:
-        print(
+        lines.append(
             f"rebalance[{row['event']}]: {row['moves']} moves in "
             f"{row['steps']} steps / {row['duration']:.3f}s virtual "
             f"({row['messages_applied']} messages applied)"
         )
     harness = payload["harness"]
-    print(f"harness: {harness['points']} points, ok={harness['ok']}")
-    for name, ok in payload["acceptance"].items():
-        print(f"acceptance: {name} = {ok}")
-    return 0 if payload["acceptance"]["pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    lines.append(f"harness: {harness['points']} points, ok={harness['ok']}")
+    return "\n".join(lines)

@@ -1,5 +1,4 @@
-#!/usr/bin/env python
-"""Record the replication/HA baseline (BENCH_replication.json).
+"""The replication/HA baseline (``BENCH_replication.json``).
 
 Two deterministic measurements:
 
@@ -14,19 +13,11 @@ Two deterministic measurements:
   scenarios × ack modes, plus the lease-pause split-brain check.  The
   violation count must be 0 and async loss must stay within the
   shipped-lag window (the harness itself enforces the bound per point).
-
-Usage: PYTHONPATH=src python tools/record_bench_replication.py [output.json]
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-from repro.replication import failover_sweep, run_replication_chaos_harness
+from typing import Any, Dict
 
 SHIP_INTERVALS = (0.01, 0.05, 0.2)
 BATCH_SIZE = 16
@@ -41,7 +32,10 @@ MAX_ASYNC_RPO_REL_ERR = 0.75
 MAX_RTO_REL_ERR = 0.25
 
 
-def record() -> dict:
+def record(fast: bool) -> Dict[str, Any]:
+    """One size only: ``fast`` records the same sweep and harness."""
+    from ..replication import failover_sweep, run_replication_chaos_harness
+
     sweep = failover_sweep(
         ship_intervals=SHIP_INTERVALS,
         batch_size=BATCH_SIZE,
@@ -84,32 +78,18 @@ def record() -> dict:
     }
 
 
-def main() -> int:
-    out = pathlib.Path(
-        sys.argv[1]
-        if len(sys.argv) > 1
-        else pathlib.Path(__file__).resolve().parents[1] / "BENCH_replication.json"
-    )
-    payload = record()
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
-    for row in payload["failover_sweep"]:
-        print(
-            f"sweep: {row['mode']:>5} ship={row['ship_interval']:.3f}s "
-            f"rpo {row['rpo_measured']:.2f} rec (model {row['rpo_model']:.2f}, "
-            f"err {row['rpo_rel_err']:.1%})  rto {row['rto_measured']:.4f}s "
-            f"(model {row['rto_model']:.4f}, err {row['rto_rel_err']:.1%})"
-        )
+def report(payload: Dict[str, Any]) -> str:
+    lines = [
+        f"sweep: {row['mode']:>5} ship={row['ship_interval']:.3f}s "
+        f"rpo {row['rpo_measured']:.2f} rec (model {row['rpo_model']:.2f}, "
+        f"err {row['rpo_rel_err']:.1%})  rto {row['rto_measured']:.4f}s "
+        f"(model {row['rto_model']:.4f}, err {row['rto_rel_err']:.1%})"
+        for row in payload["failover_sweep"]
+    ]
     harness = payload["harness"]
-    print(
+    lines.append(
         f"harness: {harness['points']} crash points, "
         f"max async loss {harness['max_async_loss']}, "
         f"{len(harness['violations'])} violation(s)"
     )
-    for name, ok in payload["acceptance"].items():
-        print(f"acceptance: {name} = {ok}")
-    return 0 if payload["acceptance"]["pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return "\n".join(lines)

@@ -1,5 +1,4 @@
-#!/usr/bin/env python
-"""Record the resilience baseline (BENCH_resilience.json).
+"""The resilience baseline (``BENCH_resilience.json``).
 
 Two deterministic measurements:
 
@@ -14,26 +13,16 @@ Two deterministic measurements:
   budgeted+deadline+hedged client recovers >= 95% of its pre-fault
   goodput; no deadline-expired message is delivered, hedging never
   double-delivers, and both server ledgers must balance.
-
-Usage: PYTHONPATH=src python tools/record_bench_resilience.py
-           [output.json] [--fast]
 """
 
 from __future__ import annotations
 
-import json
-import pathlib
-import sys
-
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-
-from repro.resilience.experiment import DEFAULT_CELLS, validate_amplification
-from repro.resilience.harness import run_storm_harness
+from typing import Any, Dict
 
 MODEL_TOLERANCE = 0.05
 
 
-def _cell_config(config) -> dict:
+def _cell_config(config: Any) -> Dict[str, Any]:
     return {
         "seed": config.seed,
         "messages": config.messages,
@@ -45,23 +34,26 @@ def _cell_config(config) -> dict:
     }
 
 
-def record(fast: bool = False) -> dict:
+def record(fast: bool) -> Dict[str, Any]:
+    from ..resilience.experiment import DEFAULT_CELLS, validate_amplification
+    from ..resilience.harness import run_storm_harness
+
     cells = tuple(DEFAULT_CELLS)
     if fast:
         cells = tuple(cell.with_(messages=12000) for cell in cells[:3])
     results = validate_amplification(cells)
     worst_err = max(result.lambda_rel_err for result in results)
     conserved = all(result.conserved for result in results)
-    report = run_storm_harness()
+    storm = run_storm_harness()
 
     acceptance = {
         "model_within_tolerance": worst_err <= MODEL_TOLERANCE,
         "cell_ledgers_conserved": conserved,
-        "control_stormed": report.control_stormed,
-        "protected_recovered": report.protected_recovered,
-        "exactly_once": report.exactly_once,
-        "no_dead_work_delivered": report.no_dead_work_delivered,
-        "server_ledgers_balanced": report.ledgers_balanced,
+        "control_stormed": storm.control_stormed,
+        "protected_recovered": storm.protected_recovered,
+        "exactly_once": storm.exactly_once,
+        "no_dead_work_delivered": storm.no_dead_work_delivered,
+        "server_ledgers_balanced": storm.ledgers_balanced,
     }
     acceptance["pass"] = all(acceptance.values())
     return {
@@ -81,25 +73,16 @@ def record(fast: bool = False) -> dict:
             for result in results
         ],
         "worst_model_rel_err": worst_err,
-        "storm_harness": report.to_metrics(),
+        "storm_harness": storm.to_metrics(),
         "acceptance": acceptance,
     }
 
 
-def main() -> int:
-    fast = "--fast" in sys.argv[1:]
-    positional = [arg for arg in sys.argv[1:] if not arg.startswith("-")]
-    out = pathlib.Path(
-        positional[0]
-        if positional
-        else pathlib.Path(__file__).resolve().parents[1] / "BENCH_resilience.json"
-    )
-    payload = record(fast=fast)
-    out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out}")
+def report(payload: Dict[str, Any]) -> str:
+    lines = []
     for cell in payload["cells"]:
         config = cell["config"]
-        print(
+        lines.append(
             f"cell rho={config['rho']:.2f} K={config['capacity']} "
             f"r={config['max_retries']} "
             f"beta={config['budget_ratio'] or 0:g}: "
@@ -107,17 +90,11 @@ def main() -> int:
             f"sim {cell['lambda_eff_sim']:.2f} "
             f"({cell['lambda_rel_err']:.2%} err)"
         )
-    print(f"worst model error: {payload['worst_model_rel_err']:.2%}")
+    lines.append(f"worst model error: {payload['worst_model_rel_err']:.2%}")
     harness = payload["storm_harness"]
-    print(
+    lines.append(
         f"storm harness: control recovery "
         f"{harness['control_recovery_ratio']:.2f}, protected recovery "
         f"{harness['protected_recovery_ratio']:.2f}"
     )
-    for name, ok in payload["acceptance"].items():
-        print(f"acceptance: {name} = {ok}")
-    return 0 if payload["acceptance"]["pass"] else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return "\n".join(lines)

@@ -11,13 +11,12 @@ Usage (``python -m repro ...``)::
     python -m repro lint --example
     python -m repro faults --outage-at 20 --outage 5 [--seed 7] [--horizon 60]
     python -m repro overload [--capacity 5] [--rho 0.9 --rho 1.3] [--validate]
-    python -m repro bench [--fast] [--json out.json] [--check]
+    python -m repro bench SUITE [--fast] [--out PATH]
     python -m repro durability [--seed 0] [--messages 60] [--intra-samples 200]
     python -m repro durability --sweep --filters 500 --replication 3 [--t-sync 2e-4]
     python -m repro replicate [--seed 0] [--ops 24] [--mode sync|async|both]
     python -m repro replicate --sweep [--rate 200] [--seeds 3] [--ship-interval 0.05]
     python -m repro mesh [--seed 0] [--ops 36] [--queues 16] [--soak] [--capacity]
-    python -m repro batch [--fast] [--json out.json] [--check]
     python -m repro check [--format json] [--rules SIM,REC,...] [--require]
     python -m repro check --update-baseline
 
@@ -31,10 +30,11 @@ fault-injection experiment (server outages, retrying publishers, durable
 recovery) and reports the message-conservation ledger plus the fluid
 availability prediction; ``overload`` prints the M/G/1/K loss model's
 curves for a bounded buffer — and, with ``--validate``, cross-checks
-them against the discrete-event overload simulation; ``bench`` runs the
-hot-path microbenchmarks (compiled selectors vs. the interpreter,
-memoized vs. cold dispatch, engine events/s) and, with ``--check``,
-gates on the recorded speedup thresholds; ``durability`` runs the
+them against the discrete-event overload simulation; ``bench`` records
+one suite of :mod:`repro.bench.suites` (one per committed
+``BENCH_<name>.json``), prints its report, writes the recording only
+where ``--out`` points and exits 1 unless its acceptance block passes;
+``durability`` runs the
 crash-consistency harness (recover the journal at every record boundary
 plus sampled torn-write offsets, assert exactly-once requeueing) and,
 with ``--sweep``, prints the durability-vs-capacity trade-off λ_max(b)
@@ -48,10 +48,6 @@ kind at every rebalance protocol step of every membership event, assert
 zero acked-message loss, zero double-ownership, mesh-wide conservation)
 and, with ``--capacity``, the superposed-M/G/1 capacity model with its
 DES cross-check (numpy-backed; skipped gracefully without numpy);
-``batch`` runs the batched hot-path bench (one-call ``publish_batch``
-vs. the sequential publish loop, the M^X/G/1 batch-arrival model vs.
-the DES, and the b=1 degeneration to Eqs. 4-5) and, with ``--check``,
-gates on the recorded thresholds;
 ``check`` runs the whole-program
 invariant analyzer (determinism, recovery no-raise, race hazards,
 API hygiene) over ``src/repro``.
@@ -105,9 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the (slower) simulated-measurement claims (Table I)",
     )
+    report.set_defaults(handler=_run_report)
 
     figure = commands.add_parser("figure", help="print one reproduced figure's series")
     figure.add_argument("figure_id", choices=sorted(_FIGURE_IDS))
+    figure.set_defaults(handler=_run_figure)
 
     def add_scenario_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--filters", type=int, required=True, help="installed filters n_fltr")
@@ -121,6 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     capacity = commands.add_parser("capacity", help="predict server capacity (Eqs. 1-2)")
     add_scenario_arguments(capacity)
+    capacity.set_defaults(handler=_run_capacity)
 
     wait = commands.add_parser("wait", help="waiting-time summary at a load (Eqs. 4-20)")
     add_scenario_arguments(wait)
@@ -130,6 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-filter match probability (default: replication / filters)",
     )
+    wait.set_defaults(handler=_run_wait)
 
     lint = commands.add_parser(
         "lint", help="statically analyze message selectors (types, dead/trivial filters)"
@@ -152,6 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (json is stable and machine-readable)",
     )
+    lint.set_defaults(handler=_run_lint)
 
     check = commands.add_parser(
         "check",
@@ -195,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalogue and exit",
     )
+    check.set_defaults(handler=_run_check)
 
     faults = commands.add_parser(
         "faults", help="run a deterministic fault-injection & recovery experiment"
@@ -237,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="send NON_PERSISTENT messages (crashes may lose them)",
     )
+    faults.set_defaults(handler=_run_faults)
 
     overload = commands.add_parser(
         "overload", help="M/G/1/K loss model for a bounded buffer (optionally simulated)"
@@ -279,26 +282,29 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="message time-to-live in virtual seconds (required by deadline-shed)",
     )
+    overload.set_defaults(handler=_run_overload)
+
+    from .bench.suites import SUITES
 
     bench = commands.add_parser(
-        "bench", help="hot-path microbenchmarks (selectors, dispatch, engine)"
+        "bench", help="record one bench suite and gate on its acceptance block"
+    )
+    bench.add_argument(
+        "suite", choices=sorted(SUITES), help="the BENCH_<suite>.json to record"
     )
     bench.add_argument(
         "--fast",
         action="store_true",
-        help="reduced corpus sizes and repeats for a quick run",
+        help="reduced CI-sized run (hotpath, batch, mesh and resilience; "
+        "the other suites have one size)",
     )
     bench.add_argument(
-        "--json",
+        "--out",
         metavar="PATH",
         default=None,
-        help="also write the full results as JSON (BENCH_hotpath.json format)",
+        help="write the recording here (nothing is written without it)",
     )
-    bench.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless the speedup thresholds and equivalence hold",
-    )
+    bench.set_defaults(handler=_run_bench)
 
     durability = commands.add_parser(
         "durability",
@@ -346,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     durability.add_argument(
         "--rho", type=float, default=0.9, help="CPU utilization budget (sweep)"
     )
+    durability.set_defaults(handler=_run_durability)
 
     replicate = commands.add_parser(
         "replicate",
@@ -383,6 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     replicate.add_argument(
         "--seeds", type=int, default=3, help="independent runs per sweep point"
     )
+    replicate.set_defaults(handler=_run_replicate)
 
     mesh = commands.add_parser(
         "mesh",
@@ -405,27 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also validate the capacity model against the DES (needs numpy)",
     )
-
-    batch = commands.add_parser(
-        "batch",
-        help="batched publish bench and the M^X/G/1 batch-arrival validation",
-    )
-    batch.add_argument(
-        "--fast",
-        action="store_true",
-        help="reduced sweep grid and repeats for a quick run",
-    )
-    batch.add_argument(
-        "--json",
-        metavar="PATH",
-        default=None,
-        help="also write the full results as JSON (BENCH_batch.json format)",
-    )
-    batch.add_argument(
-        "--check",
-        action="store_true",
-        help="exit non-zero unless the speedup and model-error bars hold",
-    )
+    mesh.set_defaults(handler=_run_mesh)
 
     resilience = commands.add_parser(
         "resilience",
@@ -468,6 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the metastable-storm chaos harness (slowest)",
     )
+    resilience.set_defaults(handler=_run_resilience)
     return parser
 
 
@@ -837,20 +826,18 @@ def _run_overload(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    import json
+    from .bench.suites import SUITES, dump
 
-    from .bench import format_hotpath_report, run_hotpath_bench
-
-    payload = run_hotpath_bench(fast=args.fast)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    print(format_hotpath_report(payload))
-    if args.check and not payload["acceptance"]["pass"]:  # type: ignore[index]
-        return 1
-    return 0
+    suite = SUITES[args.suite]
+    payload = suite.record(args.fast)
+    print(suite.report(payload))
+    if args.out:
+        Path(args.out).write_text(dump(payload), encoding="utf-8")
+        print(f"wrote {args.out}")
+    acceptance = payload["acceptance"]
+    for name, ok in acceptance.items():
+        print(f"acceptance: {name} = {ok}")
+    return 0 if acceptance["pass"] else 1
 
 
 def _run_durability(args: argparse.Namespace) -> int:
@@ -1020,23 +1007,6 @@ def _run_mesh(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _run_batch(args: argparse.Namespace) -> int:
-    import json
-
-    from .bench import format_batch_report, run_batch_bench
-
-    payload = run_batch_bench(fast=args.fast)
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    print(format_batch_report(payload))
-    if args.check and not payload["acceptance"]["pass"]:  # type: ignore[index]
-        return 1
-    return 0
-
-
 def _run_resilience(args: argparse.Namespace) -> int:
     from .core.params import FilterType, costs_for
     from .core.replication import DeterministicReplication
@@ -1145,40 +1115,20 @@ def _run_resilience(args: argparse.Namespace) -> int:
     return status
 
 
+def _run_report(args: argparse.Namespace) -> int:
+    from .analysis import format_report, reproduction_report
+
+    checks = reproduction_report(include_measurements=args.measurements)
+    print(format_report(checks))
+    return 0 if all(c.passed for c in checks) else 1
+
+
+def _run_figure(args: argparse.Namespace) -> int:
+    print(_figure(args.figure_id)().format())
+    return 0
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    if args.command == "report":
-        from .analysis import format_report, reproduction_report
-
-        checks = reproduction_report(include_measurements=args.measurements)
-        print(format_report(checks))
-        return 0 if all(c.passed for c in checks) else 1
-    if args.command == "figure":
-        print(_figure(args.figure_id)().format())
-        return 0
-    if args.command == "capacity":
-        return _run_capacity(args)
-    if args.command == "wait":
-        return _run_wait(args)
-    if args.command == "lint":
-        return _run_lint(args)
-    if args.command == "faults":
-        return _run_faults(args)
-    if args.command == "overload":
-        return _run_overload(args)
-    if args.command == "bench":
-        return _run_bench(args)
-    if args.command == "durability":
-        return _run_durability(args)
-    if args.command == "replicate":
-        return _run_replicate(args)
-    if args.command == "mesh":
-        return _run_mesh(args)
-    if args.command == "batch":
-        return _run_batch(args)
-    if args.command == "resilience":
-        return _run_resilience(args)
-    if args.command == "check":
-        return _run_check(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return args.handler(args)

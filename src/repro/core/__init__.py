@@ -34,7 +34,7 @@ from .capacity import (
 from .gamma_fit import FittedGamma
 from .gg1 import GG1Approximation, kingman_mean_wait
 from .mg1 import MG1Queue, mm1_mean_wait
-from .moments import Moments, shifted_scaled_moments
+from .moments import Moments, relative_error, shifted_scaled_moments
 from .priority import PriorityClass, PriorityMG1
 from .params import (
     APP_PROPERTY_COSTS,
@@ -92,6 +92,7 @@ __all__ = [
     "mean_service_time",
     "mm1_mean_wait",
     "predict_throughput",
+    "relative_error",
     "saturated_throughput",
     "server_capacity",
     "service_moments_from_target",

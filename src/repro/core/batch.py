@@ -318,7 +318,7 @@ class MXG1Queue:
         """The M/G/1 queue with the same per-message rate and service.
 
         At ``X ≡ 1`` its Eqs. 4–5 moments must equal this model's to
-        1e-12 — the degeneration check in ``tools/bench_gate.py --suite
+        1e-12 — the degeneration check in ``python -m repro bench
         batch``.  Imported lazily: :mod:`repro.core.mg1` needs numpy.
         """
         from .mg1 import MG1Queue

@@ -12,7 +12,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Moments", "shifted_scaled_moments"]
+__all__ = ["Moments", "relative_error", "shifted_scaled_moments"]
+
+
+def relative_error(measured: float, model: float, floor: float = 0.0) -> float:
+    """``|measured − model|`` relative to ``|model|``.
+
+    ``floor`` keeps a tiny model value from blowing the ratio up; where
+    model and floor are both zero there is no scale to be relative to,
+    and the absolute error is returned.
+    """
+    scale = max(abs(model), floor)
+    if scale == 0:
+        return abs(measured)
+    return abs(measured - model) / scale
 
 
 @dataclass(frozen=True)

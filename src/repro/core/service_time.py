@@ -43,6 +43,26 @@ class ReplicationFamily(enum.Enum):
     SCALED_BERNOULLI = "scaled_bernoulli"
     BINOMIAL = "binomial"
 
+    def model(self, n_fltr: int, mean_replication: float) -> ReplicationModel:
+        """This family's distribution of ``R`` with mean ``E[R]``.
+
+        ``n_fltr`` is the family's filter-count parameter ``n`` (the
+        deterministic family ignores it and needs an integer ``E[R]``).
+        """
+        if self is ReplicationFamily.DETERMINISTIC:
+            r = round(mean_replication)
+            if abs(r - mean_replication) > 1e-9:
+                raise ValueError(
+                    f"deterministic family needs an integer E[R], got {mean_replication}"
+                )
+            return DeterministicReplication(int(r))
+        p_match = mean_replication / n_fltr
+        if not 0 <= p_match <= 1:
+            raise ValueError(f"E[R]={mean_replication} unreachable with n_fltr={n_fltr}")
+        if self is ReplicationFamily.SCALED_BERNOULLI:
+            return ScaledBernoulliReplication(n_fltr, p_match)
+        return BinomialReplication(n_fltr, p_match)
+
 
 @dataclass(frozen=True)
 class ServiceTimeModel:

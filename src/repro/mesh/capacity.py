@@ -49,7 +49,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from ..architectures.base import SystemParameters
 from ..architectures.failover import worst_survivor_absorption
 from ..core.mg1 import MG1Queue
-from ..core.moments import Moments, shifted_scaled_moments
+from ..core.moments import Moments, relative_error, shifted_scaled_moments
 from .ring import HashRing
 
 __all__ = [
@@ -276,11 +276,7 @@ class ValidationRow:
 
     @property
     def rel_err(self) -> float:
-        if self.predicted_utilization == 0:
-            return abs(self.simulated_utilization)
-        return abs(
-            self.simulated_utilization - self.predicted_utilization
-        ) / self.predicted_utilization
+        return relative_error(self.simulated_utilization, self.predicted_utilization)
 
 
 @dataclass

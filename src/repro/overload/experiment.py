@@ -24,15 +24,11 @@ from typing import List, Optional, Sequence
 
 from ..broker.queues import DropPolicy
 from ..core.params import FilterType, costs_for
-from ..core.replication import (
-    BinomialReplication,
-    DeterministicReplication,
-    ReplicationModel,
-    ScaledBernoulliReplication,
-)
+from ..core.moments import relative_error
+from ..core.replication import ReplicationModel
 from ..core.service_time import ReplicationFamily, ServiceTimeModel
 from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
-from ..testbed.scenario import build_replication_scenario
+from ..testbed.scenario import build_replication_scenario, replication_service_model
 from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .health import HealthThresholds
 from .mg1k import MG1KQueue
@@ -118,35 +114,12 @@ class OverloadExperimentConfig:
     # ------------------------------------------------------------------
     @property
     def replication_model(self) -> ReplicationModel:
-        if self.family is ReplicationFamily.DETERMINISTIC:
-            r = round(self.mean_replication)
-            if abs(r - self.mean_replication) > 1e-9:
-                raise ValueError(
-                    f"deterministic family needs an integer E[R], got {self.mean_replication}"
-                )
-            return DeterministicReplication(int(r))
-        p_match = self.mean_replication / self.n_fltr
-        if not 0 <= p_match <= 1:
-            raise ValueError(
-                f"E[R]={self.mean_replication} unreachable with n_fltr={self.n_fltr}"
-            )
-        if self.family is ReplicationFamily.SCALED_BERNOULLI:
-            return ScaledBernoulliReplication(self.n_fltr, p_match)
-        return BinomialReplication(self.n_fltr, p_match)
-
-    @property
-    def installed_filters(self) -> int:
-        """Filters the scenario installs: ``Σ k`` over the support grades."""
-        return sum(
-            grade for grade, p in self.replication_model.distribution() if grade > 0 and p > 0
-        )
+        return self.family.model(self.n_fltr, self.mean_replication)
 
     @property
     def service_model(self) -> ServiceTimeModel:
-        return ServiceTimeModel(
-            costs_for(self.filter_type).scaled(self.cpu_scale),
-            n_fltr=self.installed_filters,
-            replication=self.replication_model,
+        return replication_service_model(
+            self.replication_model, self.filter_type, self.cpu_scale
         )
 
     @property
@@ -223,22 +196,16 @@ class OverloadRunResult(RunMetrics):
     @property
     def loss_rel_err(self) -> float:
         """Relative error of the simulated vs. predicted loss probability."""
-        if self.loss_model == 0:
-            return abs(self.loss_sim)
-        return abs(self.loss_sim - self.loss_model) / self.loss_model
+        return relative_error(self.loss_sim, self.loss_model)
 
     @property
     def wait_rel_err(self) -> float:
         """Relative error of the accepted-message mean wait."""
-        if self.mean_wait_model == 0:
-            return abs(self.mean_wait_sim)
-        return abs(self.mean_wait_sim - self.mean_wait_model) / self.mean_wait_model
+        return relative_error(self.mean_wait_sim, self.mean_wait_model)
 
     @property
     def throughput_rel_err(self) -> float:
-        if self.throughput_model == 0:
-            return abs(self.throughput_sim)
-        return abs(self.throughput_sim - self.throughput_model) / self.throughput_model
+        return relative_error(self.throughput_sim, self.throughput_model)
 
 
 def run_overload_experiment(

@@ -22,7 +22,7 @@ Each measurement is averaged over ``seeds`` independent runs (crash
 phase varies by seed) and compared with
 :class:`~repro.replication.model.ReplicationLagModel`; the relative
 errors land in ``BENCH_replication.json`` via
-``tools/record_bench_replication.py``.
+``python -m repro bench replication``.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence
 
 from ..broker.message import Message
+from ..core.moments import relative_error
 from ..simulation.rng import RandomStreams
 from .model import ReplicationLagModel
 from .pair import ReplicatedPair, ReplicationConfig
@@ -135,11 +136,6 @@ def _run_once(
     }
 
 
-def _rel_err(measured: float, model: float, floor: float) -> float:
-    """``|measured − model|`` relative to the model, floored for tiny values."""
-    return abs(measured - model) / max(abs(model), floor)
-
-
 def failover_sweep(
     ship_intervals: Sequence[float] = (0.01, 0.05, 0.2),
     modes: Sequence[str] = ("sync", "async"),
@@ -199,14 +195,14 @@ def failover_sweep(
                     rpo_model=model.rpo_records,
                     rpo_measured=rpo_measured,
                     # One flush period of records is the natural RPO floor.
-                    rpo_rel_err=_rel_err(
+                    rpo_rel_err=relative_error(
                         rpo_measured, model.rpo_records, rate * model.flush_period
                     ),
                     detection_model=model.detection_seconds,
                     detection_measured=detection_measured,
                     rto_model=model.rto_seconds,
                     rto_measured=rto_measured,
-                    rto_rel_err=_rel_err(
+                    rto_rel_err=relative_error(
                         rto_measured, model.rto_seconds, lease_duration / 10
                     ),
                 )

@@ -30,16 +30,13 @@ from typing import List, Optional, Sequence
 
 from ..broker.queues import DropPolicy
 from ..core.params import FilterType, costs_for
-from ..core.replication import (
-    BinomialReplication,
-    DeterministicReplication,
-    ReplicationModel,
-)
+from ..core.moments import relative_error
+from ..core.replication import ReplicationModel
 from ..core.resilience import RetryAmplificationModel
 from ..core.service_time import ReplicationFamily, ServiceTimeModel
 from ..overload import OverloadConfig
 from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
-from ..testbed.scenario import build_replication_scenario
+from ..testbed.scenario import build_replication_scenario, replication_service_model
 from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .budget import RetryBudget
 from .clients import DeadlineRetryPublisher
@@ -99,35 +96,12 @@ class ResilienceCellConfig:
     # ------------------------------------------------------------------
     @property
     def replication_model(self) -> ReplicationModel:
-        if self.family is ReplicationFamily.DETERMINISTIC:
-            r = round(self.mean_replication)
-            if abs(r - self.mean_replication) > 1e-9:
-                raise ValueError(
-                    f"deterministic family needs an integer E[R], "
-                    f"got {self.mean_replication}"
-                )
-            return DeterministicReplication(int(r))
-        p_match = self.mean_replication / self.n_fltr
-        if not 0 <= p_match <= 1:
-            raise ValueError(
-                f"E[R]={self.mean_replication} unreachable with n_fltr={self.n_fltr}"
-            )
-        return BinomialReplication(self.n_fltr, p_match)
-
-    @property
-    def installed_filters(self) -> int:
-        return sum(
-            grade
-            for grade, p in self.replication_model.distribution()
-            if grade > 0 and p > 0
-        )
+        return self.family.model(self.n_fltr, self.mean_replication)
 
     @property
     def service_model(self) -> ServiceTimeModel:
-        return ServiceTimeModel(
-            costs_for(self.filter_type).scaled(self.cpu_scale),
-            n_fltr=self.installed_filters,
-            replication=self.replication_model,
+        return replication_service_model(
+            self.replication_model, self.filter_type, self.cpu_scale
         )
 
     @property
@@ -188,9 +162,7 @@ class ResilienceCellResult(RunMetrics):
     @property
     def lambda_rel_err(self) -> float:
         """Relative error of the simulated vs. predicted λ_eff."""
-        if self.lambda_eff_model == 0:
-            return abs(self.lambda_eff_sim)
-        return abs(self.lambda_eff_sim - self.lambda_eff_model) / self.lambda_eff_model
+        return relative_error(self.lambda_eff_sim, self.lambda_eff_model)
 
     @property
     def every_attempt_resolved(self) -> bool:

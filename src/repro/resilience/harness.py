@@ -42,7 +42,7 @@ from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from ..overload import OverloadConfig
 from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
-from ..testbed.scenario import build_replication_scenario
+from ..testbed.scenario import build_replication_scenario, replication_service_model
 from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .budget import RetryBudget
 from .clients import DeadlineRetryPublisher, DeliveryLog
@@ -106,11 +106,10 @@ class StormHarnessConfig:
     # ------------------------------------------------------------------
     @property
     def service_model(self) -> ServiceTimeModel:
-        grade = self.replication_grade
-        return ServiceTimeModel(
-            costs_for(self.filter_type).scaled(self.cpu_scale),
-            n_fltr=grade,
-            replication=DeterministicReplication(grade),
+        return replication_service_model(
+            DeterministicReplication(self.replication_grade),
+            self.filter_type,
+            self.cpu_scale,
         )
 
     @property

@@ -22,14 +22,16 @@ from ..broker import (
     MessageFilter,
     PropertyFilter,
 )
-from ..core.params import FilterType
+from ..core.params import FilterType, costs_for
 from ..core.replication import ReplicationModel
+from ..core.service_time import ServiceTimeModel
 
 __all__ = [
     "FilterScenario",
     "ReplicationScenario",
     "build_filter_scenario",
     "build_replication_scenario",
+    "replication_service_model",
     "TOPIC_NAME",
     "MATCH_VALUE",
 ]
@@ -142,6 +144,27 @@ class ReplicationScenario:
         )
 
 
+def _support_grades(replication: ReplicationModel) -> List[int]:
+    """Grades ``k > 0`` the model can draw: one subscriber group each."""
+    return [grade for grade, p in replication.distribution() if grade > 0 and p > 0]
+
+
+def replication_service_model(
+    replication: ReplicationModel, filter_type: FilterType, cpu_scale: float
+) -> ServiceTimeModel:
+    """Service time of the broker :func:`build_replication_scenario` builds.
+
+    It installs ``Σ k`` filters over the support grades, which is the
+    ``n_fltr`` every message pays; ``cpu_scale`` slows the Table I costs
+    the way the experiments' ``CpuCostModel`` does.
+    """
+    return ServiceTimeModel(
+        costs_for(filter_type).scaled(cpu_scale),
+        n_fltr=sum(_support_grades(replication)),
+        replication=replication,
+    )
+
+
 def build_replication_scenario(
     replication: ReplicationModel,
     filter_type: FilterType = FilterType.CORRELATION_ID,
@@ -153,7 +176,7 @@ def build_replication_scenario(
     subscriber inbox immediately (the paper's fast-consumer assumption);
     long overload runs would otherwise accumulate every delivered copy.
     """
-    support = [grade for grade, p in replication.distribution() if grade > 0 and p > 0]
+    support = _support_grades(replication)
     broker = Broker(topics=[TOPIC_NAME], freeze_topics=True)
     for grade in support:
         value = f"#g{grade}"

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import Moments, shifted_scaled_moments
+from repro.core import Moments, relative_error, shifted_scaled_moments
 
 
 class TestMoments:
@@ -110,3 +110,16 @@ class TestShiftedScaledMoments:
         out = shifted_scaled_moments(10.0, 2.0, inner)
         assert out.variance == pytest.approx(4.0 * inner.variance)
         assert math.isclose(out.std, 2.0 * inner.std)
+
+
+class TestRelativeError:
+    def test_relative_to_the_model(self):
+        assert relative_error(1.1, 1.0) == pytest.approx(0.1)
+        assert relative_error(0.9, -1.0) == pytest.approx(1.9)
+
+    def test_a_floor_keeps_a_tiny_model_from_blowing_up(self):
+        assert relative_error(0.3, 0.1, floor=2.0) == pytest.approx(0.1)
+        assert relative_error(0.0, 0.0, floor=3.2) == 0.0
+
+    def test_against_a_zero_model_the_absolute_error(self):
+        assert relative_error(-0.25, 0.0) == 0.25

@@ -102,7 +102,7 @@ class TestModelValidation:
         """One live model-vs-simulation cell inside the acceptance band.
 
         The full three-family sweep at 80k messages lives in
-        BENCH_overload.json (tools/record_bench_overload.py); this is the
+        BENCH_overload.json (``repro bench overload``); this is the
         fast in-suite sentinel.
         """
         result = run_overload_experiment(FAST.with_(messages=20000))

@@ -8,7 +8,7 @@ from repro.replication import failover_sweep
 @pytest.fixture(scope="module")
 def sweep():
     # One small point per mode keeps the suite fast; the full grid runs
-    # in tools/record_bench_replication.py.
+    # in ``repro bench replication``.
     return failover_sweep(
         ship_intervals=(0.05,),
         modes=("sync", "async"),

@@ -4,6 +4,8 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.core.service_time import ReplicationFamily
+from repro.overload import OverloadExperimentConfig
 from repro.resilience.experiment import (
     ResilienceCellConfig,
     run_resilience_cell,
@@ -11,7 +13,7 @@ from repro.resilience.experiment import (
 )
 
 #: Reduced-horizon versions of the bench cells (tier-1 runtime budget);
-#: the full suite runs in tools/record_bench_resilience.py.
+#: the full suite runs in ``repro bench resilience``.
 _CELLS = (
     ResilienceCellConfig(seed=12, rho=1.1, capacity=8, max_retries=3, messages=12000),
     ResilienceCellConfig(
@@ -59,3 +61,16 @@ class TestAmplificationValidation:
 
     def test_classification_reported(self, results):
         assert {r.classification for r in results} == {"stable"}
+
+
+class TestOperatingPoint:
+    @pytest.mark.parametrize("family", list(ReplicationFamily))
+    def test_a_cell_and_an_overload_run_share_the_operating_point(self, family):
+        """One family, one model: the cell's copy of the mapping had lost
+        its scaled-Bernoulli branch and built a binomial instead."""
+        cell = ResilienceCellConfig(family=family)
+        overload = OverloadExperimentConfig(family=family, rho=cell.rho)
+        assert repr(cell.replication_model) == repr(overload.replication_model)
+        assert family.value.replace("_", "") in repr(cell.replication_model).lower()
+        assert cell.service_model.moments == overload.service_model.moments
+        assert cell.arrival_rate == overload.arrival_rate

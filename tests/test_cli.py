@@ -159,18 +159,21 @@ class TestResilienceValidate:
 
 
 class TestBench:
+    """The suite table itself is covered in ``tests/test_bench_suites.py``."""
+
     def test_fast_bench_runs_and_reports(self, capsys):
-        assert main(["bench", "--fast"]) == 0
+        assert main(["bench", "hotpath", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "selector eval:" in out
         assert "dispatch:" in out
         assert "gate:" in out
+        assert "acceptance: pass = True" in out
 
     def test_bench_writes_json(self, capsys, tmp_path):
         import json
 
         target = tmp_path / "bench.json"
-        assert main(["bench", "--fast", "--json", str(target)]) == 0
+        assert main(["bench", "hotpath", "--fast", "--out", str(target)]) == 0
         payload = json.loads(target.read_text())
         assert set(payload) >= {"selector_eval", "dispatch", "simulation", "acceptance"}
         assert payload["selector_eval"]["mismatches"] == 0
@@ -179,6 +182,12 @@ class TestBench:
     def test_bench_help_parses(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["bench", "--help"])
+
+    @pytest.mark.parametrize("argv", [["bench", "--fast"], ["batch", "--fast"]])
+    def test_bench_needs_a_suite_and_batch_is_not_a_command(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestCheck:

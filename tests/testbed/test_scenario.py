@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import FilterType
+from repro.core import BinomialReplication, FilterType, costs_for
 from repro.testbed import build_filter_scenario, make_test_message
+from repro.testbed.scenario import build_replication_scenario, replication_service_model
 
 
 class TestFilterScenario:
@@ -76,3 +77,13 @@ class TestFilterScenario:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             build_filter_scenario(FilterType.CORRELATION_ID, -1, 0)
+
+
+class TestReplicationScenario:
+    def test_the_service_model_counts_the_filters_the_scenario_installs(self):
+        replication = BinomialReplication(4, 0.5)
+        scenario = build_replication_scenario(replication, FilterType.APP_PROPERTY)
+        model = replication_service_model(replication, FilterType.APP_PROPERTY, 100.0)
+        assert model.n_fltr == scenario.n_fltr == 1 + 2 + 3 + 4
+        assert model.replication is replication
+        assert model.costs == costs_for(FilterType.APP_PROPERTY).scaled(100.0)

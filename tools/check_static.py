@@ -41,6 +41,7 @@ IMPORT_SMOKE = (
     "repro.bench",
     "repro.bench.hotpath",
     "repro.bench.batch",
+    "repro.bench.suites",
     "repro.core.batch",
     "repro.simulation.batch_queueing",
     "repro.faults",
@@ -72,7 +73,6 @@ IMPORT_SMOKE = (
 CLI_SMOKE = (
     ["overload", "--help"],
     ["bench", "--help"],
-    ["batch", "--help"],
     ["durability", "--help"],
     ["replicate", "--help"],
     ["check", "--help"],
