@@ -57,9 +57,12 @@ consume them): **0** clean, **1** findings (or, for experiment commands,
 a violated invariant / failed gate), **2** usage error (bad flags,
 unreadable input, malformed baseline).
 
-The analysis imports (numpy/scipy-backed) are deferred into the command
-handlers: ``lint`` and ``check`` run on the standard library alone, so
-the static gates work in minimal environments too.
+Each handler imports what it runs inside itself, and ``import repro``
+imports no subpackage, so parsing and ``--help`` load neither scipy nor
+``repro.analysis`` (``tests/test_cli.py`` holds every command to that).
+``lint`` and ``check`` need numpy — ``repro.core`` requires it and both
+reach ``repro.broker`` — but not scipy (the ``repro[fast]`` extra), so
+the static gates work in an environment without it.
 """
 
 from __future__ import annotations

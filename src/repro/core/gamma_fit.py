@@ -8,6 +8,10 @@ for exponential service and very accurate otherwise [23].
 The degenerate case ``c_var = 0`` (deterministic replication at ρ where the
 constant part dominates) is handled explicitly as a point mass, which is the
 ``α → ∞`` limit of the Gamma family.
+
+Fitting needs only the moments; the incomplete Gamma function behind
+``cdf`` / ``ccdf`` / ``ppf`` is scipy's, taken when one of them is called,
+so importing the model does not load scipy.
 """
 
 from __future__ import annotations
@@ -16,11 +20,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .moments import Moments
 
 __all__ = ["FittedGamma"]
+
+
+def _special():
+    """``scipy.special``, or an ``ImportError`` that names the extra."""
+    try:
+        from scipy import special
+    except ImportError as exc:
+        raise ImportError(
+            "the Gamma tail (FittedGamma.cdf / ccdf / ppf) needs scipy;"
+            " install the repro[fast] extra"
+        ) from exc
+    return special
 
 
 @dataclass(frozen=True)
@@ -102,7 +117,7 @@ class FittedGamma:
         if self.degenerate:
             out = np.where(t >= self.point, 1.0, 0.0)
         else:
-            out = np.where(t <= 0, 0.0, special.gammainc(self.shape, np.maximum(t, 0) / self.scale))
+            out = np.where(t <= 0, 0.0, _special().gammainc(self.shape, np.maximum(t, 0) / self.scale))
         return out if out.ndim else float(out)
 
     def ccdf(self, t: float | np.ndarray) -> float | np.ndarray:
@@ -111,7 +126,7 @@ class FittedGamma:
         if self.degenerate:
             out = np.where(t >= self.point, 0.0, 1.0)
         else:
-            out = np.where(t <= 0, 1.0, special.gammaincc(self.shape, np.maximum(t, 0) / self.scale))
+            out = np.where(t <= 0, 1.0, _special().gammaincc(self.shape, np.maximum(t, 0) / self.scale))
         return out if out.ndim else float(out)
 
     def ppf(self, p: float) -> float:
@@ -124,7 +139,7 @@ class FittedGamma:
             return 0.0
         if p == 1:
             return math.inf
-        return float(special.gammaincinv(self.shape, p) * self.scale)
+        return float(_special().gammaincinv(self.shape, p) * self.scale)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw samples (scalar when ``size is None``)."""

@@ -1,54 +1,26 @@
-"""Collection guards and shared invariant helpers.
-
-The broker and simulation packages run on the standard library alone
-(numpy is the ``repro[fast]`` extra), but the analysis/core layers and
-everything built on them use numpy/scipy directly.  Without numpy those
-suites cannot even be imported, so they are excluded from collection
-instead of erroring out — what remains still exercises the full
-dependency-free surface (broker, selectors, dispatch, simulation).
+"""Shared helpers: the conservation invariant and a fresh interpreter.
 
 The :func:`assert_conserved` fixture is the shared entry point to the
 message-conservation invariant ("every accepted message has exactly one
 fate"); every shape it takes ends in the one product-code check,
 :meth:`repro.broker.ledger.LedgerBase.assert_conserved`.
+
+:func:`run_fresh` runs a script in a new interpreter on this checkout's
+``src`` — what a test of import behaviour needs, since in-process the
+rest of tier-1 has long since imported everything.
 """
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from repro.broker.ledger import LedgerBase
 from repro.broker.queues import PointToPointQueue
 
-try:
-    import numpy  # noqa: F401
-
-    _HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - depends on environment
-    _HAVE_NUMPY = False
-
-collect_ignore: list = []
-
-if not _HAVE_NUMPY:  # pragma: no cover - depends on environment
-    collect_ignore = [
-        "analysis",
-        "architectures",
-        "core",
-        "durability",  # capacity sweep folds into the numpy-backed Eq. 1/2
-        "faults",
-        "integration",
-        "overload",
-        "testbed",
-        # the mesh itself is numpy-free; only its capacity model is not
-        "mesh/test_mesh_capacity.py",
-        # resilience primitives (budget/deadline/hedge) are numpy-free;
-        # the fixed-point model and the DES harnesses are not
-        "resilience/test_fixed_point.py",
-        "resilience/test_amplification.py",
-        "resilience/test_storm_harness.py",
-        "resilience/test_deadline_propagation.py",
-        # the CLI wires in the (numpy-backed) analysis layer at import
-        "test_cli.py",
-        "test_doctests.py",
-    ]
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def check_conserved(stats, consumers=(), context=""):
@@ -86,3 +58,23 @@ def check_conserved(stats, consumers=(), context=""):
 def assert_conserved():
     """Session-scoped so hypothesis ``@given`` tests can take it freely."""
     return check_conserved
+
+
+def _run_fresh(script: str) -> str:
+    src = str(REPO_ROOT / "src")
+    search_path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO_ROOT,
+        env={**os.environ, "PYTHONPATH": search_path},
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    return result.stdout
+
+
+@pytest.fixture(scope="session")
+def run_fresh():
+    """``run_fresh(script)``: run it in a fresh interpreter, return stdout."""
+    return _run_fresh

@@ -306,3 +306,25 @@ class TestParser:
             "check",
         ):
             assert command in out
+
+    def test_help_of_every_command_leaves_the_laboratory_unimported(self, run_fresh):
+        """The handlers import inside themselves, so parsing and ``--help``
+        load neither scipy nor ``repro.analysis``.  A fresh interpreter:
+        in-process the rest of tier-1 has already loaded both."""
+        run_fresh(
+            """
+import contextlib, io, sys
+from repro.cli import build_parser, main
+commands = sorted(build_parser()._subparsers._group_actions[0].choices)
+assert len(commands) == 13, commands
+for command in commands:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        try:
+            main([command, "--help"])
+        except SystemExit as stop:
+            assert stop.code == 0, (command, stop.code)
+    assert "usage: repro " + command in out.getvalue(), command
+    loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m.startswith("repro.analysis")]
+    assert loaded == [], (command, loaded)
+"""
+        )

@@ -126,10 +126,11 @@ def test_strict_mypy_scope_includes_hotpath():
     assert '"repro.bench.*"' in text
 
 
-def test_numpy_is_an_optional_extra():
-    """numpy/scipy live in the [fast] extra, not core dependencies."""
+def test_numpy_is_required_and_scipy_is_the_extra():
+    """``repro.core`` needs numpy; scipy is optional (the [fast] extra) and
+    ``tests/test_import_closure.py`` runs the product with it blocked."""
     text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    assert 'fast = ["numpy' in text
-    dependencies = text.split("dependencies = [", 1)[1].split("]", 1)[0]
-    assert "numpy" not in dependencies
+    assert 'fast = ["scipy' in text
+    dependencies = text.split("\ndependencies = [", 1)[1].split("]", 1)[0]
+    assert "numpy" in dependencies
     assert "scipy" not in dependencies

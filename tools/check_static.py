@@ -1,5 +1,7 @@
 #!/usr/bin/env python
-"""Run the repo's static checks (ruff + mypy + ``repro check``).
+"""Run the repo's static checks (ruff + mypy + ``repro check``) and the
+import gates (every package imports; a product package imports only
+what a message touches).
 
 Usage::
 
@@ -66,6 +68,32 @@ IMPORT_SMOKE = (
     "repro.resilience",
     "repro.resilience.harness",
     "repro.core.resilience",
+)
+
+#: The product / laboratory boundary (DESIGN §3).  Importing a product
+#: package alone in a fresh interpreter must load nothing under
+#: ``LABORATORY`` and at most this many modules: package → (``repro``
+#: modules, modules in all).  The ceilings sit a few modules above what
+#: the packages load today (36 / 212, 55 / 247, 63 / 255, 77 / 269), so a
+#: new eager import fails here before it shows as start-up time and RSS.
+IMPORT_CLOSURE = {
+    "repro.broker": (40, 230),
+    "repro.durability": (60, 260),
+    "repro.replication": (68, 270),
+    "repro.mesh": (82, 285),
+}
+
+#: What a message never touches: the numeric laboratory and the packages
+#: that measure, model, fault or lint the product from outside.
+LABORATORY = (
+    "scipy",
+    "repro.analysis",
+    "repro.architectures",
+    "repro.testbed",
+    "repro.bench",
+    "repro.statics",
+    "repro.faults",
+    "repro.resilience",
 )
 
 #: CLI invocations that must at least parse and print help in every
@@ -135,19 +163,68 @@ def import_smoke() -> bool:
     script = "import importlib\n" + "\n".join(
         f"importlib.import_module({name!r})" for name in IMPORT_SMOKE
     )
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     print(f"[check_static] import-smoke: {', '.join(IMPORT_SMOKE)}")
-    result = subprocess.run([sys.executable, "-c", script], cwd=REPO_ROOT, env=env)
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=REPO_ROOT, env=_env_with_src()
+    )
     return result.returncode == 0
+
+
+def loaded_modules(package: str) -> list[str]:
+    """``sys.modules`` after importing ``package`` alone in a fresh interpreter."""
+    script = f"import sys, {package}; print(*sorted(sys.modules), sep='\\n')"
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=REPO_ROOT,
+        env=_env_with_src(),
+        capture_output=True,
+        text=True,
+    )
+    if result.returncode != 0:
+        raise ImportError(f"import {package} failed alone:\n{result.stderr}")
+    return result.stdout.split()
+
+
+def _repro_count(modules: list[str]) -> int:
+    return sum(name.partition(".")[0] == "repro" for name in modules)
+
+
+def closure_findings(package: str, modules: list[str]) -> list[str]:
+    """Where ``modules`` breaks ``package``'s row of IMPORT_CLOSURE."""
+    repro_ceiling, total_ceiling = IMPORT_CLOSURE[package]
+    findings = [
+        f"{package} loads {name}"
+        for name in modules
+        if any(name == prefix or name.startswith(prefix + ".") for prefix in LABORATORY)
+    ]
+    if _repro_count(modules) > repro_ceiling:
+        findings.append(
+            f"{package} loads {_repro_count(modules)} repro modules > {repro_ceiling}"
+        )
+    if len(modules) > total_ceiling:
+        findings.append(f"{package} loads {len(modules)} modules > {total_ceiling}")
+    return findings
+
+
+def import_closure() -> bool:
+    """Hold each product package's import closure to IMPORT_CLOSURE."""
+    print("[check_static] import-closure: package · repro modules · all modules · scipy?")
+    ok = True
+    for package in IMPORT_CLOSURE:
+        modules = loaded_modules(package)
+        scipy = "loaded" if "scipy" in modules else "absent"
+        print(
+            f"[check_static]   {package:<18} {_repro_count(modules):>3} {len(modules):>4}  {scipy}"
+        )
+        for finding in closure_findings(package, modules):
+            print(f"[check_static]   {finding}")
+            ok = False
+    return ok
 
 
 def cli_smoke() -> bool:
     """Exercise the CLI entry point (``--help`` parses cleanly)."""
-    env = dict(os.environ)
-    src = str(REPO_ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    env = _env_with_src()
     ok = True
     for arguments in CLI_SMOKE:
         print(f"[check_static] cli-smoke: repro {' '.join(arguments)}")
@@ -185,6 +262,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     failed = not import_smoke()
+    failed = not import_closure() or failed
     failed = not cli_smoke() or failed
     failed = not repro_check() or failed
     failed = not equivalence_smoke() or failed
