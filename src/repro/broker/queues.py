@@ -29,8 +29,13 @@ import functools
 import itertools
 import operator
 from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Type
+from types import SimpleNamespace
+from typing import (
+    TYPE_CHECKING, Any, Callable, ContextManager, Deque, Dict, List, Optional, Sequence, Set,
+    Tuple, Type,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import (cycle guard)
     from ..durability.journal import Journal
@@ -85,6 +90,18 @@ def _journal_api() -> Tuple[Type[Exception], Callable[[str, str], str]]:
     from ..durability.journal import JournalWriteError, durable_key
 
     return JournalWriteError, durable_key
+
+
+#: The commit scope of a batch stage where there is no journal: nothing
+#: is held, nothing can tear.
+_NO_JOURNAL: ContextManager[Any] = nullcontext(SimpleNamespace(torn=()))
+
+
+def _commit_scope(journal: Optional["Journal"], now: float) -> ContextManager[Any]:
+    """``journal.commit(now)``: what a batch stage journals inside it is
+    one run — one write, one fsync decision — whose torn records the
+    scope names once it has closed (``scope.torn``)."""
+    return journal.commit(now) if journal is not None else _NO_JOURNAL
 
 
 @dataclass(frozen=True, slots=True)
@@ -357,18 +374,42 @@ class PointToPointQueue:
 
         The same stages as :meth:`send`, so per-message fates are those
         of a ``send`` loop; what differs is the order: *every* message is
-        accepted before *any* is enqueued, so the write-ahead PUBLISH
-        appends happen back to back and, under a group-commit sync
-        policy, the whole batch shares fsyncs (the ``t_sync/b``
-        amortization) instead of paying one per send.
+        accepted before *any* is enqueued, and on a journaled queue each
+        stage is one journal commit (:meth:`Journal.commit`) — the
+        PUBLISH records of the batch are one run, on disk and under the
+        sync policy's fsync before any message is enqueued, and the
+        DELIVER, dropped and expired records of the enqueue stage are a
+        second: two disk writes and at most two fsyncs a batch, where a
+        ``send`` loop pays per record (the ``t_sync/b`` amortization with
+        ``b`` the batch).
+
+        A write fault tears one record of a run.  The message whose
+        PUBLISH tore is rejected exactly as ``send`` rejects it — counted
+        in :attr:`journal_write_failures`, never enqueued, never a later
+        record's subject; a torn record of the enqueue stage is counted
+        as ``_drain`` counts it.
 
         The enqueue stage still runs per message — draining once at
         the end would shed arrivals a sequential sender's consumers
         would have absorbed between sends on a bounded queue.
         """
         before = self.ledger.delivered
-        for message in [m for m in messages if self._accept(m, now)]:
-            self._enqueue(message, now)
+        with _commit_scope(self.journal, now) as accept:
+            accepted = [m for m in messages if self._accept(m, now)]
+        if accept.torn:
+            # The held records were the PUBLISHes of the persistent
+            # messages accepted, in that order.
+            written = [m for m in accepted if m.delivery_mode is DeliveryMode.PERSISTENT]
+            rejected = [written[position] for position in accept.torn]
+            for message in rejected:
+                self._journaled.discard(message.message_id)
+                self.ledger.record("journal_write_failures")
+            accepted = [m for m in accepted if not any(m is r for r in rejected)]
+        with _commit_scope(self.journal, now) as enqueue:
+            for message in accepted:
+                self._enqueue(message, now)
+        if enqueue.torn:
+            self.ledger.record("journal_write_failures", len(enqueue.torn))
         return self.ledger.delivered - before
 
     def _shed_overflow(self, now: float) -> None:

@@ -21,7 +21,7 @@ from .dispatch_cache import VOLATILE_HEADERS, DispatchMemo, message_fingerprint
 from .errors import SubscriptionError
 from .filters import MatchAllFilter, MessageFilter, PropertyFilter
 from .message import DeliveredMessage, DeliveryMode, Message
-from .queues import DropPolicy, QueueManager, _journal_api
+from .queues import DropPolicy, QueueManager, _commit_scope, _journal_api
 from .stats import BrokerStats
 from .subscriptions import Subscriber, Subscription
 from .topics import TopicRegistry
@@ -617,8 +617,11 @@ class Broker:
         size, one included.  What a batch adds is a grouping stage in
         front of the plan (:meth:`_plan_groups`: one plan per
         fingerprint group) and the order the stages run in: every
-        message is admitted, then every write-ahead append happens back
-        to back (riding the journal's group-commit sync policy), then
+        message is admitted, then the write-ahead stage runs as one
+        journal commit (:meth:`Journal.commit`: the batch's PUBLISH
+        records are one run — one disk write and one fsync decision —
+        on disk before anything is retained; a record a write fault
+        tears is counted as a failed scalar write-ahead is), then
         delivery walks the batch in input order, handing each contiguous
         same-plan run to :meth:`_deliver_run` — contiguity, not grouping,
         so interleaved shapes never reorder any subscriber's inbox.
@@ -626,8 +629,11 @@ class Broker:
         results = [self._admit(message, now) for message in messages]
         live = [index for index, result in enumerate(results) if result is None]
         matches_by, bills, groups, warm_groups = self._plan_groups(messages, live)
-        for index in live:
-            self._write_ahead(messages[index], matches_by[index], now)
+        with _commit_scope(self.journal, now) as write_ahead:
+            for index in live:
+                self._write_ahead(messages[index], matches_by[index], now)
+        for _ in write_ahead.torn:  # counted; retention proceeds un-journalled
+            self.record_journal_write_failure()
         cursor = 0
         while cursor < len(live):
             start = cursor

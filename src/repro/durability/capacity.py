@@ -17,6 +17,17 @@ added to the deterministic part of ``B``, so capacity (Eq. 2) becomes
 :func:`durability_capacity_sweep` tabulates this trade-off — the
 durability knob is a *capacity* knob, which is the quantitative reason
 brokers ship group commit.
+
+``b`` counts the records of one *commit*, and the product's unit of
+commit is what the model's is: a lone ``send`` / ``publish`` commits one
+record at a time, so ``b`` is the policy's (1 under ``always``,
+``batch`` under ``group_commit``); a stage of ``send_batch`` /
+``publish_batch`` over ``X`` messages is one commit
+(:meth:`~repro.durability.journal.Journal.commit`), fsynced at most once,
+so for a batch ``b = X`` under ``always`` and ``max(X, batch)`` under
+``group_commit`` — the storage side of treating a batch as one unit of
+work, as the M^X/G/1 model of :mod:`repro.core.batch` does on the CPU
+side.
 """
 
 from __future__ import annotations

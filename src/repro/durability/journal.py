@@ -51,14 +51,27 @@ snapshot of the live state into a fresh segment and deletes the older
 ones (compaction); the ordering — write, **sync**, then delete — keeps
 every crash point recoverable.
 
+A *commit* is one :meth:`Journal.append_run`: the records of a stretch
+that shares a segment are one disk write and one sync-policy decision.
+A write has four authors.  :meth:`Journal.append_encoded` — every
+``log_*`` call — commits a run of one; the standby commits the records
+of a shipped frame as one run; a checkpoint is its own run on a fresh
+segment; and a :meth:`Journal.commit` scope holds whatever is logged
+inside it — the ``log_*`` calls seal their records exactly as ever — and
+commits it, in logging order, as one run when it closes: a stage of
+``send_batch`` / ``publish_batch`` is such a scope.  Outside a scope
+nothing is buffered: every policy is write-through.
+
 Sync policies model the fsync cost the paper's ``E[B]`` (Eq. 1) never
 had to pay:
 
-- ``SyncPolicy.always()`` — fsync after every record (no committed
-  record can be lost, maximum cost);
-- ``SyncPolicy.group_commit(batch, interval)`` — fsync every ``batch``
-  records or ``interval`` virtual seconds, amortising ``t_sync/b`` per
-  message (see :func:`repro.durability.capacity.durability_capacity_sweep`);
+- ``SyncPolicy.always()`` — fsync every commit before the call that
+  made it returns (no committed record can be lost, maximum cost: one
+  fsync a record for lone appends, one a stage for a batch);
+- ``SyncPolicy.group_commit(batch, interval)`` — fsync once ``batch``
+  records or ``interval`` virtual seconds have gone unsynced, amortising
+  ``t_sync/b`` per message with ``b`` the larger of ``batch`` and the
+  commit (see :func:`repro.durability.capacity.durability_capacity_sweep`);
 - ``SyncPolicy.never()`` — rely on the OS cache; a crash may tear any
   unsynced suffix.
 """
@@ -84,6 +97,7 @@ __all__ = [
     "RecordKind",
     "JournalRecord",
     "RecordLocation",
+    "CommitScope",
     "SyncPolicy",
     "Journal",
     "SEGMENT_MAGIC",
@@ -145,9 +159,11 @@ class JournalWriteError(JournalError):
 
     #: How many leading records of the failed call reached the log whole
     #: all the same: a failed disk write keeps a prefix, and the prefix
-    #: of a run can hold entire records.  They are unsynced, uncounted by
-    #: the journal and a reader will see them — whoever retries a run
-    #: resumes after them or the log carries them twice.
+    #: of a run can hold entire records.  The journal counts them where
+    #: they landed (``records_appended``, ``record_locations``) — a
+    #: reader will see them — but the failed write left them unsynced:
+    #: whoever retries a run resumes after them or the log carries them
+    #: twice.
     records_written = 0
 
 
@@ -344,7 +360,15 @@ def encode_record(record: JournalRecord) -> bytes:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SyncPolicy:
-    """When the journal fsyncs: after every record, in groups, or never."""
+    """When the journal fsyncs: after every commit, in groups, or never.
+
+    The policy is asked once per commit (:meth:`Journal.append_run`), not
+    once per record: ``always`` fsyncs every commit before the call that
+    made it returns, and a batch stage is one commit
+    (:meth:`Journal.commit`), so the ``b`` of the ``t_sync/b`` model is
+    ``X`` for a batch of ``X`` under ``always`` and ``max(X, batch)``
+    under ``group_commit``.
+    """
 
     mode: str
     batch: int = 1
@@ -397,7 +421,8 @@ class SyncPolicy:
         """Records per fsync — the ``b`` in the ``t_sync/b`` cost model.
 
         ``never`` amortises over infinitely many records (cost 0);
-        ``always`` over exactly one.
+        ``always`` over exactly one.  This is the ``b`` of lone appends;
+        a commit of more records than this amortises over itself.
         """
         if self.mode == "never":
             return float("inf")
@@ -467,6 +492,9 @@ class Journal:
         #: Set after a failed append: the segment tail may hold a partial
         #: record, so the next append must rotate to a clean segment.
         self._tail_dirty = False
+        #: The records an open :meth:`commit` scope holds back, in
+        #: logging order; ``None`` outside a scope (write-through).
+        self._held: Optional[List[bytes]] = None
         #: Name of a resumed tail segment whose header was torn/missing
         #: and that :meth:`_open` had to repair (``None`` when the resume
         #: was clean); recovery surfaces it in the report.
@@ -597,11 +625,19 @@ class Journal:
         finds its segment full — but each stretch of records that share a
         segment costs one disk write and one sync-policy decision, not
         one per record.  Returns the log sequence number of the first.
+        Inside a :meth:`commit` scope the records are held for the
+        scope's exit to write instead.
 
         On a write fault the records already appended stay appended, the
         tail is marked dirty and :class:`JournalWriteError` says in
-        ``records_written`` how many of ``records`` are on the log whole.
+        ``records_written`` how many of ``records`` are on the log whole
+        — counted, each where it landed, but not synced by this call.
         """
+        held = self._held
+        if held is not None:
+            first = self.records_appended + len(held)
+            held.extend(records)
+            return first
         first = self.records_appended
         disk, limit = self.disk, self.segment_bytes
         start, count = 0, len(records)
@@ -633,11 +669,17 @@ class Journal:
                 error = JournalWriteError(
                     f"journal append of {kind} to {segment} failed: {exc}"
                 )
-                kept = disk.length(segment) - size  # the prefix that did land
-                while start < stop and kept >= len(records[start]):
-                    kept -= len(records[start])
-                    start += 1
-                error.records_written = start
+                # The whole records of the prefix that did land are on
+                # the log: counted where they are, though not synced.
+                landed, offset, whole = disk.length(segment), size, start
+                while whole < stop and offset + len(records[whole]) <= landed:
+                    end = offset + len(records[whole])
+                    self.record_locations.append(RecordLocation(segment, offset, end))
+                    offset = end
+                    whole += 1
+                self.records_appended += whole - start
+                self._unsynced_records += whole - start
+                error.records_written = whole
                 raise error from exc
             locations = self.record_locations
             for index in range(start, stop):
@@ -649,6 +691,56 @@ class Journal:
             self._maybe_sync(now)
             start = stop
         return first
+
+    def commit(self, now: float = 0.0) -> "CommitScope":
+        """A scope whose appends are one commit: ``with journal.commit(now):``.
+
+        Every ``log_*`` / ``append*`` call inside the block seals its
+        record as ever but holds it; the exit — also when the block
+        raises — writes the held records, in logging order, as one
+        :meth:`append_run`: the bytes one-by-one appends would have
+        landed, at one disk write and one sync-policy decision per
+        stretch sharing a segment.  A scope admits only appends: a
+        nested ``commit``, a checkpoint, :meth:`sync` and :meth:`close`
+        raise :class:`JournalError`.
+
+        A write fault tears one record of the run — the first the kept
+        prefix does not hold whole, or its last when the prefix holds
+        them all: the write failed, as a failed single append fails.
+        The whole records before it are committed, the torn one is
+        reported in :attr:`CommitScope.torn` and the rest is retried as
+        a fresh run on a fresh segment (the rotation fsyncs the retiring
+        one).  When anything tore, nothing the scope committed stays
+        above the fsync watermark unless the policy is ``never``.
+        """
+        return CommitScope(self, now)
+
+    def _hold(self) -> None:
+        """Open a commit scope: hold every append from here on."""
+        self._outside_scope("commit")
+        self._held = []
+
+    def _write_held(self, now: float, torn: List[int]) -> None:
+        """Close the scope: write what it held, noting in ``torn`` the
+        position of each record a write fault cost."""
+        held, self._held = self._held or [], None
+        done, count = 0, len(held)
+        while done < count:
+            try:
+                self.append_run(held[done:], now=now)
+                break
+            except JournalWriteError as exc:
+                done += min(exc.records_written, count - done - 1)
+                torn.append(done)
+                done += 1
+        if torn and self._dirty and self.sync_policy.mode != "never":
+            self._sync_dirty()
+
+    def _outside_scope(self, call: str) -> None:
+        if self._held is not None:
+            raise JournalError(
+                f"{call} inside a commit scope: a scope admits only appends"
+            )
 
     def _maybe_sync(self, now: float) -> None:
         """Apply the sync policy right after a successful append."""
@@ -677,6 +769,7 @@ class Journal:
 
     def sync(self) -> None:
         """fsync every segment with unsynced bytes, oldest first."""
+        self._outside_scope("sync")
         self._sync_dirty()
 
     def _sync_dirty(self, known_dirty: Optional[str] = None) -> None:
@@ -799,6 +892,7 @@ class Journal:
 
         Returns ``(lsn, segments_deleted)``.
         """
+        self._outside_scope("checkpoint")
         self._rotate()
         keep = self.current_segment
         lsn = self.append_encoded(encoded, now=now)
@@ -826,6 +920,28 @@ class Journal:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Journal({self.name!r}, {len(self.segments)} segments)"
+
+
+class CommitScope:
+    """One :meth:`Journal.commit`, as a context manager: entering opens
+    the scope on its journal, leaving closes it — both through the
+    journal's own methods — and :attr:`torn` then says what tore."""
+
+    __slots__ = ("_journal", "_now", "torn")
+
+    def __init__(self, journal: Journal, now: float) -> None:
+        self._journal, self._now = journal, now
+        #: Positions, in logging order, of the records a write fault
+        #: tore: not committed, each to be treated as its ``log_*`` call
+        #: having raised :class:`JournalWriteError`.
+        self.torn: List[int] = []
+
+    def __enter__(self) -> "CommitScope":
+        self._journal._hold()
+        return self
+
+    def __exit__(self, *raised: object) -> None:
+        self._journal._write_held(self._now, self.torn)
 
 
 # Keep dataclass field defaults out of the class namespace for mypy.

@@ -9,7 +9,11 @@ messages produce through a sequential ``publish``/``send`` loop — and a
 batch of one must be bit-identical, stats included.
 """
 
-from hypothesis import given, settings, strategies as st
+import hashlib
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from repro.broker import (
     Broker,
@@ -21,7 +25,9 @@ from repro.broker import (
     QueueConsumer,
 )
 from repro.broker.dispatch_cache import message_fingerprint
-from repro.durability.journal import Journal
+from repro.durability import SimulatedDisk, SyncPolicy, scan_disk
+from repro.durability.journal import Journal, RecordKind
+from repro.simulation import RandomStreams
 
 SELECTORS = (
     "quantity > 2",
@@ -57,8 +63,6 @@ def make_broker(
 
 def _records(journal):
     """Every intact record on the journal's disk, in log order."""
-    from repro.durability.recovery import scan_disk
-
     journal.sync()
     return scan_disk(journal.disk, journal.name).records
 
@@ -114,17 +118,47 @@ LEDGER_LEGS = (
 )
 
 
-def fail_publish_of(journal, victim):
-    """Inject a disk write fault under ``victim``'s PUBLISH append — on
-    the instance, the way the benchmark tracer wraps the journal."""
-    log_publish = journal.log_publish
+def fail_record_of(journal, call, victim):
+    """Inject a disk write fault under the append ``journal.<call>``
+    makes for ``victim`` — the message of a ``log_publish``, the message
+    id of the others — on the instance, the way the benchmark tracer
+    wraps the journal."""
+    log = getattr(journal, call)
 
-    def faulty(domain, name, message, **kwargs):
-        if message is victim:
+    def faulty(domain, name, subject, *args, **kwargs):
+        if subject is victim or subject == victim:
             journal.disk.fail_writes(1)
-        return log_publish(domain, name, message, **kwargs)
+        return log(domain, name, subject, *args, **kwargs)
 
-    journal.log_publish = faulty
+    setattr(journal, call, faulty)
+
+
+def watch_scopes(journal, arm_at=None):
+    """Wrap ``journal`` on the instance so that every commit scope is
+    remembered with the ``(call, subject)`` of each record logged inside
+    it — subject the message of a PUBLISH, else the message id — and a
+    disk write fault is armed as scope number ``arm_at`` opens: it fires
+    at the exit of the first scope from there on that holds a record.
+    Returns the list of ``(scope, logged)`` pairs."""
+    seen = []
+    for call in ("log_publish", "log_deliver", "log_ack", "log_expire"):
+        def spy(domain, name, subject, *args, _call=call, _log=getattr(journal, call), **kwargs):
+            seen[-1][1].append((_call, subject))
+            return _log(domain, name, subject, *args, **kwargs)
+
+        setattr(journal, call, spy)
+    commit = journal.commit
+
+    @contextmanager
+    def watched(now=0.0):
+        if len(seen) == arm_at:
+            journal.disk.fail_writes(1)
+        with commit(now) as scope:
+            seen.append((scope, []))
+            yield scope
+
+    journal.commit = watched
+    return seen
 
 
 class TestBatchPublishEquivalence:
@@ -221,7 +255,12 @@ class TestBatchPublishEquivalence:
         assert sequential.stats.per_topic_received == batched.stats.per_topic_received
         assert sequential.stats.per_topic_dispatched == batched.stats.per_topic_dispatched
         assert sequential.journal.disk.snapshot() == batched.journal.disk.snapshot()
-        assert sequential.journal.syncs == batched.journal.syncs
+        # A batch's write-ahead stage is one commit (PR 24): one fsync for
+        # its PUBLISH records, where the loop pays one each.
+        assert batched.journal.syncs <= sequential.journal.syncs
+        assert batched.journal.unsynced_bytes == sequential.journal.unsynced_bytes
+        if all(len(batch) == 1 for batch in batches):
+            assert sequential.journal.syncs == batched.journal.syncs
 
         # -- what batching amortizes, by its rule ----------------------
         seq_memo, bat_memo = sequential.dispatch_memo("t"), batched.dispatch_memo("t")
@@ -278,14 +317,18 @@ class TestBatchPublishEquivalence:
         ),
         capacity=st.integers(min_value=1, max_value=4),
         consumer=st.booleans(),
-        victim=st.one_of(st.none(), st.integers(min_value=0, max_value=11)),
+        arm_at=st.sampled_from([None, 0, 1, 1, 2, 3, 3, 5]),  # odd: an enqueue stage
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_any_partition_matches_send_loop(
-        self, assert_conserved, shapes, sizes, policy, capacity, consumer, victim
+        self, assert_conserved, shapes, sizes, policy, capacity, consumer, arm_at
     ):
         """Queue twin of the above: every drop policy on a bounded,
-        journaled queue, with a write fault under one message's PUBLISH."""
+        journaled queue, with a disk write fault armed as one of the
+        batches' commit scopes opens.  The fault fires at a scope's exit
+        and tears a seeded record of its run, so the record is read off
+        the scope and the twin ``send`` loop meets its fault under that
+        same record: the fates must then agree."""
         messages = [
             Message(
                 topic="q", properties={"quantity": quantity}, expiration=deadline,
@@ -293,8 +336,8 @@ class TestBatchPublishEquivalence:
             )
             for deadline, mode, quantity in shapes
         ]
-        brokers, queues, consumers = [], [], []
-        for _ in range(2):
+
+        def build():
             broker = Broker(journal=Journal())
             queue = broker.queues.create(
                 "work", capacity=capacity, drop_policy=policy, drain_rate=2.0
@@ -303,27 +346,39 @@ class TestBatchPublishEquivalence:
                 picky = QueueConsumer("c0", PropertyFilter("quantity > 1"))
                 picky.consumer_id = 0  # DELIVER records carry it
                 queue.attach(picky)
-                consumers.append(picky)
-            if victim is not None and victim < len(messages):
-                fail_publish_of(broker.journal, messages[victim])
-            brokers.append(broker)
-            queues.append(queue)
-        (sequential, batched), (seq_queue, bat_queue) = brokers, queues
+            return broker, queue
+
         now = 5.0
-        for message in messages:
-            seq_queue.send(message, now=now)
+        batched, bat_queue = build()
+        scopes = watch_scopes(batched.journal, arm_at)
         batches = split(messages, sizes)
         bat_delivered = 0
         for batch in batches:
             bat_delivered += bat_queue.send_batch(batch, now=now)
             assert_conserved(bat_queue, consumers=bat_queue.consumers, context="send_batch")
-        assert_conserved(seq_queue, consumers=seq_queue.consumers, context="send loop")
+            if any(logged for _, logged in scopes):
+                # ``always``: whatever a batch committed is below the fsync
+                # watermark when the call returns, fault or no fault.
+                assert batched.journal.unsynced_bytes == 0
         assert bat_delivered == bat_queue.delivered
-        if victim is not None and victim < len(messages):
-            doomed = messages[victim]  # rejected iff its PUBLISH was attempted
-            attempted = doomed.delivery_mode is DeliveryMode.PERSISTENT and not doomed.expired(now)
-            assert bat_queue.journal_write_failures == int(attempted)
-            assert not (attempted and bat_queue.has_message(doomed.message_id))
+        assert len(scopes) == 2 * len(batches)  # accept and enqueue, each one commit
+        torn = [logged[position] for scope, logged in scopes for position in scope.torn]
+        assert len(torn) == batched.journal.disk.failed_writes <= 1
+        event("torn: " + (torn[0][0] if torn else "nothing"))
+        assert bat_queue.journal_write_failures == len(torn)
+        rejected = [subject for call, subject in torn if call == "log_publish"]
+        for doomed in rejected:  # exactly the message whose PUBLISH tore
+            assert not bat_queue.has_message(doomed.message_id)
+        assert bat_queue.enqueued == sum(not m.expired(now) for m in messages) - len(rejected)
+
+        sequential, seq_queue = build()
+        for call, subject in torn:
+            fail_record_of(sequential.journal, call, subject)
+        for message in messages:
+            seq_queue.send(message, now=now)
+        assert_conserved(seq_queue, consumers=seq_queue.consumers, context="send loop")
+        assert sequential.journal.disk.failed_writes == len(torn)
+
         counters = lambda queue: {
             name: value for name, value in vars(queue).items() if isinstance(value, int)
         }
@@ -333,14 +388,38 @@ class TestBatchPublishEquivalence:
         ]
         assert seq_queue._journaled == bat_queue._journaled
         if consumer:
-            seq_inbox, bat_inbox = ([d.message.message_id for d in c.inbox] for c in consumers)
+            seq_inbox, bat_inbox = (
+                [d.message.message_id for d in queue.consumers[0].inbox]
+                for queue in (seq_queue, bat_queue)
+            )
             assert seq_inbox == bat_inbox
         assert sequential.stats.snapshot() == batched.stats.snapshot()
+        # The record multiset — but for the torn record itself: how much of
+        # it the failed write kept (all of it, one time in its length) is
+        # the seeded draw's, not the queue's.
+        torn_keys = {
+            (
+                RecordKind[call.removeprefix("log_").upper()].value,
+                subject.message_id if call == "log_publish" else subject,
+            )
+            for call, subject in torn
+        }
+        scans = [_records(broker.journal) for broker in (sequential, batched)]
+        for broker, records in zip((sequential, batched), scans):
+            # Counted where it landed: what a scan finds, this journal wrote.
+            assert broker.journal.records_appended == len(records)
         seq_records, bat_records = (
-            sorted((r.kind.value, r.message_id) for r in _records(b.journal)) for b in brokers
+            sorted(
+                key
+                for key in ((r.kind.value, r.message_id) for r in records)
+                if key not in torn_keys
+            )
+            for records in scans
         )
         assert seq_records == bat_records
-        if all(len(batch) == 1 for batch in batches):
+        lone_faults = all(len(logged) == 1 for scope, logged in scopes if scope.torn)
+        if all(len(batch) == 1 for batch in batches) and lone_faults:
+            # A run of one is the scalar append, torn bytes included.
             assert sequential.journal.disk.snapshot() == batched.journal.disk.snapshot()
 
 
@@ -435,3 +514,208 @@ class TestSendBatch:
             [Message(topic="q", body=b"%d" % i) for i in range(6)], now=0.0
         )
         assert delivered == 6
+
+
+# ----------------------------------------------------------------------
+# A batch stage is one journal commit (PR 24)
+# ----------------------------------------------------------------------
+from fault_disks import PrefixFaultDisk  # noqa: E402
+from repro.durability.journal import encode_record  # noqa: E402
+
+SYNCS_PER_COMMIT = [
+    (SyncPolicy.always(), 1), (SyncPolicy.group_commit(8), 1), (SyncPolicy.never(), 0)
+]
+
+
+def journaled_queue(sync=SyncPolicy.always(), disk=None, consumer=True, **options):
+    journal = Journal(disk if disk is not None else SimulatedDisk(RandomStreams(7)), sync=sync)
+    queue = Broker(journal=journal).queues.create("work", **options)
+    if consumer:
+        worker = QueueConsumer("c0")
+        worker.consumer_id = 0  # DELIVER records carry it
+        queue.attach(worker)
+    return journal, queue
+
+
+def batch_of(count, first=1):
+    return [
+        Message(topic="work", properties={"n": n}, body=b"x" * (n % 9), message_id=n)
+        for n in range(first, first + count)
+    ]
+
+
+class TestBatchIsOneCommit:
+    """Exact costs; each count is the parent's per-record cost divided
+    by the batch (there: 64 writes and 64 / 8 / 0 fsyncs with a waiting
+    consumer, 32 and 32 / 4 / 0 without)."""
+
+    @pytest.mark.parametrize("policy, syncs", SYNCS_PER_COMMIT)
+    def test_a_batch_to_a_waiting_consumer_is_two_writes(self, policy, syncs):
+        journal, queue = journaled_queue(policy)
+        writes, before = journal.disk.writes, journal.syncs
+        assert queue.send_batch(batch_of(32), now=1.0) == 32
+        assert journal.disk.writes - writes == 2  # the PUBLISH run, the DELIVER run
+        assert journal.syncs - before == 2 * syncs
+        assert journal.records_appended == 64
+        if syncs:
+            assert journal.unsynced_bytes == 0
+        kinds = [r.kind.name for r in _records(journal)]
+        assert kinds == ["PUBLISH"] * 32 + ["DELIVER"] * 32  # write-ahead holds
+
+    @pytest.mark.parametrize("policy, syncs", SYNCS_PER_COMMIT)
+    def test_a_batch_nobody_waits_for_is_one_write(self, policy, syncs):
+        journal, queue = journaled_queue(policy, consumer=False)
+        writes, before = journal.disk.writes, journal.syncs
+        assert queue.send_batch(batch_of(32), now=1.0) == 0
+        assert (journal.disk.writes - writes, journal.syncs - before) == (1, syncs)
+        assert journal.records_appended == 32 and queue.depth == 32
+
+    def test_a_small_batch_rides_the_group_commit_window(self):
+        # No buffering outside a scope and no early fsync inside one:
+        # b is max(X, batch), so a commit of 3 under batch=8 waits.
+        journal, queue = journaled_queue(SyncPolicy.group_commit(8), consumer=False)
+        queue.send_batch(batch_of(3), now=1.0)
+        assert journal.syncs == 0 and journal.records_appended == 3
+        queue.send_batch(batch_of(5, first=4), now=1.0)
+        assert journal.syncs == 1 and journal.unsynced_bytes == 0
+
+    def test_terminal_records_of_the_enqueue_stage_ride_the_deliver_run(self):
+        # Capacity 2, nobody attached at first: the overflow's ACK-dropped
+        # records are one run; then drain-time EXPIREs lead the DELIVERs.
+        journal, queue = journaled_queue(
+            consumer=False, capacity=2, drop_policy=DropPolicy.DROP_OLDEST
+        )
+        writes = journal.disk.writes
+        stale = [
+            Message(topic="work", expiration=2.0, message_id=n) for n in (1, 2, 3, 4)
+        ]
+        queue.send_batch(stale, now=1.0)
+        assert journal.disk.writes - writes == 2
+        picky = QueueConsumer("c0", PropertyFilter("n > 0"))  # not the stale ones
+        picky.consumer_id = 0
+        queue.attach(picky)
+        writes = journal.disk.writes
+        assert queue.send_batch(batch_of(3, first=5), now=3.0) == 3
+        assert journal.disk.writes - writes == 2
+        trail = [(r.kind.name, r.message_id) for r in _records(journal)]
+        assert trail == [
+            ("PUBLISH", 1), ("PUBLISH", 2), ("PUBLISH", 3), ("PUBLISH", 4),
+            ("ACK", 1), ("ACK", 2),
+            ("PUBLISH", 5), ("PUBLISH", 6), ("PUBLISH", 7),
+            ("EXPIRE", 3), ("EXPIRE", 4), ("DELIVER", 5), ("DELIVER", 6), ("DELIVER", 7),
+        ]
+        queue.closed_ledger().assert_conserved("terminal records in a run")
+
+    def test_exactly_the_message_whose_publish_tore_is_rejected(self, assert_conserved):
+        batch = batch_of(5)
+        probe, _ = journaled_queue(consumer=False)
+        sizes = []
+        for message in batch:
+            at = probe.disk.length(probe.current_segment)
+            probe.log_publish("queue", "work", message, now=1.0)
+            sizes.append(probe.disk.length(probe.current_segment) - at)
+        for victim in range(5):
+            for sliver in (0, 1, sizes[victim] - 1):
+                disk = PrefixFaultDisk()
+                journal, queue = journaled_queue(disk=disk)
+                disk.fail_at(1, keep=sum(sizes[:victim]) + sliver)
+                assert queue.send_batch(batch, now=1.0) == 4
+                survivors = [m.message_id for m in batch if m is not batch[victim]]
+                assert queue.journal_write_failures == 1 and queue.enqueued == 4
+                assert not queue.has_message(batch[victim].message_id)
+                assert [d.message.message_id for d in queue.consumers[0].inbox] == survivors
+                assert sorted(queue._journaled) == survivors
+                trail = [(r.kind.name, r.message_id) for r in _records(journal)]
+                assert trail == [("PUBLISH", m) for m in survivors] + [
+                    ("DELIVER", m) for m in survivors
+                ]
+                assert journal.records_appended == 8 and journal.unsynced_bytes == 0
+                assert_conserved(queue, context=f"PUBLISH of {victim} torn")
+
+    def test_a_torn_deliver_is_counted_and_nothing_else_moves(self, assert_conserved):
+        batch = batch_of(5)
+        disk = PrefixFaultDisk()
+        journal, queue = journaled_queue(disk=disk)
+        disk.fail_at(2, keep=70)  # inside the second DELIVER of the second run
+        assert queue.send_batch(batch, now=1.0) == 5
+        assert queue.journal_write_failures == 1 and queue.enqueued == 5
+        delivers = [r.message_id for r in _records(journal) if r.kind is RecordKind.DELIVER]
+        assert len(delivers) == 4 and set(delivers) < {m.message_id for m in batch}
+        assert journal.records_appended == 9 and journal.unsynced_bytes == 0
+        assert_conserved(queue, context="DELIVER torn")
+
+    def test_a_publish_batch_owed_offline_is_one_write(self):
+        for policy, syncs in SYNCS_PER_COMMIT:
+            journal = Journal(SimulatedDisk(RandomStreams(7)), sync=policy)
+            broker = make_broker(durable_offline=True, journal=journal)
+            owed = [Message(topic="t", properties={"quantity": 1 + n % 4}) for n in range(12)]
+            writes, before = journal.disk.writes, journal.syncs
+            result = broker.publish_batch(owed, now=0.0)
+            assert (journal.disk.writes - writes, journal.syncs - before) == (1, syncs)
+            assert journal.records_appended == 12 == result.copies_retained
+            assert [r.message_id for r in _records(journal)] == [m.message_id for m in owed]
+
+    def test_a_torn_write_ahead_is_counted_and_retention_proceeds(self):
+        disk = PrefixFaultDisk()
+        broker = make_broker(durable_offline=True, journal=Journal(disk))
+        owed = [Message(topic="t", properties={"quantity": 3}) for _ in range(6)]
+        disk.fail_at(1, keep=300)  # somewhere inside the second PUBLISH
+        result = broker.publish_batch(owed, now=0.0)
+        assert broker.journal_write_failures == 1
+        assert result.copies_retained == 6  # un-journalled, degraded but reported
+        retained = next(s for s in broker.subscriptions("t") if s.durable).retained
+        assert [m.message_id for m in retained] == [m.message_id for m in owed]
+        logged = [r.message_id for r in _records(broker.journal)]
+        assert logged == [m.message_id for m in owed if m is not owed[1]]
+        assert broker.journal.records_appended == 5 and broker.journal.unsynced_bytes == 0
+
+
+def scripted_batches_disk():
+    """Twelve queue batches on a bounded DROP_OLDEST queue with a picky
+    consumer and deadlines: PUBLISH runs, then DELIVERs interleaved with
+    ACK-dropped and EXPIRE records, with acks written through between."""
+    disk = SimulatedDisk(RandomStreams(7))
+    journal = Journal(disk, segment_bytes=2048, sync=SyncPolicy.group_commit(4))
+    queue = Broker(journal=journal).queues.create(
+        "work", capacity=3, drop_policy=DropPolicy.DROP_OLDEST
+    )
+    picky = QueueConsumer("c0", PropertyFilter("n > 1"))
+    picky.consumer_id = 0  # DELIVER records carry it
+    queue.attach(picky)
+    for step in range(12):
+        now = float(step)
+        queue.send_batch(
+            [
+                Message(
+                    topic="work",
+                    properties={"n": (step + k) % 4},
+                    body=bytes([k]) * (7 * k % 40),
+                    expiration=now + 0.5 if k % 3 == 0 else None,
+                    delivery_mode=(
+                        DeliveryMode.PERSISTENT if k % 5 else DeliveryMode.NON_PERSISTENT
+                    ),
+                    timestamp=now,
+                    message_id=100 * step + k + 1,
+                )
+                for k in range(8)
+            ],
+            now=now,
+        )
+        if step % 2:
+            picky.ack(picky.receive())
+    return disk
+
+
+class TestGoldenBatchWal:
+    #: Computed at the parent of PR 24 (per-record appends), before the
+    #: commit scope existed: a batch lands the bytes it always landed.
+    DIGEST = "72717408abac6a9ffff62c5b45c5f01b24de97be3cb1db3f892f94c468e2a657"
+
+    def test_a_fixed_script_of_queue_batches_lands_the_pinned_bytes(self):
+        disk = scripted_batches_disk()
+        image = b"".join(disk.snapshot()[name] for name in disk.list())
+        assert hashlib.sha256(image).hexdigest() == self.DIGEST
+        kinds = "".join(r.kind.name[0] for r in scan_disk(disk).records)
+        assert {"DA", "AD", "ED", "EA"} <= {kinds[i : i + 2] for i in range(len(kinds))}
+        assert disk.writes == 46  # 156 when every record was its own write
+

@@ -364,8 +364,13 @@ class TestAppendRun:
             whole = caught.value.records_written
             assert sum(sizes[:whole]) <= kept
             assert whole == len(records) or kept < sum(sizes[: whole + 1])
-            # Failed means uncounted — as a failed single append always was.
-            assert j.records_appended == 0 and j.record_locations == []
+            # What landed is counted where it landed.  (Until PR 24 a failed
+            # run left its whole records uncounted: the log then held more
+            # records than ``records_appended`` said, and a sync-ack
+            # watermark that counts shipped records ran ahead of the LSN.)
+            assert j.records_appended == whole
+            assert [loc.length for loc in j.record_locations] == sizes[:whole]
+            assert j.record_locations == [] or j.record_locations[0].offset == start
             assert j.write_failures == 1
             seen.add(whole)
             # The rest, appended after them, completes the history once.
@@ -405,7 +410,7 @@ class TestAppendRun:
             with pytest.raises(JournalWriteError) as caught:
                 j.append_encoded(ack_record(1))
             assert caught.value.records_written in (0, 1)
-            assert j.records_appended == 0
+            assert j.records_appended == caught.value.records_written
 
 
 class TestCheckpointEncoded:
@@ -436,3 +441,196 @@ class TestCheckpointEncoded:
         _lsn, deleted = mine.checkpoint_encoded(encoded)
         assert deleted >= 3 and mine.segments == [mine.current_segment]
         assert {s: disk.read(s) for s in other.segments} == theirs
+
+
+# ----------------------------------------------------------------------
+# Journal.commit: a scope's appends are one run
+# ----------------------------------------------------------------------
+from fault_disks import PrefixFaultDisk  # noqa: E402
+from repro.durability.journal import JournalError  # noqa: E402
+
+#: One ``log_*`` call each: (method, arguments after ``("queue", "q")``).
+LOG_CALLS = st.one_of(
+    st.tuples(st.just("log_publish"), st.binary(max_size=200)),
+    st.tuples(st.just("log_deliver"), st.sampled_from(["c0", 7])),
+    st.tuples(st.just("log_ack"), st.sampled_from(["acked", "dropped"])),
+    st.tuples(st.just("log_expire"), st.none()),
+    st.tuples(st.just("append_encoded"), st.integers(0, 300)),
+)
+
+
+def replay(j, calls, first=0, now=0.0):
+    """Make each drawn call on ``j`` (message ids count up from
+    ``first``); the LSNs they returned."""
+    lsns = []
+    for mid, (call, arg) in enumerate(calls, first):
+        if call == "log_publish":
+            message = Message(topic="q", body=arg, message_id=mid, timestamp=0.5)
+            lsns.append(j.log_publish("queue", "q", message, now=now))
+        elif call == "log_expire":
+            lsns.append(j.log_expire("queue", "q", mid, now=now))
+        elif call == "append_encoded":
+            lsns.append(j.append_encoded(ack_record(mid, arg), now=now))
+        else:
+            lsns.append(getattr(j, call)("queue", "q", mid, arg, now=now))
+    return lsns
+
+
+class TestCommitScope:
+    """Property suite run by the check_static equivalence gate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        calls=st.lists(LOG_CALLS, min_size=1, max_size=24),
+        cuts=st.sets(st.integers(0, 24)),
+        policy=POLICIES,
+    )
+    def test_any_interleaving_in_scopes_lands_the_bytes_a_scopeless_twin_lands(
+        self, calls, cuts, policy
+    ):
+        plain = journal(segment_bytes=256, sync=policy)
+        plain_lsns = replay(plain, calls)
+        scoped = journal(segment_bytes=256, sync=policy)
+        bounds = sorted({0, len(calls)} | {c for c in cuts if c < len(calls)})
+        scoped_lsns = []
+        for a, b in zip(bounds, bounds[1:]):
+            writes, decisions = scoped.disk.writes, scoped.syncs
+            rotations = scoped.rotations
+            with scoped.commit() as scope:
+                scoped_lsns += replay(scoped, calls[a:b], first=a)
+                assert scoped.disk.writes == writes  # held, not written
+            assert scope.torn == []
+            stretches = 1 + scoped.rotations - rotations
+            assert scoped.disk.writes - writes <= 2 * stretches  # data + headers
+            assert scoped.syncs - decisions <= 2 * stretches
+        assert scoped_lsns == plain_lsns
+        assert scoped.disk.snapshot() == plain.disk.snapshot()
+        assert scoped.record_locations == plain.record_locations
+        assert scoped.records_appended == plain.records_appended == len(calls)
+        assert scoped.rotations == plain.rotations
+        assert scoped.syncs <= plain.syncs
+        if policy.mode == "always":
+            assert scoped.unsynced_bytes == plain.unsynced_bytes == 0
+        plain.close()
+        scoped.close()
+        assert scan_disk(scoped.disk).records == scan_disk(plain.disk).records
+
+    @pytest.mark.parametrize(
+        "policy, syncs",
+        [(SyncPolicy.always(), 1), (SyncPolicy.group_commit(8), 1), (SyncPolicy.never(), 0)],
+    )
+    def test_a_scope_in_one_segment_is_one_write_and_one_policy_decision(self, policy, syncs):
+        j = journal(sync=policy)
+        writes, before = j.disk.writes, j.syncs
+        with j.commit(now=1.0) as scope:
+            for mid in range(16):
+                j.log_publish("queue", "q", Message(topic="q", message_id=mid))
+                j.log_deliver("queue", "q", mid, "c0")
+            assert j.records_appended == 0 and j.disk.writes == writes
+        assert (j.disk.writes - writes, j.syncs - before) == (1, syncs)
+        assert j.records_appended == 32 and scope.torn == []
+        kinds = [r.kind.name for r in scan_disk(j.disk).records]
+        assert kinds == ["PUBLISH", "DELIVER"] * 16
+
+    def test_an_empty_scope_touches_nothing(self):
+        j = journal()
+        calls = (j.disk.writes, j.disk.syncs, j.disk.changes)
+        with j.commit() as scope:
+            pass
+        assert (j.disk.writes, j.disk.syncs, j.disk.changes) == calls and scope.torn == []
+
+    def test_at_every_byte_one_record_tears_and_the_rest_is_committed_and_synced(self):
+        records = [ack_record(n, pad=3 * n) for n in range(7)]
+        ends = [sum(len(r) for r in records[: n + 1]) for n in range(7)]
+        torn_positions = set()
+        for policy in (SyncPolicy.always(), SyncPolicy.group_commit(4), SyncPolicy.never()):
+            for keep in range(ends[-1] + 1):
+                disk = PrefixFaultDisk()
+                j = Journal(disk, sync=policy)
+                j.log_expire("queue", "q", 99)  # a predecessor, written through
+                disk.fail_at(1, keep)
+                with j.commit() as scope:
+                    for record in records:
+                        j.append_encoded(record)
+                # The first record the prefix does not hold whole; the last
+                # when it holds them all (the write failed all the same).
+                expected = min(sum(end <= keep for end in ends), 6)
+                assert scope.torn == [expected], (policy.mode, keep)
+                torn_positions.add(expected)
+                assert j.write_failures == 1
+                survivors = [r for n, r in enumerate(records) if n != expected]
+                if keep == ends[-1]:
+                    survivors = records  # whole on the log, though its write failed
+                written = [encode_record(r) for r in scan_disk(disk).records][1:]
+                assert written == survivors, (policy.mode, keep)
+                # Counted where it landed: a location per record a scan finds.
+                assert j.records_appended == 1 + len(survivors) == len(j.record_locations)
+                for location in j.record_locations[1:]:
+                    raw = disk.read(location.segment)[location.offset : location.end]
+                    assert raw in records
+                if policy.mode == "never":
+                    assert j.syncs == 0
+                else:
+                    assert j.unsynced_bytes == 0, (policy.mode, keep)
+        assert torn_positions == set(range(7))
+
+    def test_a_fault_on_the_retry_rotation_tears_the_next_record_too(self):
+        records = [ack_record(n) for n in range(5)]
+        disk = PrefixFaultDisk()
+        j = Journal(disk)
+        size = len(records[0])
+        disk.fail_at(1, keep=size + 3)  # record 0 whole, record 1 cut
+
+        append, headers = disk.append, []
+
+        def header_fails_once(name, data):
+            if len(data) == SEGMENT_HEADER_SIZE:
+                headers.append(name)
+                if len(headers) == 1:
+                    disk.fail_at(1, keep=4)
+            return append(name, data)
+
+        disk.append = header_fails_once
+        with j.commit() as scope:
+            for record in records:
+                j.append_encoded(record)
+        # As five single appends would: the one cut, then the one that
+        # met the torn segment header; the next rotates past both.
+        assert scope.torn == [1, 2]
+        assert j.write_failures == 2 and j.unsynced_bytes == 0
+        written = [encode_record(r) for r in scan_disk(disk).records]
+        assert written == [records[0], records[3], records[4]]
+        assert j.records_appended == 3
+
+    def test_a_block_that_raises_still_flushes_and_reraises(self):
+        j = journal()
+        with pytest.raises(KeyError):
+            with j.commit():
+                j.log_ack("queue", "q", 1)
+                j.log_ack("queue", "q", 2)
+                raise KeyError("the caller's bug")
+        assert j.records_appended == 2 and j.unsynced_bytes == 0
+        assert [r.message_id for r in scan_disk(j.disk).records] == [1, 2]
+        with j.commit():  # and the scope is closed: the next one opens
+            j.log_ack("queue", "q", 3)
+        assert j.records_appended == 3
+
+    def test_a_scope_admits_only_appends(self):
+        j = journal()
+        encoded = encode_record(JournalRecord(RecordKind.CHECKPOINT, {"entries": []}))
+        refused = (
+            lambda: j.commit().__enter__(),
+            lambda: j.checkpoint([]),
+            lambda: j.checkpoint_encoded(encoded),
+            j.sync,
+            j.close,
+        )
+        with j.commit():
+            j.log_ack("queue", "q", 1)
+            for call in refused:
+                with pytest.raises(JournalError, match="inside a commit scope"):
+                    call()
+        assert j.records_appended == 1 and j.checkpoints == 0 and j.rotations == 0
+        j.close()  # outside, all of them work again
+        assert j.checkpoint([])[1] == 1
+

@@ -25,9 +25,9 @@ from repro.durability.recovery import fold_records
 from repro.replication import ReplicatedPair, ReplicationConfig, StandbyReplica
 from repro.simulation import RandomStreams
 
+from fault_disks import PrefixFaultDisk
 from test_standby import (
     HISTORY,
-    PrefixFaultDisk,
     checkpoint,
     deliver,
     delivers,

@@ -128,33 +128,10 @@ class TestAppliesTheShippedBytes:
 # ----------------------------------------------------------------------
 # A frame is one commit: written, then folded, then acknowledged
 # ----------------------------------------------------------------------
-from repro.durability import DiskWriteError, SimulatedDisk, scan_disk  # noqa: E402
+from fault_disks import PrefixFaultDisk  # noqa: E402
+from repro.durability import SimulatedDisk, scan_disk  # noqa: E402
 from repro.durability.journal import _frame  # noqa: E402
 from repro.durability.recovery import fold_records  # noqa: E402
-
-
-class PrefixFaultDisk(SimulatedDisk):
-    """A disk whose write faults keep a *chosen* prefix: ``fail_at(n, keep)``
-    makes the ``n``-th append from now persist ``keep`` bytes and raise —
-    what ``fail_writes`` does with a seeded ``keep``, made enumerable."""
-
-    def __init__(self):
-        super().__init__()
-        self._countdown = None
-        self._keep = 0
-
-    def fail_at(self, nth, keep):
-        self._countdown, self._keep = nth, keep
-
-    def append(self, name, data):
-        if self._countdown is not None:
-            self._countdown -= 1
-            if self._countdown == 0:
-                self._countdown = None
-                self.failed_writes += 1
-                super().append(name, data[: self._keep])
-                raise DiskWriteError(f"write to {name!r} failed after {self._keep} bytes")
-        return super().append(name, data)
 
 
 def deliver(mid, consumer="worker"):

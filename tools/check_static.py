@@ -121,6 +121,8 @@ CLI_SMOKE = (
 #: the two shortcuts replication takes: a run append must land the bytes
 #: one-by-one appends would, and a tailer that remembers its listing and
 #: that the log ran dry must return what one without memory returns.
+#: And the one a batch takes: a commit scope must land the bytes its
+#: records would have landed one by one.
 EQUIVALENCE_SUITES = (
     "tests/broker/test_selector_compile.py::TestCompiledEquivalence",
     "tests/broker/test_dispatch_memo.py::TestMemoizedEquivalence",
@@ -129,6 +131,7 @@ EQUIVALENCE_SUITES = (
     "tests/mesh/test_batch_routing.py::TestRoutingEquivalence",
     "tests/durability/test_record_format.py::TestRecordFormatV2",
     "tests/durability/test_journal.py::TestAppendRun",
+    "tests/durability/test_journal.py::TestCommitScope",
     "tests/durability/test_tail.py::test_a_long_lived_tailer_returns_what_a_twin_without_memory_returns",
 )
 
