@@ -98,6 +98,17 @@ def test_subpackage_imports_alone_and_inside_its_closure(alone, package):
         assert check_static.closure_findings(package, modules) == []
 
 
+def test_a_start_up_hook_does_not_count_against_the_package(tmp_path, monkeypatch):
+    """What a ``sitecustomize`` (or a ``.pth`` file) imports belongs to the
+    machine: counted, it would push every package over its ceiling."""
+    (tmp_path / "sitecustomize.py").write_text("import xml.dom.minidom\n")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path))
+    modules = check_static.loaded_modules("repro.broker")
+    assert "repro.broker" in modules
+    assert "sitecustomize" not in modules
+    assert "xml.dom.minidom" not in modules
+
+
 # ----------------------------------------------------------------------
 # the lazy top-level package keeps its surface
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -74,8 +75,11 @@ IMPORT_SMOKE = (
 #: package alone in a fresh interpreter must load nothing under
 #: ``LABORATORY`` and at most this many modules: package → (``repro``
 #: modules, modules in all).  The ceilings sit a few modules above what
-#: the packages load today (36 / 212, 55 / 247, 63 / 255, 77 / 269), so a
+#: the packages load today (36 / 211, 55 / 246, 63 / 254, 77 / 268), so a
 #: new eager import fails here before it shows as start-up time and RSS.
+#: The count leaves out what the interpreter's start-up hooks import (a
+#: ``.pth`` file or ``sitecustomize``; see ``loaded_modules``): those vary
+#: from machine to machine and no repro code loads them.
 IMPORT_CLOSURE = {
     "repro.broker": (40, 230),
     "repro.durability": (60, 260),
@@ -174,10 +178,20 @@ def import_smoke() -> bool:
 
 
 def loaded_modules(package: str) -> list[str]:
-    """``sys.modules`` after importing ``package`` alone in a fresh interpreter."""
-    script = f"import sys, {package}; print(*sorted(sys.modules), sep='\\n')"
+    """``sys.modules`` after importing ``package`` alone in a fresh
+    interpreter without its site hooks: ``-S``, site-packages on the path,
+    no ``.pth`` / ``sitecustomize`` run.  What a start-up hook imports is the
+    machine's, not the package's, and would count against every ceiling; a
+    dependency reachable only through a ``.pth`` path entry raises here."""
+    site_packages = site.getsitepackages()
+    if site.ENABLE_USER_SITE:
+        site_packages.append(site.getusersitepackages())
+    script = (
+        f"import site, sys; sys.path.extend({site_packages!r}); import {package}; "
+        "print(*sorted(sys.modules), sep='\\n')"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-S", "-c", script],
         cwd=REPO_ROOT,
         env=_env_with_src(),
         capture_output=True,
