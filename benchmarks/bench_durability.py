@@ -16,14 +16,9 @@ import pytest
 
 from repro.broker import Broker
 from repro.broker.message import Message
+from repro.chaos.crash import run_crash_consistency_harness
 from repro.core import CORRELATION_ID_COSTS, server_capacity
-from repro.durability import (
-    Journal,
-    SimulatedDisk,
-    SyncPolicy,
-    durability_capacity_sweep,
-    run_crash_consistency_harness,
-)
+from repro.durability import Journal, SimulatedDisk, SyncPolicy, durability_capacity_sweep
 from repro.simulation import RandomStreams
 
 from conftest import FULL, banner, report
@@ -125,10 +120,11 @@ def test_crash_consistency_harness():
         seed=0, messages=HARNESS_MESSAGES, intra_samples=HARNESS_INTRA
     )
     banner("Durability: crash-consistency harness")
+    summary = result.to_dict()
     report(
-        f"  {result.records} records, {result.boundary_points} boundary + "
-        f"{result.intra_points} torn-write + "
-        f"{result.header_points} segment-header crash points, "
+        f"  {summary['records']} records, {summary['boundary_points']} boundary + "
+        f"{summary['intra_points']} torn-write + "
+        f"{summary['header_points']} segment-header crash points, "
         f"{len(result.violations)} violation(s)"
     )
     assert result.ok, result.violations[:5]

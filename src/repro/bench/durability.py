@@ -109,7 +109,8 @@ def _time_recovery(records: int, repeats: int = 3) -> Dict[str, Any]:
 def record(fast: bool) -> Dict[str, Any]:
     """One size only: ``fast`` records the same three journals."""
     from ..core import CORRELATION_ID_COSTS, relative_error, server_capacity
-    from ..durability import durability_capacity_sweep, run_crash_consistency_harness
+    from ..chaos.crash import run_crash_consistency_harness
+    from ..durability import durability_capacity_sweep
 
     recovery_rows = [_time_recovery(n) for n in JOURNAL_SIZES]
 

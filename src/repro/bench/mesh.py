@@ -11,7 +11,7 @@ Three deterministic measurements:
   attempts of one clean join / leave / crash rebalance on a populated
   3-shard mesh.
 * **Chaos harness summary** — the full event x fault x step matrix
-  (``repro mesh``); the violation count must be 0 and, in full mode,
+  (:mod:`repro.chaos.rebalance`); the violation count must be 0 and, in full mode,
   the matrix must land above the 200-point acceptance bar.
 """
 
@@ -64,7 +64,7 @@ def _rebalance_cost(event_kind: str, ops: int, n_queues: int) -> Dict[str, Any]:
 def record(fast: bool) -> Dict[str, Any]:
     from ..architectures.base import SystemParameters
     from ..core import CORRELATION_ID_COSTS
-    from ..mesh import run_mesh_chaos_harness
+    from ..chaos.rebalance import run_mesh_chaos_harness
     from ..mesh.capacity import mesh_capacity_curve, validate_mesh_capacity
 
     params = SystemParameters(

@@ -34,7 +34,8 @@ MAX_RTO_REL_ERR = 0.25
 
 def record(fast: bool) -> Dict[str, Any]:
     """One size only: ``fast`` records the same sweep and harness."""
-    from ..replication import failover_sweep, run_replication_chaos_harness
+    from ..chaos.failover import run_replication_chaos_harness
+    from ..replication import failover_sweep
 
     sweep = failover_sweep(
         ship_intervals=SHIP_INTERVALS,

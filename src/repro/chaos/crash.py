@@ -27,6 +27,9 @@ replay logic) and asserts the three durability invariants:
 3. **conservation** — restored = requeued + expired + dead-lettered, and
    the oracle's own ledger balances against the prefix's publishes.
 
+On the queue backlog, 1 and 2 are the kernel's survivor oracle: the
+requeued fates are live, the terminal ids gone.
+
 Intra-record points must additionally be *repaired*: recovery reports a
 torn tail, truncates it, and lands in the state of the last complete
 record — committing a suffix of a torn record would fabricate data.
@@ -34,15 +37,15 @@ record — committing a suffix of a torn record would fabricate data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..broker.message import DeliveryMode, Message
 from ..broker.queues import QueueConsumer
 from ..broker.server import Broker
-from ..simulation.rng import RandomStreams
-from .disk import SimulatedDisk
-from .journal import (
+from ..durability.disk import SimulatedDisk
+from ..durability.journal import (
     SEGMENT_HEADER_SIZE,
     Journal,
     JournalRecord,
@@ -51,75 +54,16 @@ from .journal import (
     SyncPolicy,
     durable_key,
 )
-from .recovery import _try_parse
+from ..durability.recovery import _try_parse
+from ..simulation.rng import RandomStreams
+from .kernel import ChaosPoint, ChaosReport, survivor_violations
 
-__all__ = ["CrashPointResult", "HarnessReport", "run_crash_consistency_harness"]
+__all__ = ["run_crash_consistency_harness"]
 
 _TOPIC = "audit"
 _QUEUE = "orders"
 _DURABLE_SUBSCRIBER = "durable-1"
 _MAX_REDELIVERIES = 2
-
-
-@dataclass(frozen=True)
-class CrashPointResult:
-    """Outcome of recovering one crash image."""
-
-    kind: str  # "boundary" or "intra"
-    committed_records: int
-    segment: str
-    cut_offset: int
-    torn_tail_reported: bool
-    quarantined: int
-    violations: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class HarnessReport:
-    """Aggregate result of one harness run."""
-
-    seed: int
-    messages: int
-    records: int
-    segments: int
-    boundary_points: int = 0
-    intra_points: int = 0
-    header_points: int = 0
-    failures: List[CrashPointResult] = field(default_factory=list)
-
-    @property
-    def points(self) -> int:
-        return self.boundary_points + self.intra_points + self.header_points
-
-    @property
-    def violations(self) -> List[str]:
-        return [
-            f"{r.kind}@{r.segment}:{r.cut_offset} ({r.committed_records} records): {v}"
-            for r in self.failures
-            for v in r.violations
-        ]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "messages": self.messages,
-            "records": self.records,
-            "segments": self.segments,
-            "boundary_points": self.boundary_points,
-            "intra_points": self.intra_points,
-            "header_points": self.header_points,
-            "points": self.points,
-            "ok": self.ok,
-            "violations": self.violations[:50],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -337,26 +281,17 @@ def _verify_point(
     # contract either way.
 
     backlog = [message for message, _ in queue._backlog]
-    backlog_ids = [message.message_id for message in backlog]
-    if len(backlog_ids) != len(set(backlog_ids)):
-        violations.append(f"duplicate requeue: {sorted(backlog_ids)}")
-    if set(backlog_ids) != expected["requeued"]:
-        missing = expected["requeued"] - set(backlog_ids)
-        extra = set(backlog_ids) - expected["requeued"]
-        violations.append(
-            f"backlog mismatch: lost committed {sorted(missing)}, "
-            f"unexpected {sorted(extra)}"
+    violations.extend(
+        survivor_violations(
+            (m.message_id for m in backlog), expected["requeued"], set(oracle.queue_terminal)
         )
+    )
     redelivered = {m.message_id for m in backlog if m.redelivered}
     if redelivered != expected["flagged"]:
         violations.append(
             f"redelivered flags wrong: got {sorted(redelivered)}, "
             f"want {sorted(expected['flagged'])}"
         )
-    terminal_ids = set(oracle.queue_terminal)
-    leaked = terminal_ids & set(backlog_ids)
-    if leaked:
-        violations.append(f"terminal (acked/dropped) messages redelivered: {sorted(leaked)}")
     dead_ids = {m.message_id for m in queue.dead_letters}
     if dead_ids != expected["dead"]:
         violations.append(
@@ -380,12 +315,10 @@ def _verify_point(
         violations.append("oracle ledger does not balance (harness bug)")
 
     # Topic invariant: exactly the owed copies are re-retained.
-    retained_ids: Set[int] = set()
     for subscription in broker.subscriptions(_TOPIC):
         ids = [m.message_id for m in subscription.retained]
         if len(ids) != len(set(ids)):
             violations.append(f"duplicate topic retention: {sorted(ids)}")
-        retained_ids.update(ids)
         key = durable_key(subscription.subscriber.subscriber_id, _TOPIC)
         owed_here = {m for m, owed in oracle.topic_live.items() if key in owed}
         if set(ids) != owed_here:
@@ -405,7 +338,7 @@ def run_crash_consistency_harness(
     intra_samples: int = 200,
     segment_bytes: int = 1536,
     downtime: float = 10.0,
-) -> HarnessReport:
+) -> ChaosReport:
     """Crash-test recovery at every record boundary + sampled torn writes.
 
     ``messages`` workload operations produce some number of journal
@@ -413,8 +346,8 @@ def run_crash_consistency_harness(
     ``intra_samples`` torn images and every cut inside every segment
     header (``segments × SEGMENT_HEADER_SIZE`` images), verifying each
     against the oracle.  A report with ``ok=False`` carries
-    human-readable violations — the CLI and the test suite both fail on
-    any.
+    human-readable violations — ``repro bench durability`` and the test
+    suite both fail on any.
     """
     if messages < 1:
         raise ValueError(f"messages must be >= 1, got {messages}")
@@ -423,31 +356,23 @@ def run_crash_consistency_harness(
     snapshot, locations, _name, end = _run_workload(seed, messages, segment_bytes)
     records = _decode_records(snapshot, locations)
     recovery_now = end + downtime
-    report = HarnessReport(
-        seed=seed,
-        messages=messages,
-        records=len(records),
-        segments=len(snapshot),
+    report = ChaosReport(
+        {"seed": seed, "messages": messages, "records": len(records), "segments": len(snapshot)}
     )
+
+    def check(kind: str, image: Dict[str, bytes], segment: str, cut: int, committed: int) -> None:
+        broker = _recover_image(image, seed, recovery_now, segment_bytes)
+        oracle = _oracle_fold(records[:committed])
+        report.points.append(
+            ChaosPoint(
+                {"kind": kind, "segment": segment, "cut": cut, "committed": committed},
+                _verify_point(broker, oracle, recovery_now, mode=kind),
+            )
+        )
 
     for committed in range(len(records) + 1):
         image, segment, cut = _crash_image(snapshot, locations, committed)
-        broker = _recover_image(image, seed, recovery_now, segment_bytes)
-        oracle = _oracle_fold(records[:committed])
-        violations = _verify_point(broker, oracle, recovery_now, mode="boundary")
-        report.boundary_points += 1
-        if violations:
-            report.failures.append(
-                CrashPointResult(
-                    kind="boundary",
-                    committed_records=committed,
-                    segment=segment,
-                    cut_offset=cut,
-                    torn_tail_reported=broker.last_recovery.torn_tail is not None,
-                    quarantined=len(broker.last_recovery.quarantined),
-                    violations=tuple(violations),
-                )
-            )
+        check("boundary", image, segment, cut, committed)
 
     rng = RandomStreams(seed).stream("harness-intra")
     sampled = 0
@@ -460,23 +385,8 @@ def run_crash_consistency_harness(
         image, segment, cut = _crash_image(
             snapshot, locations, committed=index, intra_extra=extra
         )
-        broker = _recover_image(image, seed, recovery_now, segment_bytes)
-        oracle = _oracle_fold(records[:index])
-        violations = _verify_point(broker, oracle, recovery_now, mode="intra")
-        report.intra_points += 1
+        check("intra", image, segment, cut, index)
         sampled += 1
-        if violations:
-            report.failures.append(
-                CrashPointResult(
-                    kind="intra",
-                    committed_records=index,
-                    segment=segment,
-                    cut_offset=cut,
-                    torn_tail_reported=broker.last_recovery.torn_tail is not None,
-                    quarantined=len(broker.last_recovery.quarantined),
-                    violations=tuple(violations),
-                )
-            )
 
     # Header cuts: a crash between segment rotation and the first
     # post-rotation sync can leave the newest segment with anywhere from
@@ -488,20 +398,9 @@ def run_crash_consistency_harness(
         for cut in range(SEGMENT_HEADER_SIZE):
             image = {s: snapshot[s] for s in segment_names if s < segment}
             image[segment] = snapshot[segment][:cut]
-            broker = _recover_image(image, seed, recovery_now, segment_bytes)
-            oracle = _oracle_fold(records[:committed])
-            violations = _verify_point(broker, oracle, recovery_now, mode="header")
-            report.header_points += 1
-            if violations:
-                report.failures.append(
-                    CrashPointResult(
-                        kind="header",
-                        committed_records=committed,
-                        segment=segment,
-                        cut_offset=cut,
-                        torn_tail_reported=broker.last_recovery.torn_tail is not None,
-                        quarantined=len(broker.last_recovery.quarantined),
-                        violations=tuple(violations),
-                    )
-                )
+            check("header", image, segment, cut, committed)
+
+    kinds = Counter(point.coords["kind"] for point in report.points)
+    for kind in ("boundary", "intra", "header"):
+        report.params[f"{kind}_points"] = kinds[kind]
     return report

@@ -1,12 +1,13 @@
 """No-lost-ack chaos harness: crash the primary everywhere, lose nothing.
 
-The PR-5 torn-write harness proved single-node recovery correct at every
-byte offset.  This harness lifts the same every-crash-point discipline to
-the replicated pair: a deterministic queue workload runs against the
-primary while link faults fire, the primary is hard-crashed after
-*every* workload step, the standby detects the lapsed lease and
-promotes, and the promoted broker's state is checked against an
-independent oracle fold of the primary's own journal.
+The torn-write matrix (:mod:`repro.chaos.crash`) proves single-node
+recovery correct at every byte offset.  This harness lifts the same
+every-crash-point discipline to the replicated pair: a deterministic
+queue workload runs against the primary while link faults fire, the
+primary is hard-crashed after *every* workload step, the standby
+detects the lapsed lease and promotes, and the promoted broker's state
+is checked against an independent oracle fold of the primary's own
+journal.
 
 The invariants, per crash point:
 
@@ -16,8 +17,9 @@ The invariants, per crash point:
 2. **async loss is bounded by the shipped-lag window** — at most
    ``acked − standby_applied_at_crash`` records' worth of messages may
    be missing, never more;
-3. **exactly-once backlog** — no duplicates, and no message the
-   promoted broker knows to be acked is redelivered;
+3. **exactly-once backlog** — the kernel's survivor oracle over the
+   promoted backlog: every id live in the replica's fold exactly once,
+   and no id it knows to be acked redelivered;
 4. **failover completes** — the standby promotes within a small
    multiple of the lease duration, under every link-fault scenario.
 
@@ -34,23 +36,19 @@ watermark never advances again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import List, Sequence, Set, Tuple
 
 from ..broker.message import Message
 from ..broker.queues import QueueConsumer
 from ..broker.server import Broker
 from ..durability.journal import JournalRecord, RecordKind
 from ..durability.recovery import scan_disk
-from .lease import FencingError
-from .pair import ReplicatedPair, ReplicationConfig
+from ..replication.lease import FencingError
+from ..replication.pair import ReplicatedPair, ReplicationConfig
+from .kernel import ChaosPoint, ChaosReport, survivor_violations
 
-__all__ = [
-    "LinkScenario",
-    "FailoverPointResult",
-    "ReplicationHarnessReport",
-    "run_replication_chaos_harness",
-]
+__all__ = ["LinkScenario", "run_replication_chaos_harness"]
 
 _QUEUE = "orders"
 
@@ -80,67 +78,6 @@ def _scenarios(dt: float) -> Tuple[LinkScenario, ...]:
             ((2, "standby-write-fault", 1), (9, "standby-write-fault", 2)),
         ),
     )
-
-
-@dataclass(frozen=True)
-class FailoverPointResult:
-    """Outcome of one crash-and-failover run."""
-
-    mode: str
-    scenario: str
-    crash_step: int
-    acked_records: int
-    applied_at_crash: int
-    applied_at_promotion: int
-    lost_acked: int
-    detection_seconds: float
-    violations: Tuple[str, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-@dataclass
-class ReplicationHarnessReport:
-    """Aggregate result of one replication chaos run."""
-
-    seed: int
-    ops: int
-    modes: Tuple[str, ...]
-    scenarios: Tuple[str, ...]
-    points: int = 0
-    max_async_loss: int = 0
-    split_brain_checked: bool = False
-    failures: List[FailoverPointResult] = field(default_factory=list)
-    split_brain_violations: List[str] = field(default_factory=list)
-
-    @property
-    def violations(self) -> List[str]:
-        out = [
-            f"{r.mode}/{r.scenario}@step{r.crash_step}: {v}"
-            for r in self.failures
-            for v in r.violations
-        ]
-        out.extend(f"lease-pause: {v}" for v in self.split_brain_violations)
-        return out
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures and not self.split_brain_violations
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "ops": self.ops,
-            "modes": list(self.modes),
-            "scenarios": list(self.scenarios),
-            "points": self.points,
-            "max_async_loss": self.max_async_loss,
-            "split_brain_checked": self.split_brain_checked,
-            "ok": self.ok,
-            "violations": self.violations[:50],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -276,13 +213,13 @@ def _verify_point(
     acked: int,
     applied_at_crash: int,
     promoted_at: float,
-) -> Tuple[List[str], int, int]:
-    """Check the failover invariants; returns (violations, lost, applied)."""
+) -> Tuple[List[str], int]:
+    """Check the failover invariants; returns (violations, lost acked)."""
     violations: List[str] = []
     promotion = pair.promotion
     if not pair.promoted or promotion is None or promotion.broker is None:
         detail = promotion.errors if promotion is not None else "never attempted"
-        return [f"standby failed to promote: {detail}"], 0, 0
+        return [f"standby failed to promote: {detail}"], 0
     if promotion.recovery is not None and promotion.recovery.errors:
         violations.append(f"promotion recovery errors: {promotion.recovery.errors}")
 
@@ -293,18 +230,8 @@ def _verify_point(
 
     backlog = _drain_backlog(promotion.broker)
     violations.extend(promotion.broker.queues.imbalances())
+    violations.extend(survivor_violations(backlog, live_applied, terminal_applied))
     backlog_set = set(backlog)
-    if len(backlog) != len(backlog_set):
-        violations.append(f"duplicate messages in promoted backlog: {sorted(backlog)}")
-    leaked = terminal_applied & backlog_set
-    if leaked:
-        violations.append(f"acked messages redelivered after failover: {sorted(leaked)}")
-    if backlog_set != live_applied:
-        violations.append(
-            f"promoted backlog diverges from the replica fold: "
-            f"missing {sorted(live_applied - backlog_set)}, "
-            f"extra {sorted(backlog_set - live_applied)}"
-        )
 
     lost = {
         mid
@@ -331,7 +258,7 @@ def _verify_point(
             f"failover detection took {detection:.3f}s "
             f"(lease duration {pair.config.lease_duration:.3f}s)"
         )
-    return violations, len(lost), applied
+    return violations, len(lost)
 
 
 # ----------------------------------------------------------------------
@@ -399,24 +326,27 @@ def run_replication_chaos_harness(
     ops: int = 24,
     modes: Sequence[str] = ("sync", "async"),
     dt: float = 0.01,
-) -> ReplicationHarnessReport:
+) -> ChaosReport:
     """Crash the primary after every workload step, under every scenario.
 
     ``modes × scenarios × ops`` independent pair runs, each crashed at a
     different step and failed over, plus one lease-pause split-brain
-    check per mode.  A report with ``ok=False`` carries human-readable
-    violations — the CLI and the test suite both fail on any.
+    check per mode (a ``checks`` entry, not a point).  A report with
+    ``ok=False`` carries human-readable violations — ``repro bench
+    replication`` and the test suite both fail on any.
     """
     if ops < 2:
         raise ValueError(f"ops must be >= 2, got {ops}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     scenarios = _scenarios(dt)
-    report = ReplicationHarnessReport(
-        seed=seed,
-        ops=ops,
-        modes=tuple(modes),
-        scenarios=tuple(s.name for s in scenarios),
+    report = ChaosReport(
+        {
+            "seed": seed,
+            "ops": ops,
+            "modes": list(modes),
+            "scenarios": [s.name for s in scenarios],
+        }
     )
     for mode in modes:
         for scenario in scenarios:
@@ -425,28 +355,24 @@ def run_replication_chaos_harness(
                     mode, scenario, crash_step, seed, dt
                 )
                 promoted_at = _await_promotion(pair, crash_time, dt)
-                violations, lost, applied = _verify_point(
+                violations, lost = _verify_point(
                     pair, mode, acked, applied_at_crash, promoted_at
                 )
-                report.points += 1
-                if mode == "async":
-                    report.max_async_loss = max(report.max_async_loss, lost)
-                if violations:
-                    report.failures.append(
-                        FailoverPointResult(
-                            mode=mode,
-                            scenario=scenario.name,
-                            crash_step=crash_step,
-                            acked_records=acked,
-                            applied_at_crash=applied_at_crash,
-                            applied_at_promotion=applied,
-                            lost_acked=lost,
-                            detection_seconds=promoted_at - crash_time,
-                            violations=tuple(violations),
-                        )
+                report.points.append(
+                    ChaosPoint(
+                        {"mode": mode, "scenario": scenario.name, "step": crash_step},
+                        violations,
+                        lost=lost,
                     )
-        report.split_brain_violations.extend(
-            _lease_pause_check(mode, seed, ops, dt)
+                )
+        report.checks.append(
+            ChaosPoint(
+                {"check": "lease-pause", "mode": mode},
+                _lease_pause_check(mode, seed, ops, dt),
+            )
         )
-    report.split_brain_checked = True
+    report.params["max_async_loss"] = max(
+        (p.lost for p in report.points if p.coords["mode"] == "async"), default=0
+    )
+    report.params["split_brain_checked"] = True
     return report

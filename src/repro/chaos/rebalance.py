@@ -17,16 +17,18 @@ rebalance while injecting exactly one fault at one protocol step:
 The *step* axis enumerates **every** protocol step of the event's clean
 run (measured by a dry run), so each fault kind is injected at the
 fence, each ship, the drain, the apply, the flip and the retire of every
-handoff session — the full crash×step matrix the PR 7 pair harness
-applied to one link, generalized across the mesh.
+handoff session — the full crash×step matrix the failover matrix
+(:mod:`repro.chaos.failover`) applies to one link, generalized across
+the mesh.
 
 After the rebalance (plus recovery of every crashed shard still in the
 mesh) each point asserts the mesh-global invariants:
 
-- **no lost acked-or-accepted message**: every accepted, never-acked
-  message id is found exactly once across live shards' backlogs and
-  consumers — and every *acked* id is found **nowhere** (a resurrected
-  ack would be a double delivery);
+- **no lost acked-or-accepted message** (the kernel's survivor oracle):
+  every accepted, never-acked message id is found exactly once across
+  live shards' backlogs and consumers, every *acked* id is found
+  **nowhere** (a resurrected ack would be a double delivery), and no id
+  that was never accepted appears;
 - **no double-ownership**: every placement key has exactly one owner in
   the partition table and that owner is a live mesh member;
 - **conservation**: the aggregated mesh ledger balances, handoff legs
@@ -38,22 +40,17 @@ mesh) each point asserts the mesh-global invariants:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..broker.message import Message
 from ..broker.queues import QueueConsumer
-from .membership import MembershipEvent, ShardState
-from .rebalance import HandoffSession, RebalanceEngine
-from .ring import placement_key
-from .sharded import ShardedBroker
+from ..mesh.membership import MembershipEvent, ShardState
+from ..mesh.rebalance import HandoffSession, RebalanceEngine
+from ..mesh.ring import placement_key
+from ..mesh.sharded import ShardedBroker
+from .kernel import ChaosPoint, ChaosReport, survivor_violations
 
-__all__ = [
-    "FAULT_KINDS",
-    "MeshChaosReport",
-    "MeshPointResult",
-    "run_mesh_chaos_harness",
-]
+__all__ = ["EVENT_KINDS", "FAULT_KINDS", "run_mesh_chaos_harness"]
 
 FAULT_KINDS: Tuple[str, ...] = (
     "crash-source",
@@ -63,67 +60,6 @@ FAULT_KINDS: Tuple[str, ...] = (
 )
 
 EVENT_KINDS: Tuple[str, ...] = ("join", "leave", "crash")
-
-
-@dataclass
-class MeshPointResult:
-    """One (event, fault, step) cell of the chaos matrix."""
-
-    event: str
-    fault: str
-    step: int
-    violations: List[str] = field(default_factory=list)
-    accepted: int = 0
-    acked: int = 0
-    survivors_found: int = 0
-    attempts: int = 0
-    probe_accepted: Optional[bool] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "event": self.event,
-            "fault": self.fault,
-            "step": self.step,
-            "ok": self.ok,
-            "violations": list(self.violations),
-            "accepted": self.accepted,
-            "acked": self.acked,
-            "survivors_found": self.survivors_found,
-            "attempts": self.attempts,
-            "probe_accepted": self.probe_accepted,
-        }
-
-
-@dataclass
-class MeshChaosReport:
-    """Every point of the crash×step×event matrix."""
-
-    seed: int
-    ops: int
-    queues: int
-    points: List[MeshPointResult] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return bool(self.points) and all(p.ok for p in self.points)
-
-    @property
-    def failures(self) -> List[MeshPointResult]:
-        return [p for p in self.points if not p.ok]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "seed": self.seed,
-            "ops": self.ops,
-            "queues": self.queues,
-            "points": len(self.points),
-            "ok": self.ok,
-            "failures": [p.to_dict() for p in self.failures],
-        }
 
 
 # ----------------------------------------------------------------------
@@ -237,7 +173,7 @@ def _live_message_ids(mesh: ShardedBroker, live: Iterable[str]) -> List[int]:
 
 
 def _verify(
-    point: MeshPointResult,
+    point: ChaosPoint,
     mesh: ShardedBroker,
     accepted: Set[int],
     acked: Set[int],
@@ -260,21 +196,9 @@ def _verify(
             f"keys stuck migrating: {membership.table.migrating_keys}"
         )
     # -- exactly-once message survival ----------------------------------
-    found = _live_message_ids(mesh, live)
-    counts: Dict[int, int] = {}
-    for message_id in found:
-        counts[message_id] = counts.get(message_id, 0) + 1
-    expected = accepted - acked
-    lost = sorted(expected - set(counts))
-    if lost:
-        point.violations.append(f"lost messages: {lost}")
-    resurrected = sorted(acked & set(counts))
-    if resurrected:
-        point.violations.append(f"acked messages resurrected: {resurrected}")
-    duplicated = sorted(m for m, c in counts.items() if c > 1)
-    if duplicated:
-        point.violations.append(f"duplicated messages: {duplicated}")
-    point.survivors_found = len(set(counts) & expected)
+    point.violations.extend(
+        survivor_violations(_live_message_ids(mesh, live), accepted - acked, acked)
+    )
     # -- conservation ---------------------------------------------------
     ledger = mesh.mesh_ledger()
     if not ledger.conserved:
@@ -291,13 +215,11 @@ def _run_point(
     event_kind: str,
     fault: Optional[str],
     target_step: int,
-) -> MeshPointResult:
-    point = MeshPointResult(
-        event=event_kind, fault=fault if fault is not None else "none", step=target_step
+) -> ChaosPoint:
+    point = ChaosPoint(
+        {"event": event_kind, "fault": fault if fault is not None else "none", "step": target_step}
     )
     mesh, names, _consumers, accepted, acked, now = _build_mesh(seed, ops, n_queues)
-    point.accepted = len(accepted)
-    point.acked = len(acked)
     event = _fire_event(mesh, event_kind, now)
     engine = RebalanceEngine(mesh)
     engine.now = now
@@ -353,13 +275,13 @@ def run_mesh_chaos_harness(
     queues: int = 16,
     fault_kinds: Sequence[str] = FAULT_KINDS,
     event_kinds: Sequence[str] = EVENT_KINDS,
-) -> MeshChaosReport:
+) -> ChaosReport:
     """Run the full event × fault × step matrix (one clean point each).
 
     The step axis covers every protocol step the clean run of each event
     executes, so the default matrix lands well above the 200-point bar.
     """
-    report = MeshChaosReport(seed=seed, ops=ops, queues=queues)
+    report = ChaosReport({"seed": seed, "ops": ops, "queues": queues})
     for event_kind in event_kinds:
         steps = _dry_run_steps(seed, ops, queues, event_kind)
         report.points.append(_run_point(seed, ops, queues, event_kind, None, 0))

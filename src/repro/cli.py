@@ -12,11 +12,6 @@ Usage (``python -m repro ...``)::
     python -m repro faults --outage-at 20 --outage 5 [--seed 7] [--horizon 60]
     python -m repro overload [--capacity 5] [--rho 0.9 --rho 1.3] [--validate]
     python -m repro bench SUITE [--fast] [--out PATH]
-    python -m repro durability [--seed 0] [--messages 60] [--intra-samples 200]
-    python -m repro durability --sweep --filters 500 --replication 3 [--t-sync 2e-4]
-    python -m repro replicate [--seed 0] [--ops 24] [--mode sync|async|both]
-    python -m repro replicate --sweep [--rate 200] [--seeds 3] [--ship-interval 0.05]
-    python -m repro mesh [--seed 0] [--ops 36] [--queues 16] [--soak] [--capacity]
     python -m repro check [--format json] [--rules SIM,REC,...] [--require]
     python -m repro check --update-baseline
 
@@ -33,22 +28,10 @@ curves for a bounded buffer — and, with ``--validate``, cross-checks
 them against the discrete-event overload simulation; ``bench`` records
 one suite of :mod:`repro.bench.suites` (one per committed
 ``BENCH_<name>.json``), prints its report, writes the recording only
-where ``--out`` points and exits 1 unless its acceptance block passes;
-``durability`` runs the
-crash-consistency harness (recover the journal at every record boundary
-plus sampled torn-write offsets, assert exactly-once requeueing) and,
-with ``--sweep``, prints the durability-vs-capacity trade-off λ_max(b)
-for group-commit batch sizes; ``replicate`` runs the HA replication
-chaos harness (crash the primary after every workload step under link
-drops/corruption/reordering/delay, assert zero sync-acked loss and no
-split-brain double-ack) and, with ``--sweep``, the RPO/RTO failover
-sweep comparing the replication-lag model against discrete-event
-measurements; ``mesh`` runs the sharded-mesh chaos harness (every fault
-kind at every rebalance protocol step of every membership event, assert
-zero acked-message loss, zero double-ownership, mesh-wide conservation)
-and, with ``--capacity``, the superposed-M/G/1 capacity model with its
-DES cross-check (numpy-backed; skipped gracefully without numpy);
-``check`` runs the whole-program
+where ``--out`` points and exits 1 unless its acceptance block passes —
+``bench durability|replication|mesh`` is also how the crash, failover
+and rebalance chaos matrices of :mod:`repro.chaos` run, each with its
+capacity or RPO/RTO model beside it; ``check`` runs the whole-program
 invariant analyzer (determinism, recovery no-raise, race hazards,
 API hygiene) over ``src/repro``.
 
@@ -308,115 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the recording here (nothing is written without it)",
     )
     bench.set_defaults(handler=_run_bench)
-
-    durability = commands.add_parser(
-        "durability",
-        help="crash-consistency harness and the durability-vs-capacity sweep",
-    )
-    durability.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    durability.add_argument(
-        "--messages", type=int, default=60, help="workload operations to journal"
-    )
-    durability.add_argument(
-        "--intra-samples",
-        type=int,
-        default=200,
-        help="torn-write crash points sampled inside record bodies",
-    )
-    durability.add_argument(
-        "--segment-bytes", type=int, default=1536, help="journal segment size"
-    )
-    durability.add_argument(
-        "--downtime",
-        type=float,
-        default=10.0,
-        help="virtual seconds between crash and recovery (drives TTL expiry)",
-    )
-    durability.add_argument(
-        "--sweep",
-        action="store_true",
-        help="also print capacity lambda_max vs group-commit batch size",
-    )
-    durability.add_argument(
-        "--filters", type=int, default=500, help="installed filters n_fltr (sweep)"
-    )
-    durability.add_argument(
-        "--replication", type=float, default=3.0, help="mean replication E[R] (sweep)"
-    )
-    durability.add_argument(
-        "--type", choices=("corr", "app"), default="corr", help="filter mechanism (sweep)"
-    )
-    durability.add_argument(
-        "--t-sync",
-        type=float,
-        default=2e-4,
-        help="cost of one synchronous journal flush in seconds (sweep)",
-    )
-    durability.add_argument(
-        "--rho", type=float, default=0.9, help="CPU utilization budget (sweep)"
-    )
-    durability.set_defaults(handler=_run_durability)
-
-    replicate = commands.add_parser(
-        "replicate",
-        help="replication chaos harness and the RPO/RTO failover sweep",
-    )
-    replicate.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    replicate.add_argument(
-        "--ops", type=int, default=24, help="workload operations per crash-point run"
-    )
-    replicate.add_argument(
-        "--mode",
-        choices=("sync", "async", "both"),
-        default="both",
-        help="acknowledgement mode(s) to chaos-test",
-    )
-    replicate.add_argument(
-        "--sweep",
-        action="store_true",
-        help="also run the DES failover sweep (RPO/RTO model vs measured)",
-    )
-    replicate.add_argument(
-        "--ship-interval",
-        type=float,
-        action="append",
-        default=None,
-        metavar="SECONDS",
-        help="sweep ship interval (repeatable; default 0.01 0.05 0.2)",
-    )
-    replicate.add_argument(
-        "--batch", type=int, default=16, help="records per ship frame (sweep)"
-    )
-    replicate.add_argument(
-        "--rate", type=float, default=200.0, help="publish rate msgs/s (sweep)"
-    )
-    replicate.add_argument(
-        "--seeds", type=int, default=3, help="independent runs per sweep point"
-    )
-    replicate.set_defaults(handler=_run_replicate)
-
-    mesh = commands.add_parser(
-        "mesh",
-        help="sharded-mesh rebalance chaos harness and capacity model",
-    )
-    mesh.add_argument("--seed", type=int, default=0, help="workload seed")
-    mesh.add_argument(
-        "--ops", type=int, default=36, help="workload sends per chaos point"
-    )
-    mesh.add_argument(
-        "--queues", type=int, default=16, help="queues spread across the mesh"
-    )
-    mesh.add_argument(
-        "--soak",
-        action="store_true",
-        help="heavier matrix: two seeds, larger workload",
-    )
-    mesh.add_argument(
-        "--capacity",
-        action="store_true",
-        help="also validate the capacity model against the DES (needs numpy)",
-    )
-    mesh.set_defaults(handler=_run_mesh)
 
     resilience = commands.add_parser(
         "resilience",
@@ -841,173 +715,6 @@ def _run_bench(args: argparse.Namespace) -> int:
     for name, ok in acceptance.items():
         print(f"acceptance: {name} = {ok}")
     return 0 if acceptance["pass"] else 1
-
-
-def _run_durability(args: argparse.Namespace) -> int:
-    from .durability import durability_capacity_sweep, run_crash_consistency_harness
-
-    report = run_crash_consistency_harness(
-        seed=args.seed,
-        messages=args.messages,
-        intra_samples=args.intra_samples,
-        segment_bytes=args.segment_bytes,
-        downtime=args.downtime,
-    )
-    print(
-        f"workload: seed={report.seed} operations={report.messages} -> "
-        f"{report.records} journal records in {report.segments} segment(s)"
-    )
-    print(
-        f"crash points: {report.boundary_points} record boundaries + "
-        f"{report.intra_points} torn-write offsets + "
-        f"{report.header_points} segment-header offsets = "
-        f"{report.points} recoveries"
-    )
-    if report.ok:
-        print("crash consistency: OK (no acked message redelivered, no committed message lost)")
-    else:
-        print(f"crash consistency: {len(report.violations)} VIOLATION(S)")
-        for violation in report.violations[:20]:
-            print(f"  {violation}")
-    if args.sweep:
-        costs = _costs(args.type)
-        points = durability_capacity_sweep(
-            costs,
-            args.filters,
-            args.replication,
-            t_sync=args.t_sync,
-            rho=args.rho,
-        )
-        print()
-        print(
-            f"capacity vs sync policy: {args.filters} {costs.filter_type} filters, "
-            f"E[R]={args.replication:g}, t_sync={args.t_sync:g}s, rho={args.rho:g}"
-        )
-        print(f"  {'policy':>12}  {'overhead':>10}  {'E[B]':>10}  {'lambda_max':>10}  {'capacity':>8}")
-        for point in points:
-            print(
-                f"  {point.policy:>12}  {point.sync_overhead * 1e3:8.4f} ms  "
-                f"{point.mean_service_time * 1e3:8.4f} ms  {point.lambda_max:10.1f}  "
-                f"{point.capacity_fraction:7.1%}"
-            )
-    return 0 if report.ok else 1
-
-
-def _run_replicate(args: argparse.Namespace) -> int:
-    from .replication import failover_sweep, run_replication_chaos_harness
-
-    modes = ("sync", "async") if args.mode == "both" else (args.mode,)
-    report = run_replication_chaos_harness(seed=args.seed, ops=args.ops, modes=modes)
-    print(
-        f"workload: seed={report.seed} operations={report.ops} "
-        f"modes={'/'.join(report.modes)} scenarios={'/'.join(report.scenarios)}"
-    )
-    print(
-        f"crash points: {report.points} (crash after every workload step x "
-        f"link-fault scenario x ack mode)"
-    )
-    print(
-        f"async loss bound: max {report.max_async_loss} acked record(s) lost, "
-        f"all within the shipped-lag window"
-    )
-    if report.split_brain_checked:
-        print("split-brain: lease-pause fencing verified (stale primary rejected)")
-    if report.ok:
-        print("replication chaos: OK (zero sync-acked loss, no split-brain double-ack)")
-    else:
-        print(f"replication chaos: {len(report.violations)} VIOLATION(S)")
-        for violation in report.violations[:20]:
-            print(f"  {violation}")
-    if args.sweep:
-        ship_intervals = tuple(args.ship_interval) if args.ship_interval else (0.01, 0.05, 0.2)
-        points = failover_sweep(
-            ship_intervals=ship_intervals,
-            modes=modes,
-            batch_size=args.batch,
-            rate=args.rate,
-            seeds=args.seeds,
-        )
-        print()
-        print(
-            f"failover sweep: rate={args.rate:g} msg/s, batch={args.batch}, "
-            f"{args.seeds} seed(s) per point (RPO in records, RTO in seconds)"
-        )
-        print(
-            f"  {'mode':>6}  {'ship_ivl':>8}  {'rpo_model':>9}  {'rpo_meas':>9}  "
-            f"{'rto_model':>9}  {'rto_meas':>9}"
-        )
-        for point in points:
-            print(
-                f"  {point.mode:>6}  {point.ship_interval:8.3f}  "
-                f"{point.rpo_model:9.2f}  {point.rpo_measured:9.2f}  "
-                f"{point.rto_model:9.4f}  {point.rto_measured:9.4f}"
-            )
-    return 0 if report.ok else 1
-
-
-def _run_mesh(args: argparse.Namespace) -> int:
-    from .mesh import run_mesh_chaos_harness
-
-    ok = True
-    runs = [(args.seed, args.ops)]
-    if args.soak:
-        runs.append((args.seed + 1, args.ops * 2))
-    total_points = 0
-    for seed, ops in runs:
-        report = run_mesh_chaos_harness(seed=seed, ops=ops, queues=args.queues)
-        total_points += len(report.points)
-        print(
-            f"mesh chaos: seed={seed} ops={ops} queues={args.queues} "
-            f"points={len(report.points)} "
-            f"(join/leave/crash x fault kind x protocol step)"
-        )
-        if report.ok:
-            print(
-                "  OK (zero acked-message loss, zero double-ownership, "
-                "ledger conserved at every point)"
-            )
-        else:
-            ok = False
-            print(f"  {len(report.failures)} FAILING POINT(S)")
-            for point in report.failures[:20]:
-                print(
-                    f"    {point.event}/{point.fault}@{point.step}: "
-                    f"{'; '.join(point.violations)}"
-                )
-    print(f"total chaos points: {total_points}")
-    if args.capacity:
-        try:
-            from .architectures import SystemParameters
-            from .core import CORRELATION_ID_COSTS
-            from .mesh.capacity import mesh_capacity_curve, validate_mesh_capacity
-        except ImportError as exc:
-            print(f"capacity model skipped (numpy stack unavailable: {exc})")
-        else:
-            params = SystemParameters(
-                costs=CORRELATION_ID_COSTS,
-                publishers=2,
-                subscribers=8,
-                filters_per_subscriber=10,
-                mean_replication=1.0,
-                rho=0.9,
-            )
-            curve = mesh_capacity_curve(params, [1, 2, 4, 8])
-            print("\ncapacity vs shard count (partitioned placement, uniform ring):")
-            for count, point in sorted(curve.items()):
-                print(
-                    f"  N={count}: {point.capacity:10.1f} msg/s "
-                    f"(skew={point.skew:.3f})"
-                )
-            validation = validate_mesh_capacity(params, horizon=100.0)
-            print(
-                f"DES cross-check: max rel err "
-                f"{validation.max_rel_err * 100:.2f}% over N={{1,2,4,8}} "
-                f"(tolerance {validation.tolerance * 100:.0f}%)"
-            )
-            if not validation.ok:
-                ok = False
-                print("  capacity VALIDATION FAILED")
-    return 0 if ok else 1
 
 
 def _run_resilience(args: argparse.Namespace) -> int:

@@ -11,11 +11,11 @@ supplies the mechanism that mode implies and the tools to trust it:
 - :mod:`~repro.durability.recovery` — crash recovery that scans,
   repairs (torn-tail truncation, mid-log quarantine) and replays the log
   into a :class:`~repro.broker.Broker`;
-- :mod:`~repro.durability.harness` — an ALICE-style crash-consistency
-  checker that crashes at every record boundary plus sampled
-  intra-record offsets and proves the recovery invariants;
 - :mod:`~repro.durability.capacity` — the ``t_sync/b`` durability cost
   folded into the paper's Eq. 1/Eq. 2 capacity model.
+
+The crash-consistency matrix that proves recovery correct lives in the
+laboratory, :mod:`repro.chaos.crash`.
 """
 
 from .capacity import (
@@ -24,7 +24,6 @@ from .capacity import (
     durability_capacity_sweep,
 )
 from .disk import DiskCrashReport, DiskError, DiskWriteError, SimulatedDisk
-from .harness import CrashPointResult, HarnessReport, run_crash_consistency_harness
 from .journal import (
     Journal,
     JournalError,
@@ -72,9 +71,6 @@ __all__ = [
     "fold_records",
     "collect_live_entries",
     "recover_broker",
-    "CrashPointResult",
-    "HarnessReport",
-    "run_crash_consistency_harness",
     "amortized_sync_overhead",
     "DurabilityCapacityPoint",
     "durability_capacity_sweep",

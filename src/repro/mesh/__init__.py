@@ -19,20 +19,15 @@ membership changes:
 - :mod:`~repro.mesh.rebalance` — journal-backed transfer batches over
   the PR 7 shipping stack (frames, go-back-N, fencing epochs), driven
   fence→ship→apply→flip→retire with crash-retry;
-- :mod:`~repro.mesh.harness` — the cross-shard no-lost-message chaos
-  harness (every fault kind at every protocol step of every event);
 - :mod:`~repro.mesh.capacity` — aggregate capacity as superposed
   per-shard M/G/1 queues with a skew term, generalizing Fig. 15 to
   arbitrary shard counts (**numpy-backed** — import it explicitly; this
   package root stays dependency-free like the broker itself).
+
+The cross-shard no-lost-message chaos matrix lives in the laboratory,
+:mod:`repro.chaos.rebalance`.
 """
 
-from .harness import (
-    FAULT_KINDS,
-    MeshChaosReport,
-    MeshPointResult,
-    run_mesh_chaos_harness,
-)
 from .membership import (
     MembershipEvent,
     MeshMembership,
@@ -80,8 +75,4 @@ __all__ = [
     "HandoffSession",
     "RebalanceEngine",
     "RebalanceReport",
-    "FAULT_KINDS",
-    "MeshChaosReport",
-    "MeshPointResult",
-    "run_mesh_chaos_harness",
 ]

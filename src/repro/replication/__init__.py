@@ -17,19 +17,13 @@ package builds that pair on top of :mod:`repro.durability`'s journal:
 - :mod:`~repro.replication.model` — first-moment RPO/RTO models and the
   ``t_ship/b`` ack cost folded into the paper's Eq. 1/Eq. 2;
 - :mod:`~repro.replication.experiment` — the DES failover sweep that
-  checks the model;
-- :mod:`~repro.replication.harness` — the no-lost-ack chaos harness:
-  crash the primary after every workload step under link faults and
-  prove no sync-acked message is ever lost.
+  checks the model.
+
+The no-lost-ack chaos matrix lives in the laboratory,
+:mod:`repro.chaos.failover`.
 """
 
 from .experiment import FailoverSweepPoint, failover_sweep
-from .harness import (
-    FailoverPointResult,
-    LinkScenario,
-    ReplicationHarnessReport,
-    run_replication_chaos_harness,
-)
 from .lease import FencingError, Lease, LeaseCoordinator
 from .link import ShipFrame, SimulatedLink, decode_frame, encode_frame
 from .model import (
@@ -59,8 +53,4 @@ __all__ = [
     "replication_capacity_sweep",
     "FailoverSweepPoint",
     "failover_sweep",
-    "LinkScenario",
-    "FailoverPointResult",
-    "ReplicationHarnessReport",
-    "run_replication_chaos_harness",
 ]

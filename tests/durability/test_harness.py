@@ -1,20 +1,25 @@
 """The crash-consistency harness itself (reduced sizes; the full run is
-``python -m repro durability`` / BENCH_durability.json)."""
+``python -m repro bench durability`` / BENCH_durability.json)."""
 
 import pytest
 
-from repro.durability import run_crash_consistency_harness
+from repro.chaos.crash import run_crash_consistency_harness
 
 
 def test_every_crash_point_recovers_consistently():
     report = run_crash_consistency_harness(seed=3, messages=24, intra_samples=30)
     assert report.ok, report.violations[:5]
+    summary = report.to_dict()
     # one boundary image per committed prefix, including the empty one
-    assert report.boundary_points == report.records + 1
-    assert report.intra_points == 30
+    assert summary["boundary_points"] == summary["records"] + 1
+    assert summary["intra_points"] == 30
     # every byte offset inside every segment header is a crash point too
-    assert report.header_points == report.segments * 10
-    assert report.segments >= 2  # the workload must cross a rotation
+    assert summary["header_points"] == summary["segments"] * 10
+    assert summary["segments"] >= 2  # the workload must cross a rotation
+    kinds = [point.coords["kind"] for point in report.points]
+    assert kinds.count("boundary") == summary["boundary_points"]
+    assert kinds.count("intra") == summary["intra_points"]
+    assert kinds.count("header") == summary["header_points"]
 
 
 def test_report_shape():

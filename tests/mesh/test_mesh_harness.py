@@ -6,14 +6,9 @@ import operator
 import pytest
 
 from repro.broker.ledger import FATE_TABLE, Ledger
+from repro.chaos import ChaosPoint, ChaosReport
+from repro.chaos.rebalance import EVENT_KINDS, FAULT_KINDS, run_mesh_chaos_harness
 from repro.mesh import ShardedBroker
-from repro.mesh.harness import (
-    EVENT_KINDS,
-    FAULT_KINDS,
-    MeshChaosReport,
-    MeshPointResult,
-    run_mesh_chaos_harness,
-)
 
 
 class TestSmokeMatrix:
@@ -21,10 +16,10 @@ class TestSmokeMatrix:
         report = run_mesh_chaos_harness(
             seed=0, ops=18, queues=8, fault_kinds=("link-drop",), event_kinds=("join",)
         )
-        assert report.ok, [p.to_dict() for p in report.failures]
+        assert report.ok, report.violations
         # one clean point plus one faulted point per protocol step
         assert len(report.points) > 2
-        assert report.points[0].fault == "none"
+        assert report.points[0].coords["fault"] == "none"
 
     def test_crash_faults_subset(self):
         report = run_mesh_chaos_harness(
@@ -34,7 +29,7 @@ class TestSmokeMatrix:
             fault_kinds=("crash-source", "crash-dest"),
             event_kinds=("leave",),
         )
-        assert report.ok, [p.to_dict() for p in report.failures]
+        assert report.ok, report.violations
         # destination crashes force retries somewhere in the matrix
         assert any(p.attempts > 1 for p in report.points)
 
@@ -46,7 +41,7 @@ class TestSmokeMatrix:
             fault_kinds=("link-delay",),
             event_kinds=("crash",),
         )
-        assert report.ok, [p.to_dict() for p in report.failures]
+        assert report.ok, report.violations
 
 
 class TestFullMatrixScale:
@@ -78,11 +73,21 @@ class TestFullMatrixScale:
         report = run_mesh_chaos_harness(seed=0)
         assert len(folded) == len(report.points)
         assert any(ledger.transferred_out for ledger in folded)
-        assert report.ok, [p.to_dict() for p in report.failures]
-        assert len(report.points) >= 200
-        assert {p.event for p in report.points} == set(EVENT_KINDS)
-        assert {p.fault for p in report.points} == set(FAULT_KINDS) | {"none"}
+        assert report.ok, report.violations
+        assert len(report.points) == 399
+        assert {p.coords["event"] for p in report.points} == set(EVENT_KINDS)
+        assert {p.coords["fault"] for p in report.points} == set(FAULT_KINDS) | {"none"}
         # availability probes actually ran and never bounced
+        probed = [p for p in report.points if p.probe_accepted is not None]
+        assert probed
+        assert all(p.probe_accepted for p in probed)
+
+    def test_soak_matrix_second_seed_double_workload(self):
+        """The soak's second set: seed 1 with twice the workload (72 sends)
+        widens every handoff, so the step axis grows to 647 points."""
+        report = run_mesh_chaos_harness(seed=1, ops=72)
+        assert report.ok, report.violations
+        assert len(report.points) == 647
         probed = [p for p in report.points if p.probe_accepted is not None]
         assert probed
         assert all(p.probe_accepted for p in probed)
@@ -90,21 +95,21 @@ class TestFullMatrixScale:
 
 class TestReportShapes:
     def test_point_result_shape(self):
-        point = MeshPointResult(event="join", fault="link-drop", step=3)
+        point = ChaosPoint({"event": "join", "fault": "link-drop", "step": 3})
         assert point.ok
-        payload = point.to_dict()
-        assert payload["event"] == "join"
-        assert payload["ok"] is True
+        assert point.coords["event"] == "join"
+        assert point.label == "event=join fault=link-drop step=3"
         point.violations.append("boom")
         assert not point.ok
 
     def test_chaos_report_shape(self):
-        report = MeshChaosReport(seed=0, ops=10, queues=4)
+        report = ChaosReport({"seed": 0, "ops": 10, "queues": 4})
         assert not report.ok  # no points yet is not a pass
-        report.points.append(MeshPointResult(event="join", fault="none", step=0))
+        report.points.append(ChaosPoint({"event": "join", "fault": "none", "step": 0}))
         assert report.ok
         payload = report.to_dict()
-        assert payload["points"] == 1 and payload["failures"] == []
+        assert payload["points"] == 1 and payload["violations"] == []
+        assert payload["seed"] == 0 and payload["queues"] == 4
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 """Failover under checkpoints: the path the 288-point harness never enters.
 
-``repro.replication.harness`` indexes the primary's scan by record count,
+``repro.chaos.failover`` indexes the primary's scan by record count,
 which compaction invalidates, so its workload never checkpoints.  This
 suite does, with an oracle over *message ids*: the primary checkpoints
 every few steps — always before the tailer has seen the step's own

@@ -316,7 +316,7 @@ class TestParser:
 import contextlib, io, sys
 from repro.cli import build_parser, main
 commands = sorted(build_parser()._subparsers._group_actions[0].choices)
-assert len(commands) == 13, commands
+assert len(commands) == 10, commands
 for command in commands:
     with contextlib.redirect_stdout(io.StringIO()) as out:
         try:
