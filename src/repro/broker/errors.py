@@ -64,9 +64,8 @@ class ServerOverloadedError(JMSError):
     estimated utilization exceeds its watermark, or when the broker health
     state machine enters SHEDDING and fails publishers blocked on
     push-back credits.  Distinct from :class:`ServerUnavailableError`: the
-    server is up, it is just saturated — a circuit breaker should back
-    off *more* aggressively, not probe harder (see
-    :mod:`repro.overload.breaker`).
+    server is up, it is just saturated — a client should back off *more*
+    aggressively, not probe harder.
     """
 
 

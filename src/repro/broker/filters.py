@@ -21,7 +21,7 @@ from typing import Callable, Optional
 from ..core.params import FilterType
 from .errors import InvalidSelectorError
 from .message import Message
-from .selector import Expr, Selector, compilation_enabled
+from .selector import Expr, Selector
 
 __all__ = [
     "MessageFilter",
@@ -215,7 +215,7 @@ class PropertyFilter(MessageFilter):
         return self.selector.matcher()
 
     def inline_ast(self) -> Optional[Expr]:
-        return self.selector.canonical if compilation_enabled() else None
+        return self.selector.canonical
 
     @property
     def filter_type(self) -> Optional[FilterType]:

@@ -38,11 +38,9 @@ from .compile import (
     SCAN_BLOCK,
     CompiledSelector,
     ScanKernel,
-    compilation_enabled,
     compile_ast,
     compile_scan,
     compiled_for_ast,
-    set_compilation,
 )
 from .ast import (
     Between,
@@ -87,8 +85,6 @@ __all__ = [
     "compile_ast",
     "compile_scan",
     "compiled_for_ast",
-    "compilation_enabled",
-    "set_compilation",
     # static analysis
     "SelectorAnalysis",
     "SelectorType",
@@ -109,10 +105,10 @@ class Selector:
 
     Parsing happens once at construction (raising
     :class:`~repro.broker.errors.InvalidSelectorError` eagerly, as a JMS
-    provider must when the subscription is created).  Matching normally
-    runs through a closure compiled from the canonical AST
-    (:mod:`repro.broker.selector.compile`); call
-    :func:`set_compilation` to fall back to the tree-walking interpreter.
+    provider must when the subscription is created).  Matching runs
+    through a closure compiled from the canonical AST
+    (:mod:`repro.broker.selector.compile`); :meth:`evaluate` walks the
+    tree, the reference the compiled form is held to.
     """
 
     __slots__ = ("text", "ast", "identifiers", "_canonical", "_matcher")
@@ -134,8 +130,7 @@ class Selector:
     def matcher(self) -> Callable[[Any], bool]:
         """The hot-path predicate, for callers that evaluate in a loop.
 
-        Built once per selector: a compiled closure when compilation is
-        enabled, otherwise a binding of the tree-walking interpreter.
+        Built once per selector: the compiled closure of the canonical AST.
         """
         matcher = self._matcher
         if matcher is None:
@@ -143,23 +138,13 @@ class Selector:
         return matcher
 
     def _build_matcher(self) -> Callable[[Any], bool]:
-        if compilation_enabled():
-            matcher = compiled_for_ast(self.canonical).matches
-        else:
-            ast = self.ast
-
-            def matcher(message: Any, _ast: Expr = ast) -> bool:
-                return evaluate(_ast, message) is True
-
-        self._matcher = matcher
+        matcher = self._matcher = compiled_for_ast(self.canonical).matches
         return matcher
 
     @property
-    def compiled(self) -> CompiledSelector | None:
-        """The shared compiled form, or None when compilation is off."""
-        if compilation_enabled():
-            return compiled_for_ast(self.canonical)
-        return None
+    def compiled(self) -> CompiledSelector:
+        """The shared compiled form of the canonical AST."""
+        return compiled_for_ast(self.canonical)
 
     def evaluate(self, message: Any):
         """Raw three-valued result (True / False / UNKNOWN)."""

@@ -38,10 +38,6 @@ block and carries each selector as one line, ``if <truth>: hit(k)``
 hypothesis equivalence suite in ``tests/broker/test_selector_compile.py``
 proves it on randomized ASTs and messages, NaN and infinities included,
 with the tree-walking interpreter as the oracle.
-
-The interpreter remains available as a fallback: call
-:func:`set_compilation` and every subsequently-built matcher walks the
-tree again.
 """
 
 from __future__ import annotations
@@ -86,8 +82,6 @@ __all__ = [
     "compile_ast",
     "compile_scan",
     "compiled_for_ast",
-    "compilation_enabled",
-    "set_compilation",
 ]
 
 #: JMS header fields a selector identifier may name.  These never collide
@@ -109,28 +103,6 @@ _HEADER_NAMES = frozenset(
 _COMPARISON_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ORDERING_OPS = frozenset({"<", "<=", ">", ">="})
 _ARITH_OPS = frozenset({"+", "-", "*", "/"})
-
-# Opt-out escape hatch only: flipping it changes *speed*, never results
-# (check_static's equivalence smoke enforces exactly that).
-_enabled = True
-
-
-def compilation_enabled() -> bool:
-    """Is the compiled hot path active for newly-built matchers?"""
-    return _enabled
-
-
-def set_compilation(enabled: bool) -> bool:
-    """Toggle selector compilation; returns the previous setting.
-
-    Only affects matchers built *after* the call — a
-    :class:`~repro.broker.selector.Selector` caches the matcher it built
-    first.
-    """
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous
 
 
 class CompiledSelector:

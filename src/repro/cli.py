@@ -11,6 +11,7 @@ Usage (``python -m repro ...``)::
     python -m repro lint --example
     python -m repro faults --outage-at 20 --outage 5 [--seed 7] [--horizon 60]
     python -m repro overload [--capacity 5] [--rho 0.9 --rho 1.3] [--validate]
+    python -m repro resilience [--rho 0.9] [--budget 0.1] [--region] [--validate] [--storm]
     python -m repro bench SUITE [--fast] [--out PATH]
     python -m repro check [--format json] [--rules SIM,REC,...] [--require]
     python -m repro check --update-baseline
@@ -25,7 +26,10 @@ fault-injection experiment (server outages, retrying publishers, durable
 recovery) and reports the message-conservation ledger plus the fluid
 availability prediction; ``overload`` prints the M/G/1/K loss model's
 curves for a bounded buffer — and, with ``--validate``, cross-checks
-them against the discrete-event overload simulation; ``bench`` records
+them against the discrete-event overload simulation; ``resilience``
+solves the retry-storm fixed point of one scenario — with ``--region``
+its neighbourhood, with ``--validate`` the DES retry cells, with
+``--storm`` the metastable-storm harness; ``bench`` records
 one suite of :mod:`repro.bench.suites` (one per committed
 ``BENCH_<name>.json``), prints its report, writes the recording only
 where ``--out`` points and exits 1 unless its acceptance block passes —

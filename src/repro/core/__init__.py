@@ -4,8 +4,7 @@ Public surface:
 
 - Table I cost constants: :data:`CORRELATION_ID_COSTS`,
   :data:`APP_PROPERTY_COSTS`, :class:`CostParameters`, :class:`FilterType`;
-- service-time model (Eqs. 1, 7–10): :class:`ServiceTimeModel`,
-  :func:`service_moments_from_target`;
+- service-time model (Eqs. 1, 7–10): :class:`ServiceTimeModel`;
 - replication-grade distributions (Eqs. 11–18): :class:`DeterministicReplication`,
   :class:`ScaledBernoulliReplication`, :class:`BinomialReplication` and
   extensions;
@@ -35,7 +34,6 @@ from .gamma_fit import FittedGamma
 from .gg1 import GG1Approximation, kingman_mean_wait
 from .mg1 import MG1Queue, mm1_mean_wait
 from .moments import Moments, relative_error, shifted_scaled_moments
-from .priority import PriorityClass, PriorityMG1
 from .params import (
     APP_PROPERTY_COSTS,
     CORRELATION_ID_COSTS,
@@ -47,16 +45,10 @@ from .replication import (
     BinomialReplication,
     DeterministicReplication,
     GeneralDiscreteReplication,
-    GeometricReplication,
     ReplicationModel,
     ScaledBernoulliReplication,
-    ZipfReplication,
 )
-from .service_time import (
-    ReplicationFamily,
-    ServiceTimeModel,
-    service_moments_from_target,
-)
+from .service_time import ReplicationFamily, ServiceTimeModel
 
 __all__ = [
     "APP_PROPERTY_COSTS",
@@ -71,18 +63,14 @@ __all__ = [
     "GG1Approximation",
     "GeneralDiscreteReplication",
     "GeometricBatchSize",
-    "GeometricReplication",
     "MG1Queue",
     "MXG1Queue",
     "Moments",
-    "PriorityClass",
-    "PriorityMG1",
     "ReplicationFamily",
     "ReplicationModel",
     "ScaledBernoulliReplication",
     "ServiceTimeModel",
     "ThroughputPrediction",
-    "ZipfReplication",
     "costs_for",
     "equivalent_filters",
     "filters_increase_capacity",
@@ -95,6 +83,5 @@ __all__ = [
     "relative_error",
     "saturated_throughput",
     "server_capacity",
-    "service_moments_from_target",
     "shifted_scaled_moments",
 ]

@@ -145,8 +145,7 @@ class GeometricBatchSize:
         return (p**2 - 6.0 * p + 6.0) / p**3
 
     def sample(self, rng: Any, count: int) -> List[int]:
-        # Both numpy's Generator and the pure-python fallback expose
-        # ``geometric(p, size)`` with support {1, 2, ...}.
+        # numpy's ``geometric(p, size)`` has support {1, 2, ...}.
         return [int(value) for value in rng.geometric(self.p, size=count)]
 
     def describe(self) -> dict:

@@ -18,10 +18,8 @@ printed Eq. 17 is the *variance* ``n·p·(1−p)`` of the binomial, not its raw
 second moment.  We implement the mathematically exact moments; the unit
 tests verify them against empirical sampling.
 
-Beyond the paper, :class:`GeneralDiscreteReplication`,
-:class:`GeometricReplication` and :class:`ZipfReplication` support the
-sensitivity analysis with heavier-tailed replication (the paper's "other
-parameters" remark in Section IV-B.2b).
+Beyond the paper, :class:`GeneralDiscreteReplication` takes any pmf on
+the grades (the paper's "other parameters" remark in Section IV-B.2b).
 """
 
 from __future__ import annotations
@@ -40,8 +38,6 @@ __all__ = [
     "ScaledBernoulliReplication",
     "BinomialReplication",
     "GeneralDiscreteReplication",
-    "GeometricReplication",
-    "ZipfReplication",
 ]
 
 
@@ -283,104 +279,3 @@ class GeneralDiscreteReplication(ReplicationModel):
     def __repr__(self) -> str:
         support = ", ".join(f"{g}:{p:.3g}" for g, p in zip(self._grades, self._probs))
         return f"GeneralDiscreteReplication({{{support}}})"
-
-
-class GeometricReplication(ReplicationModel):
-    """Geometric replication on {0, 1, 2, …} with success probability ``p``.
-
-    Extension: a memoryless, heavier-tailed alternative with
-    ``E[R] = (1−p)/p``; useful for stressing the Gamma waiting-time
-    approximation beyond the paper's ``c_var`` range.
-    """
-
-    def __init__(self, p: float):
-        if not 0 < p <= 1:
-            raise ValueError(f"p must be in (0, 1], got {p}")
-        self.p = float(p)
-
-    @property
-    def moments(self) -> Moments:
-        p = self.p
-        q = 1 - p
-        mean = q / p
-        m2 = q * (1 + q) / p**2
-        m3 = q * (1 + 4 * q + q**2) / p**3
-        return Moments(mean, m2, m3)
-
-    def pmf(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        return (1 - self.p) ** k * self.p
-
-    def distribution(self, tail_mass: float = 1e-12) -> List[Tuple[int, float]]:
-        if not 0 < tail_mass < 1:
-            raise ValueError(f"tail_mass must be in (0, 1), got {tail_mass}")
-        entries: List[Tuple[int, float]] = []
-        remaining = 1.0
-        k = 0
-        while remaining > tail_mass:
-            p = self.pmf(k)
-            entries.append((k, p))
-            remaining -= p
-            k += 1
-        # Fold the truncated tail into the last grade so the pmf sums to 1.
-        grade, p = entries[-1]
-        entries[-1] = (grade, p + remaining)
-        return entries
-
-    def sample(self, rng: np.random.Generator) -> int:
-        # numpy's geometric counts trials >= 1; shift to failures >= 0.
-        return int(rng.geometric(self.p)) - 1
-
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return (rng.geometric(self.p, size=size) - 1).astype(np.int64)
-
-    def __repr__(self) -> str:
-        return f"GeometricReplication(p={self.p})"
-
-
-class ZipfReplication(ReplicationModel):
-    """Truncated Zipf replication on {1, …, n_max} with exponent ``s``.
-
-    Extension: models audiences with a popularity skew (most messages reach
-    few subscribers, some reach many).  Moments are computed exactly from
-    the truncated pmf.
-    """
-
-    def __init__(self, n_max: int, s: float = 1.0):
-        if n_max < 1 or int(n_max) != n_max:
-            raise ValueError(f"n_max must be a positive integer, got {n_max}")
-        if s < 0:
-            raise ValueError(f"s must be non-negative, got {s}")
-        self.n_max = int(n_max)
-        self.s = float(s)
-        grades = np.arange(1, self.n_max + 1, dtype=float)
-        weights = grades**-self.s
-        self._grades = grades.astype(np.int64)
-        self._probs = weights / weights.sum()
-
-    @property
-    def moments(self) -> Moments:
-        grades = self._grades.astype(float)
-        return Moments(
-            float(np.dot(self._probs, grades)),
-            float(np.dot(self._probs, grades**2)),
-            float(np.dot(self._probs, grades**3)),
-        )
-
-    def pmf(self, k: int) -> float:
-        if 1 <= k <= self.n_max:
-            return float(self._probs[k - 1])
-        return 0.0
-
-    def distribution(self, tail_mass: float = 1e-12) -> List[Tuple[int, float]]:
-        return [(int(g), float(p)) for g, p in zip(self._grades, self._probs)]
-
-    def sample(self, rng: np.random.Generator) -> int:
-        return int(rng.choice(self._grades, p=self._probs))
-
-    def sample_many(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self._grades, p=self._probs, size=size).astype(np.int64)
-
-    def __repr__(self) -> str:
-        return f"ZipfReplication(n_max={self.n_max}, s={self.s})"

@@ -8,11 +8,6 @@ with a constant part ``D = t_rcv + n_fltr · t_fltr`` (receive overhead plus
 one filter evaluation per installed filter) and a variable part ``R · t_tx``
 (one transmission per matched subscriber).  The first three moments of ``B``
 follow from the moments of ``R`` (Eqs. 7–9).
-
-This module also implements the paper's *parameter-study inversion*
-(Section IV-B.2): given a target mean ``E[B]`` and coefficient of variation
-``c_var[B]``, recover ``E[R]`` and ``E[R²]``, then complete ``E[R³]`` under
-a chosen replication-distribution family.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from .replication import (
     ScaledBernoulliReplication,
 )
 
-__all__ = ["ServiceTimeModel", "ReplicationFamily", "service_moments_from_target"]
+__all__ = ["ServiceTimeModel", "ReplicationFamily"]
 
 
 class ReplicationFamily(enum.Enum):
@@ -203,81 +198,3 @@ class ServiceTimeModel:
             frac = mean_replication - low
             replication = GeneralDiscreteReplication({low: 1 - frac, low + 1: frac})
         return cls(costs, n_fltr, replication)
-
-
-def _third_replication_moment(family: ReplicationFamily, m1: float, m2: float) -> float:
-    """Complete ``E[R³]`` from ``E[R], E[R²]`` under a distribution family.
-
-    - deterministic (Eq. 12): ``E[R³] = E[R]³`` (requires ``m2 == m1²``);
-    - scaled Bernoulli (Eq. 15): ``E[R³] = E[R²]² / E[R]``;
-    - binomial: recover ``p = 1 − Var[R]/E[R]`` (possibly non-integer ``n``)
-      and apply the exact central third moment ``n·p·(1−p)·(1−2p)``.
-    """
-    if m1 < 0 or m2 < m1**2 * (1 - 1e-12):
-        raise ValueError(f"inconsistent replication moments m1={m1}, m2={m2}")
-    if family is ReplicationFamily.DETERMINISTIC:
-        if not math.isclose(m2, m1**2, rel_tol=1e-9, abs_tol=1e-15):
-            raise ValueError(
-                "deterministic replication requires zero variance, got "
-                f"E[R]={m1}, E[R²]={m2}"
-            )
-        return m1**3
-    if family is ReplicationFamily.SCALED_BERNOULLI:
-        if m1 == 0:
-            return 0.0
-        return m2**2 / m1
-    if family is ReplicationFamily.BINOMIAL:
-        if m1 == 0:
-            return 0.0
-        variance = m2 - m1**2
-        p = 1 - variance / m1
-        if not 0 < p <= 1 + 1e-12:
-            raise ValueError(
-                f"moments m1={m1}, m2={m2} are not reachable by a binomial "
-                f"distribution (implied p_match={p})"
-            )
-        p = min(p, 1.0)
-        mu3_central = variance * (1 - 2 * p)
-        return mu3_central + 3 * m1 * variance + m1**3
-    raise ValueError(f"unknown replication family {family!r}")
-
-
-def service_moments_from_target(
-    costs: CostParameters,
-    n_fltr: int,
-    mean_b: float,
-    cvar_b: float,
-    family: ReplicationFamily = ReplicationFamily.BINOMIAL,
-) -> Moments:
-    """Moments of ``B`` hitting a target ``(E[B], c_var[B])`` pair.
-
-    Implements the paper's study recipe (Section IV-B.2): compute ``E[R]``
-    from Eq. 7, ``E[R²]`` from Eq. 8, and ``E[R³]`` from the chosen family,
-    then assemble ``E[B], E[B²], E[B³]`` through Eqs. 7–9.
-
-    Raises ``ValueError`` if the target is unreachable (mean below the
-    deterministic part, or variability the family cannot produce).
-    """
-    if mean_b <= 0:
-        raise ValueError(f"target mean must be positive, got {mean_b}")
-    if cvar_b < 0:
-        raise ValueError(f"target c_var must be non-negative, got {cvar_b}")
-    d = costs.t_rcv + n_fltr * costs.t_fltr
-    t = costs.t_tx
-    if t == 0:
-        raise ValueError("t_tx = 0 leaves no variable part to tune")
-    if mean_b < d * (1 - 1e-12):
-        raise ValueError(
-            f"target mean {mean_b} is below the deterministic part {d} "
-            f"({n_fltr} filters)"
-        )
-    mean_r = max(0.0, (mean_b - d) / t)
-    m2_b = (cvar_b**2 + 1) * mean_b**2
-    m2_r = (m2_b - d**2 - 2 * d * t * mean_r) / t**2
-    if m2_r < mean_r**2 * (1 - 1e-9):
-        raise ValueError(
-            f"target c_var {cvar_b} is below what the deterministic part allows"
-        )
-    m2_r = max(m2_r, mean_r**2)
-    m3_r = _third_replication_moment(family, mean_r, m2_r)
-    return shifted_scaled_moments(d, t, Moments(mean_r, m2_r, m3_r))

@@ -10,7 +10,7 @@ waiting-time model is worth when the system *fails*.  It provides:
   :class:`~repro.testbed.simserver.SimulatedJMSServer` through the engine;
 - :mod:`~repro.faults.retry` / :mod:`~repro.faults.clients` — client-side
   resilience: exponential backoff with jitter, credit timeouts,
-  fault-tolerant publishers;
+  the fault-tolerant publisher;
 - :mod:`~repro.faults.availability` — a fluid model for the extra mean
   wait each outage adds on top of Pollaczek–Khinchine;
 - :mod:`~repro.faults.experiment` — end-to-end runs whose message ledger
@@ -22,7 +22,7 @@ Dependency direction: ``faults`` imports ``broker``/``simulation``/
 
 from .schedule import FaultEvent, FaultKind, FaultSchedule
 from .retry import RetryPolicy
-from .clients import ReliablePublisher, RetryingPoissonPublisher
+from .clients import RetryingPoissonPublisher
 from .injector import AppliedFault, FaultInjector
 from .availability import OutageImpact, outage_impact
 from .experiment import FaultExperimentConfig, FaultRunResult, run_fault_experiment
@@ -36,7 +36,6 @@ __all__ = [
     "FaultRunResult",
     "FaultSchedule",
     "OutageImpact",
-    "ReliablePublisher",
     "RetryPolicy",
     "RetryingPoissonPublisher",
     "outage_impact",

@@ -12,8 +12,6 @@ deliberately broken — a production broker that *bounds* its buffers and
   watermark-based publisher rejection;
 - :mod:`~repro.overload.health` — the HEALTHY → DEGRADED → OVERLOADED →
   SHEDDING state machine with hysteresis;
-- :mod:`~repro.overload.breaker` — a client-side circuit breaker that
-  stops hammering a saturated server;
 - :mod:`~repro.overload.mg1k` — the exact M/G/1/K loss model (loss
   probability, effective throughput, conditional wait of accepted
   messages), valid for offered loads above 1;
@@ -31,7 +29,6 @@ from typing import TYPE_CHECKING
 
 from .admission import AdmissionController
 from .bounded import BoundedMessageQueue, ShedEvent
-from .breaker import BreakerState, CircuitBreaker
 from .health import HealthMonitor, HealthState, HealthThresholds
 from .mg1k import MG1KQueue
 from .policy import OverloadConfig
@@ -48,8 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle exists only at runtime
 __all__ = [
     "AdmissionController",
     "BoundedMessageQueue",
-    "BreakerState",
-    "CircuitBreaker",
     "HealthMonitor",
     "HealthState",
     "HealthThresholds",

@@ -26,12 +26,7 @@ The no-lost-ack chaos matrix lives in the laboratory,
 from .experiment import FailoverSweepPoint, failover_sweep
 from .lease import FencingError, Lease, LeaseCoordinator
 from .link import ShipFrame, SimulatedLink, decode_frame, encode_frame
-from .model import (
-    ReplicationCapacityPoint,
-    ReplicationLagModel,
-    amortized_ship_overhead,
-    replication_capacity_sweep,
-)
+from .model import ReplicationLagModel, amortized_ship_overhead
 from .pair import ReplicatedPair, ReplicationConfig
 from .standby import PromotionReport, StandbyReplica
 
@@ -49,8 +44,6 @@ __all__ = [
     "ReplicatedPair",
     "ReplicationLagModel",
     "amortized_ship_overhead",
-    "ReplicationCapacityPoint",
-    "replication_capacity_sweep",
     "FailoverSweepPoint",
     "failover_sweep",
 ]

@@ -39,16 +39,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict
 
-from ..core.capacity import mean_service_time, server_capacity
-from ..core.params import CostParameters
 
 __all__ = [
     "ReplicationLagModel",
     "amortized_ship_overhead",
-    "ReplicationCapacityPoint",
-    "replication_capacity_sweep",
 ]
 
 _MODES = ("sync", "async")
@@ -167,75 +163,3 @@ def amortized_ship_overhead(t_ship: float, batch: int) -> float:
     if batch < 1 or int(batch) != batch:
         raise ValueError(f"batch must be a positive integer, got {batch}")
     return t_ship / batch
-
-
-@dataclass(frozen=True)
-class ReplicationCapacityPoint:
-    """One row of the sync-replication capacity sweep."""
-
-    mode: str
-    batch: int
-    replication_overhead: float
-    mean_service_time: float
-    lambda_max: float
-    #: Capacity retained relative to the unreplicated model.
-    capacity_fraction: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "batch": self.batch,
-            "replication_overhead": self.replication_overhead,
-            "mean_service_time": self.mean_service_time,
-            "lambda_max": self.lambda_max,
-            "capacity_fraction": self.capacity_fraction,
-        }
-
-
-def replication_capacity_sweep(
-    costs: CostParameters,
-    n_fltr: int,
-    mean_replication: float,
-    t_ship: float,
-    batches: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
-    rho: float = 0.9,
-) -> List[ReplicationCapacityPoint]:
-    """Capacity λ_max versus ship batch size under sync replication.
-
-    The final row is the async mode (ack on local fsync, overhead 0),
-    whose ``lambda_max`` equals the unreplicated
-    :func:`repro.core.capacity.server_capacity` exactly — the anchor
-    showing async replication is free in Eq. 2 and pays in RPO instead.
-    """
-    if t_ship < 0 or not math.isfinite(t_ship):
-        raise ValueError(f"t_ship must be finite and non-negative, got {t_ship}")
-    if not batches:
-        raise ValueError("batches must be non-empty")
-    base_mean = mean_service_time(costs, n_fltr, mean_replication)
-    base_capacity = server_capacity(costs, n_fltr, mean_replication, rho=rho)
-    points: List[ReplicationCapacityPoint] = []
-    for batch in batches:
-        overhead = amortized_ship_overhead(t_ship, batch)
-        mean = base_mean + overhead
-        lam = rho / mean
-        points.append(
-            ReplicationCapacityPoint(
-                mode="sync",
-                batch=int(batch),
-                replication_overhead=overhead,
-                mean_service_time=mean,
-                lambda_max=lam,
-                capacity_fraction=lam / base_capacity,
-            )
-        )
-    points.append(
-        ReplicationCapacityPoint(
-            mode="async",
-            batch=0,
-            replication_overhead=0.0,
-            mean_service_time=base_mean,
-            lambda_max=rho / base_mean,
-            capacity_fraction=(rho / base_mean) / base_capacity,
-        )
-    )
-    return points

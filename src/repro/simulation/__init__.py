@@ -31,11 +31,6 @@ from .metrics import (
     TimeWeightedStat,
     WindowedCounter,
 )
-from .priority_queueing import (
-    PriorityClassSpec,
-    PriorityStation,
-    simulate_priority_mg1,
-)
 from .process import Process
 from .queueing import QueueingResults, QueueingStation, simulate_gg1, simulate_mg1
 from .rng import RandomStreams, stable_hash
@@ -56,8 +51,6 @@ __all__ = [
     "Interrupt",
     "Lognormal",
     "MeasurementWindow",
-    "PriorityClassSpec",
-    "PriorityStation",
     "Process",
     "QueueingResults",
     "QueueingStation",
@@ -73,6 +66,5 @@ __all__ = [
     "simulate_gg1",
     "simulate_mg1",
     "simulate_mxg1",
-    "simulate_priority_mg1",
     "stable_hash",
 ]

@@ -12,15 +12,16 @@ behind each other in arrival order.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
-from ._backend import GeneratorLike
 from .distributions import Distribution
 from .engine import Engine
 from .metrics import MeasurementWindow
 from .queueing import QueueingResults, QueueingStation, ServiceSampler
 
 if TYPE_CHECKING:  # pragma: no cover - types only, avoids a hard cycle
+    import numpy as np
+
     from ..core.batch import BatchSizeLaw
 
 __all__ = ["simulate_mxg1"]
@@ -30,7 +31,7 @@ def simulate_mxg1(
     batch_rate: float,
     batch: "BatchSizeLaw",
     service: Distribution | ServiceSampler,
-    rng: GeneratorLike,
+    rng: np.random.Generator,
     horizon: float,
     warmup_fraction: float = 0.1,
 ) -> QueueingResults:

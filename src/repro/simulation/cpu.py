@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from ._backend import GeneratorLike
 from ..core.params import CostParameters
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["CpuCostModel", "CostBreakdown"]
 
@@ -52,7 +54,7 @@ class CpuCostModel:
         self,
         costs: CostParameters,
         jitter_cvar: float = 0.0,
-        rng: Optional[GeneratorLike] = None,
+        rng: Optional[np.random.Generator] = None,
         per_byte_cost: float = 0.0,
     ):
         if jitter_cvar < 0:

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Sequence
+from typing import Optional, Sequence
 
-from ._backend import HAVE_NUMPY, GeneratorLike, as_float_array, np
+import numpy as np
 
 __all__ = [
     "Distribution",
@@ -36,17 +36,13 @@ class Distribution(ABC):
     """A non-negative random variable with known raw moments."""
 
     @abstractmethod
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         """Draw one realisation."""
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
-        """Draw ``size`` realisations (vectorised where possible).
-
-        Returns a numpy array on the fast path, a list on the
-        pure-Python fallback; both index and iterate as floats.
-        """
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
+        """Draw ``size`` realisations (vectorised where possible)."""
         values = [self.sample(rng) for _ in range(size)]
-        return np.array(values) if HAVE_NUMPY else values
+        return np.array(values)
 
     @abstractmethod
     def moment(self, k: int) -> float:
@@ -82,13 +78,11 @@ class Deterministic(Distribution):
             raise ValueError(f"value must be non-negative, got {value}")
         self.value = float(value)
 
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return self.value
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
-        if HAVE_NUMPY:
-            return np.full(size, self.value)
-        return [self.value] * size
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
+        return np.full(size, self.value)
 
     def moment(self, k: int) -> float:
         self._check_order(k)
@@ -109,10 +103,10 @@ class Exponential(Distribution):
             raise ValueError(f"rate must be positive, got {rate}")
         self.rate = float(rate)
 
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return float(rng.exponential(1.0 / self.rate))
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
         return rng.exponential(1.0 / self.rate, size=size)
 
     def moment(self, k: int) -> float:
@@ -132,10 +126,10 @@ class Uniform(Distribution):
         self.low = float(low)
         self.high = float(high)
 
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(self.low, self.high))
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
         return rng.uniform(self.low, self.high, size=size)
 
     def moment(self, k: int) -> float:
@@ -163,10 +157,10 @@ class Gamma(Distribution):
         self.shape = float(shape)
         self.scale = float(scale)
 
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return float(rng.gamma(self.shape, self.scale))
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
         return rng.gamma(self.shape, self.scale, size=size)
 
     def moment(self, k: int) -> float:
@@ -209,10 +203,10 @@ class Lognormal(Distribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
 
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return float(rng.lognormal(self.mu, self.sigma))
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
         return rng.lognormal(self.mu, self.sigma, size=size)
 
     def moment(self, k: int) -> float:
@@ -247,19 +241,17 @@ class Hyperexponential(Distribution):
         self.rates = [float(rate) for rate in rates]
         self.probabilities = [float(p) / total for p in probabilities]
 
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         branch = rng.choice(len(self.rates), p=self.probabilities)
         return float(rng.exponential(1.0 / self.rates[branch]))
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
         """Vectorised batch: all branch picks, then all exponentials.
 
         Consumes the stream in a different order than ``size`` repeated
         :meth:`sample` calls, so a seeded batch differs draw-for-draw
         from a seeded sequential run (the distribution is identical).
         """
-        if not HAVE_NUMPY:
-            return [self.sample(rng) for _ in range(size)]
         branches = rng.choice(len(self.rates), size=size, p=self.probabilities)
         scales = np.reciprocal(np.asarray(self.rates))[branches]
         return rng.exponential(1.0, size=size) * scales
@@ -281,22 +273,20 @@ class Empirical(Distribution):
     def __init__(self, values: Sequence[float]):
         if not len(values):
             raise ValueError("values must be non-empty")
-        array = as_float_array(values)
+        array = np.asarray(values, dtype=float)
         if any(v < 0 for v in array):
             raise ValueError("values must be non-negative")
         self.values = array
 
-    def sample(self, rng: GeneratorLike) -> float:
+    def sample(self, rng: np.random.Generator) -> float:
         return float(rng.choice(self.values))
 
-    def sample_many(self, rng: GeneratorLike, size: int) -> Sequence[float]:
+    def sample_many(self, rng: np.random.Generator, size: int) -> Sequence[float]:
         return rng.choice(self.values, size=size)
 
     def moment(self, k: int) -> float:
         self._check_order(k)
-        if HAVE_NUMPY:
-            return float(np.mean(self.values**k))
-        return sum(v**k for v in self.values) / len(self.values)
+        return float(np.mean(self.values**k))
 
     def __repr__(self) -> str:
         return f"Empirical(n={len(self.values)})"
@@ -320,7 +310,7 @@ class BatchSampler:
 
     __slots__ = ("distribution", "rng", "batch", "_buffer", "_index")
 
-    def __init__(self, distribution: Distribution, rng: GeneratorLike, batch: int = 256):
+    def __init__(self, distribution: Distribution, rng: np.random.Generator, batch: int = 256):
         if batch < 1:
             raise ValueError(f"batch must be >= 1, got {batch}")
         self.distribution = distribution
@@ -329,7 +319,7 @@ class BatchSampler:
         self._buffer: Sequence[float] = ()
         self._index = 0
 
-    def __call__(self, rng: GeneratorLike = None) -> float:
+    def __call__(self, rng: Optional[np.random.Generator] = None) -> float:
         index = self._index
         buffer = self._buffer
         if index >= len(buffer):

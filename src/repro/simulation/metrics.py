@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
-from ._backend import HAVE_NUMPY, np
+import numpy as np
 
 __all__ = [
     "MeasurementWindow",
@@ -120,33 +120,24 @@ class SampleStats:
         return len(self._values)
 
     def values(self) -> Sequence[float]:
-        """The recorded samples (numpy array on the fast path, else list)."""
-        if HAVE_NUMPY:
-            return np.asarray(self._values, dtype=float)
-        return list(self._values)
+        """The recorded samples as a numpy array."""
+        return np.asarray(self._values, dtype=float)
 
     def mean(self) -> float:
         if not self._values:
             return math.nan
-        if HAVE_NUMPY:
-            return float(np.mean(self._values))
-        return math.fsum(self._values) / len(self._values)
+        return float(np.mean(self._values))
 
     def moment(self, k: int) -> float:
         """Raw empirical moment ``mean(x**k)``."""
         if not self._values:
             return math.nan
-        if HAVE_NUMPY:
-            return float(np.mean(self.values() ** k))
-        return math.fsum(v**k for v in self._values) / len(self._values)
+        return float(np.mean(self.values() ** k))
 
     def variance(self) -> float:
         if len(self._values) < 2:
             return math.nan
-        if HAVE_NUMPY:
-            return float(np.var(self._values, ddof=1))
-        mean = self.mean()
-        return math.fsum((v - mean) ** 2 for v in self._values) / (len(self._values) - 1)
+        return float(np.var(self._values, ddof=1))
 
     def std(self) -> float:
         variance = self.variance()
@@ -164,18 +155,12 @@ class SampleStats:
             raise ValueError(f"quantile level must be in (0, 1], got {p}")
         if not self._values:
             return math.nan
-        if HAVE_NUMPY:
-            return float(np.quantile(self.values(), p, method="inverted_cdf"))
-        data = sorted(self._values)
-        # inverted-CDF definition: smallest x with CDF(x) >= p.
-        index = max(0, math.ceil(p * len(data)) - 1)
-        return data[index]
+        return float(np.quantile(self.values(), p, method="inverted_cdf"))
 
     def ccdf(self, thresholds: Sequence[float]) -> Sequence[float]:
         """Empirical complementary CDF ``P(X > t)`` at each threshold."""
         if not self._values:
-            nans = [math.nan] * len(thresholds)
-            return np.asarray(nans) if HAVE_NUMPY else nans
+            return np.asarray([math.nan] * len(thresholds))
         data = sorted(self._values)
         out = [0.0] * len(thresholds)
         for i, t in enumerate(thresholds):
@@ -184,7 +169,7 @@ class SampleStats:
             while idx < len(data) and data[idx] <= t:
                 idx += 1
             out[i] = (len(data) - idx) / len(data)
-        return np.asarray(out) if HAVE_NUMPY else out
+        return np.asarray(out)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SampleStats({self.name!r}, n={self.count})"

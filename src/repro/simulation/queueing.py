@@ -13,16 +13,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Optional
+from typing import TYPE_CHECKING, Callable, Deque, Optional
 
-from ._backend import GeneratorLike
 from .distributions import BatchSampler, Distribution, Exponential
 from .engine import Engine
 from .metrics import BusyTracker, MeasurementWindow, SampleStats, TimeWeightedStat
 
 __all__ = ["QueueingStation", "QueueingResults", "simulate_mg1", "simulate_gg1"]
 
-ServiceSampler = Callable[[GeneratorLike], float]
+if TYPE_CHECKING:
+    import numpy as np
+
+ServiceSampler = Callable[["np.random.Generator"], float]
 
 
 @dataclass(frozen=True)
@@ -66,7 +68,7 @@ class QueueingStation:
         self,
         engine: Engine,
         service: Distribution | ServiceSampler,
-        rng: GeneratorLike,
+        rng: np.random.Generator,
         window: Optional[MeasurementWindow] = None,
         name: str = "station",
     ):
@@ -141,7 +143,7 @@ class QueueingStation:
 def simulate_mg1(
     arrival_rate: float,
     service: Distribution | ServiceSampler,
-    rng: GeneratorLike,
+    rng: np.random.Generator,
     horizon: float,
     warmup_fraction: float = 0.1,
     batch: int = 1,
@@ -209,7 +211,7 @@ def simulate_mg1(
 def simulate_gg1(
     interarrival: Distribution,
     service: Distribution | ServiceSampler,
-    rng: GeneratorLike,
+    rng: np.random.Generator,
     horizon: float,
     warmup_fraction: float = 0.1,
     batch: int = 1,

@@ -7,18 +7,15 @@ draws from its *own* named stream so that adding a component never perturbs
 the random sequence of another — the standard variance-reduction discipline
 for discrete-event simulation.
 
-Streams are ``numpy`` generators when numpy is installed (the
-``repro[fast]`` extra; bit-compatible with earlier numpy-only releases)
-and :class:`~repro.simulation._backend.PurePythonGenerator` fallbacks
-otherwise — see :mod:`repro.simulation._backend`.
+Streams are ``numpy`` generators seeded through ``SeedSequence``.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Dict
+from typing import Dict, Sequence, Union
 
-from ._backend import GeneratorLike, make_generator
+import numpy as np
 
 __all__ = ["RandomStreams", "stable_hash"]
 
@@ -31,6 +28,11 @@ def stable_hash(text: str) -> int:
     """
     digest = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def make_generator(seed_material: Union[int, Sequence[int]]) -> np.random.Generator:
+    """A numpy generator seeded through ``SeedSequence(seed_material)``."""
+    return np.random.default_rng(np.random.SeedSequence(seed_material))
 
 
 class RandomStreams:
@@ -55,9 +57,9 @@ class RandomStreams:
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = int(seed)
-        self._streams: Dict[str, GeneratorLike] = {}
+        self._streams: Dict[str, np.random.Generator] = {}
 
-    def stream(self, name: str) -> GeneratorLike:
+    def stream(self, name: str) -> np.random.Generator:
         """Return the generator for ``name``, creating it on first use."""
         generator = self._streams.get(name)
         if generator is None:

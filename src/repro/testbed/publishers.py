@@ -12,14 +12,15 @@ Two publisher behaviours from the paper:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Optional
-
-from ..simulation._backend import GeneratorLike
+from typing import TYPE_CHECKING, Callable, Optional
 
 from ..broker import Message
 from ..simulation import Engine
 from ..simulation.distributions import BatchSampler, Exponential
 from .simserver import SimulatedJMSServer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SaturatedPublisher", "PoissonPublisher"]
 
@@ -107,7 +108,7 @@ class PoissonPublisher:
         server: SimulatedJMSServer,
         rate: float,
         message_factory: Callable[[], Message],
-        rng: GeneratorLike,
+        rng: np.random.Generator,
         name: str = "poisson-publisher",
         stop_time: Optional[float] = None,
         batch: int = 1,

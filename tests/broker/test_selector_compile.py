@@ -38,13 +38,11 @@ from repro.broker.selector import (
     Literal,
     Selector,
     Unary,
-    compilation_enabled,
     compile_ast,
     compile_scan,
     compiled_for_ast,
     evaluate,
     parse,
-    set_compilation,
 )
 from repro.broker.selector.analysis import simplify
 from repro.broker.selector.evaluator import UNKNOWN
@@ -187,33 +185,6 @@ class TestCompiledSemantics:
             compile_ast(Like(Identifier("a"), "!", "!", False))
 
 
-class TestCompilationToggle:
-    def test_flag_round_trip(self):
-        original = compilation_enabled()
-        try:
-            set_compilation(False)
-            assert not compilation_enabled()
-            set_compilation(True)
-            assert compilation_enabled()
-        finally:
-            set_compilation(original)
-
-    def test_interpreter_fallback_matches_compiled(self):
-        message = Message(topic="t", properties={"price": 120.0, "region": "EU"})
-        original = compilation_enabled()
-        try:
-            set_compilation(True)
-            fast = Selector("price > 100 AND region = 'EU'")
-            assert fast.compiled
-            assert fast.matches(message)
-            set_compilation(False)
-            slow = Selector("price > 100 AND region = 'EU'")
-            assert not slow.compiled
-            assert slow.matches(message)
-        finally:
-            set_compilation(original)
-
-
 # ----------------------------------------------------------------------
 # Randomized equivalence (mirrors the simplify property suite's grammar)
 # ----------------------------------------------------------------------
@@ -338,7 +309,15 @@ class _AstFilter(MessageFilter):
         return evaluate(self.ast, message) is True
 
     def inline_ast(self):
-        return self.ast if compilation_enabled() else None
+        return self.ast
+
+
+class _CalledAstFilter(_AstFilter):
+    """The same AST filter offered for calling, not inlining: the kernel
+    calls its ``matches``, which walks the tree."""
+
+    def inline_ast(self):
+        return None
 
 
 class _PriorityFilter(MessageFilter):
@@ -459,16 +438,12 @@ class TestCompiledEquivalence:
         _assert_scan_is_the_interpreter(filters, message)
 
     @given(
-        filters=_runs(st.one_of(_scan_condition.map(_AstFilter), _opaque_filter), 10),
+        filters=_runs(st.one_of(_scan_condition.map(_CalledAstFilter), _opaque_filter), 10),
         message=_scan_message,
     )
     @settings(max_examples=50, deadline=None)
-    def test_scan_with_compilation_off_is_the_interpreter(self, filters, message: Message):
-        original = set_compilation(False)
-        try:
-            _assert_scan_is_the_interpreter(filters, message)
-        finally:
-            set_compilation(original)
+    def test_scan_that_calls_ast_filters_is_the_interpreter(self, filters, message: Message):
+        _assert_scan_is_the_interpreter(filters, message)
 
 
 # ----------------------------------------------------------------------

@@ -8,9 +8,7 @@ from repro.core import (
     BinomialReplication,
     DeterministicReplication,
     GeneralDiscreteReplication,
-    GeometricReplication,
     ScaledBernoulliReplication,
-    ZipfReplication,
 )
 
 RNG = np.random.default_rng(12345)
@@ -181,50 +179,3 @@ class TestGeneralDiscrete:
             GeneralDiscreteReplication({1: 0.5})
         with pytest.raises(ValueError):
             GeneralDiscreteReplication({-1: 1.0})
-
-
-class TestGeometric:
-    def test_moments_match_sampling(self):
-        model = GeometricReplication(p=0.4)
-        m1, m2, m3 = empirical_moments(model)
-        assert m1 == pytest.approx(model.moments.m1, rel=0.02)
-        assert m2 == pytest.approx(model.moments.m2, rel=0.03)
-        assert m3 == pytest.approx(model.moments.m3, rel=0.05)
-
-    def test_mean_formula(self):
-        model = GeometricReplication(p=0.25)
-        assert model.moments.mean == pytest.approx(0.75 / 0.25)
-
-    def test_pmf_normalises(self):
-        model = GeometricReplication(p=0.3)
-        total = sum(model.pmf(k) for k in range(200))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            GeometricReplication(p=0.0)
-
-
-class TestZipf:
-    def test_support_and_pmf(self):
-        model = ZipfReplication(n_max=5, s=1.0)
-        assert model.pmf(0) == 0.0
-        assert model.pmf(6) == 0.0
-        assert sum(model.pmf(k) for k in range(1, 6)) == pytest.approx(1.0)
-
-    def test_skew_increases_with_s(self):
-        flat = ZipfReplication(n_max=100, s=0.0)
-        skewed = ZipfReplication(n_max=100, s=2.0)
-        assert skewed.moments.mean < flat.moments.mean
-
-    def test_moments_match_sampling(self):
-        model = ZipfReplication(n_max=20, s=1.2)
-        m1, m2, m3 = empirical_moments(model, size=100_000)
-        assert m1 == pytest.approx(model.moments.m1, rel=0.02)
-        assert m2 == pytest.approx(model.moments.m2, rel=0.05)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ZipfReplication(n_max=0)
-        with pytest.raises(ValueError):
-            ZipfReplication(n_max=5, s=-1.0)

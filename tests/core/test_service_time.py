@@ -1,4 +1,4 @@
-"""Tests for the service-time model (Eqs. 1, 7-10) and its inversion."""
+"""Tests for the service-time model (Eqs. 1, 7-10)."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from repro.core import (
     BinomialReplication,
     DeterministicReplication,
     Moments,
-    ReplicationFamily,
     ScaledBernoulliReplication,
     ServiceTimeModel,
-    service_moments_from_target,
 )
 
 
@@ -73,108 +71,6 @@ class TestMomentsVsSampling:
         value = model.sample(np.random.default_rng(0))
         assert value == pytest.approx(model.deterministic_part + 2 * 1.70e-5)
 
-
-class TestWithMeanReplication:
-    def test_integer_mean_uses_deterministic(self):
-        model = ServiceTimeModel.with_mean_replication(CORRELATION_ID_COSTS, 10, 3.0)
-        assert isinstance(model.replication, DeterministicReplication)
-        assert model.replication.mean == 3.0
-
-    def test_fractional_mean_uses_two_point(self):
-        model = ServiceTimeModel.with_mean_replication(CORRELATION_ID_COSTS, 10, 2.5)
-        assert model.replication.mean == pytest.approx(2.5)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            ServiceTimeModel.with_mean_replication(CORRELATION_ID_COSTS, 10, -1.0)
-
-
-class TestTargetInversion:
-    @pytest.mark.parametrize(
-        # The binomial is underdispersed (Var[R] < E[R]), so it cannot
-        # reach as high a c_var at this mean as the scaled Bernoulli.
-        ("family", "target_cvar"),
-        [
-            (ReplicationFamily.SCALED_BERNOULLI, 0.3),
-            (ReplicationFamily.BINOMIAL, 0.2),
-        ],
-        ids=["bernoulli", "binomial"],
-    )
-    def test_hits_mean_and_cvar(self, family, target_cvar):
-        target_mean = 2e-4
-        moments = service_moments_from_target(
-            CORRELATION_ID_COSTS, n_fltr=5, mean_b=target_mean, cvar_b=target_cvar, family=family
-        )
-        assert moments.mean == pytest.approx(target_mean)
-        assert moments.cvar == pytest.approx(target_cvar, rel=1e-9)
-
-    def test_binomial_overdispersed_target_rejected(self):
-        with pytest.raises(ValueError, match="binomial"):
-            service_moments_from_target(
-                CORRELATION_ID_COSTS,
-                n_fltr=5,
-                mean_b=2e-4,
-                cvar_b=0.3,
-                family=ReplicationFamily.BINOMIAL,
-            )
-
-    def test_deterministic_family_requires_zero_cvar(self):
-        moments = service_moments_from_target(
-            CORRELATION_ID_COSTS,
-            n_fltr=5,
-            mean_b=1e-4,
-            cvar_b=0.0,
-            family=ReplicationFamily.DETERMINISTIC,
-        )
-        assert moments.variance == pytest.approx(0.0, abs=1e-20)
-        with pytest.raises(ValueError):
-            service_moments_from_target(
-                CORRELATION_ID_COSTS,
-                n_fltr=5,
-                mean_b=1e-4,
-                cvar_b=0.2,
-                family=ReplicationFamily.DETERMINISTIC,
-            )
-
-    def test_third_moment_families_differ(self):
-        """Bernoulli and binomial share two moments but differ in the third."""
-        kwargs = dict(mean_b=3e-4, cvar_b=0.35)
-        bern = service_moments_from_target(
-            CORRELATION_ID_COSTS, 5, family=ReplicationFamily.SCALED_BERNOULLI, **kwargs
-        )
-        assert bern.m3 > 0
-
-    def test_consistency_with_explicit_model(self):
-        """Inverting the moments of a real model reproduces those moments."""
-        model = ServiceTimeModel(
-            CORRELATION_ID_COSTS, 8, ScaledBernoulliReplication(8, 0.4)
-        )
-        rebuilt = service_moments_from_target(
-            CORRELATION_ID_COSTS,
-            8,
-            model.mean,
-            model.cvar,
-            family=ReplicationFamily.SCALED_BERNOULLI,
-        )
-        assert rebuilt.m1 == pytest.approx(model.moments.m1)
-        assert rebuilt.m2 == pytest.approx(model.moments.m2)
-        assert rebuilt.m3 == pytest.approx(model.moments.m3, rel=1e-6)
-
-    def test_binomial_consistency_roundtrip(self):
-        model = ServiceTimeModel(CORRELATION_ID_COSTS, 3, BinomialReplication(3, 0.6))
-        rebuilt = service_moments_from_target(
-            CORRELATION_ID_COSTS, 3, model.mean, model.cvar, family=ReplicationFamily.BINOMIAL
-        )
-        assert rebuilt.m3 == pytest.approx(model.moments.m3, rel=1e-6)
-
-    def test_unreachable_targets_raise(self):
-        with pytest.raises(ValueError, match="below the deterministic part"):
-            service_moments_from_target(CORRELATION_ID_COSTS, 1000, 1e-6, 0.1)
-        with pytest.raises(ValueError):
-            service_moments_from_target(CORRELATION_ID_COSTS, 5, -1.0, 0.1)
-        with pytest.raises(ValueError):
-            service_moments_from_target(CORRELATION_ID_COSTS, 5, 1e-4, -0.5)
-
     @given(
         n=st.integers(min_value=0, max_value=100),
         p=st.floats(min_value=0.01, max_value=0.99),
@@ -189,6 +85,21 @@ class TestTargetInversion:
         assert m.m1 > 0
         assert m.m2 >= m.m1**2 * (1 - 1e-12)
         assert isinstance(m, Moments)
+
+
+class TestWithMeanReplication:
+    def test_integer_mean_uses_deterministic(self):
+        model = ServiceTimeModel.with_mean_replication(CORRELATION_ID_COSTS, 10, 3.0)
+        assert isinstance(model.replication, DeterministicReplication)
+        assert model.replication.mean == 3.0
+
+    def test_fractional_mean_uses_two_point(self):
+        model = ServiceTimeModel.with_mean_replication(CORRELATION_ID_COSTS, 10, 2.5)
+        assert model.replication.mean == pytest.approx(2.5)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            ServiceTimeModel.with_mean_replication(CORRELATION_ID_COSTS, 10, -1.0)
 
 
 class TestReplicationOverhead:

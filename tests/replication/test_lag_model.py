@@ -1,13 +1,8 @@
-"""Tests for the analytic RPO/RTO and replication capacity models."""
+"""Tests for the analytic RPO/RTO model and the ship-cost amortization."""
 
 import pytest
 
-from repro.core import CORRELATION_ID_COSTS, server_capacity
-from repro.replication import (
-    ReplicationLagModel,
-    amortized_ship_overhead,
-    replication_capacity_sweep,
-)
+from repro.replication import ReplicationLagModel, amortized_ship_overhead
 
 
 def model(**overrides):
@@ -81,22 +76,3 @@ class TestShipOverhead:
             amortized_ship_overhead(-1e-3, 8)
         with pytest.raises(ValueError):
             amortized_ship_overhead(1e-3, 0)
-
-
-class TestCapacitySweep:
-    def test_capacity_grows_with_batch_and_async_anchors_baseline(self):
-        points = replication_capacity_sweep(
-            CORRELATION_ID_COSTS, 500, 3.0, t_ship=4e-4
-        )
-        sync = [p for p in points if p.mode == "sync"]
-        caps = [p.lambda_max for p in sync]
-        assert caps == sorted(caps)
-        assert all(p.capacity_fraction < 1.0 for p in sync)
-        (async_row,) = [p for p in points if p.mode == "async"]
-        baseline = server_capacity(CORRELATION_ID_COSTS, 500, 3.0, rho=0.9)
-        assert async_row.lambda_max == pytest.approx(baseline, rel=1e-12)
-        assert async_row.replication_overhead == 0.0
-
-    def test_empty_batches_rejected(self):
-        with pytest.raises(ValueError):
-            replication_capacity_sweep(CORRELATION_ID_COSTS, 500, 3.0, 4e-4, batches=())

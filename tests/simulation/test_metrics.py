@@ -125,6 +125,49 @@ class TestSampleStats:
         assert stats.quantile(0.995) == 100.0
 
 
+SAMPLE_SETS = {
+    "exponential": np.random.default_rng(4).exponential(0.01, size=500),
+    "ties": np.asarray([1.0, 2.0, 2.0, 2.0, 3.0, 3.0, 7.0, 7.0, 7.0, 7.0]),
+}
+
+
+class TestSampleStatsAgainstNumpy:
+    """``SampleStats`` answers what numpy answers for the same values."""
+
+    @pytest.fixture(params=sorted(SAMPLE_SETS))
+    def data(self, request):
+        return SAMPLE_SETS[request.param]
+
+    @pytest.fixture
+    def stats(self, data):
+        stats = SampleStats()
+        stats.extend(data)
+        return stats
+
+    def test_values_is_a_float_array(self, stats, data):
+        values = stats.values()
+        assert isinstance(values, np.ndarray) and values.dtype == float
+        assert (values == data).all()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_raw_moment(self, stats, data, k):
+        assert stats.moment(k) == pytest.approx(np.mean(data**k), rel=1e-12)
+
+    def test_variance_is_the_unbiased_estimator(self, stats, data):
+        assert stats.variance() == pytest.approx(np.var(data, ddof=1), rel=1e-12)
+
+    def test_quantile_is_the_inverted_cdf(self, stats, data):
+        for p in (0.1, 0.5, 0.9, 0.99, 1.0):
+            assert stats.quantile(p) == np.quantile(data, p, method="inverted_cdf")
+
+    def test_ccdf_counts_values_strictly_above(self, stats, data):
+        thresholds = np.concatenate([np.unique(data), [data.min() - 1, data.max() + 1]])
+        ccdf = stats.ccdf(thresholds)
+        assert isinstance(ccdf, np.ndarray)
+        expected = [(data > t).mean() for t in thresholds]
+        assert ccdf.tolist() == pytest.approx(expected, abs=0)
+
+
 class TestTimeWeightedStat:
     def test_integration(self):
         stat = TimeWeightedStat(initial=0.0)

@@ -13,7 +13,6 @@ import pytest
 from repro.bench import suites
 from repro.bench.suites import SUITES, Suite, dump
 from repro.cli import main
-from repro.simulation._backend import HAVE_NUMPY
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -38,7 +37,6 @@ def test_every_committed_recording_gates_and_is_canonical(name):
 
 # The slower reproducible suites (resilience 14 s, overload 41 s) are
 # compared by CI's re-record loop; these three cost ≈ 7 s together.
-@pytest.mark.skipif(not HAVE_NUMPY, reason="the committed files hold numpy's RNG stream")
 @pytest.mark.parametrize("name", ["faults", "replication", "mesh"])
 def test_a_reproducible_suite_rerecords_the_committed_bytes(name, tmp_path, capsys):
     assert SUITES[name].reproducible

@@ -65,7 +65,7 @@ IMPORT_SMOKE = (
     "repro.chaos.rebalance",
     "repro.analysis.overload",
     "repro.architectures.failover",
-    "repro.simulation._backend",
+    "repro.simulation.rng",
     "repro.statics",
     "repro.statics.engine",
     "repro.resilience",
@@ -77,16 +77,16 @@ IMPORT_SMOKE = (
 #: package alone in a fresh interpreter must load nothing under
 #: ``LABORATORY`` and at most this many modules: package → (``repro``
 #: modules, modules in all).  The ceilings sit a few modules above what
-#: the packages load today (36 / 211, 54 / 245, 61 / 252, 74 / 265), so a
+#: the packages load today (35 / 210, 51 / 239, 58 / 246, 70 / 258), so a
 #: new eager import fails here before it shows as start-up time and RSS.
 #: The count leaves out what the interpreter's start-up hooks import (a
 #: ``.pth`` file or ``sitecustomize``; see ``loaded_modules``): those vary
 #: from machine to machine and no repro code loads them.
 IMPORT_CLOSURE = {
-    "repro.broker": (40, 230),
-    "repro.durability": (59, 259),
-    "repro.replication": (66, 268),
-    "repro.mesh": (79, 282),
+    "repro.broker": (39, 229),
+    "repro.durability": (56, 253),
+    "repro.replication": (63, 262),
+    "repro.mesh": (75, 275),
 }
 
 #: What a message never touches: the numeric laboratory and the packages
