@@ -18,8 +18,9 @@ from repro.broker import Broker
 from repro.broker.message import Message
 from repro.chaos.crash import run_crash_consistency_harness
 from repro.core import CORRELATION_ID_COSTS, server_capacity
-from repro.durability import Journal, SimulatedDisk, SyncPolicy, durability_capacity_sweep
-from repro.simulation import RandomStreams
+from repro.durability import Journal, SimulatedDisk, SyncPolicy
+from repro.durability.capacity import durability_capacity_sweep
+from repro.rng import RandomStreams
 
 from conftest import FULL, banner, report
 

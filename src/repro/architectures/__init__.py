@@ -28,14 +28,6 @@ from .network import (
     NetworkLink,
     deployment_link_check,
 )
-from .failover import (
-    FailoverReport,
-    ReplicatedFailoverReport,
-    psr_failover,
-    replicated_failover,
-    simulate_degraded_survivor,
-    ssr_failover,
-)
 from .psr import PublisherSideReplication
 from .simulate import (
     ServerLoadResult,
@@ -51,11 +43,9 @@ __all__ = [
     "ArchitectureComparison",
     "DeploymentResult",
     "FAST_ETHERNET",
-    "FailoverReport",
     "GIGABIT",
     "NetworkLink",
     "PublisherSideReplication",
-    "ReplicatedFailoverReport",
     "ServerLoadResult",
     "SingleServer",
     "SubscriberSideReplication",
@@ -64,10 +54,6 @@ __all__ = [
     "crossover_publishers",
     "deployment_link_check",
     "psr_beats_ssr",
-    "psr_failover",
-    "replicated_failover",
-    "simulate_degraded_survivor",
-    "ssr_failover",
     "simulate_psr_deployment",
     "simulate_psr_server",
     "simulate_server_under_load",

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import List
 
 from ..core.params import CostParameters
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from ..rng import RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow
 from ..testbed.publishers import PoissonPublisher
 from ..testbed.scenario import build_filter_scenario
 from ..testbed.simserver import SimulatedJMSServer

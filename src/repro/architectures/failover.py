@@ -1,59 +1,13 @@
-"""Failover analysis for the replicated architectures (PSR / SSR).
+"""Failover sizing for the replicated architectures (PSR / SSR).
 
-Section IV-C compares publisher-side and subscriber-side server
-replication at full strength; this module asks what happens when ``k`` of
-the constituent servers *fail* and the survivors absorb their work.
-
-**PSR** (one server per publisher): the ``k`` orphaned publishers re-home
-evenly onto the ``n − k`` surviving servers.  Each server still carries
-all ``m · n_fltr`` filters, so its per-message service time is unchanged —
-only the per-server arrival rate grows by ``n / (n − k)``.  Degraded
-capacity is Eq. 21 with ``n − k`` servers:
-
-    ``λ_max' = ρ · (n − k) · (t_rcv + m·n_fltr·t_fltr + E[R]·t_tx)⁻¹``
-
-**SSR** (one server per subscriber): the ``k`` orphaned *subscribers*
-re-home onto survivors; each surviving server now hosts
-``f = m / (m − k)`` subscribers on average, inflating both its installed
-filters and its local replication grade by ``f``:
-
-    ``E[B'] = t_rcv + f·n_fltr·t_fltr + f·E[R]·t_tx``
-    ``λ_max' = ρ / E[B']``
-
-(every server still sees the full publish stream, so capacity is the
-single-survivor capacity).  The replication moments are scaled as
-``f · R`` — the rehomed subscribers filter the same stream, so their
-matches are treated as co-varying with the host's own, the conservative
-(maximum-variance) reading.
-
-Both reports carry an M/G/1 waiting-time model of a degraded survivor, so
-the policies can be cross-checked against the fault-injection testbed
-(:mod:`repro.faults`)."""
+When ``k`` of the constituent servers fail, the survivors absorb their
+work.  The rehoming is integral, so one survivor carries the most; this
+module names that multiplier.  :mod:`repro.mesh.capacity` uses it to
+bound a degraded mesh by its worst-loaded survivor."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # avoid the simulate import cycle at runtime
-    from .simulate import ServerLoadResult
-
-from ..core.mg1 import MG1Queue
-from ..core.moments import Moments, shifted_scaled_moments
-from ..replication.model import ReplicationLagModel
-from .base import SystemParameters
-from .psr import PublisherSideReplication
-from .ssr import SubscriberSideReplication
-
-__all__ = [
-    "FailoverReport",
-    "ReplicatedFailoverReport",
-    "psr_failover",
-    "ssr_failover",
-    "replicated_failover",
-    "simulate_degraded_survivor",
-    "worst_survivor_absorption",
-]
+__all__ = ["worst_survivor_absorption"]
 
 
 def worst_survivor_absorption(total: int, survivors: int) -> int:
@@ -73,272 +27,3 @@ def worst_survivor_absorption(total: int, survivors: int) -> int:
             f"survivor count {survivors} exceeds server count {total}"
         )
     return -(-total // survivors)
-
-
-@dataclass(frozen=True)
-class FailoverReport:
-    """Degraded-mode figures of merit after ``failed`` server losses."""
-
-    architecture: str
-    servers_total: int
-    servers_failed: int
-    #: Aggregate publish-rate ceiling before / after the failures.
-    healthy_capacity: float
-    degraded_capacity: float
-    #: Mean service time at one surviving server before / after.
-    healthy_mean_service: float
-    degraded_mean_service: float
-    #: Offered system rate the report was evaluated at (None: capacity only).
-    system_rate: Optional[float]
-    #: Per-survivor utilization at ``system_rate`` (None without a rate).
-    degraded_utilization: Optional[float]
-    #: Whether the survivors can carry ``system_rate`` (ρ' < 1).
-    sustainable: Optional[bool]
-    #: M/G/1 mean wait at one survivor (None when unstable or no rate).
-    degraded_mean_wait: Optional[float]
-
-    @property
-    def capacity_ratio(self) -> float:
-        """Surviving fraction of system capacity."""
-        return self.degraded_capacity / self.healthy_capacity
-
-    @property
-    def survivors(self) -> int:
-        return self.servers_total - self.servers_failed
-
-
-def _check_failed(failed: int, total: int, label: str) -> None:
-    if not 0 <= failed < total:
-        raise ValueError(
-            f"failed {label} count must be in [0, {total}), got {failed}"
-        )
-
-
-def _replication_moments(params: SystemParameters) -> Moments:
-    replication = params.replication
-    if replication is not None:
-        return replication.moments
-    mean = params.mean_replication
-    # Mean-only parameters: treat R as deterministic.
-    return Moments(mean, mean**2, mean**3)
-
-
-def psr_failover(
-    params: SystemParameters,
-    failed: int,
-    system_rate: Optional[float] = None,
-) -> FailoverReport:
-    """PSR with ``failed`` of the ``n`` publisher-side servers down."""
-    psr = PublisherSideReplication(params)
-    _check_failed(failed, psr.server_count(), "publisher-side server")
-    survivors = psr.server_count() - failed
-    mean_service = psr.per_server_service_time()
-    healthy_capacity = psr.system_capacity()
-    degraded_capacity = survivors * psr.per_server_capacity()
-    utilization = wait = sustainable = None
-    if system_rate is not None:
-        per_server_rate = system_rate / survivors
-        utilization = per_server_rate * mean_service
-        sustainable = utilization < 1.0
-        if sustainable:
-            d = params.costs.t_rcv + (
-                params.subscribers * params.filters_per_subscriber
-            ) * params.costs.t_fltr
-            service = shifted_scaled_moments(
-                d, params.costs.t_tx, _replication_moments(params)
-            )
-            wait = MG1Queue(arrival_rate=per_server_rate, service=service).mean_wait
-    return FailoverReport(
-        architecture="psr",
-        servers_total=psr.server_count(),
-        servers_failed=failed,
-        healthy_capacity=healthy_capacity,
-        degraded_capacity=degraded_capacity,
-        healthy_mean_service=mean_service,
-        degraded_mean_service=mean_service,
-        system_rate=system_rate,
-        degraded_utilization=utilization,
-        sustainable=sustainable,
-        degraded_mean_wait=wait,
-    )
-
-
-def ssr_failover(
-    params: SystemParameters,
-    failed: int,
-    system_rate: Optional[float] = None,
-) -> FailoverReport:
-    """SSR with ``failed`` of the ``m`` subscriber-side servers down."""
-    ssr = SubscriberSideReplication(params)
-    _check_failed(failed, ssr.server_count(), "subscriber-side server")
-    survivors = ssr.server_count() - failed
-    absorb = ssr.server_count() / survivors  # f = m / (m − k)
-    healthy_mean = ssr.per_server_service_time()
-    degraded_d = params.costs.t_rcv + (
-        absorb * params.filters_per_subscriber * params.costs.t_fltr
-    )
-    degraded_service = shifted_scaled_moments(
-        degraded_d,
-        params.costs.t_tx,
-        _replication_moments(params).scaled(absorb),
-    )
-    degraded_mean = degraded_service.m1
-    utilization = wait = sustainable = None
-    if system_rate is not None:
-        # Every survivor still receives the full publish stream.
-        utilization = system_rate * degraded_mean
-        sustainable = utilization < 1.0
-        if sustainable:
-            wait = MG1Queue(arrival_rate=system_rate, service=degraded_service).mean_wait
-    return FailoverReport(
-        architecture="ssr",
-        servers_total=ssr.server_count(),
-        servers_failed=failed,
-        healthy_capacity=ssr.system_capacity(),
-        degraded_capacity=params.rho / degraded_mean,
-        healthy_mean_service=healthy_mean,
-        degraded_mean_service=degraded_mean,
-        system_rate=system_rate,
-        degraded_utilization=utilization,
-        sustainable=sustainable,
-        degraded_mean_wait=wait,
-    )
-
-
-@dataclass(frozen=True)
-class ReplicatedFailoverReport:
-    """Capacity *and* recovery figures when each server is an HA pair.
-
-    The plain :class:`FailoverReport` answers *can the survivors carry
-    the load* — steady state after the dust settles.  When every failed
-    server is the primary of a :mod:`repro.replication` pair, two more
-    quantities govern what the outage actually cost:
-
-    - **RPO** — client-acked records the promotion lost (0 in sync
-      mode, the shipped-lag window in async);
-    - **RTO** — lease-expiry detection plus promotion replay, during
-      which the failed server's share of the stream is deferred and
-      lands on the freshly promoted standby as a backlog burst.
-    """
-
-    failover: FailoverReport
-    lag: ReplicationLagModel
-    #: Mean client-acked records lost per failed server.
-    rpo_records: float
-    #: Mean seconds from each primary failure to its standby serving.
-    rto_seconds: float
-    #: Messages deferred during the blackout window (rate × RTO per
-    #: failed server; None without a system rate).
-    deferred_messages: Optional[float]
-
-    @property
-    def architecture(self) -> str:
-        return self.failover.architecture
-
-    @property
-    def mode(self) -> str:
-        return self.lag.mode
-
-
-def replicated_failover(
-    params: SystemParameters,
-    architecture: str,
-    failed: int,
-    lag: ReplicationLagModel,
-    system_rate: Optional[float] = None,
-) -> ReplicatedFailoverReport:
-    """Degraded capacity plus replication-lag-aware recovery figures.
-
-    ``lag`` describes each failed server's replication pair (typically
-    with ``rate`` set to the per-server share of ``system_rate`` and
-    ``standby_records`` to the replica backlog at failure).  The
-    blackout window of one failed server is its pair's RTO; the
-    messages arriving for it during that window (``per-server rate ×
-    RTO``) are deferred, not lost — they queue behind the promotion.
-    """
-    if architecture == "psr":
-        report = psr_failover(params, failed, system_rate)
-    elif architecture == "ssr":
-        report = ssr_failover(params, failed, system_rate)
-    else:
-        raise ValueError(f"unknown architecture {architecture!r} (want 'psr' or 'ssr')")
-    deferred: Optional[float] = None
-    if system_rate is not None and report.servers_total > 0:
-        per_server_rate = system_rate / report.servers_total
-        deferred = failed * per_server_rate * lag.rto_seconds
-    return ReplicatedFailoverReport(
-        failover=report,
-        lag=lag,
-        rpo_records=failed * lag.rpo_records,
-        rto_seconds=lag.rto_seconds,
-        deferred_messages=deferred,
-    )
-
-
-def simulate_degraded_survivor(
-    params: SystemParameters,
-    architecture: str,
-    failed: int,
-    system_rate: float,
-    horizon: float,
-    seed: int = 1,
-    cpu_scale: float = 1.0,
-) -> "ServerLoadResult":
-    """Run one degraded survivor on the virtual testbed.
-
-    Builds the per-server view the failover formulas assume — a PSR
-    survivor keeps its filter population but sees ``n/(n−k)`` times the
-    per-publisher load, an SSR survivor sees the full stream with its
-    filters and replication inflated by ``f = m/(m−k)`` — and simulates
-    it under Poisson load via
-    :func:`~repro.architectures.simulate.simulate_server_under_load`.
-    The returned utilization and mean wait cross-check the corresponding
-    :class:`FailoverReport` exactly when the survivors divide ``m`` and
-    bound it from above otherwise — the simulated server is the
-    *worst-loaded* survivor, absorbing ``⌈m/(m−k)⌉`` subscribers (SSR
-    still needs the degraded ``E[R]`` to come out integral).
-    ``cpu_scale`` slows the simulated server down, so ``system_rate`` is
-    converted to scaled time units and the measured waiting time comes
-    back ``cpu_scale`` times the formula's (utilization is scale-free).
-    """
-    from .simulate import simulate_server_under_load
-
-    if architecture == "psr":
-        psr = PublisherSideReplication(params)
-        _check_failed(failed, psr.server_count(), "publisher-side server")
-        survivors = psr.server_count() - failed
-        mean_replication = params.effective_mean_replication
-        if not float(mean_replication).is_integer():
-            raise ValueError(f"simulation needs an integral E[R], got {mean_replication}")
-        return simulate_server_under_load(
-            costs=params.costs,
-            n_fltr=params.subscribers * params.filters_per_subscriber,
-            replication_grade=int(mean_replication),
-            arrival_rate=system_rate / survivors / cpu_scale,
-            horizon=horizon,
-            seed=seed,
-            cpu_scale=cpu_scale,
-        )
-    if architecture == "ssr":
-        ssr = SubscriberSideReplication(params)
-        _check_failed(failed, ssr.server_count(), "subscriber-side server")
-        survivors = ssr.server_count() - failed
-        # The worst-loaded survivor hosts ⌈m/(m−k)⌉ subscribers — exact
-        # when survivors divide m, a conservative upper bound otherwise
-        # (earlier revisions refused non-divisible cases outright).
-        absorb = worst_survivor_absorption(ssr.server_count(), survivors)
-        scaled_replication = params.effective_mean_replication * absorb
-        if not float(scaled_replication).is_integer():
-            raise ValueError(
-                f"simulation needs an integral degraded E[R], got {scaled_replication}"
-            )
-        return simulate_server_under_load(
-            costs=params.costs,
-            n_fltr=absorb * params.filters_per_subscriber,
-            replication_grade=int(scaled_replication),
-            arrival_rate=system_rate / cpu_scale,
-            horizon=horizon,
-            seed=seed,
-            cpu_scale=cpu_scale,
-        )
-    raise ValueError(f"unknown architecture {architecture!r} (want 'psr' or 'ssr')")

@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.params import CostParameters
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from ..rng import RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow
 from ..testbed.publishers import PoissonPublisher
 from ..testbed.scenario import build_filter_scenario
 from ..testbed.simserver import SimulatedJMSServer

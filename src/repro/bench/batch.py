@@ -45,7 +45,7 @@ from ..broker import Broker, Message, PropertyFilter
 from ..core import DeterministicBatchSize, MXG1Queue
 from ..core.moments import Moments, relative_error
 from ..simulation import Exponential, simulate_mxg1
-from ..simulation.rng import make_generator
+from ..rng import make_generator
 from .hotpath import _best_rates, message_corpus
 
 __all__ = [

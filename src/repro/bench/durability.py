@@ -37,7 +37,7 @@ def _build_journal(records: int) -> Any:
     """A journal image with ``records`` committed queue publishes."""
     from ..broker.message import Message
     from ..durability import Journal, SimulatedDisk, SyncPolicy
-    from ..simulation import RandomStreams
+    from ..rng import RandomStreams
 
     disk = SimulatedDisk(RandomStreams(0))
     journal = Journal(disk, sync=SyncPolicy.never(), segment_bytes=64 * 1024)
@@ -110,7 +110,7 @@ def record(fast: bool) -> Dict[str, Any]:
     """One size only: ``fast`` records the same three journals."""
     from ..core import CORRELATION_ID_COSTS, relative_error, server_capacity
     from ..chaos.crash import run_crash_consistency_harness
-    from ..durability import durability_capacity_sweep
+    from ..durability.capacity import durability_capacity_sweep
 
     recovery_rows = [_time_recovery(n) for n in JOURNAL_SIZES]
 

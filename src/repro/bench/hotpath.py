@@ -40,8 +40,8 @@ from typing import Callable, Dict, List, Sequence
 from ..broker import Broker, Message, PropertyFilter
 from ..broker.selector import Selector, compiled_for_ast
 from ..broker.selector.evaluator import evaluate
+from ..rng import RandomStreams
 from ..simulation import Engine, Exponential, MeasurementWindow, QueueingStation
-from ..simulation.rng import RandomStreams
 
 __all__ = [
     "SELECTOR_CORPUS",

@@ -33,7 +33,7 @@ SWEEP_MESSAGES = 15000
 def record(fast: bool) -> Dict[str, Any]:
     """One size only: ``fast`` records the same 28 runs."""
     from ..core.service_time import ReplicationFamily
-    from ..overload import OverloadExperimentConfig, run_overload_experiment
+    from ..overload.experiment import OverloadExperimentConfig, run_overload_experiment
 
     config = OverloadExperimentConfig(seed=SEED, capacity=5)
     sweep = {}

@@ -35,7 +35,7 @@ MAX_RTO_REL_ERR = 0.25
 def record(fast: bool) -> Dict[str, Any]:
     """One size only: ``fast`` records the same sweep and harness."""
     from ..chaos.failover import run_replication_chaos_harness
-    from ..replication import failover_sweep
+    from ..replication.experiment import failover_sweep
 
     sweep = failover_sweep(
         ship_intervals=SHIP_INTERVALS,

@@ -6,7 +6,9 @@ message-selector language, correlation-ID and application-property
 filters, durable and non-durable subscriptions, in-order delivery, and
 publisher push-back flow control.  Filter evaluation is a strict linear
 scan per message, matching the measured (un-optimized) FioranoMQ
-behaviour.
+behaviour.  The deployment audit behind ``repro lint``
+(:mod:`repro.broker.lint`) prices selectors with the :mod:`repro.core`
+model, so the package root does not import it.
 """
 
 from .dispatch import DispatchPlan, LinearScan, plan_dispatch
@@ -34,7 +36,6 @@ from .errors import (
 )
 from .filters import CorrelationIdFilter, MatchAllFilter, MessageFilter, PropertyFilter
 from .flow_control import FlowController
-from .lint import DeploymentAudit, TopicAudit, audit_broker, audit_selectors, render_audit
 from .message import DeliveredMessage, DeliveryMode, Message
 from .selector import Selector, SelectorAnalysis, analyze
 from .server import (
@@ -90,13 +91,8 @@ __all__ = [
     "Subscription",
     "SubscriptionError",
     "Topic",
-    "TopicAudit",
     "TopicRegistry",
-    "DeploymentAudit",
     "analyze",
-    "audit_broker",
-    "audit_selectors",
     "message_fingerprint",
     "plan_dispatch",
-    "render_audit",
 ]

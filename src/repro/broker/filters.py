@@ -14,16 +14,17 @@ states); subscribers without a filter receive every message of their topic.
 
 from __future__ import annotations
 
+import enum
 import re
 from abc import ABC, abstractmethod
 from typing import Callable, Optional
 
-from ..core.params import FilterType
 from .errors import InvalidSelectorError
 from .message import Message
 from .selector import Expr, Selector
 
 __all__ = [
+    "FilterType",
     "MessageFilter",
     "MatchAllFilter",
     "CorrelationIdFilter",
@@ -31,6 +32,20 @@ __all__ = [
 ]
 
 _RANGE_PATTERN = re.compile(r"^\[\s*(-?\d+)\s*;\s*(-?\d+)\s*\]$")
+
+
+class FilterType(enum.Enum):
+    """The two filter mechanisms whose cost the paper measures.
+
+    Topic selection is a third, cheaper mechanism; the paper's model and all
+    of its figures use these two.
+    """
+
+    CORRELATION_ID = "correlation_id"
+    APP_PROPERTY = "app_property"
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
 
 
 class MessageFilter(ABC):

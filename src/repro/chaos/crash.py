@@ -55,7 +55,7 @@ from ..durability.journal import (
     durable_key,
 )
 from ..durability.recovery import _try_parse
-from ..simulation.rng import RandomStreams
+from ..rng import RandomStreams
 from .kernel import ChaosPoint, ChaosReport, survivor_violations
 
 __all__ = ["run_crash_consistency_harness"]

@@ -47,9 +47,10 @@ unreadable input, malformed baseline).
 Each handler imports what it runs inside itself, and ``import repro``
 imports no subpackage, so parsing and ``--help`` load neither scipy nor
 ``repro.analysis`` (``tests/test_cli.py`` holds every command to that).
-``lint`` and ``check`` need numpy — ``repro.core`` requires it and both
-reach ``repro.broker`` — but not scipy (the ``repro[fast]`` extra), so
-the static gates work in an environment without it.
+``lint`` and ``check`` need numpy — the parser loads ``repro.bench``
+for its suite names and ``lint``'s Eq. 3 audit is ``repro.core`` — but
+not scipy (the ``repro[fast]`` extra), so the static gates work in an
+environment without it.
 """
 
 from __future__ import annotations
@@ -604,7 +605,7 @@ def _run_check(args: argparse.Namespace) -> int:
 
 def _run_faults(args: argparse.Namespace) -> int:
     from .faults import FaultExperimentConfig, FaultSchedule, run_fault_experiment
-    from .simulation import RandomStreams
+    from .rng import RandomStreams
 
     config = FaultExperimentConfig(
         seed=args.seed,
@@ -666,7 +667,7 @@ def _run_overload(args: argparse.Namespace) -> int:
     )
     from .broker.queues import DropPolicy
     from .core.service_time import ReplicationFamily
-    from .overload import OverloadExperimentConfig
+    from .overload.experiment import OverloadExperimentConfig
 
     try:
         config = OverloadExperimentConfig(

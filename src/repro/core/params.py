@@ -14,29 +14,18 @@ application property  4.10e-6       1.46e-5       1.62e-5
 installed filter and message, and ``t_tx`` once per dispatched copy
 (Eq. 1).  These constants parameterise both the analytical model
 (:mod:`repro.core.service_time`) and the simulated CPU
-(:mod:`repro.simulation.cpu`).
+(:mod:`repro.simulation.cpu`).  :class:`FilterType` belongs to the
+broker's filters (:mod:`repro.broker.filters`); it is re-exported here
+because every cost row is keyed by it.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
+from ..broker.filters import FilterType
+
 __all__ = ["FilterType", "CostParameters", "CORRELATION_ID_COSTS", "APP_PROPERTY_COSTS", "costs_for"]
-
-
-class FilterType(enum.Enum):
-    """The two filter mechanisms whose cost the paper measures.
-
-    Topic selection is a third, cheaper mechanism; the paper's model and all
-    of its figures use these two.
-    """
-
-    CORRELATION_ID = "correlation_id"
-    APP_PROPERTY = "app_property"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 @dataclass(frozen=True)

@@ -12,17 +12,13 @@ supplies the mechanism that mode implies and the tools to trust it:
   repairs (torn-tail truncation, mid-log quarantine) and replays the log
   into a :class:`~repro.broker.Broker`;
 - :mod:`~repro.durability.capacity` — the ``t_sync/b`` durability cost
-  folded into the paper's Eq. 1/Eq. 2 capacity model.
+  folded into the paper's Eq. 1/Eq. 2 capacity model (laboratory: the
+  package root does not import it; import it by module path).
 
 The crash-consistency matrix that proves recovery correct lives in the
 laboratory, :mod:`repro.chaos.crash`.
 """
 
-from .capacity import (
-    DurabilityCapacityPoint,
-    amortized_sync_overhead,
-    durability_capacity_sweep,
-)
 from .disk import DiskCrashReport, DiskError, DiskWriteError, SimulatedDisk
 from .journal import (
     Journal,
@@ -71,7 +67,4 @@ __all__ = [
     "fold_records",
     "collect_live_entries",
     "recover_broker",
-    "amortized_sync_overhead",
-    "DurabilityCapacityPoint",
-    "durability_capacity_sweep",
 ]

@@ -17,7 +17,7 @@ torn-write literature studies (ALICE-style crash states) can be injected
   followed by an I/O error, the classic half-written-record state).
 
 All randomness is drawn from the per-kind streams of
-:class:`~repro.simulation.rng.RandomStreams` (``disk-torn``,
+:class:`~repro.rng.RandomStreams` (``disk-torn``,
 ``disk-corrupt``, ``disk-fail``), the same variance-reduction discipline
 as :meth:`repro.faults.FaultSchedule.random`: enabling one fault kind
 never perturbs the byte-level outcome of another, and a seed reproduces
@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..simulation.rng import RandomStreams
+from ..rng import RandomStreams
 
 __all__ = ["DiskError", "DiskWriteError", "DiskCrashReport", "SimulatedDisk"]
 

@@ -449,7 +449,7 @@ class Journal:
 
     Example
     -------
-    >>> from repro.simulation.rng import RandomStreams
+    >>> from repro.rng import RandomStreams
     >>> journal = Journal(SimulatedDisk(RandomStreams(seed=1)))
     >>> from repro.broker.message import Message
     >>> lsn = journal.log_publish("queue", "orders", Message(topic="orders"))

@@ -21,7 +21,8 @@ from ..core.params import FilterType, costs_for
 from ..core.replication import DeterministicReplication
 from ..core.service_time import ServiceTimeModel
 from ..broker.message import DeliveryMode, Message
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
+from ..rng import RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RunMetrics
 from ..testbed.scenario import build_filter_scenario
 from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .availability import OutageImpact, outage_impact

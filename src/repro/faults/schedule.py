@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from ..simulation.rng import RandomStreams
+from ..rng import RandomStreams
 
 __all__ = ["FaultKind", "FaultEvent", "FaultSchedule", "DISK_KINDS", "LINK_KINDS"]
 

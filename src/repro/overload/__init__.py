@@ -18,29 +18,18 @@ deliberately broken — a production broker that *bounds* its buffers and
 - :mod:`~repro.overload.experiment` — discrete-event overload runs that
   cross-validate the M/G/1/K model across ρ ∈ [0.5, 1.5].
 
-The experiment symbols are exported lazily: they pull in
-:mod:`repro.testbed.simserver`, which itself imports this package's
-primitives, so an eager import here would be circular.
+The package root exports the primitives a running broker uses.  The two
+laboratory modules, ``mg1k`` (numpy) and ``experiment`` (the testbed,
+which itself imports these primitives), are imported by module path.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .admission import AdmissionController
 from .bounded import BoundedMessageQueue, ShedEvent
 from .health import HealthMonitor, HealthState, HealthThresholds
-from .mg1k import MG1KQueue
 from .policy import OverloadConfig
 from .survivor import SurvivorTrajectory, survivor_rho_trajectory
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle exists only at runtime
-    from .experiment import (
-        OverloadExperimentConfig,
-        OverloadRunResult,
-        run_overload_experiment,
-        sweep_overload,
-    )
 
 __all__ = [
     "AdmissionController",
@@ -48,32 +37,8 @@ __all__ = [
     "HealthMonitor",
     "HealthState",
     "HealthThresholds",
-    "MG1KQueue",
     "OverloadConfig",
-    "OverloadExperimentConfig",
-    "OverloadRunResult",
     "ShedEvent",
     "SurvivorTrajectory",
-    "run_overload_experiment",
     "survivor_rho_trajectory",
-    "sweep_overload",
 ]
-
-_LAZY = {
-    "OverloadExperimentConfig",
-    "OverloadRunResult",
-    "run_overload_experiment",
-    "sweep_overload",
-}
-
-
-def __getattr__(name: str):
-    if name in _LAZY:
-        from . import experiment
-
-        return getattr(experiment, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -27,7 +27,8 @@ from ..core.params import FilterType, costs_for
 from ..core.moments import relative_error
 from ..core.replication import ReplicationModel
 from ..core.service_time import ReplicationFamily, ServiceTimeModel
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
+from ..rng import RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RunMetrics
 from ..testbed.scenario import build_replication_scenario, replication_service_model
 from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .health import HealthThresholds

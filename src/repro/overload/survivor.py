@@ -10,9 +10,9 @@ DEGRADED/OVERLOADED/SHEDDING, and whether the escalation is permanent
 (``rho_after`` above a threshold) or transient (hysteresis + dwell pull
 it back down after the ramp).
 
-The trajectory is the overload-side view of
-:func:`repro.architectures.failover.replicated_failover`: the failover
-report says the survivors *can* carry the load; the trajectory says what
+The trajectory is the overload-side view of a failover: the capacity
+models (:mod:`repro.mesh.capacity`, :mod:`repro.replication.model`) say
+whether the survivors *can* carry the load; the trajectory says what
 their health telemetry does while they absorb it.
 """
 

@@ -17,13 +17,13 @@ package builds that pair on top of :mod:`repro.durability`'s journal:
 - :mod:`~repro.replication.model` — first-moment RPO/RTO models and the
   ``t_ship/b`` ack cost folded into the paper's Eq. 1/Eq. 2;
 - :mod:`~repro.replication.experiment` — the DES failover sweep that
-  checks the model.
+  checks the model (laboratory: the package root does not import it;
+  import it by module path).
 
 The no-lost-ack chaos matrix lives in the laboratory,
 :mod:`repro.chaos.failover`.
 """
 
-from .experiment import FailoverSweepPoint, failover_sweep
 from .lease import FencingError, Lease, LeaseCoordinator
 from .link import ShipFrame, SimulatedLink, decode_frame, encode_frame
 from .model import ReplicationLagModel, amortized_ship_overhead
@@ -44,6 +44,4 @@ __all__ = [
     "ReplicatedPair",
     "ReplicationLagModel",
     "amortized_ship_overhead",
-    "FailoverSweepPoint",
-    "failover_sweep",
 ]

@@ -33,7 +33,7 @@ from typing import Any, Dict, List, Sequence
 
 from ..broker.message import Message
 from ..core.moments import relative_error
-from ..simulation.rng import RandomStreams
+from ..rng import RandomStreams
 from .model import ReplicationLagModel
 from .pair import ReplicatedPair, ReplicationConfig
 

@@ -35,7 +35,7 @@ import zlib
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..simulation.rng import RandomStreams
+from ..rng import RandomStreams
 
 __all__ = ["ShipFrame", "SimulatedLink", "encode_frame", "decode_frame"]
 
@@ -120,9 +120,9 @@ class SimulatedLink:
     ):
         if not delay >= 0:  # also rejects NaN
             raise ValueError(f"link delay must be non-negative, got {delay}")
-        self._rng = (streams if streams is not None else RandomStreams()).stream(
-            "link-faults"
-        )
+        # The "link-faults" stream is asked for at the first corrupted
+        # frame: a link that never corrupts never loads numpy.
+        self._streams = streams if streams is not None else RandomStreams()
         self.delay = delay
         #: ``(deliver_at, order, wire_bytes)`` min-heap of in-flight frames.
         self._in_flight: List[Tuple[float, int, bytes]] = []
@@ -197,8 +197,9 @@ class SimulatedLink:
     def _flip_bit(self, payload: bytes) -> bytes:
         if not payload:
             return payload
-        position = int(self._rng.integers(0, len(payload)))
-        bit = 1 << int(self._rng.integers(0, 8))
+        rng = self._streams.stream("link-faults")
+        position = int(rng.integers(0, len(payload)))
+        bit = 1 << int(rng.integers(0, 8))
         mutated = bytearray(payload)
         mutated[position] ^= bit
         return bytes(mutated)

@@ -55,7 +55,7 @@ from ..durability.disk import SimulatedDisk
 from ..durability.journal import Journal, SyncPolicy
 from ..durability.recovery import collect_live_entries
 from ..durability.tail import JournalTailer
-from ..simulation.rng import RandomStreams
+from ..rng import RandomStreams
 from .lease import FencingError, LeaseCoordinator
 from .link import ShipFrame, SimulatedLink, encode_frame
 from .standby import PromotionReport, StandbyReplica

@@ -22,75 +22,21 @@ production answer, in four pieces:
   budgeted clients recover from a transient slowdown while unbudgeted
   ones stay stormed.
 
-The client/experiment/harness symbols are exported lazily: they pull in
-:mod:`repro.testbed` (numpy), while the three primitives stay importable
-on a bare stdlib.
+The package root exports the three primitives, which need only the
+stdlib.  ``clients``, ``experiment`` and ``harness`` run on
+:mod:`repro.testbed` (numpy) and are imported by module path.
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 from .budget import RetryBudget
 from .deadline import DeadlineBudget, DeadlinePipeline, StageCrossing
 from .hedge import HedgePolicy
 
-if TYPE_CHECKING:  # pragma: no cover - numpy-backed, import for types only
-    from .clients import DeadlineRetryPublisher, DeliveryLog
-    from .experiment import (
-        ResilienceCellConfig,
-        ResilienceCellResult,
-        run_resilience_cell,
-        validate_amplification,
-    )
-    from .harness import (
-        StormHarnessConfig,
-        StormHarnessReport,
-        StormRunResult,
-        run_storm_harness,
-    )
-
 __all__ = [
     "DeadlineBudget",
     "DeadlinePipeline",
-    "DeadlineRetryPublisher",
-    "DeliveryLog",
     "HedgePolicy",
-    "ResilienceCellConfig",
-    "ResilienceCellResult",
     "RetryBudget",
     "StageCrossing",
-    "StormHarnessConfig",
-    "StormHarnessReport",
-    "StormRunResult",
-    "run_resilience_cell",
-    "run_storm_harness",
-    "validate_amplification",
 ]
-
-_LAZY = {
-    "DeadlineRetryPublisher": "clients",
-    "DeliveryLog": "clients",
-    "ResilienceCellConfig": "experiment",
-    "ResilienceCellResult": "experiment",
-    "run_resilience_cell": "experiment",
-    "validate_amplification": "experiment",
-    "StormHarnessConfig": "harness",
-    "StormHarnessReport": "harness",
-    "StormRunResult": "harness",
-    "run_storm_harness": "harness",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is not None:
-        import importlib
-
-        module = importlib.import_module(f".{module_name}", __name__)
-        return getattr(module, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

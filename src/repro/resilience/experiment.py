@@ -35,7 +35,8 @@ from ..core.replication import ReplicationModel
 from ..core.resilience import RetryAmplificationModel
 from ..core.service_time import ReplicationFamily, ServiceTimeModel
 from ..overload import OverloadConfig
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
+from ..rng import RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RunMetrics
 from ..testbed.scenario import build_replication_scenario, replication_service_model
 from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .budget import RetryBudget

@@ -41,7 +41,8 @@ from ..core.service_time import ServiceTimeModel
 from ..faults.injector import FaultInjector
 from ..faults.schedule import FaultEvent, FaultKind, FaultSchedule
 from ..overload import OverloadConfig
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams, RunMetrics
+from ..rng import RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow, RunMetrics
 from ..testbed.scenario import build_replication_scenario, replication_service_model
 from ..testbed.simserver import IngressLedger, SimulatedJMSServer
 from .budget import RetryBudget

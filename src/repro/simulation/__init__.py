@@ -1,10 +1,11 @@
 """Discrete-event simulation substrate.
 
-Provides the virtual-time engine, generator-based processes, seeded random
-streams, sampling distributions with exact moments, measurement
-instrumentation (windowed counters, sample statistics, utilization
-tracking), a G/G/1 queueing station for M/G/1 cross-validation, and the
+Provides the virtual-time engine, generator-based processes, sampling
+distributions with exact moments, measurement instrumentation (windowed
+counters, sample statistics, utilization tracking), a G/G/1 queueing station for M/G/1 cross-validation, and the
 virtual CPU cost model that stands in for the paper's 3.2 GHz server.
+The seeded random streams every model component draws from are the
+stdlib-only leaf :mod:`repro.rng`.
 """
 
 from .batch_queueing import simulate_mxg1
@@ -33,7 +34,6 @@ from .metrics import (
 )
 from .process import Process
 from .queueing import QueueingResults, QueueingStation, simulate_gg1, simulate_mg1
-from .rng import RandomStreams, stable_hash
 
 __all__ = [
     "BatchSampler",
@@ -54,7 +54,6 @@ __all__ = [
     "Process",
     "QueueingResults",
     "QueueingStation",
-    "RandomStreams",
     "RunMetrics",
     "SampleStats",
     "ScheduledEvent",
@@ -66,5 +65,4 @@ __all__ = [
     "simulate_gg1",
     "simulate_mg1",
     "simulate_mxg1",
-    "stable_hash",
 ]

@@ -2,7 +2,7 @@
 
 The DES reproduces paper figures from a seed: the only admissible
 sources of time are the engine's virtual clock and the only admissible
-randomness is :class:`repro.simulation.rng.RandomStreams`.  Anything
+randomness is :class:`repro.rng.RandomStreams`.  Anything
 that smuggles wall-clock time, process entropy or environment state
 into ``src/repro`` breaks replayability — the same seed must give the
 same history, byte for byte.

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence
 
 from ..core.params import FilterType
-from ..simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from ..rng import RandomStreams
+from ..simulation import CpuCostModel, Engine, MeasurementWindow
 from .experiment import (
     PAPER_ADDITIONAL_SUBSCRIBERS,
     PAPER_REPLICATION_GRADES,

@@ -27,7 +27,7 @@ from repro.broker import (
 from repro.broker.dispatch_cache import message_fingerprint
 from repro.durability import SimulatedDisk, SyncPolicy, scan_disk
 from repro.durability.journal import Journal, RecordKind
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 SELECTORS = (
     "quantity > 2",

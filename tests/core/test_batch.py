@@ -40,7 +40,7 @@ class TestBatchSizeLaws:
         assert (law.m1, law.m2, law.m3) == (1.0, 1.0, 1.0)
 
     def test_sampling_stays_in_support(self):
-        from repro.simulation.rng import make_generator
+        from repro.rng import make_generator
 
         rng = make_generator(7)
         sizes = GeometricBatchSize(mean=4.0).sample(rng, 2000)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.durability import DiskError, DiskWriteError, SimulatedDisk
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 
 def disk(seed=0):

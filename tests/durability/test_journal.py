@@ -18,7 +18,7 @@ from repro.durability.journal import (
     encode_message,
 )
 from repro.durability.recovery import scan_disk
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 
 def journal(**kwargs):

@@ -43,7 +43,7 @@ from repro.durability.journal import (
 )
 from repro.durability.recovery import _try_parse
 from repro.replication import ShipFrame, StandbyReplica, encode_frame
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 QUEUE = "orders"
 

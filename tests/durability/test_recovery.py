@@ -10,7 +10,7 @@ from repro.durability import (
     recover_broker,
     scan_disk,
 )
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 
 def fresh(disk=None, sync=None, attach=True, **queue_kwargs):

@@ -14,7 +14,7 @@ from repro.broker import Broker
 from repro.broker.message import DeliveryMode, Message
 from repro.broker.queues import QueueConsumer
 from repro.durability import Journal, SimulatedDisk, SyncPolicy
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 OPS = ("send", "send_ttl", "send_volatile", "receive_ack", "receive", "churn", "crash")
 

@@ -9,11 +9,8 @@ from repro.core import (
     ServiceTimeModel,
     server_capacity,
 )
-from repro.durability import (
-    SyncPolicy,
-    amortized_sync_overhead,
-    durability_capacity_sweep,
-)
+from repro.durability import SyncPolicy
+from repro.durability.capacity import amortized_sync_overhead, durability_capacity_sweep
 
 T_SYNC = 2e-4
 

@@ -20,7 +20,7 @@ from repro.durability import (
     SimulatedDisk,
     SyncPolicy,
 )
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 QUEUE = "orders"
 

@@ -8,7 +8,7 @@ from repro.broker.queues import QueueConsumer
 from repro.durability import Journal, JournalTailer, SimulatedDisk, SyncPolicy, scan_disk
 from repro.durability.journal import SEGMENT_HEADER_SIZE, SEGMENT_MAGIC
 from repro.durability.recovery import collect_live_entries
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 QUEUE = "orders"
 

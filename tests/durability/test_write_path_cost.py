@@ -21,7 +21,7 @@ import pytest
 from repro.broker.message import Message
 from repro.durability import Journal, JournalTailer, SimulatedDisk, SyncPolicy
 from repro.durability import journal as journal_module
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 QUEUE = "orders"
 

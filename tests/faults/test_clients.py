@@ -2,7 +2,7 @@
 
 from repro.broker import ServerUnavailableError
 from repro.faults import RetryPolicy, RetryingPoissonPublisher
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 
 class TestSubmitHandle:

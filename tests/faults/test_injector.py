@@ -10,7 +10,7 @@ from repro.faults import (
     RetryPolicy,
     RetryingPoissonPublisher,
 )
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 
 def arm(rig, schedule):

@@ -10,7 +10,7 @@ import pytest
 
 from repro.broker.errors import ClientTimeoutError
 from repro.faults import FaultEvent, FaultInjector, FaultKind, FaultSchedule
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 
 def arm(rig, schedule):

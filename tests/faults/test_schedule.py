@@ -3,7 +3,7 @@
 import pytest
 
 from repro.faults import FaultEvent, FaultKind, FaultSchedule
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 
 def crash(at, duration):

@@ -10,7 +10,7 @@ np = pytest.importorskip("numpy")
 
 from repro.broker.ledger import Ledger
 from repro.faults import FaultRunResult
-from repro.overload import OverloadRunResult
+from repro.overload.experiment import OverloadRunResult
 from repro.resilience.experiment import ResilienceCellResult
 from repro.resilience.harness import StormRunResult
 from repro.simulation import RunMetrics

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import CORRELATION_ID_COSTS, DeterministicReplication, ServiceTimeModel
 from repro.core.mg1 import MG1Queue
-from repro.overload import MG1KQueue
+from repro.overload.mg1k import MG1KQueue
 
 DETERMINISTIC = ((1.0, 1.0),)
 

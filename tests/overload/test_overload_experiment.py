@@ -4,7 +4,7 @@ import pytest
 
 from repro.broker.queues import DropPolicy
 from repro.core.service_time import ReplicationFamily
-from repro.overload import (
+from repro.overload.experiment import (
     OverloadExperimentConfig,
     run_overload_experiment,
     sweep_overload,

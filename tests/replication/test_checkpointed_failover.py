@@ -23,7 +23,7 @@ from repro.durability import SimulatedDisk, scan_disk
 from repro.durability.journal import RecordKind
 from repro.durability.recovery import fold_records
 from repro.replication import ReplicatedPair, ReplicationConfig, StandbyReplica
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams
 
 from fault_disks import PrefixFaultDisk
 from test_standby import (

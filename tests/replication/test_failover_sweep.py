@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.replication import failover_sweep
+from repro.replication.experiment import failover_sweep
 
 
 @pytest.fixture(scope="module")

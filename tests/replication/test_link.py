@@ -3,7 +3,7 @@
 import pytest
 
 from repro.replication import ShipFrame, SimulatedLink, decode_frame, encode_frame
-from repro.simulation import RandomStreams
+from repro.rng import RandomStreams, make_generator, stable_hash
 
 
 def frame(sequence=0, epoch=1, records=(b"alpha", b"beta")):
@@ -135,7 +135,18 @@ class TestLinkDelivery:
         outputs = []
         for _ in range(2):
             link = SimulatedLink(RandomStreams(42), delay=0.0)
-            link.corrupt_next(1)
+            link.corrupt_next(2)
             link.send(wire, now=0.0)
-            outputs.append(link.deliver_due(0.0)[0])
+            link.send(wire, now=0.0)
+            outputs.append(link.deliver_due(0.0))
         assert outputs[0] == outputs[1]
+        # Each flip is drawn from the named stream, position first, then
+        # bit: creating the stream at the first corruption keeps every draw.
+        rng = make_generator([42, stable_hash("link-faults")])
+        expected = []
+        for _ in range(2):
+            flipped = bytearray(wire)
+            position = int(rng.integers(0, len(wire)))
+            flipped[position] ^= 1 << int(rng.integers(0, 8))
+            expected.append(bytes(flipped))
+        assert outputs[0] == expected

@@ -5,7 +5,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.service_time import ReplicationFamily
-from repro.overload import OverloadExperimentConfig
+from repro.overload.experiment import OverloadExperimentConfig
 from repro.resilience.experiment import (
     ResilienceCellConfig,
     run_resilience_cell,

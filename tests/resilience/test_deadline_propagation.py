@@ -18,9 +18,10 @@ from repro.core.replication import DeterministicReplication
 from repro.mesh.sharded import ShardedBroker
 from repro.overload import OverloadConfig
 from repro.replication.model import ReplicationLagModel
-from repro.resilience import DeadlineBudget, DeadlinePipeline, DeliveryLog
-from repro.resilience.clients import DeadlineRetryPublisher
-from repro.simulation import CpuCostModel, Engine, MeasurementWindow, RandomStreams
+from repro.resilience import DeadlineBudget, DeadlinePipeline
+from repro.resilience.clients import DeadlineRetryPublisher, DeliveryLog
+from repro.rng import RandomStreams
+from repro.simulation import CpuCostModel, Engine, MeasurementWindow
 from repro.testbed.scenario import build_replication_scenario
 from repro.testbed.simserver import SimulatedJMSServer
 

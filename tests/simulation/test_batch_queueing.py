@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import DeterministicBatchSize, GeometricBatchSize, MXG1Queue, Moments
 from repro.simulation import Exponential, simulate_mxg1
-from repro.simulation.rng import make_generator
+from repro.rng import make_generator
 
 EXP_SERVICE = Moments(1.0, 2.0, 6.0)
 

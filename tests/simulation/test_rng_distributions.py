@@ -15,12 +15,10 @@ from repro.simulation import (
     Gamma,
     Hyperexponential,
     Lognormal,
-    RandomStreams,
     Uniform,
     simulate_mg1,
-    stable_hash,
 )
-from repro.simulation.rng import make_generator
+from repro.rng import RandomStreams, make_generator, stable_hash
 
 
 class TestRandomStreams:

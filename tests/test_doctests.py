@@ -13,9 +13,9 @@ import repro.broker.selector
 import repro.broker.server
 import repro.core.mg1
 import repro.core.service_time
+import repro.rng
 import repro.simulation.engine
 import repro.simulation.process
-import repro.simulation.rng
 
 MODULES = [
     repro.broker.hierarchy,
@@ -23,9 +23,9 @@ MODULES = [
     repro.broker.server,
     repro.core.mg1,
     repro.core.service_time,
+    repro.rng,
     repro.simulation.engine,
     repro.simulation.process,
-    repro.simulation.rng,
 ]
 
 

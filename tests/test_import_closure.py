@@ -1,13 +1,14 @@
 """The product / laboratory boundary, held from outside.
 
 ``import repro.broker`` must load what a message touches — not the
-analysis, the testbed, the bench suites or scipy.  The table lives in
-``tools/check_static.py`` (``IMPORT_CLOSURE`` / ``LABORATORY``, beside
-``IMPORT_SMOKE``); this file holds every product package to its row,
-imports each subpackage alone, pins the lazy top-level surface, and runs
-the product with scipy blocked — the configuration ``pyproject.toml``
-promises.  Every check needs a fresh interpreter: in-process, the rest of
-tier-1 has long since imported everything.
+model, the discrete-event substrate, the analysis, the testbed, the bench
+suites, numpy or scipy.  The table lives in ``tools/check_static.py``
+(``IMPORT_CLOSURE`` / ``LABORATORY``, beside ``IMPORT_SMOKE``); this file
+holds every product package to its row, imports each subpackage alone,
+checks that a bare ``import repro`` loads nothing, and runs the product
+with scipy blocked — the configuration ``pyproject.toml`` promises — and
+with numpy blocked too.  Every check needs a fresh interpreter:
+in-process, the rest of tier-1 has long since imported everything.
 """
 
 import pathlib
@@ -15,8 +16,6 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
-
-import repro
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 SUBPACKAGES = sorted(
@@ -36,14 +35,17 @@ finally:
 def test_the_table_names_the_product_and_the_laboratory():
     """Loosening a ceiling or dropping a prefix is a visible diff here."""
     assert check_static.IMPORT_CLOSURE == {
-        "repro.broker": (39, 229),
-        "repro.durability": (56, 253),
-        "repro.replication": (63, 262),
-        "repro.mesh": (75, 275),
+        "repro.broker": (28, 119),
+        "repro.durability": (35, 133),
+        "repro.replication": (41, 143),
+        "repro.mesh": (52, 155),
     }
     assert set(check_static.IMPORT_CLOSURE) <= set(SUBPACKAGES)
     assert set(check_static.LABORATORY) == {
+        "numpy",
         "scipy",
+        "repro.core",
+        "repro.simulation",
         "repro.analysis",
         "repro.architectures",
         "repro.testbed",
@@ -56,18 +58,29 @@ def test_the_table_names_the_product_and_the_laboratory():
 
 
 def test_the_gate_sees_a_laboratory_module_and_a_broken_ceiling():
-    clean = ["repro", "repro.broker", "repro.core", "json", "numpy"]
+    clean = ["repro", "repro.broker", "repro.rng", "json"]
     assert check_static.closure_findings("repro.broker", clean) == []
-    leaky = clean + ["scipy", "scipy.special", "repro.analysis.fig10", "repro.benchmark"]
+    leaky = clean + [
+        "repro.core",
+        "numpy",
+        "scipy",
+        "scipy.special",
+        "repro.analysis.fig10",
+        "repro.simulation.engine",
+        "repro.benchmark",
+    ]
     assert check_static.closure_findings("repro.broker", leaky) == [
+        "repro.broker loads repro.core",
+        "repro.broker loads numpy",
         "repro.broker loads scipy",
         "repro.broker loads scipy.special",
         "repro.broker loads repro.analysis.fig10",
+        "repro.broker loads repro.simulation.engine",
     ]
     crowded = clean + [f"repro.broker.m{n}" for n in range(40)] + [f"m{n}" for n in range(200)]
     assert check_static.closure_findings("repro.broker", crowded) == [
-        "repro.broker loads 43 repro modules > 39",
-        "repro.broker loads 245 modules > 229",
+        "repro.broker loads 43 repro modules > 28",
+        "repro.broker loads 244 modules > 119",
     ]
 
 
@@ -111,47 +124,21 @@ def test_a_start_up_hook_does_not_count_against_the_package(tmp_path, monkeypatc
 
 
 # ----------------------------------------------------------------------
-# the lazy top-level package keeps its surface
+# a bare ``import repro`` loads nothing
 # ----------------------------------------------------------------------
-def test_every_public_name_resolves_to_the_core_object():
-    import repro.core
-
-    assert set(repro.__all__) <= set(dir(repro))
-    for name in repro.__all__:
-        value = getattr(repro, name)
-        if hasattr(repro.core, name):
-            assert value is getattr(repro.core, name)
-    with pytest.raises(AttributeError, match="nope"):
-        repro.nope
-    with pytest.raises(ImportError):
-        from repro import nope  # noqa: F401
-
-
-def test_a_bare_import_loads_nothing_and_resolves_on_access(run_fresh):
+def test_a_bare_import_loads_nothing(run_fresh):
     run_fresh(
         """
 import sys
 import repro
 assert [m for m in sys.modules if m.startswith("repro.")] == []
 assert "numpy" not in sys.modules
-assert set(repro.__all__) <= set(dir(repro))
-assert callable(repro.analysis.figure10)
-from repro import MG1Queue, broker
-import repro.core
-assert MG1Queue is repro.core.MG1Queue and broker is sys.modules["repro.broker"]
-assert "MG1Queue" in vars(repro)  # resolved once, then a plain attribute
-try:
-    repro.nope
-except AttributeError as error:
-    assert "nope" in str(error)
-else:
-    raise AssertionError("repro.nope resolved")
 """
     )
 
 
 # ----------------------------------------------------------------------
-# one lifecycle of each benchmark stack: scipy-free, and no deferred
+# one lifecycle of each benchmark stack: numpy- and scipy-free, and no deferred
 # import fires inside what the benchmark times
 # ----------------------------------------------------------------------
 BUILD_STACKS = """
@@ -254,4 +241,15 @@ except ImportError as error:
 else:
     raise AssertionError("ppf answered without scipy")
 """
+    )
+
+
+def test_the_product_runs_with_numpy_blocked(run_fresh):
+    """No fault is armed, so no seeded stream is asked for and numpy is
+    never imported: the four stacks build and run a lifecycle each on an
+    install without numpy or scipy."""
+    run_fresh(
+        'import sys\nsys.modules["numpy"] = None\nsys.modules["scipy"] = None\n'
+        + BUILD_STACKS
+        + DRIVE_LIFECYCLES
     )

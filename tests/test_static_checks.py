@@ -107,7 +107,7 @@ def test_check_static_covers_hotpath_surface():
     assert "repro.broker.dispatch_cache" in check_static.IMPORT_SMOKE
     assert "repro.bench.hotpath" in check_static.IMPORT_SMOKE
     assert "repro.bench.suites" in check_static.IMPORT_SMOKE
-    assert "repro.simulation.rng" in check_static.IMPORT_SMOKE
+    assert "repro.rng" in check_static.IMPORT_SMOKE
     assert ["bench", "--help"] in [list(c) for c in check_static.CLI_SMOKE]
     suites = [s.split("::")[0] for s in check_static.EQUIVALENCE_SUITES]
     assert "tests/broker/test_selector_compile.py" in suites

@@ -65,7 +65,7 @@ IMPORT_SMOKE = (
     "repro.chaos.rebalance",
     "repro.analysis.overload",
     "repro.architectures.failover",
-    "repro.simulation.rng",
+    "repro.rng",
     "repro.statics",
     "repro.statics.engine",
     "repro.resilience",
@@ -77,22 +77,26 @@ IMPORT_SMOKE = (
 #: package alone in a fresh interpreter must load nothing under
 #: ``LABORATORY`` and at most this many modules: package → (``repro``
 #: modules, modules in all).  The ceilings sit a few modules above what
-#: the packages load today (35 / 210, 51 / 239, 58 / 246, 70 / 258), so a
+#: the packages load today (24 / 100, 30 / 119, 36 / 127, 47 / 138), so a
 #: new eager import fails here before it shows as start-up time and RSS.
 #: The count leaves out what the interpreter's start-up hooks import (a
 #: ``.pth`` file or ``sitecustomize``; see ``loaded_modules``): those vary
 #: from machine to machine and no repro code loads them.
 IMPORT_CLOSURE = {
-    "repro.broker": (39, 229),
-    "repro.durability": (56, 253),
-    "repro.replication": (63, 262),
-    "repro.mesh": (75, 275),
+    "repro.broker": (28, 119),
+    "repro.durability": (35, 133),
+    "repro.replication": (41, 143),
+    "repro.mesh": (52, 155),
 }
 
-#: What a message never touches: the numeric laboratory and the packages
-#: that measure, model, fault or lint the product from outside.
+#: What a message never touches: the numeric laboratory (numpy, scipy,
+#: the model and the discrete-event substrate) and the packages that
+#: measure, model, fault or lint the product from outside.
 LABORATORY = (
+    "numpy",
     "scipy",
+    "repro.core",
+    "repro.simulation",
     "repro.analysis",
     "repro.architectures",
     "repro.testbed",
@@ -226,13 +230,13 @@ def closure_findings(package: str, modules: list[str]) -> list[str]:
 
 def import_closure() -> bool:
     """Hold each product package's import closure to IMPORT_CLOSURE."""
-    print("[check_static] import-closure: package · repro modules · all modules · scipy?")
+    print("[check_static] import-closure: package · repro modules · all modules · numpy?")
     ok = True
     for package in IMPORT_CLOSURE:
         modules = loaded_modules(package)
-        scipy = "loaded" if "scipy" in modules else "absent"
+        numpy = "loaded" if "numpy" in modules else "absent"
         print(
-            f"[check_static]   {package:<18} {_repro_count(modules):>3} {len(modules):>4}  {scipy}"
+            f"[check_static]   {package:<18} {_repro_count(modules):>3} {len(modules):>4}  {numpy}"
         )
         for finding in closure_findings(package, modules):
             print(f"[check_static]   {finding}")
