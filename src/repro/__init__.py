@@ -17,6 +17,9 @@ Subpackages
     charges Table I costs.
 ``repro.rng``
     The seeded named random streams every component draws from.
+``repro.filter_type``
+    The two filter mechanisms (correlation ID, application property) that
+    the broker's filters report and the model's cost rows are keyed by.
 ``repro.testbed``
     The measurement harness: saturated/Poisson publishers, the simulated
     server machine, experiment sweeps and the Table I calibration fit.

@@ -14,14 +14,14 @@ states); subscribers without a filter receive every message of their topic.
 
 from __future__ import annotations
 
-import enum
 import re
 from abc import ABC, abstractmethod
 from typing import Callable, Optional
 
+from ..filter_type import FilterType
 from .errors import InvalidSelectorError
 from .message import Message
-from .selector import Expr, Selector
+from .selector import Expr, Selector, selector_for
 
 __all__ = [
     "FilterType",
@@ -32,20 +32,6 @@ __all__ = [
 ]
 
 _RANGE_PATTERN = re.compile(r"^\[\s*(-?\d+)\s*;\s*(-?\d+)\s*\]$")
-
-
-class FilterType(enum.Enum):
-    """The two filter mechanisms whose cost the paper measures.
-
-    Topic selection is a third, cheaper mechanism; the paper's model and all
-    of its figures use these two.
-    """
-
-    CORRELATION_ID = "correlation_id"
-    APP_PROPERTY = "app_property"
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return self.value
 
 
 class MessageFilter(ABC):
@@ -218,10 +204,15 @@ class PropertyFilter(MessageFilter):
     complex filters with a finer granularity" of Section II-A — which is
     why its evaluation costs roughly twice as much as a correlation-ID
     comparison (Table I).
+
+    A filter built from text takes the process's one
+    :class:`~repro.broker.selector.Selector` for that text
+    (:func:`~repro.broker.selector.selector_for`), so filters of one text
+    share its parse, canonical form and compiled matcher.
     """
 
     def __init__(self, selector: Selector | str):
-        self.selector = selector if isinstance(selector, Selector) else Selector(selector)
+        self.selector = selector if isinstance(selector, Selector) else selector_for(selector)
 
     def matches(self, message: Message) -> bool:
         return self.selector.matches(message)

@@ -14,16 +14,16 @@ application property  4.10e-6       1.46e-5       1.62e-5
 installed filter and message, and ``t_tx`` once per dispatched copy
 (Eq. 1).  These constants parameterise both the analytical model
 (:mod:`repro.core.service_time`) and the simulated CPU
-(:mod:`repro.simulation.cpu`).  :class:`FilterType` belongs to the
-broker's filters (:mod:`repro.broker.filters`); it is re-exported here
-because every cost row is keyed by it.
+(:mod:`repro.simulation.cpu`).  :class:`FilterType` lives in the
+leaf :mod:`repro.filter_type`, shared with the broker's filters; it is
+re-exported here because every cost row is keyed by it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..broker.filters import FilterType
+from ..filter_type import FilterType
 
 __all__ = ["FilterType", "CostParameters", "CORRELATION_ID_COSTS", "APP_PROPERTY_COSTS", "costs_for"]
 

@@ -39,9 +39,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..broker.errors import SubscriptionError
 from ..broker.hierarchy import TopicPattern, TopicTrie
 from ..broker.ledger import Ledger
-from ..broker.message import Message
+from ..broker.message import DeliveredMessage, Message
 from ..broker.queues import PointToPointQueue, QueueConsumer
 from ..broker.server import Broker, PublishResult
 from ..durability.disk import SimulatedDisk
@@ -159,8 +160,10 @@ class WildcardSubscription:
     pattern: TopicPattern
     message_filter: Any
     durable: bool
-    #: Messages delivered to this subscriber across all shards.
-    received: List[Message] = field(default_factory=list)
+    #: The copies delivered to this subscriber across all shards, as
+    #: each shard's :class:`~repro.broker.subscriptions.Subscriber` hands
+    #: them to ``on_message`` (``.message`` is the published message).
+    received: List[DeliveredMessage] = field(default_factory=list)
     #: Topic names this subscription has been installed for.
     installed_topics: List[str] = field(default_factory=list)
 
@@ -449,7 +452,7 @@ class ShardedBroker:
         shard.broker.topics.create(topic_name)
         try:
             subscriber = shard.broker.get_subscriber(subscription.subscriber_id)
-        except Exception:
+        except SubscriptionError:  # not on this shard yet
             subscriber = shard.broker.add_subscriber(
                 subscription.subscriber_id,
                 on_message=self._fanout_callback(subscription),
@@ -465,9 +468,9 @@ class ShardedBroker:
 
     def _fanout_callback(
         self, subscription: WildcardSubscription
-    ) -> Callable[[Message], None]:
-        def on_message(message: Message) -> None:
-            subscription.received.append(message)
+    ) -> Callable[[DeliveredMessage], None]:
+        def on_message(delivery: DeliveredMessage) -> None:
+            subscription.received.append(delivery)
             self._count_wildcard_delivery()
 
         return on_message

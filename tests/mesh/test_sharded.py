@@ -67,6 +67,28 @@ class TestWildcardDispatch:
         assert len(owners) > 1
         assert mesh.wildcard_deliveries == len(topics)
 
+    def test_received_holds_the_delivered_copies(self):
+        mesh = ShardedBroker(["s0", "s1"], topics=["news.sport"])
+        sub = mesh.subscribe("dave", "news.sport")
+        published = msg(topic="news.sport")
+        mesh.publish(published, now=0.0)
+        assert sub.received[0].message is published
+        assert sub.received[0].subscriber_id == "dave"
+
+    def test_a_shard_fault_other_than_an_unknown_subscriber_propagates(self, monkeypatch):
+        """Only "not on this shard yet" adds the subscriber; any other error
+        from the shard is the caller's to see."""
+        mesh = ShardedBroker(["s0", "s1"], topics=["news.sport"])
+        owner = mesh.shard(mesh.owner_id("topic", "news.sport")).broker
+
+        def broken(subscriber_id):
+            raise RuntimeError("shard fault")
+
+        monkeypatch.setattr(owner, "get_subscriber", broken)
+        with pytest.raises(RuntimeError, match="shard fault"):
+            mesh.subscribe("erin", "news.sport")
+        assert owner.subscriber_ids() == []
+
     def test_non_matching_topic_not_installed(self):
         mesh = ShardedBroker(["s0", "s1"])
         sub = mesh.subscribe("carol", "news.*")

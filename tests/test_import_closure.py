@@ -112,6 +112,14 @@ def test_subpackage_imports_alone_and_inside_its_closure(alone, package):
         assert check_static.closure_findings(package, modules) == []
 
 
+def test_the_model_loads_no_broker(alone):
+    """``repro.core`` keys its cost rows by ``FilterType``, which lives in
+    the leaf ``repro.filter_type``: the model imports without running the
+    broker's package root."""
+    assert [m for m in alone["repro.core"] if m.startswith("repro.broker")] == []
+    assert "repro.filter_type" in alone["repro.core"]
+
+
 def test_a_start_up_hook_does_not_count_against_the_package(tmp_path, monkeypatch):
     """What a ``sitecustomize`` (or a ``.pth`` file) imports belongs to the
     machine: counted, it would push every package over its ceiling."""

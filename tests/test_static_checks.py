@@ -111,6 +111,7 @@ def test_check_static_covers_hotpath_surface():
     assert ["bench", "--help"] in [list(c) for c in check_static.CLI_SMOKE]
     suites = [s.split("::")[0] for s in check_static.EQUIVALENCE_SUITES]
     assert "tests/broker/test_selector_compile.py" in suites
+    assert "tests/broker/test_selector_intern.py" in suites
     assert "tests/broker/test_dispatch_memo.py" in suites
     assert "tests/mesh/test_batch_routing.py" in suites
     assert "tests/durability/test_record_format.py" in suites
