@@ -65,6 +65,13 @@ class MessageFilter(ABC):
         inline; ``None`` (the default) makes it call :meth:`matcher`."""
         return None
 
+    def inline_key(self) -> Optional[str]:
+        """What the scan kernel shares :meth:`inline_ast`'s generated code
+        under: its ``repr``, which equal ASTs of unequal literal types
+        (``TRUE``, ``1``, ``1.0``) do not share; ``None`` with no AST."""
+        ast = self.inline_ast()
+        return None if ast is None else repr(ast)
+
 
 class MatchAllFilter(MessageFilter):
     """No filter installed: the subscriber receives all topic messages."""
@@ -222,6 +229,9 @@ class PropertyFilter(MessageFilter):
 
     def inline_ast(self) -> Optional[Expr]:
         return self.selector.canonical
+
+    def inline_key(self) -> Optional[str]:
+        return self.selector.canonical_repr
 
     @property
     def filter_type(self) -> Optional[FilterType]:

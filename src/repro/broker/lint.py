@@ -134,7 +134,7 @@ def _audit_topic(topic: str, subscriptions: Sequence) -> TopicAudit:
         filters += 1
         if not isinstance(filter_, PropertyFilter):
             continue  # correlation-ID filters carry no selector text
-        analysis = analyze(filter_.selector.text)
+        analysis = filter_.selector.analysis
         findings.append(
             SelectorFinding(
                 filter_.selector.text,

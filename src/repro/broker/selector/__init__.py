@@ -61,7 +61,7 @@ from .ast import (
     Unary,
     iter_identifiers,
 )
-from .diagnostics import Diagnostic, Severity, render_diagnostics
+from ...diagnostics import Diagnostic, Severity, render_diagnostics
 from .evaluator import UNKNOWN, evaluate, matches
 from .lexer import Token, TokenType, tokenize
 from .parser import parse
@@ -119,14 +119,18 @@ class Selector:
     tree, the reference the compiled form is held to.
     """
 
-    __slots__ = ("text", "ast", "identifiers", "_canonical", "_matcher")
+    __slots__ = (
+        "text", "ast", "identifiers", "_canonical", "_canonical_repr", "_matcher", "_analysis"
+    )
 
     def __init__(self, text: str):
         self.text = text
         self.ast = parse(text)
         self.identifiers: FrozenSet[str] = frozenset(iter_identifiers(self.ast))
         self._canonical: Expr | None = None
+        self._canonical_repr: str | None = None
         self._matcher: Callable[[Any], bool] | None = None
+        self._analysis: SelectorAnalysis | None = None
 
     def matches(self, message: Any) -> bool:
         """True iff the selector evaluates to TRUE for ``message``."""
@@ -166,9 +170,26 @@ class Selector:
         return self._canonical
 
     @property
+    def canonical_repr(self) -> str:
+        """``repr`` of the canonical AST (computed lazily, cached): the key
+        generated code is shared under.  Unlike AST equality it tells
+        ``TRUE``, ``1`` and ``1.0`` apart."""
+        if self._canonical_repr is None:
+            self._canonical_repr = repr(self.canonical)
+        return self._canonical_repr
+
+    @property
     def canonical_text(self) -> str:
         """The canonical form unparsed to selector text (a sharing key)."""
         return str(self.canonical)
+
+    @property
+    def analysis(self) -> SelectorAnalysis:
+        """What the static analyzer finds in this text (computed lazily,
+        cached): one analysis however many subscriptions name the text."""
+        if self._analysis is None:
+            self._analysis = analyze(self.text)
+        return self._analysis
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Selector) and self.ast == other.ast

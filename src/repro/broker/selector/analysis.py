@@ -17,7 +17,7 @@ This module finds all three *before* dispatch ever runs, via three passes
 over the selector AST:
 
 1. :func:`type_check` — JMS/SQL-92 typing rules with span-carrying
-   diagnostics (:class:`~repro.broker.selector.diagnostics.Diagnostic`);
+   diagnostics (:class:`~repro.diagnostics.Diagnostic`);
 2. :func:`simplify` — a behavior-preserving constant folder and
    canonicalizer (negation push-down, BETWEEN/IN/LIKE lowering, operand
    ordering) whose output is a **canonical normal form**: semantically
@@ -65,7 +65,7 @@ from .ast import (
     Unary,
     iter_identifiers,
 )
-from .diagnostics import Diagnostic, Severity, render_diagnostics
+from ...diagnostics import Diagnostic, Severity, render_diagnostics
 from .evaluator import UNKNOWN, evaluate
 from .parser import parse
 
@@ -830,14 +830,17 @@ def analyze(selector: Union[str, Expr]) -> SelectorAnalysis:
     )
 
 
-def check_selector(selector: Union[str, Expr], strict: bool = True) -> SelectorAnalysis:
-    """Analyze a selector; in strict mode, raise on type errors.
+def check_selector(
+    selector: Union[str, Expr, SelectorAnalysis], strict: bool = True
+) -> SelectorAnalysis:
+    """Analyze a selector, or take its analysis; in strict mode, raise on
+    type errors.
 
     This is the subscribe-time hook: a strict broker rejects ill-typed
     selectors exactly like ``javax.jms.InvalidSelectorException``, with
     the rendered span diagnostics as the reason.
     """
-    analysis = analyze(selector)
+    analysis = selector if isinstance(selector, SelectorAnalysis) else analyze(selector)
     if strict and analysis.errors:
         raise InvalidSelectorError(
             "selector failed type checking\n"

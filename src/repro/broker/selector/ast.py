@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Tuple
 
+from ...diagnostics import Span
+
 __all__ = [
     "Span",
     "Expr",
@@ -28,9 +30,6 @@ __all__ = [
     "IsNull",
     "iter_identifiers",
 ]
-
-#: ``(start, end)`` character offsets into the selector source text.
-Span = Tuple[int, int]
 
 
 class Expr:

@@ -539,6 +539,8 @@ class ScanFilter(Protocol):
 
     def inline_ast(self) -> Optional[Expr]: ...
 
+    def inline_key(self) -> Optional[str]: ...
+
     def matcher(self) -> Callable[["Message"], bool]: ...
 
 
@@ -623,12 +625,14 @@ def _generate_block(units: Sequence[_Unit]) -> _Block:
     return block
 
 
-#: Generated blocks, keyed like ``_COMPILED_CACHE`` on the ``repr`` of the
-#: block's units: positions inside a block are block-local (the caller
-#: passes ``base``), so equal runs of selectors share one function across
-#: topics, brokers and shards.  Same selector budget, same clear-when-full.
+#: Generated blocks, keyed like ``_COMPILED_CACHE`` on the ``repr`` of
+#: each unit's AST (``None`` for a trivial one), as the filters'
+#: :meth:`inline_key` gives it — a ``Selector`` computes its own once:
+#: positions inside a block are block-local (the caller passes ``base``),
+#: so equal runs of selectors share one function across topics, brokers
+#: and shards.  Same selector budget, same clear-when-full.
 # Deliberate process-wide memo: keyed on source text, value is pure.
-_BLOCK_CACHE: Dict[str, _Block] = {}  # repro: ignore[API002]
+_BLOCK_CACHE: Dict[Tuple[Optional[str], ...], _Block] = {}  # repro: ignore[API002]
 _BLOCK_CACHE_MAXSIZE = _COMPILED_CACHE_MAXSIZE // SCAN_BLOCK
 
 
@@ -646,16 +650,19 @@ def compile_scan(filters: Sequence[ScanFilter]) -> ScanKernel:
     evaluated = generated = 0
     for base in range(0, len(filters), SCAN_BLOCK):
         units: List[_Unit] = []
+        texts: List[Optional[str]] = []
         for filter_ in filters[base : base + SCAN_BLOCK]:
             if filter_.is_trivial:
                 units.append(None)
+                texts.append(None)
+            elif (ast := filter_.inline_ast()) is not None:
+                units.append(ast)
+                texts.append(filter_.inline_key())
             else:
-                ast = filter_.inline_ast()
-                units.append(ast if ast is not None else filter_.matcher())
+                units.append(filter_.matcher())
         evaluated += sum(unit is not None for unit in units)
         # Only a block of inlined ASTs is a pure function of its text.
-        shareable = all(unit is None or isinstance(unit, Expr) for unit in units)
-        key = repr(units) if shareable else None
+        key = tuple(texts) if len(texts) == len(units) else None
         block = _BLOCK_CACHE.get(key) if key is not None else None
         if block is None:
             block = _generate_block(units)

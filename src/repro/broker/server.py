@@ -269,7 +269,7 @@ class Broker:
             from .selector.analysis import check_selector
 
             analysis = check_selector(
-                message_filter.selector.text, strict=self.selector_policy == "strict"
+                message_filter.selector.analysis, strict=self.selector_policy == "strict"
             )
             if analysis.diagnostics:
                 self.selector_findings.append(

@@ -167,10 +167,9 @@ class Subscription:
         analyze).  Used by the ``repro lint`` deployment audit.
         """
         from .filters import PropertyFilter
-        from .selector.analysis import analyze
 
         if isinstance(self.filter, PropertyFilter):
-            return analyze(self.filter.selector.text)
+            return self.filter.selector.analysis
         return None
 
     def retain(self, message: Message) -> None:

@@ -76,12 +76,6 @@ class Moments:
         """Moments of a constant."""
         return cls(value, value**2, value**3)
 
-    def scaled(self, factor: float) -> "Moments":
-        """Moments of ``factor * X`` for ``factor >= 0``."""
-        if factor < 0:
-            raise ValueError(f"factor must be non-negative, got {factor}")
-        return Moments(self.m1 * factor, self.m2 * factor**2, self.m3 * factor**3)
-
 
 def shifted_scaled_moments(constant: float, scale: float, inner: Moments) -> Moments:
     """Moments of ``constant + scale * X`` given the moments of ``X``.

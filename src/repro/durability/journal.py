@@ -31,7 +31,9 @@ two to three of them per persistent message — *assemble* it: fixed text
 with the keys already in sorted order around :func:`_atom` of each value,
 the JSON encoder run only for what is free-form (a property section, an
 ``owed`` list, an atom of a type ``_atom`` does not write itself), one
-value at a time.  :func:`encode_record` *serialises* it from a payload
+value at a time; the destination and domain of a route the journal has
+written before come quoted from its memo (:meth:`Journal._route`).
+:func:`encode_record` *serialises* it from a payload
 dict with that same encoder: CHECKPOINTs, and any parsed record encoded
 again.  Both end in :func:`_seal`, the one place that frames a record.
 ``encode_record`` is the specification: ``tests/durability/
@@ -53,14 +55,14 @@ every crash point recoverable.
 
 A *commit* is one :meth:`Journal.append_run`: the records of a stretch
 that shares a segment are one disk write and one sync-policy decision.
-A write has four authors.  :meth:`Journal.append_encoded` — every
-``log_*`` call — commits a run of one; the standby commits the records
-of a shipped frame as one run; a checkpoint is its own run on a fresh
-segment; and a :meth:`Journal.commit` scope holds whatever is logged
-inside it — the ``log_*`` calls seal their records exactly as ever — and
-commits it, in logging order, as one run when it closes: a stage of
-``send_batch`` / ``publish_batch`` is such a scope.  Outside a scope
-nothing is buffered: every policy is write-through.
+A write has four authors.  Every ``log_*`` call, like
+:meth:`Journal.append_encoded`, commits a run of one; the standby
+commits the records of a shipped frame as one run; a checkpoint is its
+own run on a fresh segment; and a :meth:`Journal.commit` scope holds
+whatever is logged inside it — the ``log_*`` calls seal their records
+exactly as ever — and commits it, in logging order, as one run when it
+closes: a stage of ``send_batch`` / ``publish_batch`` is such a scope.
+Outside a scope nothing is buffered: every policy is write-through.
 
 Sync policies model the fsync cost the paper's ``E[B]`` (Eq. 1) never
 had to pay:
@@ -129,9 +131,48 @@ _RECORD_FRONT = struct.Struct(">IIBI")
 #: Guard against absurd lengths produced by corrupted headers.
 MAX_RECORD_BYTES = 16 * 1024 * 1024
 
+
+#: The C encoder factory ``json`` itself builds with; ``None`` on an
+#: interpreter without its accelerator.
+_c_make_encoder = getattr(json.encoder, "c_make_encoder", None)
+
+
+class _CanonicalEncoder(json.JSONEncoder):
+    """The canonical encoder with its C encoder built once.
+
+    ``JSONEncoder.encode`` builds a fresh C encoder, and the closures of
+    ``iterencode``, on every call: most of what encoding a two-entry
+    property section costs.  This one reuses one C encoder built without
+    ``markers``, the table of the containers being encoded that detects a
+    cycle.  One table shared between calls would be wrong: an encode that
+    raises half-way leaves its containers in it, and the next encode of
+    those objects would be called circular.  Without the table a cycle
+    recurses to the interpreter's recursion limit, and only then does the
+    checking encoder run, so a cycle still raises its ``ValueError``.
+    Whatever encodes gives the same text either way.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(sort_keys=True, separators=(",", ":"))
+        self._unchecked = _c_make_encoder(
+            None, self.default, encode_basestring_ascii, None, self.key_separator,
+            self.item_separator, self.sort_keys, self.skipkeys, self.allow_nan,
+        )
+
+    def encode(self, o: Any) -> str:
+        try:
+            return "".join(self._unchecked(o, 0))
+        except RecursionError:
+            return super().encode(o)
+
+
 #: The one canonical payload encoding (sorted keys, no whitespace): a
 #: parsed record re-encodes to the bytes it was parsed from.
-_PAYLOAD_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_PAYLOAD_ENCODER: json.JSONEncoder = (
+    json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    if _c_make_encoder is None
+    else _CanonicalEncoder()
+)
 
 
 def durable_key(subscriber_id: str, topic: str) -> str:
@@ -328,20 +369,32 @@ def _atom(value: Any) -> str:
     return _PAYLOAD_ENCODER.encode(value)
 
 
-def _seal(kind: RecordKind, meta: str, blobs: bytes = b"") -> bytes:
-    """The wire bytes of one record from its two sections, ``meta``
-    already canonical JSON text."""
-    head = meta.encode("utf-8")
-    front = _BODY_PREFIX.pack(kind.value, len(head)) + head
-    crc = zlib.crc32(front)
-    if blobs:
-        crc = zlib.crc32(blobs, crc)
-    return _RECORD_HEADER.pack(len(front) + len(blobs), crc) + front + blobs
+#: The kind byte of each record a ``log_*`` call writes, read once here:
+#: a member's ``value`` is a descriptor call.
+_PUBLISH = RecordKind.PUBLISH.value
+_DELIVER = RecordKind.DELIVER.value
+_ACK = RecordKind.ACK.value
+_EXPIRE = RecordKind.EXPIRE.value
+#: The ``"mode"`` atom of the one delivery mode the broker journals.
+_PERSISTENT = DeliveryMode.PERSISTENT
+_PERSISTENT_ATOM = _atom(_PERSISTENT.value)
+#: How many routes a journal's memo holds before it starts afresh.
+_ROUTES_KEPT = 4096
+
+
+def _seal(code: int, meta: str, blobs: bytes = b"") -> bytes:
+    """The wire bytes of one record of kind byte ``code`` from its two
+    sections, ``meta`` already canonical JSON text (so ASCII); the body
+    is copied once."""
+    head = meta.encode()
+    front = _BODY_PREFIX.pack(code, len(head)) + head
+    crc = zlib.crc32(blobs, zlib.crc32(front)) if blobs else zlib.crc32(front)
+    return b"".join((_RECORD_HEADER.pack(len(front) + len(blobs), crc), front, blobs))
 
 
 def _frame(kind: RecordKind, meta: Dict[str, Any], blobs: bytes = b"") -> bytes:
     """The same from a ``meta`` still to be serialised."""
-    return _seal(kind, _PAYLOAD_ENCODER.encode(meta), blobs)
+    return _seal(kind.value, _PAYLOAD_ENCODER.encode(meta), blobs)
 
 
 def encode_record(record: JournalRecord) -> bytes:
@@ -500,6 +553,9 @@ class Journal:
         #: Set after a failed append: the segment tail may hold a partial
         #: record, so the next append must rotate to a clean segment.
         self._tail_dirty = False
+        #: The ``"dest":…,"domain":…`` text of each route this journal has
+        #: written, by (domain, destination): see :meth:`_route`.
+        self._routes: Dict[Tuple[str, str], str] = {}
         #: The records an open :meth:`commit` scope holds back, in
         #: logging order; ``None`` outside a scope (write-through).
         self._held: Optional[List[bytes]] = None
@@ -683,23 +739,19 @@ class Journal:
                 while whole < stop and end + len(records[whole]) <= landed:
                     end += len(records[whole])
                     whole += 1
-                self._locate(segment, size, records, start, whole)
-                self.records_appended += whole - start
-                self._unsynced_records += whole - start
+                self._landed(segment, size, records, start, whole)
                 error.records_written = whole
                 raise error from exc
-            self._locate(segment, offset, records, start, stop)
-            self.records_appended += stop - start
-            self._unsynced_records += stop - start
+            self._landed(segment, offset, records, start, stop)
             self._maybe_sync(now)
             start = stop
         return first
 
-    def _locate(
+    def _landed(
         self, segment: str, offset: int, records: Sequence[bytes], start: int, stop: int
     ) -> None:
-        """Note that ``records[start:stop]`` landed back to back in
-        ``segment`` from ``offset``.
+        """Count ``records[start:stop]``, which landed back to back in
+        ``segment`` from ``offset``, and note where each ends.
 
         A run never has a gap: an append in the run's segment starts where
         the last one ended, and a failed write dirties the tail, so the
@@ -714,6 +766,8 @@ class Journal:
         for index in range(start, stop):
             offset += len(records[index])
             ends.append(offset)
+        self.records_appended += stop - start
+        self._unsynced_records += stop - start
 
     @property
     def record_locations(self) -> List[RecordLocation]:
@@ -786,19 +840,20 @@ class Journal:
         policy = self.sync_policy
         if policy.mode == "never":
             return
-        due = policy.mode == "always" or self._unsynced_records >= policy.batch
-        if policy.interval is not None and now - self._last_sync_at >= policy.interval:
-            due = due or self._unsynced_records > 0
-        if due:
-            # The record just appended makes the current segment dirty by
-            # construction.  Usually it is the only one remembered: nothing
-            # to order, nothing to test.  Otherwise only the others need
-            # testing.
-            if self._dirty == {self._current}:
-                self._sync_current()
-            else:
-                self._sync_dirty(known_dirty=self._current)
-            self._last_sync_at = now
+        if policy.mode == "group_commit":
+            unsynced = self._unsynced_records
+            late = policy.interval is not None and now - self._last_sync_at >= policy.interval
+            if unsynced < policy.batch and not (late and unsynced > 0):
+                return
+        # The record just appended makes the current segment dirty by
+        # construction, so one remembered segment is the current one:
+        # nothing to order, nothing to test.  Otherwise only the others
+        # need testing.
+        if len(self._dirty) == 1:
+            self._sync_current()
+        else:
+            self._sync_dirty(known_dirty=self._current)
+        self._last_sync_at = now
 
     def _sync_current(self) -> None:
         self.disk.sync(self._current)
@@ -833,6 +888,26 @@ class Journal:
     # ------------------------------------------------------------------
     # Semantic append helpers (the broker-facing protocol)
     # ------------------------------------------------------------------
+    def _route(self, domain: Any, destination: Any) -> str:
+        """The ``"dest":…,"domain":…`` fragment every record starts with.
+
+        Remembered per journal, and only for two exact ``str``: only for
+        those does an equal key mean equal text.  ``True``, ``1`` and
+        ``1.0`` are one dict key and three atoms, and a ``str`` subclass
+        may define its own equality.  A memo grown to
+        :data:`_ROUTES_KEPT` starts afresh.
+        """
+        if type(domain) is not str or type(destination) is not str:
+            return f'"dest":{_atom(destination)},"domain":{_atom(domain)}'
+        routes = self._routes
+        route = routes.get((domain, destination))
+        if route is None:
+            if len(routes) >= _ROUTES_KEPT:
+                routes.clear()
+            route = f'"dest":{_atom(destination)},"domain":{_atom(domain)}'
+            routes[domain, destination] = route
+        return route
+
     def log_publish(
         self,
         domain: str,
@@ -848,18 +923,18 @@ class Journal:
         a single backlog entry exists).
         """
         mid = _atom(message.message_id)
-        body, props = message.body, message.properties
+        body, props, mode = message.body, message.properties, message.delivery_mode
         properties = _PAYLOAD_ENCODER.encode(props) if props else "{}"
         tail = f',"owed":{_PAYLOAD_ENCODER.encode(list(owed))}' if owed else ""
         meta = (
-            f'{{"dest":{_atom(destination)},"domain":{_atom(domain)},"mid":{mid},'
+            f'{{{self._route(domain, destination)},"mid":{mid},'
             f'"msg":{{"body":{len(body)},"cid":{_atom(message.correlation_id)},'
             f'"exp":{_atom(message.expiration)},"mid":{mid},'
-            f'"mode":{_atom(message.delivery_mode.value)},'
+            f'"mode":{_PERSISTENT_ATOM if mode is _PERSISTENT else _atom(mode.value)},'
             f'"prio":{_atom(message.priority)},"props":{properties},'
             f'"topic":{_atom(message.topic)},"ts":{_atom(message.timestamp)}}}{tail}}}'
         )
-        return self.append_encoded(_seal(RecordKind.PUBLISH, meta, body), now=now)
+        return self.append_run((_seal(_PUBLISH, meta, body),), now)
 
     def log_deliver(
         self,
@@ -870,10 +945,10 @@ class Journal:
         now: float = 0.0,
     ) -> int:
         meta = (
-            f'{{"consumer":{_atom(consumer)},"dest":{_atom(destination)},'
-            f'"domain":{_atom(domain)},"mid":{_atom(message_id)}}}'
+            f'{{"consumer":{_atom(consumer)},{self._route(domain, destination)},'
+            f'"mid":{_atom(message_id)}}}'
         )
-        return self.append_encoded(_seal(RecordKind.DELIVER, meta), now=now)
+        return self.append_run((_seal(_DELIVER, meta),), now)
 
     def log_ack(
         self,
@@ -884,19 +959,16 @@ class Journal:
         now: float = 0.0,
     ) -> int:
         meta = (
-            f'{{"dest":{_atom(destination)},"domain":{_atom(domain)},'
+            f'{{{self._route(domain, destination)},'
             f'"mid":{_atom(message_id)},"reason":{_atom(reason)}}}'
         )
-        return self.append_encoded(_seal(RecordKind.ACK, meta), now=now)
+        return self.append_run((_seal(_ACK, meta),), now)
 
     def log_expire(
         self, domain: str, destination: str, message_id: int, now: float = 0.0
     ) -> int:
-        meta = (
-            f'{{"dest":{_atom(destination)},"domain":{_atom(domain)},'
-            f'"mid":{_atom(message_id)}}}'
-        )
-        return self.append_encoded(_seal(RecordKind.EXPIRE, meta), now=now)
+        meta = f'{{{self._route(domain, destination)},"mid":{_atom(message_id)}}}'
+        return self.append_run((_seal(_EXPIRE, meta),), now)
 
     # ------------------------------------------------------------------
     # Checkpoint / compaction

@@ -2,7 +2,7 @@
 
 A :class:`Finding` anchors one rule violation to a file/line/column
 span; rendering reuses the GCC-style caret diagnostics of
-:mod:`repro.broker.selector.diagnostics` so ``repro check`` output looks
+:mod:`repro.diagnostics` so ``repro check`` output looks
 exactly like ``repro lint`` output::
 
     repro/broker/queues.py:359:8: warning [RACE001]: attribute
@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..broker.selector.diagnostics import Diagnostic, Severity, render_diagnostic
+from ..diagnostics import Diagnostic, Severity, render_diagnostic
 
 __all__ = ["Severity", "Finding", "CheckReport", "finding_fingerprint"]
 

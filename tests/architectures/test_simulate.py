@@ -10,7 +10,12 @@ from repro.architectures import (
     simulate_server_under_load,
     simulate_ssr_server,
 )
-from repro.core import CORRELATION_ID_COSTS, DeterministicReplication, MG1Queue
+from repro.core import (
+    CORRELATION_ID_COSTS,
+    DeterministicReplication,
+    MG1Queue,
+    shifted_scaled_moments,
+)
 from repro.core.service_time import ServiceTimeModel
 
 
@@ -58,7 +63,7 @@ class TestServerUnderLoad:
             horizon=30_000.0,
             cpu_scale=scale,
         )
-        queue = MG1Queue(rate, model.moments.scaled(scale))
+        queue = MG1Queue(rate, shifted_scaled_moments(0.0, scale, model.moments))
         assert result.mean_waiting_time == pytest.approx(queue.mean_wait, rel=0.10)
 
     def test_replication_beyond_filters_rejected(self):

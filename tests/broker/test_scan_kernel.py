@@ -9,8 +9,9 @@ per block — is asserted by counting, never by timing.
 """
 
 import importlib.util
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -23,7 +24,7 @@ from repro.broker import (
     Message,
     PropertyFilter,
 )
-from repro.broker.selector import SCAN_BLOCK, ScanKernel, compile_scan, evaluate
+from repro.broker.selector import SCAN_BLOCK, Expr, ScanKernel, compile_scan, evaluate
 from repro.broker.selector.compile import _BLOCK_CACHE
 
 TOPIC = "t"
@@ -168,6 +169,21 @@ def counted_isinstance(kernel: ScanKernel):
             namespace["isinstance"] = isinstance
 
 
+@contextmanager
+def counted_reprs():
+    """Count ``repr`` calls on selector AST nodes, the recursive ones too."""
+    calls = [0]
+    with ExitStack() as patches:
+        for node_class in Expr.__subclasses__():
+
+            def counting(node, original=node_class.__repr__):
+                calls[0] += 1
+                return original(node)
+
+            patches.enter_context(mock.patch.object(node_class, "__repr__", counting))
+        yield calls
+
+
 def generated_lines(kernel: ScanKernel) -> int:
     """Source lines of the kernel's blocks: a block's source is one
     function, so its last line number is its length."""
@@ -229,6 +245,33 @@ class TestScanCost:
         first.dry_run(message)
         assert first._scans[TOPIC].kernel is kernel  # nothing changed: reused
         assert kernel.block_calls - before == blocks
+
+    def test_a_scan_build_walks_each_selector_through_repr_once_per_process(self):
+        # Three filters per text; texts no other test names, so each
+        # Selector computes its key here, on the first build.
+        texts = [f"repr_lane = {i} AND repr_px BETWEEN {i} AND {i + 9}" for i in range(40)]
+        filters = [PropertyFilter(text) for text in texts for _ in range(3)]
+        with counted_reprs() as walks:
+            for filter_ in filters[::3]:
+                repr(filter_.selector.canonical)
+        with counted_reprs() as calls:
+            first = compile_scan(filters)
+        assert calls[0] == walks[0] > 0  # one walk per distinct text, not per filter
+        with counted_reprs() as calls:
+            again = compile_scan(filters)
+            compile_scan(filters[::-1])
+        assert calls[0] == 0
+        assert (first.blocks_generated, again.blocks_generated) == (-(-120 // SCAN_BLOCK), 0)
+
+    def test_equal_asts_of_unequal_literal_types_share_no_block(self):
+        # ``Literal(True) == Literal(1) == Literal(1.0)``; their reprs differ.
+        message = Message(topic=TOPIC, properties={"typed_lane": True})
+        verdicts = []
+        for text in ("typed_lane = TRUE", "typed_lane = 1", "typed_lane = 1.0"):
+            kernel = compile_scan([PropertyFilter(text)])
+            assert kernel.blocks_generated == 1
+            verdicts.append(kernel(message))
+        assert verdicts == [[0], [], []]
 
     def test_filter_index_scans_one_unit_per_shared_group(self):
         broker = Broker(topics=[TOPIC])

@@ -1,9 +1,12 @@
 """Tests for the selector static analyzer: types, satisfiability, canon."""
 
+from unittest import mock
+
 import pytest
 
 from repro.broker import Broker, InvalidSelectorError, Message, PropertyFilter
 from repro.broker.selector import Selector, parse
+from repro.broker.selector import analysis as analysis_module
 from repro.broker.selector.analysis import (
     SelectorType,
     always_matches,
@@ -15,7 +18,7 @@ from repro.broker.selector.analysis import (
     simplify,
     type_check,
 )
-from repro.broker.selector.diagnostics import render_diagnostic
+from repro.diagnostics import render_diagnostic
 
 
 def codes(selector):
@@ -257,6 +260,22 @@ class TestBrokerSelectorPolicy:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             Broker(topics=["t"], selector_policy="pedantic")
+
+    @pytest.mark.parametrize("policy", ["warn", "strict"])
+    def test_a_text_is_analysed_once_however_many_subscribe_with_it(self, policy):
+        # A text no other test names: ``selector_for`` hands every filter
+        # of it one process-wide Selector, which keeps its analysis.
+        text = f"once_{policy}_lane > 10 AND once_{policy}_lane < 5"
+        broker = Broker(topics=["t"], selector_policy=policy)
+        with mock.patch.object(analysis_module, "parse", wraps=analysis_module.parse) as parses:
+            for n in range(50):
+                broker.add_subscriber(f"s{n}")
+                broker.subscribe(f"s{n}", "t", PropertyFilter(text))
+        assert parses.call_count == 1
+        assert len(broker.subscriptions("t")) == 50
+        expected = analyze(text)
+        assert broker.selector_findings == [(f"s{n}", "t", expected) for n in range(50)]
+        assert expected.unsatisfiable and not expected.errors
 
     def test_subscription_selector_analysis(self):
         broker = Broker(topics=["t"])

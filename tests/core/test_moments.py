@@ -42,14 +42,6 @@ class TestMoments:
         with pytest.raises(ValueError, match="inconsistent"):
             Moments(2.0, 1.0, 1.0)  # E[X^2] < E[X]^2
 
-    def test_scaled(self):
-        m = Moments(1.0, 2.0, 6.0).scaled(3.0)
-        assert (m.m1, m.m2, m.m3) == (3.0, 18.0, 162.0)
-
-    def test_scaled_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Moments(1.0, 2.0, 6.0).scaled(-1.0)
-
 
 class TestShiftedScaledMoments:
     def test_matches_paper_equations_for_deterministic_r(self):

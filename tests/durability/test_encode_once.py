@@ -234,3 +234,114 @@ def test_an_atom_json_cannot_carry_is_refused_before_anything_is_written():
             attempt()
     assert disk.length(journal.current_segment) == SEGMENT_HEADER_SIZE
     assert journal.records_appended == 0
+
+
+# ----------------------------------------------------------------------
+# A journal remembers the route text of exact strings only
+# ----------------------------------------------------------------------
+class Shout(str):
+    """Equal to, and hashed like, the text it holds; not an exact ``str``."""
+
+
+ROUTE_PARTS = st.one_of(
+    st.sampled_from(["queue", "orders", True, 1, 1.0, Shout("queue"), Shout("orders"), Lane.FAST]),
+    HOSTILE_ATOMS,
+)
+
+
+def landed(journal, disk):
+    return disk.read(journal.current_segment, SEGMENT_HEADER_SIZE)
+
+
+def test_a_remembered_route_is_never_lent_to_an_equal_atom_of_another_type():
+    disk = SimulatedDisk()
+    journal = Journal(disk, sync=SyncPolicy.never())
+    routes = [("queue", "orders"), (True, "orders"), (1, "orders"), (1.0, "orders")]
+    routes += [(Shout("queue"), "orders"), ("queue", True), ("queue", 1), ("queue", 1.0)]
+    routes += [("queue", Shout("orders")), ("queue", "orders")]
+    expected = []
+    for domain, dest in routes:
+        journal.log_ack(domain, dest, 7)
+        journal.log_expire(domain, dest, 7)
+        route = {"domain": domain, "dest": dest, "mid": 7}
+        expected.append(specified(RecordKind.ACK, {**route, "reason": "acked"}))
+        expected.append(specified(RecordKind.EXPIRE, route))
+    assert landed(journal, disk) == b"".join(expected)
+    assert list(journal._routes) == [("queue", "orders")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(routes=st.lists(st.tuples(ROUTE_PARTS, ROUTE_PARTS), min_size=1, max_size=6))
+def test_a_reused_journal_lands_the_canonical_encoding_of_every_route(routes):
+    disk = SimulatedDisk()
+    journal = Journal(disk, sync=SyncPolicy.never())
+    message = Message(topic="orders", body=b"xy", message_id=5)
+    expected = []
+    for domain, dest in routes + routes:  # the second pass from the memo
+        journal.log_deliver(domain, dest, 5, "worker")
+        journal.log_publish(domain, dest, message)
+        route = {"domain": domain, "dest": dest, "mid": 5}
+        expected.append(specified(RecordKind.DELIVER, {**route, "consumer": "worker"}))
+        expected.append(
+            specified(RecordKind.PUBLISH, {**route, "msg": encode_message(message)})
+        )
+    assert landed(journal, disk) == b"".join(expected)
+    assert all(type(d) is str and type(t) is str for d, t in journal._routes)
+
+
+def test_the_route_memo_is_bounded():
+    disk = SimulatedDisk()
+    journal = Journal(disk, sync=SyncPolicy.never())
+    kept = journal_module._ROUTES_KEPT
+    for n in range(kept + 3):
+        journal.log_expire("queue", f"q{n}", n)
+    assert len(journal._routes) == 3
+    journal.log_expire("queue", "q0", 0)
+    assert landed(journal, disk).endswith(
+        specified(RecordKind.EXPIRE, {"domain": "queue", "dest": "q0", "mid": 0})
+    )
+
+
+# ----------------------------------------------------------------------
+# One prebuilt encoder, no shared cycle table
+# ----------------------------------------------------------------------
+def test_a_failed_property_or_owed_encode_leaves_no_trace_for_the_next():
+    # A shared ``markers`` table would keep the ids of the containers an
+    # encode that raised was inside, and call the next encode of the same
+    # objects circular.
+    disk = SimulatedDisk()
+    journal = Journal(disk, sync=SyncPolicy.never())
+    message = Message(topic="orders", properties={"n": 1}, message_id=3)
+    message.properties["late"] = [b"not json"]  # mutated after validation
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        journal.log_publish("queue", "orders", message)
+    del message.properties["late"]
+    journal.log_publish("queue", "orders", message)
+
+    inner = ["alice|orders", b"not json"]
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        journal.log_publish("topic", "orders", message, owed=[inner])
+    inner[1] = "bob|orders"
+    journal.log_publish("topic", "orders", message, owed=[inner])
+
+    route = {"dest": "orders", "msg": encode_message(message), "mid": 3}
+    assert landed(journal, disk) == specified(
+        RecordKind.PUBLISH, {**route, "domain": "queue"}
+    ) + specified(RecordKind.PUBLISH, {**route, "domain": "topic", "owed": [inner]})
+
+
+def test_a_cycle_is_still_reported_as_one():
+    disk = SimulatedDisk()
+    journal = Journal(disk)
+    entry = {"dest": "orders", "domain": "queue"}
+    entry["self"] = entry
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        journal.checkpoint([entry])
+    owed = ["a|t"]
+    owed.append(owed)
+    with pytest.raises(ValueError, match="Circular reference detected"):
+        journal.log_publish("topic", "t", Message(topic="t"), owed=owed)
+    assert journal.records_appended == 0
+    del entry["self"]
+    journal.checkpoint([entry])
+    assert journal.records_appended == 1

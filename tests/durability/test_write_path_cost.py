@@ -416,3 +416,89 @@ class TestAFrameIsOneCommitOnTheStandby:
         # Fewer commits than records: that is the point.
         assert pair.standby.disk.writes < pair.primary_disk.writes
         assert pair.standby.journal.syncs < pair.journal.syncs
+
+
+# ----------------------------------------------------------------------
+# The per-record constant: what a lifecycle pays besides its bytes
+# ----------------------------------------------------------------------
+import dis  # noqa: E402
+import enum  # noqa: E402
+import sys  # noqa: E402
+
+BUILD_SET = dis.opmap["BUILD_SET"]
+
+
+def durable_lifecycle(journal, n):
+    """The records of one ``durable_queue`` message: PUBLISH of a 256 B
+    body with two properties, DELIVER, ACK."""
+    message = Message(
+        topic=QUEUE, properties={"tenant": "t3", "attempt": 1}, body=b"x" * 256, message_id=n
+    )
+    journal.log_publish("queue", QUEUE, message, now=n * 1e-3)
+    journal.log_deliver("queue", QUEUE, n, "worker", now=n * 1e-3)
+    journal.log_ack("queue", QUEUE, n, now=n * 1e-3)
+
+
+class TestALifecyclePaysNoPerRecordToll:
+    """Counted through wrappers and an opcode trace on a journal that has
+    written one lifecycle already (its route is remembered).  Before the
+    encoder was prebuilt and routes remembered, a lifecycle made 17
+    ``_atom`` calls, one ``JSONEncoder.iterencode``, four ``enum``
+    descriptor calls (the kind byte of three records and the delivery
+    mode) and built three sets (the sync decision of three appends)."""
+
+    @pytest.fixture(scope="class")
+    def counts(self):
+        disk = CountingDisk(RandomStreams(0))
+        journal = Journal(disk, sync=SyncPolicy.always())
+        durable_lifecycle(journal, 1)
+        disk.reset()
+        counts = Counter()
+
+        def counted(name, function):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return function(*args, **kwargs)
+
+            return call
+
+        def opcodes(frame, event, arg):
+            if event == "opcode" and frame.f_code.co_code[frame.f_lasti] == BUILD_SET:
+                counts["BUILD_SET"] += 1
+            return opcodes
+
+        def calls(frame, event, arg):
+            if frame.f_code.co_filename != journal_module.__file__:
+                return None
+            frame.f_trace_opcodes = True
+            return opcodes
+
+        previous = sys.gettrace()
+        with mock.patch.object(
+            json.JSONEncoder, "iterencode", counted("iterencode", json.JSONEncoder.iterencode)
+        ), mock.patch.object(
+            enum.property, "__get__", counted("enum.__get__", enum.property.__get__)
+        ), mock.patch.object(journal_module, "_atom", counted("_atom", journal_module._atom)):
+            sys.settrace(calls)
+            try:
+                durable_lifecycle(journal, 2)
+            finally:
+                sys.settrace(previous)
+        assert journal.records_appended == 6
+        return counts, Counter(disk.calls)
+
+    def test_the_encoder_is_prebuilt(self, counts):
+        assert counts[0]["iterencode"] == 0
+
+    def test_the_sync_decision_builds_no_set(self, counts):
+        assert counts[0]["BUILD_SET"] == 0
+
+    def test_no_enum_descriptor_runs_on_the_write_path(self, counts):
+        assert counts[0]["enum.__get__"] == 0
+
+    def test_a_remembered_route_is_not_quoted_again(self, counts):
+        # PUBLISH: mid, cid, exp, prio, topic, ts; DELIVER and ACK: two each.
+        assert counts[0]["_atom"] == 10
+
+    def test_the_disk_calls_are_the_same(self, counts):
+        assert counts[1] == Counter(length=3, append=3, sync=3)

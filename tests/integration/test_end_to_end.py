@@ -18,6 +18,7 @@ from repro.core import (
     ReplicationFamily,
     costs_for,
     predict_throughput,
+    shifted_scaled_moments,
 )
 from repro.simulation import simulate_mg1
 from repro.testbed import ExperimentConfig, run_experiment
@@ -89,7 +90,7 @@ class TestWaitingTimeTheoryVsBrokerSimulation:
             horizon=40_000.0,
             cpu_scale=scale,
         )
-        queue = MG1Queue(rate, model.moments.scaled(scale))
+        queue = MG1Queue(rate, shifted_scaled_moments(0.0, scale, model.moments))
         assert result.utilization == pytest.approx(rho, abs=0.02)
         assert result.mean_waiting_time == pytest.approx(queue.mean_wait, rel=0.10)
         assert result.wait_quantile_99 == pytest.approx(queue.wait_quantile(0.99), rel=0.10)

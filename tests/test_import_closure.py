@@ -120,6 +120,13 @@ def test_the_model_loads_no_broker(alone):
     assert "repro.filter_type" in alone["repro.core"]
 
 
+def test_the_static_analyzer_loads_no_broker(alone):
+    """``repro check`` renders its findings like ``repro lint`` through the
+    leaf ``repro.diagnostics``: linting source text runs no broker code."""
+    assert [m for m in alone["repro.statics"] if m.startswith("repro.broker")] == []
+    assert "repro.diagnostics" in alone["repro.statics"]
+
+
 def test_a_start_up_hook_does_not_count_against_the_package(tmp_path, monkeypatch):
     """What a ``sitecustomize`` (or a ``.pth`` file) imports belongs to the
     machine: counted, it would push every package over its ceiling."""

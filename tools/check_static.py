@@ -67,6 +67,7 @@ IMPORT_SMOKE = (
     "repro.architectures.failover",
     "repro.rng",
     "repro.filter_type",
+    "repro.diagnostics",
     "repro.statics",
     "repro.statics.engine",
     "repro.resilience",
