@@ -104,7 +104,8 @@ class SimulatedDisk:
     # ------------------------------------------------------------------
     @property
     def changes(self) -> int:
-        """Bumped by every call that can change what a reader sees."""
+        """Bumped by every call that can change what a reader sees; by
+        exactly one for an append."""
         return self._changes
 
     @property

@@ -63,6 +63,9 @@ whatever is logged inside it — the ``log_*`` calls seal their records
 exactly as ever — and commits it, in logging order, as one run when it
 closes: a stage of ``send_batch`` / ``publish_batch`` is such a scope.
 Outside a scope nothing is buffered: every policy is write-through.
+Each stretch that lands whole is handed to the journal's
+:attr:`~Journal.follower`, if it has one: a replication shipper takes
+the bytes from there instead of reading them back off the disk.
 
 Sync policies model the fsync cost the paper's ``E[B]`` (Eq. 1) never
 had to pay:
@@ -87,7 +90,7 @@ import zlib
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from math import isfinite
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..broker.message import DeliveryMode, Message
 from .disk import DiskWriteError, SimulatedDisk
@@ -385,11 +388,23 @@ _ROUTES_KEPT = 4096
 def _seal(code: int, meta: str, blobs: bytes = b"") -> bytes:
     """The wire bytes of one record of kind byte ``code`` from its two
     sections, ``meta`` already canonical JSON text (so ASCII); the body
-    is copied once."""
+    is copied once.
+
+    Raises :class:`JournalWriteError` for a record longer than
+    :data:`MAX_RECORD_BYTES`, which every reader refuses: refused here,
+    before a byte of it is written, it is a send that failed rather than
+    a commit that recovery quarantines.
+    """
     head = meta.encode()
     front = _BODY_PREFIX.pack(code, len(head)) + head
+    length = len(front) + len(blobs)
+    if length > MAX_RECORD_BYTES:
+        raise JournalWriteError(
+            f"a record of {length} bytes exceeds the {MAX_RECORD_BYTES}-byte "
+            f"limit every reader of the journal enforces"
+        )
     crc = zlib.crc32(blobs, zlib.crc32(front)) if blobs else zlib.crc32(front)
-    return b"".join((_RECORD_HEADER.pack(len(front) + len(blobs), crc), front, blobs))
+    return b"".join((_RECORD_HEADER.pack(length, crc), front, blobs))
 
 
 def _frame(kind: RecordKind, meta: Dict[str, Any], blobs: bytes = b"") -> bytes:
@@ -559,6 +574,15 @@ class Journal:
         #: The records an open :meth:`commit` scope holds back, in
         #: logging order; ``None`` outside a scope (write-through).
         self._held: Optional[List[bytes]] = None
+        #: Told of every stretch of :meth:`append_run` right after it lands
+        #: whole, as ``follower(segment, offset, records, disk.changes)``:
+        #: the segment and offset the stretch starts at, its records, and
+        #: the disk's change counter after the write.  Nothing is told of a
+        #: failed write.  A replication shipper's
+        #: :meth:`~repro.durability.tail.JournalTailer.feed` goes here, so
+        #: the bytes just written need not be read back; ``None`` costs one
+        #: test a stretch.
+        self.follower: Optional[Callable[[str, int, Sequence[bytes], int], None]] = None
         #: Name of a resumed tail segment whose header was torn/missing
         #: and that :meth:`_open` had to repair (``None`` when the resume
         #: was clean); recovery surfaces it in the report.
@@ -743,6 +767,8 @@ class Journal:
                 error.records_written = whole
                 raise error from exc
             self._landed(segment, offset, records, start, stop)
+            if self.follower is not None:
+                self.follower(segment, offset, records[start:stop], disk.changes)
             self._maybe_sync(now)
             start = stop
         return first
@@ -768,6 +794,12 @@ class Journal:
             ends.append(offset)
         self.records_appended += stop - start
         self._unsynced_records += stop - start
+
+    def follow(
+        self, follower: Optional[Callable[[str, int, Sequence[bytes], int], None]]
+    ) -> None:
+        """Set (or, with ``None``, clear) the :attr:`follower`."""
+        self.follower = follower
 
     @property
     def record_locations(self) -> List[RecordLocation]:

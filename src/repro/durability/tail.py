@@ -32,6 +32,24 @@ The tailer never mutates the disk and never double-reads: its position
 ``(segment, offset)`` only moves forward within a segment and only moves
 to strictly newer segments across them.
 
+A shipper need not read back what the journal just wrote.  A tailer
+registered as the journal's follower (``journal.follower =
+tailer.feed``) is handed each stretch the journal writes, and
+:meth:`JournalTailer.poll_encoded` returns those bytes without a disk
+call when a read would return exactly them: the disk changed by nothing
+but the fed writes since the first of them (its change counter moved by
+one a feed, the one an append makes, and still stands where the last
+feed left it), the stretch
+starts at the tailer's own position, and that position lies past the
+header of the newest segment of a listing still current.  Anything
+else — a rotation, a checkpoint's deletions, a failed or torn write,
+corruption, a truncation, a crash, a write the journal did not feed —
+breaks one of the three, and the feed is dropped for an ordinary
+:meth:`poll`.  The
+journal refuses on write any record its readers would refuse
+(:data:`~repro.durability.journal.MAX_RECORD_BYTES`), so every fed
+record is one a read would have parsed.
+
 A poll costs what changed, not what exists.  The disk keeps two change
 counters (:attr:`SimulatedDisk.changes`, :attr:`SimulatedDisk.name_changes`
 — what ``st_mtime`` or an inotify watch is to a real log shipper): a poll
@@ -46,7 +64,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .disk import SimulatedDisk
 from .journal import (
@@ -100,6 +118,12 @@ class JournalTailer:
         self._listing: List[str] = []
         self._listed_at: Optional[int] = None
         self._dry_at: Optional[int] = None
+        #: Records fed since the last take, which landed back to back from
+        #: ``(_fed_segment, _fed_offset)``; ``disk.changes`` after the last.
+        self._fed: List[bytes] = []
+        self._fed_segment = ""
+        self._fed_offset = 0
+        self._fed_at = -1
         # -- counters ----------------------------------------------------
         self.records_read = 0
         self.segments_crossed = 0
@@ -168,6 +192,49 @@ class JournalTailer:
         if changes != self._dry_at:
             self._dry_at = changes if self._read_into(out, max_records) else None
         return out
+
+    def feed(self, segment: str, offset: int, records: Sequence[bytes], changes: int) -> None:
+        """Be handed ``records``, just written back to back from ``offset``
+        of ``segment``, with ``changes`` the disk's change counter right
+        after the write: the journal's
+        :attr:`~repro.durability.journal.Journal.follower`.
+
+        A write that was the disk's only change since the last feed (an
+        append moves the counter by one, and any other change moves it
+        too) landed where that feed ended, and extends its stretch; any
+        other starts a new stretch.
+        """
+        if self._fed and changes == self._fed_at + 1:
+            self._fed.extend(records)
+        else:
+            self._fed = list(records)
+            self._fed_segment, self._fed_offset = segment, offset
+        self._fed_at = changes
+
+    def poll_encoded(self) -> List[bytes]:
+        """The wire bytes of every newly complete record:
+        ``[record.encoded for record in self.poll()]``.
+
+        When the fed stretch is provably what that read would return (see
+        the module docstring), it is returned as is, and the position,
+        ``records_read`` and the dry mark move as the read would have moved
+        them; otherwise the feed is dropped and :meth:`poll` reads.
+        """
+        fed, self._fed = self._fed, []
+        disk = self.disk
+        if (
+            fed
+            and self._fed_at == disk.changes
+            and self._fed_offset == self._offset >= SEGMENT_HEADER_SIZE
+            and self._fed_segment == self._segment
+            and self._listed_at == disk.name_changes
+            and self._listing[-1] == self._segment
+        ):
+            self._offset += sum(map(len, fed))
+            self.records_read += len(fed)
+            self._dry_at = self._fed_at
+            return fed
+        return [record.encoded for record in self.poll()]
 
     def _read_into(self, out: List[TailedRecord], max_records: Optional[int]) -> bool:
         """Append what is readable to ``out``; whether the log ran dry

@@ -5,7 +5,9 @@
 - the **primary** is an ordinary journalled
   :class:`~repro.broker.server.Broker` on its own simulated disk;
 - a :class:`~repro.durability.tail.JournalTailer` follows the primary's
-  journal and the **shipper** batches new records into
+  journal — as its follower, handed the bytes each commit wrote, so
+  the shipper reads back from the disk only what the hand cannot vouch
+  for — and the **shipper** batches new records into
   :class:`~repro.replication.link.ShipFrame` frames — a frame goes out
   when ``batch_size`` records accumulate or ``ship_interval`` elapses
   since the last send, whichever comes first (the group-commit shape,
@@ -52,7 +54,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..broker.server import Broker
 from ..durability.disk import SimulatedDisk
-from ..durability.journal import Journal, SyncPolicy
+from ..durability.journal import RECORD_HEADER_SIZE, Journal, RecordKind, SyncPolicy
 from ..durability.recovery import collect_live_entries
 from ..durability.tail import JournalTailer
 from ..rng import RandomStreams
@@ -63,6 +65,8 @@ from .standby import PromotionReport, StandbyReplica
 __all__ = ["ReplicationConfig", "ReplicatedPair"]
 
 _MODES = ("sync", "async")
+#: The kind byte of a CHECKPOINT record.
+_CHECKPOINT = RecordKind.CHECKPOINT.value
 
 
 @dataclass(frozen=True)
@@ -128,6 +132,7 @@ class ReplicatedPair:
         )
         self.primary = Broker(topics=list(topics), journal=self.journal)
         self.tailer = JournalTailer(self.primary_disk)
+        self.journal.follow(self.tailer.feed)
         self.link = SimulatedLink(RandomStreams(seed + 1), delay=self.config.link_delay)
         self.standby = StandbyReplica(
             disk=SimulatedDisk(RandomStreams(seed + 2)),
@@ -146,10 +151,21 @@ class ReplicatedPair:
         #: built before a lease re-acquisition is never replayed with a
         #: stale fencing token.
         self._unacked: Dict[int, Tuple[Tuple[bytes, ...], float]] = {}
-        self._frame_records: Dict[int, int] = {}
+        #: ``sequence -> LSNs the frame covers``: its records, plus those
+        #: a CHECKPOINT in it subsumed without the shipper taking them.
+        self._frame_lsns: Dict[int, int] = {}
+        #: The LSN after the last record taken from the tailer; the LSN of
+        #: the last :meth:`checkpoint_primary` until the tailer hands over
+        #: its CHECKPOINT; ``(position in _pending, LSNs skipped)`` for each
+        #: CHECKPOINT pending whose predecessors were not all taken.
+        self._lsn_taken = 0
+        self._checkpoint_lsn: Optional[int] = None
+        self._pending_gaps: List[Tuple[int, int]] = []
         self._next_sequence = 0
         self._acked_sequence = 0
         self._records_shipped = 0
+        #: The LSN watermark the standby's acks cover (see
+        #: :attr:`records_acked_by_standby`).
         self._records_acked = 0
         self._last_ship = 0.0
         # -- leadership state ---------------------------------------------
@@ -162,8 +178,9 @@ class ReplicatedPair:
         self.promotion: Optional[PromotionReport] = None
         self.crashed_at: Optional[float] = None
         self.promoted_at: Optional[float] = None
-        #: Records the leader has durably acknowledged to clients — the
-        #: no-lost-ack invariant is stated over exactly this watermark.
+        #: Records the leader has durably acknowledged to clients, as an
+        #: LSN watermark (every record below it) — the no-lost-ack
+        #: invariant is stated over exactly this watermark.
         self.client_acked_records = 0
         # -- counters -----------------------------------------------------
         self.frames_shipped = 0
@@ -179,18 +196,21 @@ class ReplicatedPair:
 
     @property
     def records_acked_by_standby(self) -> int:
-        """Records the standby has cumulatively acknowledged applying."""
+        """The LSN below which the standby has acknowledged every record:
+        applied, or subsumed by a CHECKPOINT it applied.  It counts
+        records, as :attr:`Journal.records_appended` does, until a
+        checkpoint compacts records the shipper never took."""
         return self._records_acked
 
     @property
     def shipped_lag_records(self) -> int:
-        """Primary-journalled records the standby has not applied yet."""
-        return max(self.journal.records_appended - self.standby.records_applied, 0)
+        """Primary-journalled records the standby has not acknowledged yet."""
+        return max(self.journal.records_appended - self._records_acked, 0)
 
     @property
     def unshipped_acked_records(self) -> int:
         """Client-acked records not yet on the standby — the RPO exposure."""
-        return max(self.client_acked_records - self.standby.records_applied, 0)
+        return max(self.client_acked_records - self._records_acked, 0)
 
     @property
     def leader_broker(self) -> Broker:
@@ -228,11 +248,14 @@ class ReplicatedPair:
     def _ship(self, now: float) -> None:
         if not self.primary_up or self.primary_paused or self.primary_fenced:
             return
-        # Forward the bytes the tailer CRC-verified; nothing re-encodes them.
+        # Forward the bytes the journal wrote; nothing re-encodes them.
         pending = self._pending
-        polled = self.tailer.poll()
+        polled = self.tailer.poll_encoded()
         if polled:
-            pending.extend([record.encoded for record in polled])
+            if self._checkpoint_lsn is not None:
+                self._skip_to_checkpoint(polled[0])
+            self._lsn_taken += len(polled)
+            pending.extend(polled)
         if pending:
             batch = self.config.batch_size
             while len(pending) >= batch:
@@ -260,14 +283,35 @@ class ReplicatedPair:
                 self._unacked[sequence] = (records, now)
                 self.retransmits += 1
 
+    def _skip_to_checkpoint(self, first: bytes) -> None:
+        """The first take after :meth:`checkpoint_primary`: ``first`` is
+        the CHECKPOINT the tailer repositioned onto, whose snapshot
+        subsumes the records it skipped, so the frame that carries it acks
+        their LSNs too."""
+        lsn, self._checkpoint_lsn = self._checkpoint_lsn, None
+        assert lsn is not None
+        if first[RECORD_HEADER_SIZE] == _CHECKPOINT and lsn > self._lsn_taken:
+            self._pending_gaps.append((len(self._pending), lsn - self._lsn_taken))
+            self._lsn_taken = lsn
+
     def _send_frame(self, records: List[bytes], now: float) -> None:
+        """Ship ``records``, the head of ``_pending``, as one frame."""
         frame = ShipFrame(
             sequence=self._next_sequence,
             epoch=self._primary_epoch,
             records=tuple(records),
         )
         wire = encode_frame(frame)
-        self._frame_records[frame.sequence] = len(records)
+        count = covered = len(records)
+        if self._pending_gaps:
+            kept = []
+            for position, skipped in self._pending_gaps:
+                if position < count:
+                    covered += skipped
+                else:
+                    kept.append((position - count, skipped))
+            self._pending_gaps = kept
+        self._frame_lsns[frame.sequence] = covered
         self._unacked[frame.sequence] = (frame.records, now)
         self._next_sequence += 1
         self._records_shipped += len(records)
@@ -280,7 +324,7 @@ class ReplicatedPair:
             ack = self.standby.receive(payload, now)
             while self._acked_sequence < ack:
                 sequence = self._acked_sequence
-                self._records_acked += self._frame_records.pop(sequence, 0)
+                self._records_acked += self._frame_lsns.pop(sequence, 0)
                 self._unacked.pop(sequence, None)
                 self._acked_sequence += 1
 
@@ -355,8 +399,15 @@ class ReplicatedPair:
 
     # ------------------------------------------------------------------
     def checkpoint_primary(self, now: float) -> Tuple[int, int]:
-        """Checkpoint-compact the primary journal under the tail reader."""
-        return self.journal.checkpoint(collect_live_entries(self.primary), now=now)
+        """Checkpoint-compact the primary journal under the tail reader.
+
+        The tailer's next take starts at the CHECKPOINT, at the LSN
+        returned here: the shipper remembers it, so the ack watermark
+        counts the records the snapshot subsumed (see
+        :meth:`_skip_to_checkpoint`)."""
+        lsn, deleted = self.journal.checkpoint(collect_live_entries(self.primary), now=now)
+        self._checkpoint_lsn = lsn
+        return lsn, deleted
 
     def to_dict(self) -> Dict[str, Any]:
         return {

@@ -1,15 +1,19 @@
 """Crash recovery: repair classification and exactly-once replay."""
 
+import pytest
+
 from repro.broker import Broker
 from repro.broker.message import Message
 from repro.broker.queues import QueueConsumer
 from repro.durability import (
     Journal,
+    JournalWriteError,
     SimulatedDisk,
     SyncPolicy,
     recover_broker,
     scan_disk,
 )
+from repro.durability.journal import MAX_RECORD_BYTES
 from repro.rng import RandomStreams
 
 
@@ -175,6 +179,46 @@ class TestRepairs:
         again = scan_disk(journal.disk, journal.name)
         assert again.torn_tail is None
         assert len(again.records) == 1
+
+
+class TestOversizeRecord:
+    """A record longer than every reader accepts is refused on write.
+    Unchecked, it was journaled, synced and counted, and the recovery
+    scan then quarantined it as an unreadable segment remainder: the
+    message was gone after recovery."""
+
+    def test_the_send_is_refused_before_a_byte_is_written(self):
+        broker, journal, queue, _consumer = fresh(attach=False)
+        queue.send(Message(topic="q", properties={"n": 0}), now=0.0)
+        disk, segment = journal.disk, journal.current_segment
+        writes, length = disk.writes, disk.length(segment)
+        big = Message(topic="q", body=b"x" * (MAX_RECORD_BYTES + 1))
+        assert queue.send(big, now=0.0) is False
+        assert queue.journal_write_failures == 1
+        assert journal.records_appended == 1 and journal.write_failures == 0
+        assert disk.writes == writes and disk.length(segment) == length
+        assert big.message_id not in backlog_ids(queue)
+        queue.send(Message(topic="q", properties={"n": 2}), now=0.0)
+        assert journal.rotations == 0  # the tail was not dirtied
+        accepted = backlog_ids(queue)
+        assert len(accepted) == 2
+
+        broker2, _j2, queue2, _c2 = reborn(journal, attach=False)
+        broker2.recover(reconnect_subscribers=False, now=1.0)
+        report = broker2.last_recovery
+        assert report.errors == [] and report.quarantined == []
+        assert backlog_ids(queue2) == accepted
+
+    def test_an_oversize_checkpoint_raises_before_it_rotates(self):
+        _broker, journal, queue, _consumer = fresh(attach=False)
+        queue.send(Message(topic="q"), now=0.0)
+        segments = journal.segments
+        entry = {"dest": "q", "domain": "queue", "mid": 1,
+                 "msg": {"mid": 1, "body": b"x" * MAX_RECORD_BYTES}}
+        with pytest.raises(JournalWriteError):
+            journal.checkpoint([entry])
+        assert journal.segments == segments and journal.checkpoints == 0
+        assert len(scan_disk(journal.disk, journal.name).records) == 1
 
 
 class TestTopics:

@@ -21,6 +21,7 @@ import pytest
 from repro.broker.message import Message
 from repro.durability import Journal, JournalTailer, SimulatedDisk, SyncPolicy
 from repro.durability import journal as journal_module
+from repro.durability import tail as tail_module
 from repro.rng import RandomStreams
 
 QUEUE = "orders"
@@ -368,7 +369,8 @@ class TestIdleTicksAreFree:
         queue.send(Message(topic=QUEUE, properties={"n": 5}), now)
         now = settle(pair, now)
         assert pair.standby.records_applied == 17  # PUBLISH + DELIVER
-        assert primary["list"] == 0 and primary["read"] >= 1
+        # The journal handed the shipper those two records: nothing read back.
+        assert primary["list"] == 0 and primary["read"] == 0
 
 
 class TestAFrameIsOneCommitOnTheStandby:
@@ -502,3 +504,50 @@ class TestALifecyclePaysNoPerRecordToll:
 
     def test_the_disk_calls_are_the_same(self, counts):
         assert counts[1] == Counter(length=3, append=3, sync=3)
+
+
+class TestTheShipperIsFed:
+    """On a ``replicated_sync``-shaped drive (send, wait for the standby,
+    receive, ack; a checkpoint every 500 messages) the shipper takes what
+    the journal hands it: the primary's disk is read back, and the tailer
+    parses, only at a rotation, a checkpoint and the first poll."""
+
+    def test_the_primary_is_read_back_only_where_the_feed_cannot_vouch(self):
+        pair, queue, consumer = synced_pair()
+        messages = 2000
+        polls = []
+        poll = pair.tailer.poll
+        pair.tailer.poll = lambda *args: polls.append(poll(*args)) or polls[-1]
+        parses = Counter()
+        real_parse = tail_module._try_parse
+
+        def counted_parse(*args):
+            parses["tailer"] += 1
+            return real_parse(*args)
+
+        primary = count_calls(pair.primary_disk)
+        taken_before = pair.tailer.records_read
+        now = 0.0
+        with mock.patch.object(tail_module, "_try_parse", counted_parse):
+            for n in range(messages):
+                lsn = pair.journal.records_appended
+                queue.send(Message(topic=QUEUE, properties={"n": n}, body=b"x" * 256), now)
+                while pair.acked_records(now) <= lsn:
+                    now += 0.001
+                    pair.tick(now)
+                consumer.ack(consumer.receive())
+                now += 0.001
+                pair.tick(now)
+                if n % 500 == 499:
+                    pair.checkpoint_primary(now)
+            now = settle(pair, now)
+        taken = pair.tailer.records_read - taken_before
+        read_back = sum(len(records) for records in polls)
+        fed_share = 1 - read_back / taken
+        assert pair.standby.records_applied == taken
+        assert pair.journal.rotations >= 10 and pair.journal.checkpoints == 4
+        # Read back and parsed, the tailer would make ≥ 2 reads and ≥ 3
+        # parses a message.
+        assert primary["read"] <= 0.02 * messages, primary
+        assert parses["tailer"] <= 0.05 * messages, parses
+        assert fed_share > 0.95, f"{fed_share:.4f} of the records taken were fed"

@@ -264,6 +264,62 @@ class TestCheckpointUnderShipping:
         assert pair.shipped_lag_records == 0
 
 
+class TestCheckpointAckWatermark:
+    """The ack watermark is an LSN, like ``journal.records_appended``: a
+    CHECKPOINT the tailer repositions onto acks the records it subsumed.
+    Counting only the records shipped, the watermark stayed behind for
+    good, and a sync client waiting for its LSN waited forever."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_checkpoint_before_any_tick_settles_to_acked_equals_appended(self, mode):
+        pair = make_pair(mode)
+        queue = pair.primary.queues.create(QUEUE)
+        for n in range(3):
+            queue.send(Message(topic=QUEUE, properties={"n": n}), now=0.0)
+        lsn, _deleted = pair.checkpoint_primary(0.0)
+        assert lsn == 3
+        now = settle(pair, 0.0)
+        assert pair.standby.records_applied == 1  # the CHECKPOINT alone
+        assert pair.client_acked_records == pair.journal.records_appended == 4
+        assert pair.records_acked_by_standby == 4
+        assert pair.shipped_lag_records == pair.unshipped_acked_records == 0
+        queue.send(Message(topic=QUEUE, properties={"n": 3}), now=now)
+        settle(pair, now)
+        assert pair.client_acked_records == pair.journal.records_appended == 5
+
+    def test_records_taken_before_the_checkpoint_still_count_once(self):
+        # The shipper holds two records when the checkpoint compacts a third.
+        pair = make_pair("sync", ship_interval=50 * DT, batch_size=1000)
+        queue = pair.primary.queues.create(QUEUE)
+        for n in range(2):
+            queue.send(Message(topic=QUEUE, properties={"n": n}), now=DT)
+        pair.tick(DT)
+        assert pair.frames_shipped == 0 and pair.tailer.records_read == 2
+        queue.send(Message(topic=QUEUE, properties={"n": 2}), now=DT)
+        pair.checkpoint_primary(DT)
+        now = settle(pair, DT, ticks=60)
+        assert pair.frames_shipped == 1 and pair.standby.records_applied == 3
+        assert pair.client_acked_records == pair.journal.records_appended == 4
+
+    def test_no_skipped_lsn_is_acked_before_its_checkpoint_is_applied(self):
+        pair = make_pair("sync", batch_size=1)
+        queue = pair.primary.queues.create(QUEUE)
+        for n in range(3):
+            queue.send(Message(topic=QUEUE, properties={"n": n}), now=0.0)
+        pair.tick(DT)  # one record per frame: three in flight
+        queue.send(Message(topic=QUEUE, properties={"n": 3}), now=DT)
+        lsn, _deleted = pair.checkpoint_primary(DT)
+        pair.link.drop_next(2)
+        now = DT
+        while pair.client_acked_records < pair.journal.records_appended:
+            now += DT
+            pair.tick(now)
+            if pair.client_acked_records > 3:
+                assert pair.standby.journal.checkpoints == 1
+            assert now < 1.0
+        assert pair.client_acked_records == lsn + 1
+
+
 class TestConfigValidation:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):

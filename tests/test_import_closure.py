@@ -39,6 +39,7 @@ def test_the_table_names_the_product_and_the_laboratory():
         "repro.durability": (35, 133),
         "repro.replication": (41, 143),
         "repro.mesh": (52, 155),
+        "repro.overload": (34, 122),
     }
     assert set(check_static.IMPORT_CLOSURE) <= set(SUBPACKAGES)
     assert set(check_static.LABORATORY) == {

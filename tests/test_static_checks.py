@@ -87,6 +87,7 @@ def test_check_static_covers_overload_surface():
     assert "repro.overload.experiment" in check_static.IMPORT_SMOKE
     assert "repro.analysis.overload" in check_static.IMPORT_SMOKE
     assert ["overload", "--help"] in [list(c) for c in check_static.CLI_SMOKE]
+    assert check_static.IMPORT_CLOSURE["repro.overload"] == (34, 122)
 
 
 def test_strict_mypy_scope_includes_overload():
