@@ -35,7 +35,7 @@ def simulation_check():
     queue = MG1Queue.from_utilization(0.9, model.moments)
     result = simulate_mg1(
         arrival_rate=0.9 / model.mean,
-        service=lambda rng: model.sample(rng),
+        service=model,
         rng=np.random.default_rng(99),
         horizon=model.mean * 300_000,
     )

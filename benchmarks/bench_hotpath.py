@@ -1,4 +1,4 @@
-"""Hot-path microbenchmarks — compiled selectors, memoized dispatch, engine.
+"""Hot-path microbenchmarks — compiled selectors and memoized dispatch.
 
 Prints the interpreter-vs-compiled and cold-vs-warm rates the
 ``BENCH_hotpath.json`` baseline records, then times each layer with
@@ -18,7 +18,6 @@ from repro.bench.hotpath import (
     _build_broker,
     bench_dispatch,
     bench_selector_eval,
-    bench_simulation,
     message_corpus,
 )
 from repro.broker.selector import Selector, compiled_for_ast
@@ -31,8 +30,7 @@ from conftest import banner, report
 def hotpath():
     selector = bench_selector_eval(messages=32, repeats=3)
     dispatch = bench_dispatch(subscriptions=64, distinct_messages=16, repeats=3)
-    simulation = bench_simulation(horizon=2.0, loads=(0.7,), repeats=2)
-    banner("Hot path: compiled selectors, memoized dispatch, engine throughput")
+    banner("Hot path: compiled selectors and memoized dispatch")
     report(
         f"selector eval: interpreter {selector['ops_per_s_interpreter']:,.0f} ops/s,"
         f" compiled {selector['ops_per_s_compiled']:,.0f} ops/s"
@@ -43,12 +41,7 @@ def hotpath():
         f" warm {dispatch['plans_per_s_warm']:,.0f} plans/s"
         f" ({dispatch['speedup']:.1f}x)"
     )
-    for row in simulation["sweep"]:
-        report(
-            f"engine rho={row['rho']:g}: {row['events_per_s_single']:,.0f} events/s"
-            f" (batched {row['events_per_s_batched']:,.0f})"
-        )
-    return {"selector": selector, "dispatch": dispatch, "simulation": simulation}
+    return {"selector": selector, "dispatch": dispatch}
 
 
 def test_compiled_selector_speedup(hotpath):

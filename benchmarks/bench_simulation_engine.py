@@ -1,7 +1,8 @@
-"""Microbenchmarks of the discrete-event substrate.
+"""Microbenchmarks of the simulation substrate.
 
-Times raw event throughput of the engine and the M/G/1 station — the
-figures that bound how much virtual measurement the testbed can afford.
+Times raw event throughput of the engine and the Lindley-recursion
+M/G/1 kernel — the figures that bound how much virtual measurement the
+testbed can afford.
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.simulation import Engine, Exponential, simulate_mg1
+from repro.simulation import Engine, lindley_waits
 
 from conftest import report
 
@@ -35,14 +36,14 @@ def test_bench_engine_event_throughput(benchmark):
     report(f"\nengine: {rate:,.0f} events/s (wall clock)")
 
 
-def test_bench_mg1_station(benchmark):
-    def run_station():
-        return simulate_mg1(
-            arrival_rate=0.8,
-            service=Exponential(rate=1.0),
-            rng=np.random.default_rng(1),
-            horizon=5_000.0,
-        )
+def test_bench_mg1_kernel(benchmark):
+    """Waits of 10^6 M/M/1 customers at rho = 0.9 from pre-drawn arrays."""
+    rng = np.random.default_rng(1)
+    count = 1_000_000
+    arrivals = np.cumsum(rng.exponential(1.0 / 0.9, count))
+    services = rng.exponential(1.0, count)
 
-    result = benchmark(run_station)
-    assert result.served > 3000
+    waits = benchmark(lindley_waits, arrivals, services)
+    assert waits.shape == (count,)
+    rate = count / benchmark.stats.stats.mean
+    report(f"\nLindley kernel: {rate:,.0f} customers/s (wall clock)")

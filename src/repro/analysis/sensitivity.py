@@ -4,8 +4,8 @@ The paper justifies Poisson arrivals by the human-triggered nature of the
 traffic and never varies the arrival process.  This study quantifies what
 changes when arrivals are smoother (Erlang) or burstier
 (hyperexponential) than Poisson: the Kingman approximation predicts the
-mean wait scales with ``(c_a² + c_s²)/2``, and discrete-event simulation
-confirms it on the paper's own service-time models.
+mean wait scales with ``(c_a² + c_s²)/2``, and simulation (the Lindley
+recursion of :mod:`repro.simulation.queueing`) confirms it on the paper's own service-time models.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def arrival_sensitivity_study(
         )
         result = simulate_gg1(
             interarrival=case.interarrival,
-            service=lambda rng: model.sample(rng),
+            service=model,
             rng=np.random.default_rng(seed),
             horizon=moments.m1 * horizon_services,
         )

@@ -18,8 +18,8 @@ Three measurements back the checked-in ``BENCH_batch.json`` baseline
 
 ``bench_batch_model``
     The :class:`~repro.core.batch.MXG1Queue` batch-arrival closed form
-    against the discrete-event testbed
-    (:func:`~repro.simulation.batch_queueing.simulate_mxg1`) on a
+    against the Lindley-recursion simulation
+    (:func:`~repro.simulation.queueing.simulate_mxg1`) on a
     (batch size x utilisation) grid with deterministic batches and
     exponential unit service.  Horizons scale with the batch size (the
     batch epoch rate is rho / b, so large batches need proportionally
@@ -67,7 +67,7 @@ __all__ = [
 #: and the filter-evaluation bill of the corpus, 4096 -> 512 (``--fast``)
 #: and 12800 -> 1600 (:attr:`BatchAcceptance.publish_bill_exact`).
 BATCH_SPEEDUP_MIN = 1.0
-#: Model-vs-DES mean-wait bar on every (batch, rho) cell.
+#: Model-vs-simulation mean-wait bar on every (batch, rho) cell.
 MODEL_TOLERANCE = 0.05
 #: b=1 degeneration bar against Eqs. 4-5.
 PK_TOLERANCE = 1e-12
@@ -218,7 +218,7 @@ def bench_batch_model(
     batch_target: Mapping[float, float] = SWEEP_BATCH_TARGET,
     horizon_floor: Mapping[float, float] = SWEEP_HORIZON_FLOOR,
 ) -> Dict[str, object]:
-    """M^X/G/1 mean wait vs. the DES on a (batch, rho) grid."""
+    """M^X/G/1 mean wait vs. the simulation on a (batch, rho) grid."""
     rows = []
     max_rel_err = 0.0
     for batch_size in batch_sizes:
@@ -366,7 +366,7 @@ def run_batch_bench(fast: bool = False) -> Dict[str, object]:
             "Batched hot-path baseline: one-call publish_batch vs. the "
             "sequential publish loop on a shape-repeating corpus (cold "
             "planner), the M^X/G/1 batch-arrival closed form vs. the "
-            "discrete-event testbed on a batch-size x utilisation grid, "
+            "Lindley-recursion simulation on a batch-size x utilisation grid, "
             "and the b=1 degeneration to the paper's Eqs. 4-5.  Rates "
             "are machine-dependent; the gate asserts the equivalence flag, "
             "the exact filter-evaluation bill (every filter once per "

@@ -1,6 +1,6 @@
-"""Hot-path micro-benchmarks: compiled selectors, memoized dispatch, engine.
+"""Hot-path micro-benchmarks: compiled selectors and memoized dispatch.
 
-Three measurements, one per optimisation layer of the hot path:
+Two measurements, one per optimisation layer of the hot path:
 
 ``bench_selector_eval``
     A corpus of representative SQL-92 selectors evaluated against a
@@ -19,12 +19,6 @@ Three measurements, one per optimisation layer of the hot path:
     and the memo's own counters must say what it saved: one miss per
     distinct message, a hit for every plan after that.
 
-``bench_simulation``
-    Events per second of the discrete-event engine driving an M/M/1
-    station at the paper's Fig. 10 utilisations, with single-draw RNG
-    (``batch=1``, the seeded-reproducible default) and with vectorised
-    prefetch (``batch=256``).
-
 Timing uses the best of ``repeats`` wall-clock passes
 (``time.perf_counter``), the standard defence against scheduler noise
 in micro-benchmarks.  All corpora are deterministic, so re-runs measure
@@ -40,15 +34,12 @@ from typing import Callable, Dict, List, Sequence
 from ..broker import Broker, Message, PropertyFilter
 from ..broker.selector import Selector, compiled_for_ast
 from ..broker.selector.evaluator import evaluate
-from ..rng import RandomStreams
-from ..simulation import Engine, Exponential, MeasurementWindow, QueueingStation
 
 __all__ = [
     "SELECTOR_CORPUS",
     "HotpathAcceptance",
     "bench_dispatch",
     "bench_selector_eval",
-    "bench_simulation",
     "format_hotpath_report",
     "message_corpus",
     "run_hotpath_bench",
@@ -249,77 +240,6 @@ def bench_dispatch(
 
 
 # ----------------------------------------------------------------------
-# Layer (c): simulation engine throughput
-# ----------------------------------------------------------------------
-def _run_mm1_events(rho: float, horizon: float, batch: int, seed: int = 7) -> int:
-    """One M/M/1 run at utilisation ``rho``; returns events processed."""
-    mean_service = 0.001
-    arrival_rate = rho / mean_service
-    engine = Engine()
-    rng = RandomStreams(seed=seed).stream(f"bench-mm1-{rho:g}")
-    window = MeasurementWindow(0.1 * horizon, 0.9 * horizon)
-    service = Exponential(1.0 / mean_service)
-    station = QueueingStation(engine, service, rng, window=window, name="bench")
-    if batch > 1:
-        from ..simulation.distributions import BatchSampler
-
-        draw_gap: Callable[[], float] = BatchSampler(
-            Exponential(arrival_rate), rng, batch
-        )
-    else:
-
-        def draw_gap() -> float:
-            return float(rng.exponential(1.0 / arrival_rate))
-
-    def schedule_next() -> None:
-        def on_arrival() -> None:
-            station.arrive()
-            schedule_next()
-
-        engine.call_in(draw_gap(), on_arrival)
-
-    schedule_next()
-    engine.run(until=horizon)
-    return engine.events_processed
-
-
-def bench_simulation(
-    horizon: float = 10.0,
-    loads: Sequence[float] = (0.5, 0.7, 0.9),
-    batch: int = 256,
-    repeats: int = 3,
-) -> Dict[str, object]:
-    """Engine events/s on a Fig. 10-style utilisation sweep."""
-    rows = []
-    for rho in loads:
-        events = _run_mm1_events(rho, horizon, batch=1)
-        single_rate = _best_rate(
-            lambda rho=rho: _run_mm1_events(rho, horizon, batch=1), events, repeats
-        )
-        batched_events = _run_mm1_events(rho, horizon, batch=batch)
-        batched_rate = _best_rate(
-            lambda rho=rho: _run_mm1_events(rho, horizon, batch=batch),
-            batched_events,
-            repeats,
-        )
-        rows.append(
-            {
-                "rho": rho,
-                "events": events,
-                "events_per_s_single": single_rate,
-                "events_per_s_batched": batched_rate,
-                "batched_speedup": batched_rate / single_rate,
-            }
-        )
-    return {
-        "horizon": horizon,
-        "batch": batch,
-        "repeats": repeats,
-        "sweep": rows,
-    }
-
-
-# ----------------------------------------------------------------------
 # Assembly and the acceptance gate
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -350,15 +270,13 @@ class HotpathAcceptance:
 
 
 def run_hotpath_bench(fast: bool = False) -> Dict[str, object]:
-    """Run all three layers and assemble the ``BENCH_hotpath.json`` payload."""
+    """Run both layers and assemble the ``BENCH_hotpath.json`` payload."""
     if fast:
         selector = bench_selector_eval(messages=32, repeats=3)
         dispatch = bench_dispatch(subscriptions=64, distinct_messages=16, repeats=3)
-        simulation = bench_simulation(horizon=2.0, loads=(0.7,), repeats=2)
     else:
         selector = bench_selector_eval()
         dispatch = bench_dispatch()
-        simulation = bench_simulation()
     acceptance = HotpathAcceptance(
         compiled_speedup=float(selector["speedup"]),  # type: ignore[arg-type]
         memo_speedup=float(dispatch["speedup"]),  # type: ignore[arg-type]
@@ -369,9 +287,8 @@ def run_hotpath_bench(fast: bool = False) -> Dict[str, object]:
     return {
         "description": (
             "Hot-path perf baseline: compiled selector closures vs. the "
-            "tree-walking interpreter, memoized dispatch plans vs. cold "
-            "filter scans, and engine events/s on an M/M/1 utilisation "
-            "sweep with single-draw vs. batched RNG sampling.  Rates are "
+            "tree-walking interpreter, and memoized dispatch plans vs. cold "
+            "filter scans.  Rates are "
             "machine-dependent; the gate asserts the compiled-over-"
             "interpreter ratio, the equivalence counters and what the memo "
             "saves as exact counts (one miss per distinct message, every "
@@ -386,7 +303,6 @@ def run_hotpath_bench(fast: bool = False) -> Dict[str, object]:
         },
         "selector_eval": selector,
         "dispatch": dispatch,
-        "simulation": simulation,
         "acceptance": {
             "compiled_speedup": acceptance.compiled_speedup,
             "compiled_pass": acceptance.compiled_pass,
@@ -404,7 +320,6 @@ def format_hotpath_report(payload: Dict[str, object]) -> str:
     """Human-readable summary of a :func:`run_hotpath_bench` payload."""
     selector = payload["selector_eval"]
     dispatch = payload["dispatch"]
-    simulation = payload["simulation"]
     acceptance = payload["acceptance"]
     lines = [
         "hot-path benchmark",
@@ -421,12 +336,6 @@ def format_hotpath_report(payload: Dict[str, object]) -> str:
             f"{dispatch['memo_hits']} hits / {dispatch['plans_after_priming']} later plans)"  # type: ignore[index]
         ),
     ]
-    for row in simulation["sweep"]:  # type: ignore[index]
-        lines.append(
-            f"  engine rho={row['rho']:g}: {row['events_per_s_single']:,.0f} events/s "
-            f"(batched {row['events_per_s_batched']:,.0f}, "
-            f"{row['batched_speedup']:.2f}x)"
-        )
     verdict = "PASS" if acceptance["pass"] else "FAIL"  # type: ignore[index]
     lines.append(
         f"  gate: compiled >= {COMPILED_SPEEDUP_MIN:g}x "

@@ -2,16 +2,16 @@
 
 Provides the virtual-time engine, generator-based processes, sampling
 distributions with exact moments, measurement instrumentation (windowed
-counters, sample statistics, utilization tracking), a G/G/1 queueing station for M/G/1 cross-validation, and the
-virtual CPU cost model that stands in for the paper's 3.2 GHz server.
+counters, sample statistics, utilization tracking), the Lindley-recursion
+FIFO queue (M/G/1, GI/G/1, M^X/G/1) that cross-validates the closed
+forms of :mod:`repro.core`, and the virtual CPU cost model that stands
+in for the paper's 3.2 GHz server.
 The seeded random streams every model component draws from are the
 stdlib-only leaf :mod:`repro.rng`.
 """
 
-from .batch_queueing import simulate_mxg1
 from .cpu import CostBreakdown, CpuCostModel
 from .distributions import (
-    BatchSampler,
     Deterministic,
     Distribution,
     Empirical,
@@ -33,10 +33,16 @@ from .metrics import (
     WindowedCounter,
 )
 from .process import Process
-from .queueing import QueueingResults, QueueingStation, simulate_gg1, simulate_mg1
+from .queueing import (
+    QueueingResults,
+    lindley_waits,
+    measure_fifo,
+    simulate_gg1,
+    simulate_mg1,
+    simulate_mxg1,
+)
 
 __all__ = [
-    "BatchSampler",
     "BusyTracker",
     "CostBreakdown",
     "CpuCostModel",
@@ -53,7 +59,6 @@ __all__ = [
     "MeasurementWindow",
     "Process",
     "QueueingResults",
-    "QueueingStation",
     "RunMetrics",
     "SampleStats",
     "ScheduledEvent",
@@ -62,6 +67,8 @@ __all__ = [
     "TimeWeightedStat",
     "Uniform",
     "WindowedCounter",
+    "lindley_waits",
+    "measure_fifo",
     "simulate_gg1",
     "simulate_mg1",
     "simulate_mxg1",

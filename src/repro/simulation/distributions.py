@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "Hyperexponential",
     "Erlang",
     "Empirical",
-    "BatchSampler",
 ]
 
 
@@ -291,39 +290,3 @@ class Empirical(Distribution):
     def __repr__(self) -> str:
         return f"Empirical(n={len(self.values)})"
 
-
-class BatchSampler:
-    """Prefetch draws from a distribution in fixed-size batches.
-
-    One vectorised ``sample_many`` call per ``batch`` draws amortizes the
-    per-draw RNG dispatch overhead — the simulation layer's analog of the
-    compiled-selector optimization.  The wrapped generator is consumed in
-    blocks, so interleaving a :class:`BatchSampler` with other draws from
-    the *same* generator produces a different (equally valid) seeded
-    sequence than unbatched sampling; give the sampler its own stream
-    when draw-for-draw reproducibility against ``batch=1`` matters.
-
-    Instances are callable as ``sampler()`` and also accept (and ignore)
-    a generator argument, so they can stand in for a ``ServiceSampler``
-    in :class:`~repro.simulation.queueing.QueueingStation`.
-    """
-
-    __slots__ = ("distribution", "rng", "batch", "_buffer", "_index")
-
-    def __init__(self, distribution: Distribution, rng: np.random.Generator, batch: int = 256):
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
-        self.distribution = distribution
-        self.rng = rng
-        self.batch = int(batch)
-        self._buffer: Sequence[float] = ()
-        self._index = 0
-
-    def __call__(self, rng: Optional[np.random.Generator] = None) -> float:
-        index = self._index
-        buffer = self._buffer
-        if index >= len(buffer):
-            buffer = self._buffer = self.distribution.sample_many(self.rng, self.batch)
-            index = 0
-        self._index = index + 1
-        return float(buffer[index])

@@ -1,220 +1,166 @@
-"""Single-server FIFO queueing station (G/G/1) in virtual time.
+"""Single-server FIFO queues (M/G/1, GI/G/1, M^X/G/1) by the Lindley recursion.
 
 The paper models the JMS server as an M/G/1-∞ queue (Section IV-B.1,
-Fig. 7).  :class:`QueueingStation` simulates that queue directly so the
-closed-form Pollaczek–Khinchine results of :mod:`repro.core.mg1` can be
-cross-validated: feed it exponential inter-arrival times and any service
-distribution, then compare the recorded waiting-time sample moments,
-quantiles and CCDF against the analytic predictions.
+Fig. 7).  The waiting time of customer ``n`` in a FIFO queue with
+unlimited buffer obeys ``W_{n+1} = max(0, W_n + B_n − A_{n+1})``, with
+``B`` the service times and ``A`` the inter-arrival gaps.  With ``S_0 =
+0`` and ``S_n = Σ_{i<n}(B_i − A_{i+1})`` it unrolls to ``W_n = S_n −
+min_{k≤n} S_k``: one cumulative sum and one running minimum
+(:func:`lindley_waits`).  Batch arrivals need no second simulator — the
+members of a batch arrive with ``A = 0`` between them (Ikegawa,
+arXiv:1803.10553), in the order they were drawn.
+
+The drivers draw an arrival-time array, draw the services with one
+``sample_many`` call, and summarise the waits of the customers that
+*arrive* inside the measurement window (:func:`measure_fifo`), so the
+closed-form results of :mod:`repro.core.mg1`, :mod:`repro.core.gg1` and
+:mod:`repro.core.batch` can be cross-validated.
+
+**Draw order** (the seeded contract): a driver splits the caller's
+generator with ``rng.spawn(2)``.  The first child draws the arrival side:
+the inter-arrival (or batch-epoch) gaps, in blocks of ``⌊1.05 · horizon /
+E[A]⌋ + 64`` until they pass the horizon, then, for M^X/G/1, one batch
+size per epoch.  The second child draws one service time per arrival in a
+single ``sample_many`` call, so the services do not depend on how many
+gaps were drawn past the horizon.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Optional
+from typing import TYPE_CHECKING, Protocol, Sequence
 
-from .distributions import BatchSampler, Distribution, Exponential
-from .engine import Engine
-from .metrics import BusyTracker, MeasurementWindow, SampleStats, TimeWeightedStat
+import numpy as np
 
-__all__ = ["QueueingStation", "QueueingResults", "simulate_mg1", "simulate_gg1"]
+from .distributions import Distribution, Exponential
+from .metrics import MeasurementWindow
 
-if TYPE_CHECKING:
-    import numpy as np
+if TYPE_CHECKING:  # pragma: no cover - types only, avoids a hard cycle
+    from ..core.batch import BatchSizeLaw
 
-ServiceSampler = Callable[["np.random.Generator"], float]
+__all__ = [
+    "QueueingResults",
+    "Sampler",
+    "lindley_waits",
+    "measure_fifo",
+    "simulate_gg1",
+    "simulate_mg1",
+    "simulate_mxg1",
+]
+
+
+class Sampler(Protocol):
+    """Anything that draws a vector of service times: a
+    :class:`~repro.simulation.distributions.Distribution`, a
+    :class:`~repro.core.service_time.ServiceTimeModel`."""
+
+    def sample_many(
+        self, rng: np.random.Generator, size: int
+    ) -> Sequence[float] | np.ndarray: ...
 
 
 @dataclass(frozen=True)
 class QueueingResults:
-    """Summary of one queueing-station run."""
+    """Summary of one FIFO-queue run: waits of the in-window arrivals."""
 
-    arrivals: int
     served: int
     mean_wait: float
-    wait_moment2: float
-    wait_moment3: float
     wait_quantile_99: float
     wait_quantile_9999: float
-    utilization: float
-    mean_queue_length: float
     wait_probability: float
 
-    def normalized_mean_wait(self, mean_service: float) -> float:
-        """Mean wait in units of the mean service time (paper's Fig. 10 axis)."""
-        return self.mean_wait / mean_service
 
+def lindley_waits(arrivals: Sequence[float], services: Sequence[float]) -> np.ndarray:
+    """Waiting times of a FIFO single-server queue with unlimited buffer.
 
-class QueueingStation:
-    """A FIFO single-server queue with unlimited buffer.
-
-    Parameters
-    ----------
-    engine:
-        Virtual-time engine.
-    service:
-        Either a :class:`~repro.simulation.distributions.Distribution` or a
-        callable ``rng -> float`` drawing one service time.
-    rng:
-        Generator for service-time draws.
-    window:
-        Measurement window; waiting times of customers *arriving* inside the
-        window are recorded, matching the paper's methodology.
+    ``arrivals`` are non-decreasing arrival times; customer ``n`` brings
+    ``services[n]`` of work.  Customers arriving together are served in
+    array order.  A negative or NaN service time, arrival times out of
+    order or arrays of unequal length raise ``ValueError``.
     """
-
-    def __init__(
-        self,
-        engine: Engine,
-        service: Distribution | ServiceSampler,
-        rng: np.random.Generator,
-        window: Optional[MeasurementWindow] = None,
-        name: str = "station",
-    ):
-        self._engine = engine
-        self._rng = rng
-        self.name = name
-        if isinstance(service, Distribution):
-            self._draw_service: ServiceSampler = service.sample
-        else:
-            self._draw_service = service
-        self.waits = SampleStats(name=f"{name}.wait", window=window)
-        self.delayed = SampleStats(name=f"{name}.delayed-wait", window=window)
-        self.busy = BusyTracker(window=window)
-        self.queue_length = TimeWeightedStat(initial=0.0, window=window)
-        self.arrivals = 0
-        self.served = 0
-        self._waiting: Deque[float] = deque()  # arrival times of queued customers
-        self._in_service = False
-
-    # ------------------------------------------------------------------
-    def arrive(self) -> None:
-        """Register one arrival at the current virtual time."""
-        now = self._engine.now
-        self.arrivals += 1
-        self._waiting.append(now)
-        self.queue_length.update(now, len(self._waiting))
-        if not self._in_service:
-            self._start_service()
-
-    def _start_service(self) -> None:
-        now = self._engine.now
-        arrival_time = self._waiting.popleft()
-        self.queue_length.update(now, len(self._waiting))
-        wait = now - arrival_time
-        self.waits.record(wait, time=arrival_time)
-        if wait > 0:
-            self.delayed.record(wait, time=arrival_time)
-        self._in_service = True
-        self.busy.busy(now)
-        service_time = float(self._draw_service(self._rng))
-        if service_time < 0 or math.isnan(service_time):
-            raise ValueError(f"invalid service time {service_time}")
-        self._engine.call_in(service_time, self._complete_service)
-
-    def _complete_service(self) -> None:
-        now = self._engine.now
-        self.served += 1
-        self._in_service = False
-        self.busy.idle(now)
-        if self._waiting:
-            self._start_service()
-
-    # ------------------------------------------------------------------
-    def results(self, until: float) -> QueueingResults:
-        """Summarise the run as of virtual time ``until``."""
-        n_waits = max(self.waits.count, 1)
-        n_delayed = self.delayed.count
-        return QueueingResults(
-            arrivals=self.arrivals,
-            served=self.served,
-            mean_wait=self.waits.mean(),
-            wait_moment2=self.waits.moment(2),
-            wait_moment3=self.waits.moment(3),
-            wait_quantile_99=self.waits.quantile(0.99),
-            wait_quantile_9999=self.waits.quantile(0.9999),
-            utilization=self.busy.utilization(until),
-            mean_queue_length=self.queue_length.time_average(until),
-            wait_probability=n_delayed / n_waits,
+    times = np.asarray(arrivals, dtype=float)
+    work = np.asarray(services, dtype=float)
+    if times.ndim != 1 or times.shape != work.shape:
+        raise ValueError(
+            f"need two 1-D arrays of one length, got {times.shape} and {work.shape}"
         )
+    if not (work >= 0).all():
+        raise ValueError(f"invalid service time {work[~(work >= 0)][0]}")
+    if not (np.diff(times) >= 0).all():
+        raise ValueError("arrival times must be non-decreasing")
+    if times.size == 0:
+        return times
+    # S_n = Σ_{i<n} B_i − (t_n − t_0): work brought minus time elapsed.
+    s = np.empty_like(times)
+    s[0] = 0.0
+    np.cumsum(work[:-1], out=s[1:])
+    s -= times - times[0]
+    return s - np.minimum.accumulate(s)
 
 
-def simulate_mg1(
-    arrival_rate: float,
-    service: Distribution | ServiceSampler,
-    rng: np.random.Generator,
+def measure_fifo(
+    arrivals: Sequence[float],
+    services: Sequence[float],
+    window: MeasurementWindow,
     horizon: float,
-    warmup_fraction: float = 0.1,
-    batch: int = 1,
 ) -> QueueingResults:
-    """Simulate an M/G/1-∞ queue and summarise its waiting times.
+    """Summarise the waits of the customers arriving inside ``window``.
 
-    Parameters
-    ----------
-    arrival_rate:
-        Poisson arrival rate λ in messages per second.
-    service:
-        Service-time distribution B.
-    rng:
-        Random generator (arrivals and services draw from it).
-    horizon:
-        Virtual run length in seconds.
-    warmup_fraction:
-        Fraction of the horizon trimmed at *both* ends, mirroring the paper's
-        5 s / 100 s trim.
-    batch:
-        Prefetch inter-arrival gaps (and service times, when ``service``
-        is a :class:`Distribution`) in vectorised blocks of this size.
-        The default 1 draws one value at a time and reproduces the
-        historical seeded sequences exactly; ``batch > 1`` is a speed
-        knob that consumes the shared generator in a different order, so
-        seeded outputs differ (statistics do not).
+    ``served`` counts the customers (in or out of the window) whose
+    service ends by ``horizon``.
     """
-    if arrival_rate <= 0:
-        raise ValueError(f"arrival rate must be positive, got {arrival_rate}")
+    times = np.asarray(arrivals, dtype=float)
+    work = np.asarray(services, dtype=float)
+    waits = lindley_waits(times, work)
+    kept = waits[(times >= window.start) & (times < window.end)]
+    if kept.size:
+        mean = float(kept.mean())
+        q99, q9999 = np.quantile(kept, [0.99, 0.9999], method="inverted_cdf")
+    else:
+        mean = q99 = q9999 = math.nan
+    return QueueingResults(
+        served=int(np.count_nonzero(times + waits + work <= horizon)),
+        mean_wait=mean,
+        wait_quantile_99=float(q99),
+        wait_quantile_9999=float(q9999),
+        wait_probability=int(np.count_nonzero(kept > 0)) / max(kept.size, 1),
+    )
+
+
+def _window(horizon: float, warmup_fraction: float) -> MeasurementWindow:
+    """The run's window: ``warmup_fraction`` of the horizon trimmed at
+    *both* ends, mirroring the paper's 5 s / 100 s trim."""
     if horizon <= 0:
         raise ValueError(f"horizon must be positive, got {horizon}")
     if not 0 <= warmup_fraction < 0.5:
         raise ValueError(f"warmup fraction must be in [0, 0.5), got {warmup_fraction}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    engine = Engine()
     trim = horizon * warmup_fraction
-    window = (
-        MeasurementWindow(trim, horizon - trim)
-        if trim > 0
-        else MeasurementWindow(0.0, horizon)
-    )
-    if batch > 1 and isinstance(service, Distribution):
-        service = BatchSampler(service, rng, batch)
-    station = QueueingStation(engine, service, rng, window=window, name="mg1")
-    if batch > 1:
-        draw_gap: Callable[[], float] = BatchSampler(Exponential(arrival_rate), rng, batch)
-    else:
+    return MeasurementWindow(trim, horizon - trim)
 
-        def draw_gap() -> float:
-            return float(rng.exponential(1.0 / arrival_rate))
 
-    def schedule_next_arrival() -> None:
-        def on_arrival() -> None:
-            station.arrive()
-            schedule_next_arrival()
-
-        engine.call_in(draw_gap(), on_arrival)
-
-    schedule_next_arrival()
-    engine.run(until=horizon)
-    return station.results(until=horizon)
+def _renewal_epochs(
+    gap: Distribution, rng: np.random.Generator, horizon: float
+) -> np.ndarray:
+    """Epochs of a renewal process started at 0, up to ``horizon``."""
+    if not gap.mean > 0:
+        raise ValueError(f"mean inter-arrival time must be positive, got {gap.mean}")
+    block = int(1.05 * horizon / gap.mean) + 64
+    blocks = []
+    drawn = 0.0
+    while drawn < horizon:
+        blocks.append(np.asarray(gap.sample_many(rng, block), dtype=float))
+        drawn += float(blocks[-1].sum())
+    epochs = np.cumsum(np.concatenate(blocks))
+    return epochs[epochs < horizon]
 
 
 def simulate_gg1(
     interarrival: Distribution,
-    service: Distribution | ServiceSampler,
+    service: Sampler,
     rng: np.random.Generator,
     horizon: float,
     warmup_fraction: float = 0.1,
-    batch: int = 1,
 ) -> QueueingResults:
     """Simulate a GI/G/1-∞ queue with renewal arrivals.
 
@@ -223,37 +169,48 @@ def simulate_gg1(
     Erlang for smoother-than-Poisson arrivals, hyperexponential for
     bursty ones — enabling the arrival-sensitivity study validated
     against the Kingman approximation (:mod:`repro.core.gg1`).
+    ``warmup_fraction`` of the horizon is trimmed at both ends.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    if not 0 <= warmup_fraction < 0.5:
-        raise ValueError(f"warmup fraction must be in [0, 0.5), got {warmup_fraction}")
-    if batch < 1:
-        raise ValueError(f"batch must be >= 1, got {batch}")
-    engine = Engine()
-    trim = horizon * warmup_fraction
-    window = (
-        MeasurementWindow(trim, horizon - trim)
-        if trim > 0
-        else MeasurementWindow(0.0, horizon)
+    window = _window(horizon, warmup_fraction)
+    arrival_rng, service_rng = rng.spawn(2)
+    arrivals = _renewal_epochs(interarrival, arrival_rng, horizon)
+    return measure_fifo(
+        arrivals, service.sample_many(service_rng, arrivals.size), window, horizon
     )
-    if batch > 1 and isinstance(service, Distribution):
-        service = BatchSampler(service, rng, batch)
-    station = QueueingStation(engine, service, rng, window=window, name="gg1")
-    if batch > 1:
-        draw_gap: Callable[[], float] = BatchSampler(interarrival, rng, batch)
-    else:
 
-        def draw_gap() -> float:
-            return float(interarrival.sample(rng))
 
-    def schedule_next_arrival() -> None:
-        def on_arrival() -> None:
-            station.arrive()
-            schedule_next_arrival()
+def simulate_mg1(
+    arrival_rate: float,
+    service: Sampler,
+    rng: np.random.Generator,
+    horizon: float,
+    warmup_fraction: float = 0.1,
+) -> QueueingResults:
+    """Simulate the paper's M/G/1-∞ queue: :func:`simulate_gg1` with
+    Poisson arrivals of rate ``arrival_rate`` (messages per second)."""
+    return simulate_gg1(Exponential(arrival_rate), service, rng, horizon, warmup_fraction)
 
-        engine.call_in(draw_gap(), on_arrival)
 
-    schedule_next_arrival()
-    engine.run(until=horizon)
-    return station.results(until=horizon)
+def simulate_mxg1(
+    batch_rate: float,
+    batch: "BatchSizeLaw",
+    service: Sampler,
+    rng: np.random.Generator,
+    horizon: float,
+    warmup_fraction: float = 0.1,
+) -> QueueingResults:
+    """Simulate an M^X/G/1-∞ queue and summarise per-message waits.
+
+    Batches arrive at Poisson epochs of rate ``batch_rate`` (``λ_B``;
+    the per-message rate is ``λ_B · E[X]``) and carry ``X`` messages
+    drawn from ``batch``.  Each message's own wait is recorded, so the
+    within-batch predecessor term of :class:`~repro.core.batch.MXG1Queue`
+    is cross-validated too.
+    """
+    window = _window(horizon, warmup_fraction)
+    arrival_rng, service_rng = rng.spawn(2)
+    epochs = _renewal_epochs(Exponential(batch_rate), arrival_rng, horizon)
+    arrivals = np.repeat(epochs, batch.sample(arrival_rng, epochs.size))
+    return measure_fifo(
+        arrivals, service.sample_many(service_rng, arrivals.size), window, horizon
+    )

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from ..broker import Message
 from ..simulation import Engine
-from ..simulation.distributions import BatchSampler, Exponential
 from .simserver import SimulatedJMSServer
 
 if TYPE_CHECKING:
@@ -95,11 +94,6 @@ class PoissonPublisher:
     With a large server buffer this realises the Poisson arrival stream of
     the waiting-time analysis; the aggregate of several Poisson publishers
     is again Poisson with the summed rate (``λ = Σ λ_i``, Fig. 7).
-
-    ``batch > 1`` prefetches that many exponential gaps per RNG call
-    (vectorised on numpy).  Keep the default 1 when the generator is
-    shared with other draws and seeded draw-for-draw reproducibility
-    matters; with its own stream, batching changes nothing but speed.
     """
 
     def __init__(
@@ -111,12 +105,9 @@ class PoissonPublisher:
         rng: np.random.Generator,
         name: str = "poisson-publisher",
         stop_time: Optional[float] = None,
-        batch: int = 1,
     ):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        if batch < 1:
-            raise ValueError(f"batch must be >= 1, got {batch}")
         self.engine = engine
         self.server = server
         self.rate = float(rate)
@@ -125,18 +116,12 @@ class PoissonPublisher:
         self.name = name
         self.stop_time = stop_time
         self.sent = 0
-        if batch > 1:
-            self._draw_gap: Callable[[], float] = BatchSampler(
-                Exponential(self.rate), rng, batch
-            )
-        else:
-            self._draw_gap = lambda: float(rng.exponential(1.0 / rate))
 
     def start(self) -> None:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        self.engine.call_in(self._draw_gap(), self._send)
+        self.engine.call_in(float(self.rng.exponential(1.0 / self.rate)), self._send)
 
     def _send(self) -> None:
         if self.stop_time is not None and self.engine.now >= self.stop_time:

@@ -55,13 +55,13 @@ class TestWaitingTimeTheoryVsBrokerSimulation:
         rho = 0.9
         # The simulated broker's replication varies per message; drive it
         # with a scenario of deterministic R equal to the model's n_fltr
-        # structure is not possible here, so use the M/G/1 station with
-        # the exact service-time model instead (same service law).
+        # structure is not possible here, so use the M/G/1 queue (Lindley
+        # recursion) with the exact service-time model instead (same law).
         rng = np.random.default_rng(123)
         scaled_rate = rho / (model.mean)
         result = simulate_mg1(
             arrival_rate=scaled_rate,
-            service=lambda generator: model.sample(generator),
+            service=model,
             rng=rng,
             horizon=model.mean * 2_000_00,
         )
@@ -106,7 +106,7 @@ class TestWaitingTimeTheoryVsBrokerSimulation:
         rng = np.random.default_rng(7)
         result = simulate_mg1(
             arrival_rate=rho / model.mean,
-            service=lambda generator: model.sample(generator),
+            service=model,
             rng=rng,
             horizon=model.mean * 3_000_00,
         )

@@ -1,4 +1,4 @@
-"""The M^X/G/1 discrete-event testbed against the closed form."""
+"""The M^X/G/1 simulation (Lindley recursion) against the closed form."""
 
 import pytest
 
@@ -52,7 +52,7 @@ class TestAgainstModel:
         assert sim == pytest.approx(model.mean_wait, rel=0.2)
 
     def test_batching_hurts_waits_in_the_testbed_too(self):
-        """The DES reproduces the model's monotone batching penalty."""
+        """The simulation reproduces the model's monotone batching penalty."""
         rng_a, rng_b = make_generator(5), make_generator(5)
         single = MXG1Queue.from_utilization(
             0.7, DeterministicBatchSize(1), EXP_SERVICE

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.simulation import (
-    BatchSampler,
     Deterministic,
     Empirical,
     Erlang,
@@ -16,7 +15,6 @@ from repro.simulation import (
     Hyperexponential,
     Lognormal,
     Uniform,
-    simulate_mg1,
 )
 from repro.rng import RandomStreams, make_generator, stable_hash
 
@@ -201,52 +199,7 @@ class TestMomentConsistencyProperty:
         assert d.cvar == pytest.approx(1.0 / np.sqrt(shape), rel=1e-9)
 
 
-class TestBatchSampler:
-    def test_batched_draws_match_sample_many_chunks(self):
-        """A BatchSampler on an exclusive stream replays ``sample_many``."""
-        dist = Exponential(5.0)
-        rng_a = RandomStreams(seed=11).stream("batch")
-        rng_b = RandomStreams(seed=11).stream("batch")
-        sampler = BatchSampler(dist, rng_a, batch=8)
-        drawn = [sampler() for _ in range(16)]
-        expected = list(dist.sample_many(rng_b, 8)) + list(dist.sample_many(rng_b, 8))
-        assert drawn == pytest.approx(expected)
-
-    def test_batch_must_be_positive(self):
-        with pytest.raises(ValueError):
-            BatchSampler(Exponential(1.0), RandomStreams(seed=1).stream("x"), batch=0)
-
-    def test_mg1_batch_one_is_bit_identical_to_default(self):
-        """batch=1 must preserve the historical draw order exactly."""
-        base = simulate_mg1(
-            50.0, Exponential(100.0), RandomStreams(seed=5).stream("mg1"), horizon=20.0
-        )
-        batched = simulate_mg1(
-            50.0,
-            Exponential(100.0),
-            RandomStreams(seed=5).stream("mg1"),
-            horizon=20.0,
-            batch=1,
-        )
-        assert batched == base
-
-    def test_mg1_large_batch_statistically_consistent(self):
-        """batch>1 reorders the shared stream (documented) but the
-        steady-state answer must agree with the single-draw run."""
-        base = simulate_mg1(
-            50.0, Exponential(100.0), RandomStreams(seed=5).stream("mg1"), horizon=200.0
-        )
-        batched = simulate_mg1(
-            50.0,
-            Exponential(100.0),
-            RandomStreams(seed=6).stream("mg1"),
-            horizon=200.0,
-            batch=256,
-        )
-        # M/M/1 at rho=0.5: E[W] = rho/(mu - lambda) = 0.01 s.
-        assert base.mean_wait == pytest.approx(0.01, rel=0.25)
-        assert batched.mean_wait == pytest.approx(0.01, rel=0.25)
-
+class TestSampleMany:
     def test_hyperexponential_sample_many_moments(self):
         dist = Hyperexponential(probabilities=(0.5, 0.5), rates=(1.0, 10.0))
         rng = RandomStreams(seed=9).stream("hyper")
@@ -275,8 +228,8 @@ def _in_support(dist, values) -> bool:
 class TestSampleContract:
     """What every distribution hands its callers: ``sample`` a Python
     float, ``sample_many`` a float array that a seed reproduces.  The
-    queueing stations, ``BatchSampler`` and the metrics index and
-    vectorise over these arrays."""
+    FIFO-queue drivers and the metrics index and vectorise over these
+    arrays."""
 
     @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: type(d).__name__)
     def test_sample_is_a_python_float(self, dist):
@@ -307,15 +260,6 @@ class TestSampleContract:
         rng = np.random.default_rng(8)
         assert _in_support(dist, dist.sample_many(rng, 2000))
         assert _in_support(dist, np.asarray([dist.sample(rng) for _ in range(50)]))
-
-    @pytest.mark.parametrize("dist", DISTRIBUTIONS, ids=lambda d: type(d).__name__)
-    def test_batch_sampler_replays_sample_many(self, dist):
-        sampler = BatchSampler(dist, RandomStreams(seed=13).stream("b"), batch=5)
-        drawn = [sampler() for _ in range(12)]
-        rng = RandomStreams(seed=13).stream("b")
-        expected = np.concatenate([dist.sample_many(rng, 5) for _ in range(3)])[:12]
-        assert all(type(value) is float for value in drawn)
-        assert drawn == list(expected)
 
 
 class TestGenerator:

@@ -176,7 +176,7 @@ class TestBench:
         target = tmp_path / "bench.json"
         assert main(["bench", "hotpath", "--fast", "--out", str(target)]) == 0
         payload = json.loads(target.read_text())
-        assert set(payload) >= {"selector_eval", "dispatch", "simulation", "acceptance"}
+        assert set(payload) == {"description", "config", "selector_eval", "dispatch", "acceptance"}
         assert payload["selector_eval"]["mismatches"] == 0
         assert payload["dispatch"]["matches_identical"] is True
 

@@ -46,7 +46,7 @@ IMPORT_SMOKE = (
     "repro.bench.batch",
     "repro.bench.suites",
     "repro.core.batch",
-    "repro.simulation.batch_queueing",
+    "repro.simulation.queueing",
     "repro.faults",
     "repro.overload",
     "repro.overload.experiment",
