@@ -36,7 +36,6 @@ from .process import Process
 from .queueing import (
     QueueingResults,
     lindley_waits,
-    measure_fifo,
     simulate_gg1,
     simulate_mg1,
     simulate_mxg1,
@@ -68,7 +67,6 @@ __all__ = [
     "Uniform",
     "WindowedCounter",
     "lindley_waits",
-    "measure_fifo",
     "simulate_gg1",
     "simulate_mg1",
     "simulate_mxg1",

@@ -12,7 +12,7 @@ arXiv:1803.10553), in the order they were drawn.
 
 The drivers draw an arrival-time array, draw the services with one
 ``sample_many`` call, and summarise the waits of the customers that
-*arrive* inside the measurement window (:func:`measure_fifo`), so the
+*arrive* inside the measurement window in one shared summary, so the
 closed-form results of :mod:`repro.core.mg1`, :mod:`repro.core.gg1` and
 :mod:`repro.core.batch` can be cross-validated.
 
@@ -41,9 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - types only, avoids a hard cycle
 
 __all__ = [
     "QueueingResults",
-    "Sampler",
     "lindley_waits",
-    "measure_fifo",
     "simulate_gg1",
     "simulate_mg1",
     "simulate_mxg1",
@@ -99,7 +97,7 @@ def lindley_waits(arrivals: Sequence[float], services: Sequence[float]) -> np.nd
     return s - np.minimum.accumulate(s)
 
 
-def measure_fifo(
+def _measure_fifo(
     arrivals: Sequence[float],
     services: Sequence[float],
     window: MeasurementWindow,
@@ -174,7 +172,7 @@ def simulate_gg1(
     window = _window(horizon, warmup_fraction)
     arrival_rng, service_rng = rng.spawn(2)
     arrivals = _renewal_epochs(interarrival, arrival_rng, horizon)
-    return measure_fifo(
+    return _measure_fifo(
         arrivals, service.sample_many(service_rng, arrivals.size), window, horizon
     )
 
@@ -211,6 +209,6 @@ def simulate_mxg1(
     arrival_rng, service_rng = rng.spawn(2)
     epochs = _renewal_epochs(Exponential(batch_rate), arrival_rng, horizon)
     arrivals = np.repeat(epochs, batch.sample(arrival_rng, epochs.size))
-    return measure_fifo(
+    return _measure_fifo(
         arrivals, service.sample_many(service_rng, arrivals.size), window, horizon
     )

@@ -27,16 +27,23 @@ class TestBalancedH2:
 
 class TestSimulateGG1:
     def test_poisson_interarrivals_reduce_to_mg1(self):
-        """GI/G/1 with exponential interarrivals is the paper's M/G/1."""
+        """GI/G/1 with exponential interarrivals is the paper's M/G/1.
+
+        One run's mean has a standard deviation of 4.6 %; the mean of 32
+        independent runs (0.8 %) holds the 8 % tolerance to the model.
+        """
         service = Exponential(rate=1.0)
-        result = simulate_gg1(
-            interarrival=Exponential(rate=0.7),
-            service=service,
-            rng=np.random.default_rng(5),
-            horizon=50_000.0,
-        )
+        waits = [
+            simulate_gg1(
+                interarrival=Exponential(rate=0.7),
+                service=service,
+                rng=np.random.default_rng(child),
+                horizon=50_000.0,
+            ).mean_wait
+            for child in np.random.SeedSequence(5).spawn(32)
+        ]
         exact = MG1Queue(0.7, Moments(1.0, 2.0, 6.0)).mean_wait
-        assert result.mean_wait == pytest.approx(exact, rel=0.08)
+        assert np.mean(waits) == pytest.approx(exact, rel=0.08)
 
     def test_smoother_arrivals_wait_less(self):
         service = Exponential(rate=1.0)
